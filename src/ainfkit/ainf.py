@@ -41,6 +41,8 @@ def beta_json(beta):
 
 
 def beta_from_json(data):
+    if not isinstance(data, (list, tuple)) or len(data) != 2:
+        raise ValueError(f"beta must be a pair [energy, maslov], got {data!r}")
     return (frac(data[0]), int(data[1]))
 
 
@@ -363,6 +365,17 @@ def eval_op(alg: AInfAlgebra, k: int, beta, inputs) -> AlgElement:
     return AlgElement(acc, trunc)
 
 
+def differential_matrix(alg: AInfAlgebra):
+    """mu_{1,0} as columns over the basis, entries Fractions."""
+    idx = {nm: i for i, nm in enumerate(alg.names)}
+    n = len(alg.names)
+    mat = [[Fraction(0)] * n for _ in range(n)]
+    for nm in alg.names:
+        for out, cf in alg.op_on_names(1, BETA_ZERO, (nm,)).items():
+            mat[idx[out]][idx[nm]] = cf
+    return mat
+
+
 def eval_op_names(alg: AInfAlgebra, k: int, beta, names):
     """Structure constants of m_{k,beta} on a basis tuple, as Fractions."""
     return dict(alg.op_on_names(k, beta, names))
@@ -526,13 +539,13 @@ def eval_assembled(alg: AInfAlgebra, k: int, inputs) -> AlgElement:
     return total
 
 
-def _insertion_patterns(k: int, extra: int):
+def insertion_patterns(k: int, extra: int):
     """All (i_0, ..., i_k) with nonnegative entries summing to extra."""
     if k == 0:
         yield (extra,)
         return
     for first in range(extra + 1):
-        for rest in _insertion_patterns(k - 1, extra - first):
+        for rest in insertion_patterns(k - 1, extra - first):
             yield (first,) + rest
 
 
@@ -542,7 +555,7 @@ def deformed_eval(alg: AInfAlgebra, b: AlgElement, k: int, inputs) -> AlgElement
     total = AlgElement.zero(alg.truncation)
     for big_k in range(k, max_a + 1):
         extra = big_k - k
-        for pattern in _insertion_patterns(k, extra):
+        for pattern in insertion_patterns(k, extra):
             args = []
             for slot, count in enumerate(pattern):
                 args.extend([b] * count)

@@ -258,7 +258,11 @@ def main(argv=None) -> int:
             if getattr(args, "cutoff", None):
                 from ainfkit.ainf import assemble
 
-                doc._algebra = assemble(doc.algebra, frac(args.cutoff))
+                try:
+                    cutoff = frac(args.cutoff)
+                except ZeroDivisionError as exc:
+                    raise SpecError(f"--cutoff {args.cutoff}: {exc}") from exc
+                doc._algebra = assemble(doc.algebra, cutoff)
             if args.mutate:
                 _apply_mutation(doc, args.mutate)
             report = _SPEC_COMMANDS[args.command](doc, args)

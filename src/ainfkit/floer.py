@@ -10,18 +10,28 @@ invariant factor q^e contributes a bar of length e/N.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 from ainfkit.ainf import (
     AInfAlgebra,
     AlgElement,
+    differential_matrix,
     eval_op,
+    insertion_patterns,
     mc_defect,
     validate_bounding_candidate,
 )
-from ainfkit.kunneth import SubalgebraEmbedding, _diff_matrix, _graded_dims, box_product
-from ainfkit.poly import Poly, matrix_rank_fraction_field, smith_normal_form
-from ainfkit.poly import rational_matrix_rank
-from ainfkit.scalars import frac_str
+from ainfkit.kunneth import SubalgebraEmbedding, box_product
+from ainfkit.poly import (
+    EchelonSpan,
+    Poly,
+    graded_dims,
+    kernel_basis,
+    matrix_rank_fraction_field,
+    smith_normal_form,
+    squares_to_zero,
+)
+from ainfkit.scalars import NovikovElement, frac_str
 
 
 def scalar_cohomology(matrix, grading) -> dict:
@@ -35,9 +45,7 @@ def scalar_cohomology(matrix, grading) -> dict:
     n = len(grading)
     if len(matrix) != n or any(len(row) != n for row in matrix):
         raise ValueError("matrix shape does not match the grading")
-    m2 = [[sum(matrix[i][k] * matrix[k][j] for k in range(n)) for j in range(n)]
-          for i in range(n)]
-    if any(x != 0 for row in m2 for x in row):
+    if not squares_to_zero(matrix, 0):
         raise ValueError("differential does not square to zero")
     for i in range(n):
         for j in range(n):
@@ -45,35 +53,27 @@ def scalar_cohomology(matrix, grading) -> dict:
                 raise ValueError("differential does not have degree +1")
     names = list(range(n))
     degs = {i: grading[i] for i in names}
-    dims = _graded_dims(names, degs, matrix)
+    dims = graded_dims(names, degs, matrix)
 
     # Representatives: per degree, kernel vectors of the outgoing block that
-    # are independent modulo the incoming image.
+    # are independent modulo the incoming image.  One echelon basis of the
+    # image grows by each chosen vector; a kernel vector is chosen exactly
+    # when it does not reduce to zero against it.
     by_deg = {}
     for i in names:
         by_deg.setdefault(grading[i], []).append(i)
     reps = {}
-    from ainfkit.kunneth import _kernel_basis
-
     for d, idxs in sorted(by_deg.items()):
         tgt = by_deg.get(d + 1, [])
         block = [[matrix[i][j] for j in idxs] for i in tgt]
-        kernel = _kernel_basis(block) if tgt else [
+        kernel = kernel_basis(block) if tgt else [
             [Fraction(1) if t == s else Fraction(0) for s in range(len(idxs))]
             for t in range(len(idxs))
         ]
-        src = by_deg.get(d - 1, [])
-        image_cols = [[matrix[i][j] for j in src] for i in idxs]
-        chosen = []
-        base_cols = [[image_cols[i][j] for i in range(len(idxs))]
-                     for j in range(len(src))]
-        for vec in kernel:
-            trial = base_cols + [c for c in chosen] + [vec]
-            rows = [[col[i] for col in trial] for i in range(len(idxs))]
-            if rational_matrix_rank(rows) > rational_matrix_rank(
-                    [[col[i] for col in base_cols + chosen]
-                     for i in range(len(idxs))]):
-                chosen.append(vec)
+        span = EchelonSpan()
+        for j in by_deg.get(d - 1, []):
+            span.add([matrix[i][j] for i in idxs])
+        chosen = [vec for vec in kernel if span.add(vec)]
         reps[d] = [
             {str(idxs[i]): frac_str(v[i]) for i in range(len(idxs)) if v[i] != 0}
             for v in chosen
@@ -88,12 +88,11 @@ def scalar_cohomology(matrix, grading) -> dict:
 
 def algebra_cohomology(alg: AInfAlgebra) -> dict:
     """Cohomology of the undeformed beta = 0 differential of an algebra."""
-    return scalar_cohomology(_diff_matrix(alg), [alg.degree(nm) for nm in alg.names])
+    return scalar_cohomology(differential_matrix(alg),
+                             [alg.degree(nm) for nm in alg.names])
 
 
 def _energy_denominator(alg: AInfAlgebra, b: AlgElement) -> int:
-    from math import lcm
-
     dens = [1]
     dens += [beta[0].denominator for _, beta in alg.ops]
     for nov in b.coeffs.values():
@@ -105,7 +104,8 @@ def deformed_differential_matrix(alg: AInfAlgebra, b: AlgElement):
     """(matrix of m^b_1 over Q[q], N) with q = T^{1/N}.
 
     Requires a gapped algebra with a genuine bounding cochain (zero
-    curvature remainder); asserts (m^b_1)^2 = 0 before returning.
+    curvature remainder).  Checks (m^b_1)^2 = 0 exactly before returning,
+    composing only nonzero entries, and raises ValueError when it fails.
     """
     if alg.mode != "gapped":
         raise ValueError("exact cohomology needs a gapped algebra; "
@@ -120,20 +120,17 @@ def deformed_differential_matrix(alg: AInfAlgebra, b: AlgElement):
     size = len(names)
     mat = [[Poly.ZERO] * size for _ in range(size)]
     max_a = alg.max_arity()
-    from ainfkit.ainf import _insertion_patterns
-
     for nm in names:
         x = AlgElement.basis(nm)
         total = AlgElement.zero()
         for big_k in range(1, max_a + 1):
-            for pattern in _insertion_patterns(1, big_k - 1):
+            for pattern in insertion_patterns(1, big_k - 1):
                 args = [b] * pattern[0] + [x] + [b] * pattern[1]
                 for (kk, beta) in alg.ops:
                     if kk != big_k:
                         continue
                     val = eval_op(alg, big_k, beta, tuple(args))
                     if not val.is_zero():
-                        from ainfkit.scalars import NovikovElement
                         total = total + val.scale(
                             NovikovElement.monomial(1, beta[0]))
         for out, nov in total.coeffs.items():
@@ -146,10 +143,8 @@ def deformed_differential_matrix(alg: AInfAlgebra, b: AlgElement):
             poly = Poly([coeffs.get(p, Fraction(0))
                          for p in range(max(coeffs) + 1)]) if coeffs else Poly.ZERO
             mat[idx[out]][idx[nm]] = poly
-    square = [[sum((mat[i][k] * mat[k][j] for k in range(size)), Poly.ZERO)
-               for j in range(size)] for i in range(size)]
-    if any(not x.is_zero() for row in square for x in row):
-        raise AssertionError("deformed differential does not square to zero")
+    if not squares_to_zero(mat, Poly.ZERO):
+        raise ValueError("deformed differential does not square to zero")
     return mat, n_den
 
 

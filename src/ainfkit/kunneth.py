@@ -19,8 +19,19 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import product
 
-from ainfkit.ainf import AInfAlgebra, AlgElement, beta_json, eval_op
-from ainfkit.poly import rational_matrix_rank
+from ainfkit.ainf import (
+    AInfAlgebra,
+    AlgElement,
+    beta_json,
+    differential_matrix,
+    eval_op,
+)
+from ainfkit.poly import (
+    graded_dims,
+    kernel_basis,
+    rational_matrix_rank,
+    squares_to_zero,
+)
 from ainfkit.scalars import BETA_ZERO, NovikovElement, frac, frac_str, monoid_sum
 from ainfkit.signs import shifted, sign_pow
 
@@ -371,74 +382,9 @@ def box_product(embA: SubalgebraEmbedding, embB: SubalgebraEmbedding,
 
 # -- beta = 0 chain-level comparison ---------------------------------------------
 
-def _diff_matrix(alg: AInfAlgebra):
-    """mu_{1,0} as columns over the basis, entries Fractions."""
-    idx = {nm: i for i, nm in enumerate(alg.names)}
-    n = len(alg.names)
-    mat = [[Fraction(0)] * n for _ in range(n)]
-    for nm in alg.names:
-        for out, cf in alg.op_on_names(1, BETA_ZERO, (nm,)).items():
-            mat[idx[out]][idx[nm]] = cf
-    return mat
-
-
 def _mat_mul(a, b):
     return [[sum(a[i][k] * b[k][j] for k in range(len(b)))
              for j in range(len(b[0]))] for i in range(len(a))]
-
-
-def _is_zero_matrix(m):
-    return all(x == 0 for row in m for x in row)
-
-
-def _kernel_basis(mat):
-    """Column vectors spanning the kernel, by exact Gaussian elimination."""
-    if not mat:
-        return []
-    nrows, ncols = len(mat), len(mat[0])
-    m = [row[:] for row in mat]
-    pivots = {}
-    r = 0
-    for cidx in range(ncols):
-        piv = next((i for i in range(r, nrows) if m[i][cidx] != 0), None)
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        inv = 1 / m[r][cidx]
-        m[r] = [x * inv for x in m[r]]
-        for i in range(nrows):
-            if i != r and m[i][cidx] != 0:
-                f = m[i][cidx]
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
-        pivots[cidx] = r
-        r += 1
-        if r == nrows:
-            break
-    basis = []
-    free = [cidx for cidx in range(ncols) if cidx not in pivots]
-    for fcol in free:
-        vec = [Fraction(0)] * ncols
-        vec[fcol] = Fraction(1)
-        for pcol, prow in pivots.items():
-            vec[pcol] = -m[prow][fcol]
-        basis.append(vec)
-    return basis
-
-
-def _graded_dims(names, degrees, diff):
-    """Per-degree cohomology dimensions of a degree-respecting differential."""
-    by_deg = {}
-    for i, nm in enumerate(names):
-        by_deg.setdefault(degrees[nm], []).append(i)
-    ranks = {}
-    for d, idxs in by_deg.items():
-        tgt = by_deg.get(d + 1, [])
-        block = [[diff[i][j] for j in idxs] for i in tgt]
-        ranks[d] = rational_matrix_rank(block) if tgt else 0
-    dims = {}
-    for d, idxs in by_deg.items():
-        dims[d] = len(idxs) - ranks.get(d, 0) - ranks.get(d - 1, 0)
-    return {d: dims[d] for d in sorted(dims) if dims[d] != 0 or True}
 
 
 def check_kunneth_hypothesis(embA: SubalgebraEmbedding,
@@ -456,7 +402,7 @@ def check_kunneth_hypothesis(embA: SubalgebraEmbedding,
     np_, nc = len(pairs), len(names_c)
     c_idx = {nm: i for i, nm in enumerate(names_c)}
 
-    d_a, d_b = _diff_matrix(a_alg), _diff_matrix(b_alg)
+    d_a, d_b = differential_matrix(a_alg), differential_matrix(b_alg)
     a_idx = {nm: i for i, nm in enumerate(names_a)}
     b_idx = {nm: i for i, nm in enumerate(names_b)}
     D = [[Fraction(0)] * np_ for _ in range(np_)]
@@ -470,7 +416,7 @@ def check_kunneth_hypothesis(embA: SubalgebraEmbedding,
             cf = d_b[ib][b_idx[nb]]
             if cf != 0:
                 D[pair_idx[(na, nm2)]][j] += s * cf
-    mu = _diff_matrix(c_alg)
+    mu = differential_matrix(c_alg)
 
     kmat = [[Fraction(0)] * np_ for _ in range(nc)]
     for (na, nb), j in pair_idx.items():
@@ -480,9 +426,9 @@ def check_kunneth_hypothesis(embA: SubalgebraEmbedding,
             kmat[c_idx[out]][j] = nov.coefficient(0)
 
     errors = []
-    if not _is_zero_matrix(_mat_mul(D, D)):
+    if not squares_to_zero(D, 0):
         errors.append("tensor differential does not square to zero")
-    if not _is_zero_matrix(_mat_mul(mu, mu)):
+    if not squares_to_zero(mu, 0):
         errors.append("target differential does not square to zero")
     k_rank = rational_matrix_rank(kmat)
     injective = k_rank == np_
@@ -494,7 +440,7 @@ def check_kunneth_hypothesis(embA: SubalgebraEmbedding,
     dim_h_target = nc - 2 * rank_mu
 
     # Induced map on cohomology: classes of K(ker D) modulo im(mu).
-    ker_vectors = _kernel_basis(D)
+    ker_vectors = kernel_basis(D)
     image_cols = [[mu[i][j] for j in range(nc)] for i in range(nc)]
     k_of_ker = [
         [sum(kmat[i][j] * vec[j] for j in range(np_)) for vec in ker_vectors]
@@ -505,8 +451,8 @@ def check_kunneth_hypothesis(embA: SubalgebraEmbedding,
     bijective = induced_rank == dim_h_source == dim_h_target
 
     tensor_degrees = {p: a_alg.degree(p[0]) + b_alg.degree(p[1]) for p in pairs}
-    dims_source = _graded_dims(pairs, tensor_degrees, D)
-    dims_target = _graded_dims(names_c, dict(c_alg.basis), mu)
+    dims_source = graded_dims(pairs, tensor_degrees, D)
+    dims_target = graded_dims(names_c, dict(c_alg.basis), mu)
 
     ok = injective and chain_map and bijective and not errors
     return {

@@ -174,6 +174,8 @@ def matrix_rank_fraction_field(rows) -> int:
     """Rank of a matrix of Poly entries over the fraction field Q(q).
 
     Fraction-free Bareiss elimination: exact, no rational-function blowup.
+    An entry that is zero while its cross term vanishes stays zero, so only
+    structurally nonzero updates are computed.
     """
     m = [list(r) for r in rows]
     if not m or not m[0]:
@@ -187,11 +189,17 @@ def matrix_rank_fraction_field(rows) -> int:
         if piv is None:
             continue
         m[r], m[piv] = m[piv], m[r]
+        top, p = m[r], m[r][c]
         for i in range(r + 1, nrows):
+            row, x = m[i], m[i][c]
+            cross = not x.is_zero()
             for j in range(c + 1, ncols):
-                m[i][j] = (m[r][c] * m[i][j] - m[i][c] * m[r][j]).exact_div(prev)
-            m[i][c] = Poly.ZERO
-        prev = m[r][c]
+                if cross and not top[j].is_zero():
+                    row[j] = (p * row[j] - x * top[j]).exact_div(prev)
+                elif not row[j].is_zero():
+                    row[j] = (p * row[j]).exact_div(prev)
+            row[c] = Poly.ZERO
+        prev = p
         rank += 1
         r += 1
         if r == nrows:
@@ -224,6 +232,112 @@ def rational_matrix_rank(rows) -> int:
     return rank
 
 
+def kernel_basis(mat):
+    """Column vectors spanning the kernel, by exact Gaussian elimination."""
+    if not mat:
+        return []
+    nrows, ncols = len(mat), len(mat[0])
+    m = [row[:] for row in mat]
+    pivots = {}
+    r = 0
+    for cidx in range(ncols):
+        piv = next((i for i in range(r, nrows) if m[i][cidx] != 0), None)
+        if piv is None:
+            continue
+        m[r], m[piv] = m[piv], m[r]
+        inv = 1 / m[r][cidx]
+        m[r] = [x * inv for x in m[r]]
+        for i in range(nrows):
+            if i != r and m[i][cidx] != 0:
+                f = m[i][cidx]
+                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+        pivots[cidx] = r
+        r += 1
+        if r == nrows:
+            break
+    basis = []
+    free = [cidx for cidx in range(ncols) if cidx not in pivots]
+    for fcol in free:
+        vec = [Fraction(0)] * ncols
+        vec[fcol] = Fraction(1)
+        for pcol, prow in pivots.items():
+            vec[pcol] = -m[prow][fcol]
+        basis.append(vec)
+    return basis
+
+
+def graded_dims(names, degrees, diff):
+    """Per-degree cohomology dimensions of a degree-respecting differential."""
+    by_deg = {}
+    for i, nm in enumerate(names):
+        by_deg.setdefault(degrees[nm], []).append(i)
+    ranks = {}
+    for d, idxs in by_deg.items():
+        tgt = by_deg.get(d + 1, [])
+        block = [[diff[i][j] for j in idxs] for i in tgt]
+        ranks[d] = rational_matrix_rank(block) if tgt else 0
+    dims = {}
+    for d, idxs in by_deg.items():
+        dims[d] = len(idxs) - ranks.get(d, 0) - ranks.get(d - 1, 0)
+    return {d: dims[d] for d in sorted(dims)}
+
+
+def squares_to_zero(mat, zero) -> bool:
+    """Whether the square matrix mat composes with itself to zero.
+
+    Exact, over any ring whose zero is `zero` (Fraction or Poly entries).
+    Column j of mat^2 is the sum over nonzero mat[k][j] of mat[k][j] times
+    column k, so only products of two nonzero entries are formed.
+    """
+    n = len(mat)
+    cols = [[(k, mat[k][j]) for k in range(n) if mat[k][j] != zero]
+            for j in range(n)]
+    for col in cols:
+        acc = {}
+        for k, b in col:
+            for i, a in cols[k]:
+                acc[i] = acc[i] + a * b if i in acc else a * b
+        if any(x != zero for x in acc.values()):
+            return False
+    return True
+
+
+class EchelonSpan:
+    """A growing span of rational vectors, kept as an echelon basis.
+
+    Each basis row is sparse ({index: Fraction}), is 1 at its leading
+    (smallest) index, and no two rows share a leading index.
+    """
+
+    __slots__ = ("rows",)
+
+    def __init__(self):
+        self.rows = {}
+
+    def add(self, vec) -> bool:
+        """Add vec to the span; True exactly when it was not already in it.
+
+        A vector raises the rank exactly when its reduction against the
+        basis is nonzero; the reduced vector then joins the basis.
+        """
+        v = {i: frac(x) for i, x in enumerate(vec) if x != 0}
+        while v:
+            lead = min(v)
+            row = self.rows.get(lead)
+            if row is None:
+                inv = 1 / v[lead]
+                self.rows[lead] = {i: x * inv for i, x in v.items()}
+                return True
+            f = v[lead]
+            for i, x in row.items():
+                y = v.get(i, 0) - f * x
+                if y:
+                    v[i] = y
+                else:
+                    v.pop(i, None)
+        return False
+
+
 def smith_normal_form(rows):
     """Invariant factors of a Poly matrix over the Euclidean domain Q[q].
 
@@ -252,6 +366,7 @@ def smith_normal_form(rows):
             row[top], row[bj] = row[bj], row[top]
         # Reduce the pivot row and column until the pivot divides everything
         # it meets; each pass strictly drops some degree, so this terminates.
+        # Entries facing a zero in the pivot row or column are left alone.
         while True:
             piv = m[top][top]
             dirty = False
@@ -259,7 +374,8 @@ def smith_normal_form(rows):
                 if not m[i][top].is_zero():
                     q = m[i][top] // piv
                     for j in range(top, ncols):
-                        m[i][j] = m[i][j] - q * m[top][j]
+                        if not m[top][j].is_zero():
+                            m[i][j] = m[i][j] - q * m[top][j]
                     if not m[i][top].is_zero():
                         m[top], m[i] = m[i], m[top]
                         dirty = True
@@ -270,7 +386,8 @@ def smith_normal_form(rows):
                 if not m[top][j].is_zero():
                     q = m[top][j] // piv
                     for i in range(top, nrows):
-                        m[i][j] = m[i][j] - q * m[i][top]
+                        if not m[i][top].is_zero():
+                            m[i][j] = m[i][j] - q * m[i][top]
                     if not m[top][j].is_zero():
                         for row in m:
                             row[top], row[j] = row[j], row[top]
@@ -283,7 +400,7 @@ def smith_normal_form(rows):
             offender = None
             for i in range(top + 1, nrows):
                 for j in range(top + 1, ncols):
-                    if not (m[i][j] % piv).is_zero():
+                    if not m[i][j].is_zero() and not (m[i][j] % piv).is_zero():
                         offender = i
                         break
                 if offender is not None:

@@ -22,7 +22,10 @@ def frac(x) -> Fraction:
     if isinstance(x, int):
         return Fraction(x)
     if isinstance(x, str):
-        return Fraction(x)
+        try:
+            return Fraction(x)
+        except ZeroDivisionError:
+            raise ZeroDivisionError(f"zero denominator in {x!r}") from None
     raise TypeError(f"cannot coerce {x!r} to an exact rational")
 
 

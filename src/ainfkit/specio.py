@@ -17,6 +17,10 @@ from ainfkit.kunneth import SubalgebraEmbedding
 
 FORMAT = "ainfctl/1"
 
+# What parsing a malformed section raises; a "1/0" scalar raises
+# ZeroDivisionError.
+_BAD_INPUT = (KeyError, ValueError, TypeError, ZeroDivisionError)
+
 
 class SpecError(Exception):
     """Malformed or incomplete input document."""
@@ -49,7 +53,7 @@ class SpecDocument:
         if self._algebra is None:
             try:
                 self._algebra = AInfAlgebra.from_json(self._section("algebra"))
-            except (KeyError, ValueError, TypeError) as exc:
+            except _BAD_INPUT as exc:
                 raise SpecError(f"{self.path}: algebra: {exc}") from exc
         return self._algebra
 
@@ -59,7 +63,7 @@ class SpecDocument:
             for name, doc in self._section("embeddings").items():
                 try:
                     out[name] = SubalgebraEmbedding.from_json(doc, self.algebra)
-                except (KeyError, ValueError, TypeError) as exc:
+                except _BAD_INPUT as exc:
                     raise SpecError(
                         f"{self.path}: embeddings.{name}: {exc}") from exc
             self._embeddings = out
@@ -78,7 +82,7 @@ class SpecDocument:
             raise SpecError(f"{self.path}: bounding.{name} is required")
         try:
             elem = AlgElement.from_json(section[name], self.algebra.truncation)
-        except (KeyError, ValueError, TypeError) as exc:
+        except _BAD_INPUT as exc:
             raise SpecError(f"{self.path}: bounding.{name}: {exc}") from exc
         for nm in elem.coeffs:
             if nm not in self.algebra._degrees:
@@ -92,7 +96,7 @@ class SpecDocument:
             raise SpecError(f"{self.path}: bounding.{name} is required")
         try:
             return AlgElement.from_json(section[name], emb.source.truncation)
-        except (KeyError, ValueError, TypeError) as exc:
+        except _BAD_INPUT as exc:
             raise SpecError(f"{self.path}: bounding.{name}: {exc}") from exc
 
     @property
@@ -100,7 +104,7 @@ class SpecDocument:
         if self._isotopy is None:
             try:
                 self._isotopy = Pseudoisotopy.from_json(self._section("isotopy"))
-            except (KeyError, ValueError, TypeError) as exc:
+            except _BAD_INPUT as exc:
                 raise SpecError(f"{self.path}: isotopy: {exc}") from exc
         return self._isotopy
 
@@ -114,7 +118,7 @@ class SpecDocument:
                         f"{self.path}: factor_isotopies.{name} is required")
                 try:
                     out[name] = Pseudoisotopy.from_json(section[name])
-                except (KeyError, ValueError, TypeError) as exc:
+                except _BAD_INPUT as exc:
                     raise SpecError(
                         f"{self.path}: factor_isotopies.{name}: {exc}") from exc
             self._factor_isotopies = (out["A"], out["B"])
@@ -126,7 +130,7 @@ class SpecDocument:
             raise SpecError(f"{self.path}: extension.m1 is required")
         try:
             return AInfAlgebra.from_json(section["m1"])
-        except (KeyError, ValueError, TypeError) as exc:
+        except _BAD_INPUT as exc:
             raise SpecError(f"{self.path}: extension.m1: {exc}") from exc
 
     def extension_chain(self):
@@ -136,7 +140,7 @@ class SpecDocument:
             try:
                 steps.append((AInfAlgebra.from_json(step["m"]),
                               Pseudoisotopy.from_json(step["isotopy"])))
-            except (KeyError, ValueError, TypeError) as exc:
+            except _BAD_INPUT as exc:
                 raise SpecError(f"{self.path}: chain[{i}]: {exc}") from exc
         return steps
 

@@ -121,3 +121,71 @@ def test_cutoff_flag(fixture_path, capsys):
                        fixture_path("gapped_product.json"),
                        "--cutoff", "3/2")
     assert code == 0 and report["status"] == "PASS"
+
+
+def _write_doc(tmp_path, name, document):
+    path = tmp_path / name
+    path.write_text(json.dumps({"format": "ainfctl/1", **document}))
+    return str(path)
+
+
+def _input_error(capsys, *argv):
+    """Run a command that must reject its input: exit 2, one located
+    message on stderr, nothing on stdout, no traceback."""
+    code = main(list(argv))
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("ainfctl: error: ")
+    assert "Traceback" not in captured.err
+    return captured.err
+
+
+def _non_square_zero_doc(tmp_path):
+    # m1(a) = b, m1(b) = c, so m1 m1 (a) = c != 0; strict unit e.
+    basis = [["e", 0], ["a", 0], ["b", 1], ["c", 2]]
+    ops = [{"k": 1, "beta": ["0", 0], "inputs": [x], "output": y, "coeff": "1"}
+           for x, y in (("a", "b"), ("b", "c"))]
+    for nm, deg in basis:
+        ops.append({"k": 2, "beta": ["0", 0], "inputs": ["e", nm],
+                    "output": nm, "coeff": "1"})
+        if nm != "e":
+            ops.append({"k": 2, "beta": ["0", 0], "inputs": [nm, "e"],
+                        "output": nm, "coeff": "-1" if deg % 2 else "1"})
+    algebra = {"mode": "gapped", "monoid": [["1", 0]], "unit": "e",
+               "space": {"basis": basis}, "ops": ops}
+    return _write_doc(tmp_path, "d2.json",
+                      {"algebra": algebra, "bounding": {"b": {}}})
+
+
+def test_hf_and_barcode_reject_non_square_zero_differential(tmp_path, capsys):
+    path = _non_square_zero_doc(tmp_path)
+    for command in ("hf", "barcode"):
+        err = _input_error(capsys, command, path)
+        assert "deformed differential does not square to zero" in err
+    err = _input_error(capsys, "cohomology", path)
+    assert "differential does not square to zero" in err
+
+
+def _barcode_simple_with(fixture_path, tmp_path, edit):
+    with open(fixture_path("barcode_simple.json"), encoding="utf-8") as fh:
+        document = json.load(fh)
+    edit(document["algebra"]["ops"][0])
+    return _write_doc(tmp_path, "bad.json", document)
+
+
+def test_malformed_beta_is_input_error(fixture_path, tmp_path, capsys):
+    path = _barcode_simple_with(fixture_path, tmp_path,
+                                lambda op: op.update(beta=["0"]))
+    err = _input_error(capsys, "check-ainf", path)
+    assert "algebra: beta must be a pair" in err
+
+
+def test_zero_denominator_is_input_error(fixture_path, tmp_path, capsys):
+    path = _barcode_simple_with(fixture_path, tmp_path,
+                                lambda op: op.update(coeff="1/0"))
+    err = _input_error(capsys, "check-ainf", path)
+    assert ": algebra: zero denominator in '1/0'" in err
+    err = _input_error(capsys, "check-ainf", fixture_path("derham_t1.json"),
+                       "--cutoff", "1/0")
+    assert "--cutoff 1/0" in err

@@ -1,0 +1,243 @@
+"""Differential tests: the sparse linear-algebra kernels against the dense
+ones they replaced, kept here as oracles.
+
+The strategies draw sparse matrices (each entry zero with probability 0.7),
+so the zero-skipping branches of Bareiss, Smith form and the d^2 check are
+actually taken; dense random entries almost never reach them.
+"""
+
+from fractions import Fraction
+
+import sympy
+from hypothesis import example, given, settings, strategies as st
+from sympy.polys.matrices import DomainMatrix
+
+from ainfkit.ainf import differential_matrix
+from ainfkit.floer import scalar_cohomology
+from ainfkit.models import derham_model
+from ainfkit.poly import (
+    EchelonSpan,
+    Poly,
+    graded_dims,
+    kernel_basis,
+    matrix_rank_fraction_field,
+    rational_matrix_rank,
+    smith_normal_form,
+    squares_to_zero,
+)
+from ainfkit.scalars import frac_str
+
+coeffs = st.fractions(min_value=-5, max_value=5, max_denominator=4)
+polys = st.lists(coeffs, max_size=3).map(Poly)
+
+
+def sparse(entries, zero):
+    """Entries that are `zero` with probability 0.7."""
+    return st.tuples(st.integers(0, 9), entries).map(
+        lambda t: t[1] if t[0] >= 7 else zero)
+
+
+def square_matrices(entries, zero, min_size=2, max_size=7):
+    return st.integers(min_size, max_size).flatmap(
+        lambda n: st.lists(st.lists(sparse(entries, zero), min_size=n,
+                                    max_size=n), min_size=n, max_size=n))
+
+
+@st.composite
+def split_square_zero(draw, entries, zero):
+    """Nonzero entries only in rows R and columns C with R, C disjoint,
+    so that the square is zero whatever the entries are."""
+    n = draw(st.integers(2, 7))
+    in_rows = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    return [[draw(sparse(entries, zero)) if in_rows[i] and not in_rows[j]
+             else zero for j in range(n)] for i in range(n)]
+
+
+# -- oracles: the dense kernels that the sparse ones replaced ----------------
+
+def dense_squares_to_zero(mat, zero):
+    n = len(mat)
+    square = [[sum((mat[i][k] * mat[k][j] for k in range(n)), zero)
+               for j in range(n)] for i in range(n)]
+    return all(x == zero for row in square for x in row)
+
+
+def repeated_rank_pick(image_vectors, kernel):
+    """Keep each kernel vector that raises the rank of what is kept so far."""
+    size = len(kernel[0]) if kernel else 0
+    chosen = []
+    for vec in kernel:
+        trial = image_vectors + chosen + [vec]
+        rows = [[col[i] for col in trial] for i in range(size)]
+        if rational_matrix_rank(rows) > rational_matrix_rank(
+                [[col[i] for col in image_vectors + chosen]
+                 for i in range(size)]):
+            chosen.append(vec)
+    return chosen
+
+
+def dense_scalar_cohomology(matrix, grading):
+    """scalar_cohomology as it was: dense d^2 and repeated-rank picking."""
+    n = len(grading)
+    if not dense_squares_to_zero(matrix, Fraction(0)):
+        raise ValueError("differential does not square to zero")
+    dims = graded_dims(list(range(n)), dict(enumerate(grading)), matrix)
+    by_deg = {}
+    for i in range(n):
+        by_deg.setdefault(grading[i], []).append(i)
+    reps = {}
+    for d, idxs in sorted(by_deg.items()):
+        tgt = by_deg.get(d + 1, [])
+        block = [[matrix[i][j] for j in idxs] for i in tgt]
+        kernel = kernel_basis(block) if tgt else [
+            [Fraction(1) if t == s else Fraction(0) for s in range(len(idxs))]
+            for t in range(len(idxs))
+        ]
+        image = [[matrix[i][j] for i in idxs] for j in by_deg.get(d - 1, [])]
+        reps[d] = [
+            {str(idxs[i]): frac_str(v[i]) for i in range(len(idxs)) if v[i] != 0}
+            for v in repeated_rank_pick(image, kernel)
+        ]
+    return {
+        "dims": {str(d): v for d, v in sorted(dims.items())},
+        "total": sum(dims.values()),
+        "representatives": {str(d): reps[d] for d in sorted(reps) if reps[d]},
+    }
+
+
+def sympy_rank(rows):
+    q = sympy.Symbol("q")
+    mat = sympy.Matrix([[sum((sympy.Rational(c.numerator, c.denominator) * q**i
+                              for i, c in enumerate(e.coeffs)), sympy.S.Zero)
+                         for e in row] for row in rows])
+    return DomainMatrix.from_Matrix(mat).to_field().rank()
+
+
+@st.composite
+def graded_complexes(draw):
+    """(matrix, grading) of a random sparse complex with d^2 = 0.
+
+    A direct sum of isolated vectors and pairs x -> c*y with |y| = |x| + 1,
+    conjugated by a few elementary changes of basis inside single degrees.
+    """
+    n = draw(st.integers(2, 7))
+    grading = draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
+    nonzero = st.fractions(min_value=-3, max_value=3,
+                           max_denominator=3).filter(bool)
+    d = [[Fraction(0)] * n for _ in range(n)]
+    used = set()
+    for x in range(n):
+        for y in range(n):
+            if (grading[y] == grading[x] + 1 and not {x, y} & used
+                    and draw(st.booleans())):
+                d[y][x] = draw(nonzero)
+                used |= {x, y}
+    for _ in range(draw(st.integers(0, 4))):
+        i = draw(st.integers(0, n - 1))
+        peers = [j for j in range(n) if j != i and grading[j] == grading[i]]
+        if not peers:
+            continue
+        j, c = draw(st.sampled_from(peers)), draw(nonzero)
+        # d <- E d E^{-1} with E = 1 + c e_ij: row i += c row j, then
+        # column j -= c column i.
+        d[i] = [a + c * b for a, b in zip(d[i], d[j])]
+        for row in d:
+            row[j] -= c * row[i]
+    return d, grading
+
+
+def cancelling(zero, one):
+    """d^2 e0 = d(e1 + e2) = (e3) + (-e3 + e4) = e4: the first nonzero of
+    each column cancels, and only the last term of column 2 shows d^2 != 0."""
+    mat = [[zero] * 5 for _ in range(5)]
+    mat[1][0] = mat[2][0] = mat[3][1] = mat[4][2] = one
+    mat[3][2] = -one
+    return mat
+
+
+# -- the d^2 check -----------------------------------------------------------
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(square_matrices(coeffs, Fraction(0)),
+                 split_square_zero(coeffs, Fraction(0))))
+@example([[Fraction(0), Fraction(0)], [Fraction(1), Fraction(0)]])
+@example([[Fraction(1), Fraction(0)], [Fraction(0), Fraction(0)]])
+@example(cancelling(Fraction(0), Fraction(1)))
+def test_squares_to_zero_matches_dense_over_fractions(mat):
+    assert squares_to_zero(mat, Fraction(0)) == \
+        dense_squares_to_zero(mat, Fraction(0))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(square_matrices(polys, Poly.ZERO),
+                 split_square_zero(polys, Poly.ZERO)))
+@example([[Poly.ZERO, Poly.ZERO], [Poly.T, Poly.ZERO]])
+@example([[Poly.T, Poly.ZERO], [Poly.ZERO, Poly.ZERO]])
+@example(cancelling(Poly.ZERO, Poly.T))
+def test_squares_to_zero_matches_dense_over_polys(mat):
+    assert squares_to_zero(mat, Poly.ZERO) == \
+        dense_squares_to_zero(mat, Poly.ZERO)
+
+
+@settings(max_examples=40, deadline=None)
+@given(graded_complexes(), st.integers(0, 48), coeffs)
+def test_squares_to_zero_on_perturbed_complexes(complex_, where, c):
+    mat, _ = complex_
+    assert squares_to_zero(mat, Fraction(0))
+    # One changed entry of a complex whose d^2 vanishes by cancellation.
+    n = len(mat)
+    mat[where // 7 % n][where % n] += c
+    assert squares_to_zero(mat, Fraction(0)) == \
+        dense_squares_to_zero(mat, Fraction(0))
+
+
+# -- Bareiss and Smith form --------------------------------------------------
+
+@settings(max_examples=40, deadline=None)
+@given(square_matrices(polys, Poly.ZERO))
+def test_bareiss_rank_matches_sympy_on_sparse(rows):
+    assert matrix_rank_fraction_field(rows) == sympy_rank(rows)
+
+
+@settings(max_examples=40, deadline=None)
+@given(square_matrices(polys, Poly.ZERO))
+def test_smith_factors_match_sympy_rank_on_sparse(rows):
+    factors = smith_normal_form(rows)
+    assert len(factors) == sympy_rank(rows)
+    for a, b in zip(factors, factors[1:]):
+        assert (b % a).is_zero()
+
+
+# -- representative picking --------------------------------------------------
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 6).flatmap(lambda size: st.tuples(
+    st.lists(st.lists(sparse(coeffs, Fraction(0)), min_size=size,
+                      max_size=size), max_size=4),
+    st.lists(st.lists(sparse(coeffs, Fraction(0)), min_size=size,
+                      max_size=size), min_size=1, max_size=5))))
+def test_echelon_pick_matches_repeated_rank(vectors):
+    image, candidates = vectors
+    span = EchelonSpan()
+    for vec in image:
+        span.add(vec)
+    assert [v for v in candidates if span.add(v)] == \
+        repeated_rank_pick(image, candidates)
+
+
+@settings(max_examples=60, deadline=None)
+@given(graded_complexes())
+def test_scalar_cohomology_matches_dense_on_random_complexes(complex_):
+    mat, grading = complex_
+    assert scalar_cohomology(mat, grading) == \
+        dense_scalar_cohomology(mat, grading)
+
+
+def test_scalar_cohomology_matches_dense_on_torus_models():
+    for w in (1, 2, 4):
+        alg = derham_model(1, w)
+        mat = differential_matrix(alg)
+        grading = [alg.degree(nm) for nm in alg.names]
+        out = scalar_cohomology(mat, grading)
+        assert out == dense_scalar_cohomology(mat, grading)
+        assert out["dims"] == {"0": 1, "1": 1}
