@@ -6,7 +6,7 @@ Everything is computed over exact rationals (or Gaussian rationals for torus
 forms); all checks are zero-tolerance equalities.
 """
 
-from ainfkit.scalars import NovikovElement, EnergyMonoid, nov_add, nov_mul, monoid_enumerate, monoid_sum
+from ainfkit.scalars import NovikovElement, EnergyMonoid, monoid_sum
 from ainfkit.signs import koszul_prefix_sign, reorder_sign, gamma_ledger_check
 from ainfkit.ainf import AInfAlgebra, AlgElement, eval_op, ainf_defect, check_ainf, check_unit, deform, mc_defect
 from ainfkit.kunneth import SubalgebraEmbedding, check_subalgebra, kunneth_K, check_commuting, box_product, check_kunneth_hypothesis

@@ -29,7 +29,7 @@ from ainfkit.scalars import (
     frac,
     frac_str,
 )
-from ainfkit.signs import koszul_prefix_sign, sign_pow
+from ainfkit.signs import sign_pow
 
 
 def beta_norm(beta):
@@ -146,7 +146,7 @@ class AInfAlgebra:
     """
 
     __slots__ = ("basis", "monoid", "mode", "cutoff", "unit", "ops", "window",
-                 "_degrees", "_names", "_splits_cache")
+                 "_degrees", "_names", "_parity")
 
     def __init__(self, basis, monoid, mode="gapped", cutoff=None, unit=None,
                  ops=None, window=None):
@@ -222,7 +222,9 @@ class AInfAlgebra:
         object.__setattr__(self, "window", window)
         object.__setattr__(self, "_degrees", degrees)
         object.__setattr__(self, "_names", tuple(names))
-        object.__setattr__(self, "_splits_cache", {})
+        # Parity of the shifted degree ||a|| = |a| - 1, for insertion signs.
+        object.__setattr__(self, "_parity",
+                           {nm: (d - 1) % 2 for nm, d in degrees.items()})
 
     def __setattr__(self, *a):
         raise AttributeError("AInfAlgebra is immutable")
@@ -266,23 +268,9 @@ class AInfAlgebra:
 
     def beta_splits(self, beta):
         beta = beta_norm(beta)
-        cached = self._splits_cache.get(beta)
-        if cached is not None:
-            return cached
-        members = set(self.monoid.enumerate(beta[0]))
-        if beta not in members:
+        if beta not in self.monoid:
             raise ValueError(f"beta {beta} outside the energy monoid")
-        splits = []
-        for b1 in sorted(members):
-            b2 = (beta[0] - b1[0], beta[1] - b1[1])
-            if b2 in members:
-                splits.append((b1, b2))
-        self._splits_cache[beta] = splits
-        return splits
-
-    def with_ops(self, ops) -> "AInfAlgebra":
-        return AInfAlgebra(self.basis, self.monoid, self.mode, self.cutoff,
-                           self.unit, ops, self.window)
+        return self.monoid.splits(beta)
 
     # -- serialization ---------------------------------------------------------
     def to_json(self):
@@ -376,22 +364,12 @@ def differential_matrix(alg: AInfAlgebra):
     return mat
 
 
-def eval_op_names(alg: AInfAlgebra, k: int, beta, names):
-    """Structure constants of m_{k,beta} on a basis tuple, as Fractions."""
-    return dict(alg.op_on_names(k, beta, names))
-
-
-def ainf_defect(alg: AInfAlgebra, beta, names) -> AlgElement:
-    """The full quadratic-relation sum at (beta, input tuple), as an element.
-
-    Zero iff the relation holds on this instance.
-    """
-    beta = beta_norm(beta)
-    names = tuple(names)
-    n = len(names)
-    degs = [alg.degree(nm) for nm in names]
-    acc = {}
-    for b_inner, b_outer in alg.beta_splits(beta):
+def insertion_plan(alg: AInfAlgebra, splits, n: int):
+    """The relation's insertion terms at one (beta, n), for any inputs: one
+    (i - 1, i - 1 + j, m_{j,beta1}, m_{n-j+1,beta2}) per split, inner arity
+    j and slot i with both tables stored.  Empty when structurally zero."""
+    plan = []
+    for b_inner, b_outer in splits:
         for j in range(n + 1):
             inner_table = alg.ops.get((j, b_inner))
             if not inner_table:
@@ -399,24 +377,43 @@ def ainf_defect(alg: AInfAlgebra, beta, names) -> AlgElement:
             outer_table = alg.ops.get((n - j + 1, b_outer))
             if not outer_table:
                 continue
-            for i in range(1, n - j + 2):
-                inner = inner_table.get(names[i - 1:i - 1 + j])
-                if not inner:
-                    continue
-                sign = koszul_prefix_sign(degs, i)
-                prefix = names[:i - 1]
-                suffix = names[i - 1 + j:]
-                for mid, c_in in inner.items():
-                    outer = outer_table.get(prefix + (mid,) + suffix)
-                    if not outer:
-                        continue
-                    for out, c_out in outer.items():
-                        acc[out] = acc.get(out, Fraction(0)) + sign * c_in * c_out
+            plan.extend((start, start + j, inner_table, outer_table)
+                        for start in range(n - j + 1))
+    return plan
+
+
+def _defect_terms(plan, parity, names) -> dict:
+    """The relation sum of a plan on one input tuple: {output: Fraction},
+    zero coefficients dropped.  The term at slot i carries the sign
+    (-1)^{||a_1|| + ... + ||a_{i-1}||}."""
+    prefix_odd = [0]
+    for nm in names:
+        prefix_odd.append(prefix_odd[-1] ^ parity[nm])
+    acc = {}
+    for start, stop, inner_table, outer_table in plan:
+        inner = inner_table.get(names[start:stop])
+        if not inner:
+            continue
+        prefix, suffix = names[:start], names[stop:]
+        odd = prefix_odd[start]
+        for mid, c_in in inner.items():
+            outer = outer_table.get(prefix + (mid,) + suffix)
+            if not outer:
+                continue
+            c_in = -c_in if odd else c_in
+            for out, c_out in outer.items():
+                acc[out] = acc[out] + c_in * c_out if out in acc else c_in * c_out
+    return {out: c for out, c in acc.items() if c}
+
+
+def ainf_defect(alg: AInfAlgebra, beta, names) -> AlgElement:
+    """The quadratic-relation sum at (beta, input tuple), as an element;
+    zero iff the relation holds on this instance."""
+    names = tuple(names)
+    plan = insertion_plan(alg, alg.beta_splits(beta), len(names))
     trunc = alg.truncation
-    return AlgElement(
-        {o: NovikovElement.scalar(c, trunc) for o, c in acc.items() if c != 0},
-        trunc,
-    )
+    return AlgElement({o: NovikovElement.scalar(c, trunc) for o, c in
+                       _defect_terms(plan, alg._parity, names).items()}, trunc)
 
 
 def _relation_tuples(alg: AInfAlgebra, n: int):
@@ -428,31 +425,29 @@ def _relation_tuples(alg: AInfAlgebra, n: int):
 
 
 def check_ainf(alg: AInfAlgebra, max_counterexamples=None) -> dict:
-    """Scan all relation instances; report the first counterexample per (beta, n)."""
+    """Scan all relation instances; report the first counterexample per
+    (beta, n).  Each (beta, n) is planned once for all its input tuples."""
     max_a = alg.max_arity()
     n_bound = max(2 * max_a - 1, 0)
     counterexamples = []
     betas = alg.beta_range()
+    stored = alg.stored_betas()
+    stored_set = set(stored)
     for beta in betas:
-        splits = alg.beta_splits(beta)
+        # Only a split into two stored betas can meet two stored tables.
+        splits = [(b1, b2) for b1 in stored
+                  if (b2 := (beta[0] - b1[0], beta[1] - b1[1])) in stored_set]
         for n in range(n_bound + 1):
-            # Skip (beta, n) when no (inner arity j, outer arity n-j+1) pair
-            # has stored tables for any split: the sum is structurally zero.
-            feasible = any(
-                (j, b1) in alg.ops and (n - j + 1, b2) in alg.ops
-                for b1, b2 in splits
-                for j in range(n + 1)
-            )
-            if not feasible:
+            plan = insertion_plan(alg, splits, n)
+            if not plan:
                 continue
             for names in _relation_tuples(alg, n):
-                defect = ainf_defect(alg, beta, names)
-                if not defect.is_zero():
+                if _defect_terms(plan, alg._parity, names):
                     counterexamples.append({
                         "beta": beta_json(beta),
                         "n": n,
                         "inputs": list(names),
-                        "defect": defect.to_json(),
+                        "defect": ainf_defect(alg, beta, names).to_json(),
                     })
                     break
             if max_counterexamples is not None and \
@@ -478,13 +473,13 @@ def check_unit(alg: AInfAlgebra) -> dict:
     e = alg.unit
     violations = []
     for name in alg.names:
-        left = eval_op_names(alg, 2, BETA_ZERO, (e, name))
+        left = alg.op_on_names(2, BETA_ZERO, (e, name))
         if left != {name: Fraction(1)}:
             violations.append({
                 "clause": "left-unit", "element": name,
                 "got": {o: frac_str(c) for o, c in sorted(left.items())},
             })
-        right = eval_op_names(alg, 2, BETA_ZERO, (name, e))
+        right = alg.op_on_names(2, BETA_ZERO, (name, e))
         expected = {name: Fraction(sign_pow(alg.degree(name)))}
         if right != expected:
             violations.append({
@@ -646,7 +641,6 @@ def constant_ids(alg: AInfAlgebra):
 
 
 def parse_constant_id(cid: str):
-    head, ins, out = cid.rsplit(":", 2)[0], None, None
     kpart, betapart, rest = cid.split(":", 2)
     if not kpart.startswith("m"):
         raise ValueError(f"malformed constant id {cid!r}")
@@ -655,18 +649,30 @@ def parse_constant_id(cid: str):
     beta = (frac(e_str), int(mu_str))
     ins_str, out = rest.split("->")
     inputs = tuple(s for s in ins_str.split(",") if s)
-    del head, ins
     return k, beta, inputs, out
 
 
+def replaced(obj, **slots):
+    """A copy of an immutable slotted object with some slots replaced by
+    values known to be valid, skipping the constructor's validation."""
+    new = object.__new__(type(obj))
+    for slot in type(obj).__slots__:
+        object.__setattr__(new, slot,
+                           slots[slot] if slot in slots else getattr(obj, slot))
+    return new
+
+
 def flip_constant(alg: AInfAlgebra, cid: str) -> AInfAlgebra:
-    """Return a copy of the algebra with one structure constant negated."""
+    """Return a copy of the algebra with one structure constant negated.
+
+    Only the touched table is copied and nothing is re-validated: negating
+    one stored nonzero constant keeps every degree and monoid rule.
+    """
     k, beta, inputs, out = parse_constant_id(cid)
-    key = (k, beta_norm(beta))
-    if key not in alg.ops or inputs not in alg.ops[key] \
-            or out not in alg.ops[key][inputs]:
+    key = (k, beta)
+    table = alg.ops.get(key)
+    if table is None or out not in table.get(inputs, {}):
         raise KeyError(f"no stored constant {cid!r}")
-    new_ops = {kb: {ins: dict(combo) for ins, combo in tbl.items()}
-               for kb, tbl in alg.ops.items()}
-    new_ops[key][inputs][out] = -new_ops[key][inputs][out]
-    return alg.with_ops(new_ops)
+    combo = dict(table[inputs])
+    combo[out] = -combo[out]
+    return replaced(alg, ops={**alg.ops, key: {**table, inputs: combo}})

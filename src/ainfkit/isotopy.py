@@ -36,7 +36,8 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import product
 
-from ainfkit.ainf import AInfAlgebra, beta_json, beta_norm
+from ainfkit.ainf import (AInfAlgebra, beta_json, beta_norm,
+                          parse_constant_id, replaced)
 from ainfkit.poly import Poly
 from ainfkit.scalars import BETA_ZERO, EnergyMonoid, frac, frac_str
 from ainfkit.signs import koszul_prefix_sign, sign_pow
@@ -97,7 +98,7 @@ class Pseudoisotopy:
     """Polynomial operation/correction families modulo a cutoff energy."""
 
     __slots__ = ("n", "basis", "monoid", "cutoff", "unit", "mT", "cT",
-                 "_degrees", "_names", "_splits_cache", "window")
+                 "_degrees", "_names", "window")
 
     def __init__(self, n, basis, monoid, cutoff, unit, mT, cT, window=None):
         n = int(n)
@@ -124,7 +125,6 @@ class Pseudoisotopy:
         object.__setattr__(self, "cT", cT)
         object.__setattr__(self, "_degrees", degrees)
         object.__setattr__(self, "_names", names)
-        object.__setattr__(self, "_splits_cache", {})
         object.__setattr__(self, "window", tuple(window))
 
     def __setattr__(self, *a):
@@ -141,16 +141,7 @@ class Pseudoisotopy:
         return max((k for k, _ in list(self.mT) + list(self.cT)), default=0)
 
     def beta_splits(self, beta):
-        beta = beta_norm(beta)
-        cached = self._splits_cache.get(beta)
-        if cached is not None:
-            return cached
-        members = set(self.monoid.enumerate(beta[0]))
-        splits = [(b1, (beta[0] - b1[0], beta[1] - b1[1]))
-                  for b1 in sorted(members)
-                  if (beta[0] - b1[0], beta[1] - b1[1]) in members]
-        self._splits_cache[beta] = splits
-        return splits
+        return self.monoid.splits(beta)
 
     def endpoint(self, t) -> AInfAlgebra:
         """Evaluate m^t at a rational parameter value; modulo-mode algebra."""
@@ -550,7 +541,7 @@ def check_commuting_isotopy(PC: Pseudoisotopy, PA: Pseudoisotopy,
         return (("m", PC.mT, PA.mT, PB.mT, 0, 0),
                 ("c", PC.cT, PA.cT, PB.cT, n2, n1))
 
-    def side_of(tup, k):
+    def side_of(tup):
         """Which factor a tuple belongs to; units act as wildcards and are
         attributed to the first factor when nothing strict is present."""
         has_a = any(t[0] == "A" and t[1] != a_unit for t in tup)
@@ -572,7 +563,7 @@ def check_commuting_isotopy(PC: Pseudoisotopy, PA: Pseudoisotopy,
         # -- plain embedded tuples --------------------------------------------
         for k in range(0, k_max + 1):
             for tup in product(tags, repeat=k):
-                side = side_of(tup, k)
+                side = side_of(tup)
                 elems = [tag_elem(t) for t in tup]
                 for fam, c_tab, a_tab, b_tab, extra_a, extra_b in fam_pairs():
                     lhs = eval_poly_op(c_tab, k, beta, elems)
@@ -621,7 +612,7 @@ def check_commuting_isotopy(PC: Pseudoisotopy, PA: Pseudoisotopy,
             [("B", nm) for nm in b_window if nm != b_unit]
         for k in range(0, k_max):
             for plain in product(wtags, repeat=k):
-                side = side_of(plain, k)
+                side = side_of(plain)
                 # For the empty tuple both one-factor reductions apply and
                 # the expected value is their sum; otherwise exactly one does.
                 apply_a = in_ga and (side == "A" or k == 0)
@@ -710,28 +701,20 @@ def isotopy_constant_ids(P: Pseudoisotopy):
 
 
 def flip_isotopy_constant(P: Pseudoisotopy, cid: str) -> Pseudoisotopy:
-    """Negate one polynomial family member, returning a new isotopy."""
-    kpart, betapart, rest = cid.split(":", 2)
-    if kpart.startswith("im"):
-        which, k = "m", int(kpart[2:])
-    elif kpart.startswith("ic"):
-        which, k = "c", int(kpart[2:])
-    else:
+    """Negate one polynomial family member, returning a new isotopy.
+
+    Only the touched table is copied and nothing is re-validated: negating
+    one stored nonzero member keeps every degree, unit and t-rule.
+    """
+    if not cid.startswith(("im", "ic")):
         raise ValueError(f"malformed isotopy constant id {cid!r}")
-    e_str, mu_str = betapart.rsplit("/", 1)
-    beta = (frac(e_str), int(mu_str))
-    ins_str, out = rest.split("->")
-    inputs = tuple(s for s in ins_str.split(",") if s)
-    tables = P.mT if which == "m" else P.cT
-    key = (k, beta_norm(beta))
-    if key not in tables or inputs not in tables[key] \
-            or out not in tables[key][inputs]:
+    which = "mT" if cid[1] == "m" else "cT"
+    k, beta, inputs, out = parse_constant_id("m" + cid[2:])
+    key = (k, beta)
+    tables = getattr(P, which)
+    table = tables.get(key)
+    if table is None or out not in table.get(inputs, {}):
         raise KeyError(f"no stored isotopy constant {cid!r}")
-    new = {kb: {ins: dict(cmb) for ins, cmb in tbl.items()}
-           for kb, tbl in tables.items()}
-    new[key][inputs][out] = -new[key][inputs][out]
-    if which == "m":
-        return Pseudoisotopy(P.n, P.basis, P.monoid, P.cutoff, P.unit,
-                             new, P.cT, P.window)
-    return Pseudoisotopy(P.n, P.basis, P.monoid, P.cutoff, P.unit,
-                         P.mT, new, P.window)
+    combo = dict(table[inputs])
+    combo[out] = -combo[out]
+    return replaced(P, **{which: {**tables, key: {**table, inputs: combo}}})

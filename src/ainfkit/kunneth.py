@@ -30,6 +30,7 @@ from ainfkit.poly import (
     graded_dims,
     kernel_basis,
     rational_matrix_rank,
+    sparse_product,
     squares_to_zero,
 )
 from ainfkit.scalars import BETA_ZERO, NovikovElement, frac, frac_str, monoid_sum
@@ -382,11 +383,6 @@ def box_product(embA: SubalgebraEmbedding, embB: SubalgebraEmbedding,
 
 # -- beta = 0 chain-level comparison ---------------------------------------------
 
-def _mat_mul(a, b):
-    return [[sum(a[i][k] * b[k][j] for k in range(len(b)))
-             for j in range(len(b[0]))] for i in range(len(a))]
-
-
 def check_kunneth_hypothesis(embA: SubalgebraEmbedding,
                              embB: SubalgebraEmbedding) -> dict:
     """K is an injective chain map inducing a cohomology bijection at beta = 0.
@@ -432,7 +428,7 @@ def check_kunneth_hypothesis(embA: SubalgebraEmbedding,
         errors.append("target differential does not square to zero")
     k_rank = rational_matrix_rank(kmat)
     injective = k_rank == np_
-    chain_map = _mat_mul(mu, kmat) == _mat_mul(kmat, D)
+    chain_map = sparse_product(mu, kmat, 0) == sparse_product(kmat, D, 0)
 
     rank_d = rational_matrix_rank(D)
     rank_mu = rational_matrix_rank(mu)
@@ -441,12 +437,10 @@ def check_kunneth_hypothesis(embA: SubalgebraEmbedding,
 
     # Induced map on cohomology: classes of K(ker D) modulo im(mu).
     ker_vectors = kernel_basis(D)
-    image_cols = [[mu[i][j] for j in range(nc)] for i in range(nc)]
-    k_of_ker = [
-        [sum(kmat[i][j] * vec[j] for j in range(np_)) for vec in ker_vectors]
-        for i in range(nc)
-    ]
-    stacked = [image_cols[i] + k_of_ker[i] for i in range(nc)]
+    k_of_ker = sparse_product(
+        kmat, [[vec[j] for vec in ker_vectors] for j in range(np_)], 0)
+    stacked = [mu[i] + [k_of_ker.get((i, c), Fraction(0))
+                        for c in range(len(ker_vectors))] for i in range(nc)]
     induced_rank = rational_matrix_rank(stacked) - rank_mu
     bijective = induced_rank == dim_h_source == dim_h_target
 

@@ -282,24 +282,29 @@ def graded_dims(names, degrees, diff):
     return {d: dims[d] for d in sorted(dims)}
 
 
-def squares_to_zero(mat, zero) -> bool:
-    """Whether the square matrix mat composes with itself to zero.
-
-    Exact, over any ring whose zero is `zero` (Fraction or Poly entries).
-    Column j of mat^2 is the sum over nonzero mat[k][j] of mat[k][j] times
-    column k, so only products of two nonzero entries are formed.
-    """
-    n = len(mat)
-    cols = [[(k, mat[k][j]) for k in range(n) if mat[k][j] != zero]
-            for j in range(n)]
-    for col in cols:
+def sparse_product(a, b, zero) -> dict:
+    """The exact product a*b as {(row, column): nonzero entry}, over any ring
+    whose zero is `zero`.  Column j is the sum over nonzero b[k][j] of b[k][j]
+    times column k of a: only products of two nonzero entries are formed."""
+    a_cols = [[(i, row[k]) for i, row in enumerate(a) if row[k] != zero]
+              for k in range(len(b))]
+    out = {}
+    for j in range(len(b[0]) if b else 0):
         acc = {}
-        for k, b in col:
-            for i, a in cols[k]:
-                acc[i] = acc[i] + a * b if i in acc else a * b
-        if any(x != zero for x in acc.values()):
-            return False
-    return True
+        for k, row in enumerate(b):
+            y = row[j]
+            if y == zero:
+                continue
+            for i, x in a_cols[k]:
+                acc[i] = acc[i] + x * y if i in acc else x * y
+        out.update(((i, j), v) for i, v in acc.items() if v != zero)
+    return out
+
+
+def squares_to_zero(mat, zero) -> bool:
+    """Whether the square matrix mat composes with itself to zero (exactly,
+    forming only products of nonzero entries)."""
+    return not sparse_product(mat, mat, zero)
 
 
 class EchelonSpan:

@@ -11,6 +11,7 @@ zero after truncation.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from fractions import Fraction
 from typing import Iterable, Optional
 
@@ -159,21 +160,9 @@ class NovikovElement:
         return NovikovElement([(frac(e), frac(c)) for e, c in data], truncation)
 
 
-def nov_arith(x: NovikovElement, y: NovikovElement, op: str) -> NovikovElement:
-    """Dispatch form of Novikov arithmetic; op is 'add' or 'mul'."""
-    if op == "add":
-        return x + y
-    if op == "mul":
-        return x * y
-    raise ValueError(f"unknown op {op!r}")
-
-
-def nov_add(x, y):
-    return x + y
-
-
-def nov_mul(x, y):
-    return x * y
+# The most elements one monoid enumeration may produce; a denser request is
+# refused with a ValueError (bundled inputs need at most a few hundred).
+ENUMERATION_BUDGET = 100_000
 
 
 class EnergyMonoid:
@@ -182,9 +171,13 @@ class EnergyMonoid:
     Elements are pairs beta = (E, mu) with E a nonnegative rational and mu an
     even integer.  Discreteness requires that no generator has E = 0 with
     mu != 0 (otherwise enumeration below a cutoff would be infinite).
+
+    The largest enumeration so far is kept (sorted list and set) and answers
+    every smaller request: every generator has E > 0, so the elements of
+    energy <= E are exactly the sums that never pass above E.
     """
 
-    __slots__ = ("generators",)
+    __slots__ = ("generators", "_cutoff", "_elements", "_members", "_splits")
 
     def __init__(self, generators: Iterable = ()):
         gens = []
@@ -199,6 +192,8 @@ class EnergyMonoid:
             if (e, mu) != (0, 0):
                 gens.append((e, mu))
         object.__setattr__(self, "generators", tuple(sorted(set(gens))))
+        object.__setattr__(self, "_cutoff", None)
+        object.__setattr__(self, "_splits", {})
 
     def __setattr__(self, *a):
         raise AttributeError("EnergyMonoid is immutable")
@@ -212,13 +207,12 @@ class EnergyMonoid:
     def __repr__(self):
         return f"EnergyMonoid({list(self.generators)})"
 
-    def enumerate(self, cutoff) -> list:
-        """All distinct generator sums with total energy <= cutoff, sorted."""
-        cutoff = frac(cutoff)
-        if cutoff < 0:
-            raise ValueError("cutoff must be >= 0")
-        seen = {(Fraction(0), 0)}
-        frontier = [(Fraction(0), 0)]
+    def _reach(self, cutoff: Fraction):
+        """Make the kept enumeration cover every element of energy <= cutoff."""
+        if self._cutoff is not None and cutoff <= self._cutoff:
+            return
+        seen = {BETA_ZERO}
+        frontier = [BETA_ZERO]
         while frontier:
             nxt = []
             for e, mu in frontier:
@@ -227,12 +221,47 @@ class EnergyMonoid:
                     if cand[0] <= cutoff and cand not in seen:
                         seen.add(cand)
                         nxt.append(cand)
+                if len(seen) > ENUMERATION_BUDGET:
+                    raise ValueError(
+                        f"energy monoid has more than {ENUMERATION_BUDGET} "
+                        f"elements of energy <= {frac_str(cutoff)}")
             frontier = nxt
-        return sorted(seen)
+        elements = sorted(seen)
+        object.__setattr__(self, "_cutoff", cutoff)
+        object.__setattr__(self, "_elements", elements)
+        object.__setattr__(self, "_members", seen)
+
+    def enumerate(self, cutoff) -> list:
+        """All distinct generator sums with total energy <= cutoff, sorted."""
+        cutoff = frac(cutoff)
+        if cutoff < 0:
+            raise ValueError("cutoff must be >= 0")
+        self._reach(cutoff)
+        return self._elements[:bisect_right(self._elements, cutoff,
+                                            key=lambda b: b[0])]
 
     def __contains__(self, beta) -> bool:
         e, mu = frac(beta[0]), int(beta[1])
-        return (e, mu) in self.enumerate(e) if e >= 0 else False
+        if e < 0:
+            return False
+        self._reach(e)
+        return (e, mu) in self._members
+
+    def splits(self, beta) -> list:
+        """All (beta1, beta2) in the monoid with beta1 + beta2 = beta, sorted
+        by beta1; empty when beta is not in the monoid.  Kept per beta."""
+        beta = (frac(beta[0]), int(beta[1]))
+        cached = self._splits.get(beta)
+        if cached is None:
+            cached = []
+            if beta in self:
+                members = self._members
+                for b1 in self.enumerate(beta[0]):
+                    b2 = (beta[0] - b1[0], beta[1] - b1[1])
+                    if b2 in members:
+                        cached.append((b1, b2))
+            self._splits[beta] = cached
+        return cached
 
     def to_json(self):
         return [[frac_str(e), mu] for e, mu in self.generators]
@@ -242,18 +271,9 @@ class EnergyMonoid:
         return EnergyMonoid([(frac(e), int(mu)) for e, mu in data])
 
 
-def monoid_enumerate(G: EnergyMonoid, cutoff):
-    return G.enumerate(cutoff)
-
-
 def monoid_sum(G1: EnergyMonoid, G2: EnergyMonoid) -> EnergyMonoid:
     """Monoid generated by both generator sets (the sum submonoid)."""
     return EnergyMonoid(G1.generators + G2.generators)
 
 
 BETA_ZERO = (Fraction(0), 0)
-
-
-def beta_key(beta):
-    """Deterministic sort key for monoid elements."""
-    return (beta[0], beta[1])

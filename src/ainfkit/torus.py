@@ -150,10 +150,6 @@ class TorusForm:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def is_homogeneous(self):
-        degs = {len(idx) for _, idx in self.terms}
-        return len(degs) <= 1
-
     def degree(self) -> int:
         """Degree of a homogeneous form (0 for the zero form)."""
         degs = {len(idx) for _, idx in self.terms}
@@ -389,7 +385,9 @@ def projection_orientation_sign(pi: TorusMap) -> int:
     """Sign of the permutation carrying (1..m) to (fiber coords, base coords).
 
     This is the discrepancy between the local fiber-first rule and the
-    pushforward characterized by the adjunction with standard orientations.
+    pushforward characterized by the adjunction with standard orientations,
+    and also between the fiber-product orientation of M x_N N1 and its (t, y)
+    coordinate model, which lists the fiber coordinates of pi first.
     """
     fiber = list(pi.fiber_coords())
     base = list(pi.proj_coords)
@@ -445,19 +443,6 @@ def fiber_product_assemble(pi: TorusMap, g: TorusMap):
     p1 = TorusMap(pdim, pi.source_dim, rows)
     p2 = TorusMap.projection(pdim, range(k + 1, pdim + 1))
     return pdim, p1, p2
-
-
-def fiber_product_orientation(pi: TorusMap) -> int:
-    """Sign relating the standard orientation of the (t, y) coordinate model
-    of M x_N N1 to its fiber-product orientation.
-
-    The coordinate model lists the fiber coordinates of pi first, while the
-    fiber-product orientation is inherited from M, where those coordinates
-    sit interleaved; the discrepancy is the sign of the shuffle moving them
-    to the front.  Pushforwards along p2 taken in the fiber-product
-    orientation equal this sign times the standard-orientation pushforward.
-    """
-    return projection_orientation_sign(pi)
 
 
 def correspondence(f: TorusMap, g: TorusMap, xi: TorusForm) -> TorusForm:
@@ -557,7 +542,7 @@ def appendix_suite(seed: int, trials: int) -> dict:
         lhs = pullback(g, fiber_pushforward(pi, alpha))
         # The pushforward along p2 lives in the fiber-product orientation.
         rhs = fiber_pushforward(p2, pullback(p1, alpha))
-        if fiber_product_orientation(pi) == -1:
+        if projection_orientation_sign(pi) == -1:
             rhs = -rhs
         return lhs == rhs, "base change"
 
@@ -638,7 +623,7 @@ def appendix_suite(seed: int, trials: int) -> dict:
         )
         if (k1 * xi1.degree()) % 2:
             rhs = -rhs
-        if fiber_product_orientation(pi1) == -1:
+        if projection_orientation_sign(pi1) == -1:
             lhs = -lhs
         return lhs == rhs, "correspondence composition"
 

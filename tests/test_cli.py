@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -189,3 +190,17 @@ def test_zero_denominator_is_input_error(fixture_path, tmp_path, capsys):
     err = _input_error(capsys, "check-ainf", fixture_path("derham_t1.json"),
                        "--cutoff", "1/0")
     assert "--cutoff 1/0" in err
+
+
+def test_dense_monoid_enumeration_is_input_error(tmp_path, capsys):
+    # <(1/100000, 0)> has 100001 elements of energy <= 1, more than one
+    # enumeration may produce; the scan must refuse it instead of running on.
+    algebra = {"mode": "modulo", "cutoff": "1", "monoid": [["1/100000", 0]],
+               "space": {"basis": [["x", 1], ["z", 2]]},
+               "ops": [{"k": 1, "beta": ["0", 0], "inputs": ["x"],
+                        "output": "z", "coeff": "1"}]}
+    path = _write_doc(tmp_path, "dense.json", {"algebra": algebra})
+    start = time.monotonic()
+    err = _input_error(capsys, "check-ainf", path)
+    assert "energy monoid has more than 100000 elements of energy <= 1" in err
+    assert time.monotonic() - start < 20

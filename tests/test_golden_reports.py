@@ -1,5 +1,7 @@
 """Golden reports: the sha256 of the --report bytes of cohomology, hf and
-barcode, recorded before the linear algebra behind them went sparse.
+barcode, recorded before the linear algebra behind them went sparse, and of
+check-ainf, recorded before the relation scan was compiled into insertion
+plans and the monoid enumeration was kept.
 
 Report determinism (criterion 10) compares two runs of the same code; these
 digests pin the bytes across code changes, so a different choice of
@@ -8,11 +10,14 @@ cohomology representatives, bars or dimensions fails here.
 
 import hashlib
 import json
+from fractions import Fraction
 
 import pytest
 
 from ainfkit import models
+from ainfkit.ainf import AInfAlgebra
 from ainfkit.cli import main
+from ainfkit.scalars import BETA_ZERO, EnergyMonoid
 from ainfkit.specio import FORMAT
 
 GOLDEN = {
@@ -56,6 +61,83 @@ GOLDEN = {
         "7f13f39e67ae9efb629a70ac52b2101fa70f3bbb1ace64d1c290d53c8345e7d7",
 }
 
+# check-ainf: (document, extra arguments) -> (exit code, report digest). The
+# flips are the six evenly spaced constant ids the benchmark flips.
+CHECK_AINF = {
+    ("barcode_simple", ()):
+        (0, "da4c9a5886f59664f24ccbe8038538a931cb5f2f959ebb1c1bb827e75eba22cd"),
+    ("commuting_isotopy", ()):
+        (0, "3d47e187f83e3050e5162dbc97563d571c6ad23e31fd164682245e55b0b04df7"),
+    ("derham_t1", ()):
+        (0, "f33dd68d5703bbb4f88163a0453493b2e1fc083d46b351a90cdac659c34073d7"),
+    ("derham_t2", ()):
+        (0, "f33dd68d5703bbb4f88163a0453493b2e1fc083d46b351a90cdac659c34073d7"),
+    ("gapped_product", ()):
+        (0, "52444cdc8d098b8bedadb8346dfe91465137be3de569651fcd49f283a7bba9c4"),
+    ("isotopy_chain", ()):
+        (0, "5e1055a5464ca9865a396ea2685d5711c99f20769835cd0e7515654ba86a8636"),
+    ("isotopy_extend", ()):
+        (0, "5e1055a5464ca9865a396ea2685d5711c99f20769835cd0e7515654ba86a8636"),
+    ("kunneth_derham", ()):
+        (0, "f33dd68d5703bbb4f88163a0453493b2e1fc083d46b351a90cdac659c34073d7"),
+    ("kunneth_minimal", ()):
+        (0, "f33dd68d5703bbb4f88163a0453493b2e1fc083d46b351a90cdac659c34073d7"),
+    ("curved_line_1_4", ()):
+        (0, "ad2768f68df0302290836934f711abf22415676dd144ecdaf6b4865474162280"),
+    ("curved_line_3_8", ()):
+        (0, "c751e2ac0ef85d398d501c0439e53479e999f8f8684ab3344601308429c62aea"),
+    ("curved_line_1_2", ()):
+        (0, "f49b5f688f0d858f8c7961a9983972939df9a77bd8d01e59a13c9378847e6991"),
+    ("gapped_product", ("--cutoff", "2")):
+        (0, "52444cdc8d098b8bedadb8346dfe91465137be3de569651fcd49f283a7bba9c4"),
+    ("gapped_product", ("--cutoff", "4")):
+        (0, "9cd558e1b25f0fa12288d134b602ed299e36a80c5289cea265f08a55e835dbd7"),
+    ("gapped_product", ("--cutoff", "6")):
+        (0, "7caaf661088f1ba9dce9e3408b2113e8c50639440a19ae22636b281ca4051b0e"),
+    ("gapped_product", ("--cutoff", "8")):
+        (0, "1548a5d940b1fa12118868fb1e8ea4201a41becd7dbd70ef13addeefd86a0e60"),
+    ("derham_t2", ("--mutate", "flip:m2:0/0:f-1_-1;d2,f-1_2;d1->f-2_1;d12")):
+        (1, "899609fff37278349ff5809e8bccc0d8c20ca8e4e9d60b4497b2b04647595223"),
+    ("derham_t2", ("--mutate", "flip:m2:0/0:f-1_1;d2,f2_0;d->f1_1;d2")):
+        (1, "cb2a61183d2a852c033768ad23593e3634d6fda77216e2362d44b9b651a29280"),
+    ("derham_t2", ("--mutate", "flip:m2:0/0:f0_-1;d1,f1_0;d2->f1_-1;d12")):
+        (1, "6dbaeb2dcfb9dcb95cb03428b9e63843fec8395552f4e8249b6b63f50e299438"),
+    ("derham_t2", ("--mutate", "flip:m2:0/0:f0_1;d,f0_1;d12->f0_2;d12")):
+        (1, "519a03ced5123bf1d73e7b48c4b0d056ee35932077f3be2bd294de39e995b7aa"),
+    ("derham_t2", ("--mutate", "flip:m2:0/0:f1_0;d,f-1_1;d1->f0_1;d1")):
+        (1, "01987ca07fe588c027f0766856f5ad4578bae8ef2b08e3a46b190abef287bc8c"),
+    ("derham_t2", ("--mutate", "flip:m2:0/0:f2_-1;d1,f0_1;d->f2_0;d1")):
+        (1, "64dad1ac48c2520cda04a7815c3388e951cb3ebbcdc7da2d1699d8dd3903f406"),
+    ("kunneth_derham", ("--mutate", "flip:m2:0/0:f-1_-1;d2,f-1_2;d1->f-2_1;d12")):
+        (1, "899609fff37278349ff5809e8bccc0d8c20ca8e4e9d60b4497b2b04647595223"),
+    ("kunneth_derham", ("--mutate", "flip:m2:0/0:f-1_1;d2,f2_0;d->f1_1;d2")):
+        (1, "cb2a61183d2a852c033768ad23593e3634d6fda77216e2362d44b9b651a29280"),
+    ("kunneth_derham", ("--mutate", "flip:m2:0/0:f0_-1;d1,f1_0;d2->f1_-1;d12")):
+        (1, "6dbaeb2dcfb9dcb95cb03428b9e63843fec8395552f4e8249b6b63f50e299438"),
+    ("kunneth_derham", ("--mutate", "flip:m2:0/0:f0_1;d,f0_1;d12->f0_2;d12")):
+        (1, "519a03ced5123bf1d73e7b48c4b0d056ee35932077f3be2bd294de39e995b7aa"),
+    ("kunneth_derham", ("--mutate", "flip:m2:0/0:f1_0;d,f-1_1;d1->f0_1;d1")):
+        (1, "01987ca07fe588c027f0766856f5ad4578bae8ef2b08e3a46b190abef287bc8c"),
+    ("kunneth_derham", ("--mutate", "flip:m2:0/0:f2_-1;d1,f0_1;d->f2_0;d1")):
+        (1, "64dad1ac48c2520cda04a7815c3388e951cb3ebbcdc7da2d1699d8dd3903f406"),
+}
+
+
+def curved_line(cutoff):
+    """Curvature 3z at (1/20, 0) and -5e at (1/20, 2) over the monoid
+    generated by (1/20, 0), (1/19, 0), (1/20, 2), modulo T^cutoff."""
+    basis = [("e", 0), ("x", 1), ("z", 2)]
+    monoid = EnergyMonoid([(Fraction(1, 20), 0), (Fraction(1, 19), 0),
+                           (Fraction(1, 20), 2)])
+    units = {("e", nm): {nm: 1} for nm, _ in basis}
+    units.update({("x", "e"): {"x": -1}, ("z", "e"): {"z": 1}})
+    ops = {(2, BETA_ZERO): units,
+           (1, BETA_ZERO): {("x",): {"z": 1}},
+           (0, (Fraction(1, 20), 0)): {(): {"z": 3}},
+           (0, (Fraction(1, 20), 2)): {(): {"e": -5}}}
+    return AInfAlgebra(basis, monoid, "modulo", cutoff, "e", ops)
+
+
 @pytest.fixture(scope="module")
 def documents(tmp_path_factory):
     root = tmp_path_factory.mktemp("golden")
@@ -71,6 +153,12 @@ def documents(tmp_path_factory):
         path.write_text(json.dumps({"format": FORMAT, "algebra": alg.to_json(),
                                     "bounding": {"b": b}}))
         paths[name] = str(path)
+    for cutoff in ("1/4", "3/8", "1/2"):
+        path = root / f"curved_line_{cutoff.replace('/', '_')}.json"
+        path.write_text(json.dumps({
+            "format": FORMAT,
+            "algebra": curved_line(Fraction(cutoff)).to_json()}))
+        paths[path.stem] = str(path)
     return paths
 
 
@@ -83,3 +171,14 @@ def test_report_bytes_match_golden(command, name, documents, fixture_path,
     capsys.readouterr()
     digest = hashlib.sha256(dest.read_bytes()).hexdigest()
     assert digest == GOLDEN[(command, name)]
+
+
+@pytest.mark.parametrize("name,extra", sorted(CHECK_AINF))
+def test_check_ainf_report_bytes_match_golden(name, extra, documents,
+                                              fixture_path, tmp_path, capsys):
+    spec = documents.get(name) or fixture_path(f"{name}.json")
+    dest = tmp_path / "report.json"
+    code = main(["check-ainf", spec, *extra, "--report", str(dest)])
+    capsys.readouterr()
+    digest = hashlib.sha256(dest.read_bytes()).hexdigest()
+    assert (code, digest) == CHECK_AINF[(name, extra)]

@@ -1,0 +1,326 @@
+"""The planned relation scan and the kept monoid enumeration, against the
+code they replaced.
+
+`check_ainf` compiles each (beta, n) into one insertion plan and runs every
+input tuple through it, and `EnergyMonoid` answers every enumeration, split
+and membership query from its largest enumeration so far. The per-tuple scan
+below rebuilds the beta-splits from a fresh enumeration, the Koszul signs and
+the defect element on every tuple, as the scan did before it was compiled.
+It stays here as a differential oracle: reports must agree exactly, down to
+which counterexample comes first.
+"""
+
+from fractions import Fraction
+from itertools import product
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from ainfkit import scalars
+from ainfkit.ainf import (
+    AInfAlgebra,
+    AlgElement,
+    ainf_defect,
+    beta_json,
+    check_ainf,
+    constant_ids,
+    flip_constant,
+)
+from ainfkit.isotopy import Pseudoisotopy, flip_isotopy_constant, \
+    isotopy_constant_ids
+from ainfkit.models import (
+    commuting_isotopy_fixture,
+    derham_model,
+    extension_fixture,
+    two_factor_gapped,
+)
+from ainfkit.scalars import BETA_ZERO, EnergyMonoid, NovikovElement
+from ainfkit.signs import koszul_prefix_sign
+
+
+# -- the replaced code, kept as the oracle ---------------------------------------
+
+def oracle_enumerate(generators, cutoff):
+    """Breadth-first generator sums of energy <= cutoff, sorted."""
+    seen = {(Fraction(0), 0)}
+    frontier = [(Fraction(0), 0)]
+    while frontier:
+        nxt = []
+        for e, mu in frontier:
+            for ge, gmu in generators:
+                cand = (e + ge, mu + gmu)
+                if cand[0] <= cutoff and cand not in seen:
+                    seen.add(cand)
+                    nxt.append(cand)
+        frontier = nxt
+    return sorted(seen)
+
+
+def oracle_splits(alg, beta):
+    members = set(oracle_enumerate(alg.monoid.generators, beta[0]))
+    if beta not in members:
+        raise ValueError(f"beta {beta} outside the energy monoid")
+    return [(b1, (beta[0] - b1[0], beta[1] - b1[1])) for b1 in sorted(members)
+            if (beta[0] - b1[0], beta[1] - b1[1]) in members]
+
+
+def oracle_defect(alg, beta, names):
+    n = len(names)
+    degs = [alg.degree(nm) for nm in names]
+    acc = {}
+    for b_inner, b_outer in oracle_splits(alg, beta):
+        for j in range(n + 1):
+            inner_table = alg.ops.get((j, b_inner))
+            if not inner_table:
+                continue
+            outer_table = alg.ops.get((n - j + 1, b_outer))
+            if not outer_table:
+                continue
+            for i in range(1, n - j + 2):
+                inner = inner_table.get(names[i - 1:i - 1 + j])
+                if not inner:
+                    continue
+                sign = koszul_prefix_sign(degs, i)
+                prefix = names[:i - 1]
+                suffix = names[i - 1 + j:]
+                for mid, c_in in inner.items():
+                    outer = outer_table.get(prefix + (mid,) + suffix)
+                    if not outer:
+                        continue
+                    for out, c_out in outer.items():
+                        acc[out] = acc.get(out, Fraction(0)) + sign * c_in * c_out
+    trunc = alg.truncation
+    return AlgElement(
+        {o: NovikovElement.scalar(c, trunc) for o, c in acc.items() if c != 0},
+        trunc,
+    )
+
+
+def oracle_check_ainf(alg, max_counterexamples=None):
+    max_a = alg.max_arity()
+    n_bound = max(2 * max_a - 1, 0)
+    if alg.mode == "modulo":
+        top = alg.cutoff
+    else:
+        top = 2 * max((b[0] for _, b in alg.ops), default=Fraction(0))
+    betas = oracle_enumerate(alg.monoid.generators, top)
+    counterexamples = []
+    for beta in betas:
+        splits = oracle_splits(alg, beta)
+        for n in range(n_bound + 1):
+            feasible = any(
+                (j, b1) in alg.ops and (n - j + 1, b2) in alg.ops
+                for b1, b2 in splits
+                for j in range(n + 1)
+            )
+            if not feasible:
+                continue
+            if n == 0:
+                tuples = [()]
+            elif n == 1:
+                tuples = [(nm,) for nm in alg.names]
+            else:
+                tuples = product(alg.window, repeat=n)
+            for names in tuples:
+                defect = oracle_defect(alg, beta, names)
+                if not defect.is_zero():
+                    counterexamples.append({
+                        "beta": beta_json(beta), "n": n,
+                        "inputs": list(names), "defect": defect.to_json(),
+                    })
+                    break
+            if max_counterexamples is not None and \
+                    len(counterexamples) >= max_counterexamples:
+                break
+        if max_counterexamples is not None and \
+                len(counterexamples) >= max_counterexamples:
+            break
+    return {
+        "check": "ainf",
+        "status": "PASS" if not counterexamples else "FAIL",
+        "max_arity": max_a,
+        "relation_arity_bound": n_bound,
+        "betas_checked": [beta_json(b) for b in betas],
+        "counterexamples": counterexamples,
+    }
+
+
+# -- random sparse algebras --------------------------------------------------------
+
+ENERGIES = [Fraction(1, 4), Fraction(1, 3), Fraction(1, 2), Fraction(2, 3),
+            Fraction(1)]
+generators = st.lists(
+    st.tuples(st.sampled_from(ENERGIES), st.sampled_from([-2, 0, 2])),
+    max_size=3)
+
+
+@st.composite
+def sparse_algebras(draw):
+    """Degree-consistent sparse tables over a rich monoid, gapped or
+    truncated, with curvature m_0, an optional window, and no promise that
+    the relations hold."""
+    size = draw(st.integers(2, 4))
+    degrees = draw(st.lists(st.integers(-1, 3), min_size=size, max_size=size))
+    basis = [(f"a{i}", d) for i, d in enumerate(degrees)]
+    names = [nm for nm, _ in basis]
+    monoid = EnergyMonoid(draw(generators))
+    mode = draw(st.sampled_from(["gapped", "modulo"]))
+    cutoff = draw(st.sampled_from([Fraction(1, 2), Fraction(1), Fraction(3, 2)]))
+    betas = monoid.enumerate(cutoff)
+    ops = {}
+    for _ in range(draw(st.integers(4, 16))):
+        k = draw(st.sampled_from([0, 0, 1, 1, 2, 2, 2, 3]))
+        inputs = tuple(draw(st.lists(st.sampled_from(names),
+                                     min_size=k, max_size=k)))
+        in_deg = sum(dict(basis)[nm] for nm in inputs)
+        # (beta, output) pairs that satisfy the degree rule.
+        keys = [(beta, out) for beta in betas for out, d in basis
+                if d == in_deg + 2 - k - beta[1] and (k, beta) != (0, BETA_ZERO)]
+        if not keys:
+            continue
+        beta, out = draw(st.sampled_from(keys))
+        coeff = Fraction(draw(st.sampled_from([-3, -2, -1, 1, 2, 3])),
+                         draw(st.sampled_from([1, 1, 2])))
+        ops.setdefault((k, beta), {}).setdefault(inputs, {})[out] = coeff
+    window = None
+    if draw(st.booleans()):
+        window = draw(st.lists(st.sampled_from(names), min_size=1,
+                               max_size=size, unique=True))
+    return AInfAlgebra(basis, monoid, mode, cutoff if mode == "modulo" else None,
+                       None, ops, window)
+
+
+def curved_line(cutoff, lam, rho):
+    """Curvature at two energies over a three-generator monoid; every
+    relation holds."""
+    basis = [("e", 0), ("x", 1), ("z", 2)]
+    monoid = EnergyMonoid([(Fraction(1, 20), 0), (Fraction(1, 19), 0),
+                           (Fraction(1, 20), 2)])
+    units = {("e", nm): {nm: 1} for nm, _ in basis}
+    units.update({("x", "e"): {"x": -1}, ("z", "e"): {"z": 1}})
+    ops = {(2, BETA_ZERO): units,
+           (1, BETA_ZERO): {("x",): {"z": 1}},
+           (0, (Fraction(1, 20), 0)): {(): {"z": lam}},
+           (0, (Fraction(1, 20), 2)): {(): {"e": rho}}}
+    return AInfAlgebra(basis, monoid, "modulo", cutoff, "e", ops)
+
+
+VALID = {
+    "derham(1,1)": lambda: derham_model(1, 1),
+    "two-factor A": lambda: two_factor_gapped()["A"],
+    "two-factor B": lambda: two_factor_gapped()["B"],
+    "two-factor C": lambda: two_factor_gapped()["C"],
+    "curved line": lambda: curved_line(Fraction(1, 8), 3, -5),
+}
+
+
+@settings(max_examples=40, deadline=None)
+@given(sparse_algebras(), st.sampled_from([None, 1, 3]), st.data())
+def test_planned_scan_matches_per_tuple_scan(alg, cap, data):
+    assert check_ainf(alg, cap) == oracle_check_ainf(alg, cap)
+    ids = constant_ids(alg)
+    if ids:
+        flipped = flip_constant(alg, data.draw(st.sampled_from(ids)))
+        assert check_ainf(flipped, cap) == oracle_check_ainf(flipped, cap)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(sorted(VALID)), st.data())
+def test_planned_scan_matches_on_single_flips(name, data):
+    alg = VALID[name]()
+    report = check_ainf(alg)
+    assert report["status"] == "PASS"
+    assert report == oracle_check_ainf(alg)
+    flipped = flip_constant(alg, data.draw(st.sampled_from(constant_ids(alg))))
+    assert check_ainf(flipped) == oracle_check_ainf(flipped)
+
+
+@settings(max_examples=60, deadline=None)
+@given(sparse_algebras(), st.data())
+def test_ainf_defect_matches_per_tuple_defect(alg, data):
+    beta = data.draw(st.sampled_from(alg.monoid.enumerate(Fraction(3, 2))))
+    n = data.draw(st.integers(0, 4))
+    names = tuple(data.draw(st.lists(st.sampled_from(alg.names),
+                                     min_size=n, max_size=n)))
+    assert ainf_defect(alg, beta, names) == oracle_defect(alg, beta, names)
+
+
+def test_ainf_defect_rejects_beta_outside_monoid():
+    alg = derham_model(1, 1)
+    with pytest.raises(ValueError):
+        ainf_defect(alg, (Fraction(1), 0), ())
+
+
+# -- flips skip re-validation and still build the validated algebra -----------------
+
+def test_flip_constant_equals_validated_rebuild():
+    for make in VALID.values():
+        alg = make()
+        for cid in constant_ids(alg)[::7]:
+            flipped = flip_constant(alg, cid)
+            rebuilt = AInfAlgebra.from_json(flipped.to_json())
+            assert flipped.ops == rebuilt.ops
+            assert flipped.to_json() == rebuilt.to_json()
+            assert alg.ops != flipped.ops
+            assert AInfAlgebra.from_json(alg.to_json()).ops == alg.ops
+    alg = derham_model(1, 1)
+    with pytest.raises(KeyError):
+        flip_constant(alg, "m2:0/0:nope,nope->nope")
+    with pytest.raises(KeyError):
+        flip_constant(alg, "m7:0/0:->x")
+
+
+def test_flip_isotopy_constant_equals_validated_rebuild():
+    isotopies = [commuting_isotopy_fixture()["PC"], extension_fixture()["P"]]
+    for iso in isotopies:
+        for cid in isotopy_constant_ids(iso):
+            flipped = flip_isotopy_constant(iso, cid)
+            rebuilt = Pseudoisotopy.from_json(flipped.to_json())
+            assert (flipped.mT, flipped.cT) == (rebuilt.mT, rebuilt.cT)
+            assert (flipped.mT, flipped.cT) != (iso.mT, iso.cT)
+        with pytest.raises(KeyError):
+            flip_isotopy_constant(iso, "ic1:0/0:nope->nope")
+
+
+# -- the kept enumeration ---------------------------------------------------------
+
+cutoffs = st.fractions(min_value=0, max_value=2, max_denominator=6)
+
+
+@settings(max_examples=80, deadline=None)
+@given(generators, st.lists(cutoffs, min_size=1, max_size=6),
+       st.sampled_from(["increasing", "decreasing", "as drawn"]),
+       st.lists(st.tuples(st.fractions(min_value=-1, max_value=3,
+                                       max_denominator=12),
+                          st.integers(-4, 4)), max_size=8))
+def test_kept_enumeration_matches_fresh(gens, seq, order, probes):
+    if order != "as drawn":
+        seq = sorted(seq, reverse=order == "decreasing")
+    kept = EnergyMonoid(gens)
+    for cutoff in seq:
+        expected = oracle_enumerate(kept.generators, cutoff)
+        assert kept.enumerate(cutoff) == expected
+        assert EnergyMonoid(gens).enumerate(cutoff) == expected
+        for beta in probes:
+            fresh = beta[0] >= 0 and beta in set(
+                oracle_enumerate(kept.generators, beta[0]))
+            assert (beta in kept) == fresh
+        members = set(expected)
+        for beta in expected:
+            splits = [(b1, (beta[0] - b1[0], beta[1] - b1[1])) for b1 in expected
+                      if (beta[0] - b1[0], beta[1] - b1[1]) in members]
+            assert kept.splits(beta) == splits
+
+
+def test_enumeration_stops_at_budget(monkeypatch):
+    monkeypatch.setattr(scalars, "ENUMERATION_BUDGET", 10)
+    line = EnergyMonoid([(1, 0)])
+    assert len(line.enumerate(9)) == 10
+    with pytest.raises(ValueError, match="more than 10 elements"):
+        line.enumerate(10)
+    with pytest.raises(ValueError, match="more than 10 elements"):
+        (Fraction(12), 0) in line
+    # A refused enumeration leaves the kept one as it was.
+    assert line.enumerate(9) == oracle_enumerate(line.generators, 9)
+    assert (Fraction(9), 0) in line
+    assert line.splits((Fraction(1), 2)) == []

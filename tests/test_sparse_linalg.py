@@ -1,5 +1,7 @@
 """Differential tests: the sparse linear-algebra kernels against the dense
-ones they replaced, kept here as oracles.
+ones they replaced, kept here as oracles (the dense d^2 check, the dense
+matrix product of the chain-map test, the repeated-rank picker and the old
+scalar_cohomology).
 
 The strategies draw sparse matrices (each entry zero with probability 0.7),
 so the zero-skipping branches of Bareiss, Smith form and the d^2 check are
@@ -23,6 +25,7 @@ from ainfkit.poly import (
     matrix_rank_fraction_field,
     rational_matrix_rank,
     smith_normal_form,
+    sparse_product,
     squares_to_zero,
 )
 from ainfkit.scalars import frac_str
@@ -60,6 +63,12 @@ def dense_squares_to_zero(mat, zero):
     square = [[sum((mat[i][k] * mat[k][j] for k in range(n)), zero)
                for j in range(n)] for i in range(n)]
     return all(x == zero for row in square for x in row)
+
+
+def _mat_mul(a, b, zero=0):
+    """The dense product check_kunneth_hypothesis used for its chain-map test."""
+    return [[sum((a[i][k] * b[k][j] for k in range(len(b))), zero)
+             for j in range(len(b[0]))] for i in range(len(a))]
 
 
 def repeated_rank_pick(image_vectors, kernel):
@@ -189,6 +198,42 @@ def test_squares_to_zero_on_perturbed_complexes(complex_, where, c):
     mat[where // 7 % n][where % n] += c
     assert squares_to_zero(mat, Fraction(0)) == \
         dense_squares_to_zero(mat, Fraction(0))
+
+
+@st.composite
+def factor_pairs(draw, entries, zero):
+    """(a, b) with a of shape m x k and b of shape k x n, 1 <= m, k, n <= 5."""
+    m, k, n = (draw(st.integers(1, 5)) for _ in range(3))
+
+    def matrix(rows, cols):
+        return draw(st.lists(st.lists(sparse(entries, zero), min_size=cols,
+                                      max_size=cols), min_size=rows,
+                             max_size=rows))
+    return matrix(m, k), matrix(k, n)
+
+
+def nonzero_entries(mat, zero):
+    return {(i, j): x for i, row in enumerate(mat) for j, x in enumerate(row)
+            if x != zero}
+
+
+@settings(max_examples=60, deadline=None)
+@given(factor_pairs(coeffs, Fraction(0)))
+@example(([[Fraction(1), Fraction(1)]], [[Fraction(1)], [Fraction(-1)]]))
+def test_sparse_product_matches_dense_over_fractions(pair):
+    a, b = pair
+    zero = Fraction(0)
+    assert sparse_product(a, b, zero) == \
+        nonzero_entries(_mat_mul(a, b), zero)
+
+
+@settings(max_examples=40, deadline=None)
+@given(factor_pairs(polys, Poly.ZERO))
+@example(([[Poly.T, Poly.T]], [[Poly.T], [-Poly.T]]))
+def test_sparse_product_matches_dense_over_polys(pair):
+    a, b = pair
+    assert sparse_product(a, b, Poly.ZERO) == \
+        nonzero_entries(_mat_mul(a, b, Poly.ZERO), Poly.ZERO)
 
 
 # -- Bareiss and Smith form --------------------------------------------------
