@@ -20,7 +20,7 @@ vanishes identically (structural fact, not a checked approximation).
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import product
+from itertools import islice, product
 
 from ainfkit.scalars import (
     BETA_ZERO,
@@ -29,7 +29,7 @@ from ainfkit.scalars import (
     frac,
     frac_str,
 )
-from ainfkit.signs import sign_pow
+from ainfkit.signs import shifted_parities, sign_pow
 
 
 def beta_norm(beta):
@@ -222,9 +222,7 @@ class AInfAlgebra:
         object.__setattr__(self, "window", window)
         object.__setattr__(self, "_degrees", degrees)
         object.__setattr__(self, "_names", tuple(names))
-        # Parity of the shifted degree ||a|| = |a| - 1, for insertion signs.
-        object.__setattr__(self, "_parity",
-                           {nm: (d - 1) % 2 for nm, d in degrees.items()})
+        object.__setattr__(self, "_parity", shifted_parities(degrees))
 
     def __setattr__(self, *a):
         raise AttributeError("AInfAlgebra is immutable")
@@ -364,28 +362,33 @@ def differential_matrix(alg: AInfAlgebra):
     return mat
 
 
-def insertion_plan(alg: AInfAlgebra, splits, n: int):
-    """The relation's insertion terms at one (beta, n), for any inputs: one
-    (i - 1, i - 1 + j, m_{j,beta1}, m_{n-j+1,beta2}) per split, inner arity
-    j and slot i with both tables stored.  Empty when structurally zero."""
+def insertion_plan(inner_ops, outer_ops, beta, n: int):
+    """The insertion terms of a quadratic sum at one (beta, n), for any
+    inputs: one (i - 1, i - 1 + j, inner_{j,beta1}, outer_{n-j+1,beta2})
+    per beta1 + beta2 = beta, inner arity j and slot i with both tables
+    stored.  Empty when structurally zero.
+
+    inner_ops and outer_ops are op tables {(k, beta): {inputs: {output:
+    coefficient}}}; the coefficients may be Fractions or t-polynomials.  With
+    both the same table this is the A-infinity relation of that table.
+    """
     plan = []
-    for b_inner, b_outer in splits:
-        for j in range(n + 1):
-            inner_table = alg.ops.get((j, b_inner))
-            if not inner_table:
-                continue
-            outer_table = alg.ops.get((n - j + 1, b_outer))
-            if not outer_table:
-                continue
+    for (j, b_inner), inner_table in inner_ops.items():
+        if j > n:
+            continue
+        b_outer = (beta[0] - b_inner[0], beta[1] - b_inner[1])
+        outer_table = outer_ops.get((n - j + 1, b_outer))
+        if outer_table:
             plan.extend((start, start + j, inner_table, outer_table)
                         for start in range(n - j + 1))
     return plan
 
 
-def _defect_terms(plan, parity, names) -> dict:
-    """The relation sum of a plan on one input tuple: {output: Fraction},
-    zero coefficients dropped.  The term at slot i carries the sign
-    (-1)^{||a_1|| + ... + ||a_{i-1}||}."""
+def insertion_sum(plan, parity, names) -> dict:
+    """The sum of a plan's insertion terms on one input tuple: {output:
+    coefficient}, zero coefficients dropped.  The term at slot i carries the
+    sign (-1)^{p(a_1) + ... + p(a_{i-1})} with p = parity; the shifted-degree
+    parities give the Koszul sign, an all-zero map gives no sign."""
     prefix_odd = [0]
     for nm in names:
         prefix_odd.append(prefix_odd[-1] ^ parity[nm])
@@ -406,14 +409,34 @@ def _defect_terms(plan, parity, names) -> dict:
     return {out: c for out, c in acc.items() if c}
 
 
+def relation_violations(ops, parity, betas, n_bound, tuples):
+    """The A-infinity relation of an op table, scanned in order: for each
+    beta and n <= n_bound, the first input tuple of tuples(n) on which it
+    fails, as (beta, n, names, {output: coefficient}).  Each (beta, n) is
+    planned once for all its tuples; an empty plan is structurally zero."""
+    for beta in betas:
+        for n in range(n_bound + 1):
+            plan = insertion_plan(ops, ops, beta, n)
+            if not plan:
+                continue
+            for names in tuples(n):
+                terms = insertion_sum(plan, parity, names)
+                if terms:
+                    yield beta, n, names, terms
+                    break
+
+
 def ainf_defect(alg: AInfAlgebra, beta, names) -> AlgElement:
     """The quadratic-relation sum at (beta, input tuple), as an element;
     zero iff the relation holds on this instance."""
+    beta = beta_norm(beta)
+    if beta not in alg.monoid:
+        raise ValueError(f"beta {beta} outside the energy monoid")
     names = tuple(names)
-    plan = insertion_plan(alg, alg.beta_splits(beta), len(names))
+    plan = insertion_plan(alg.ops, alg.ops, beta, len(names))
     trunc = alg.truncation
     return AlgElement({o: NovikovElement.scalar(c, trunc) for o, c in
-                       _defect_terms(plan, alg._parity, names).items()}, trunc)
+                       insertion_sum(plan, alg._parity, names).items()}, trunc)
 
 
 def _relation_tuples(alg: AInfAlgebra, n: int):
@@ -426,36 +449,18 @@ def _relation_tuples(alg: AInfAlgebra, n: int):
 
 def check_ainf(alg: AInfAlgebra, max_counterexamples=None) -> dict:
     """Scan all relation instances; report the first counterexample per
-    (beta, n).  Each (beta, n) is planned once for all its input tuples."""
+    (beta, n), at most max_counterexamples of them."""
     max_a = alg.max_arity()
     n_bound = max(2 * max_a - 1, 0)
-    counterexamples = []
     betas = alg.beta_range()
-    stored = alg.stored_betas()
-    stored_set = set(stored)
-    for beta in betas:
-        # Only a split into two stored betas can meet two stored tables.
-        splits = [(b1, b2) for b1 in stored
-                  if (b2 := (beta[0] - b1[0], beta[1] - b1[1])) in stored_set]
-        for n in range(n_bound + 1):
-            plan = insertion_plan(alg, splits, n)
-            if not plan:
-                continue
-            for names in _relation_tuples(alg, n):
-                if _defect_terms(plan, alg._parity, names):
-                    counterexamples.append({
-                        "beta": beta_json(beta),
-                        "n": n,
-                        "inputs": list(names),
-                        "defect": ainf_defect(alg, beta, names).to_json(),
-                    })
-                    break
-            if max_counterexamples is not None and \
-                    len(counterexamples) >= max_counterexamples:
-                break
-        if max_counterexamples is not None and \
-                len(counterexamples) >= max_counterexamples:
-            break
+    found = relation_violations(alg.ops, alg._parity, betas, n_bound,
+                                lambda n: _relation_tuples(alg, n))
+    counterexamples = [{
+        "beta": beta_json(beta),
+        "n": n,
+        "inputs": list(names),
+        "defect": ainf_defect(alg, beta, names).to_json(),
+    } for beta, n, names, _ in islice(found, max_counterexamples)]
     return {
         "check": "ainf",
         "status": "PASS" if not counterexamples else "FAIL",
@@ -640,16 +645,19 @@ def constant_ids(alg: AInfAlgebra):
     return ids
 
 
-def parse_constant_id(cid: str):
-    kpart, betapart, rest = cid.split(":", 2)
-    if not kpart.startswith("m"):
-        raise ValueError(f"malformed constant id {cid!r}")
-    k = int(kpart[1:])
-    e_str, mu_str = betapart.rsplit("/", 1)
-    beta = (frac(e_str), int(mu_str))
-    ins_str, out = rest.split("->")
-    inputs = tuple(s for s in ins_str.split(",") if s)
-    return k, beta, inputs, out
+def parse_constant_id(cid: str, family: str = "m"):
+    """Split '<family><k>:<E>/<mu>:<inputs>-><output>' into (k, beta,
+    inputs, output); a ValueError naming the id for any other shape."""
+    try:
+        kpart, betapart, rest = cid.split(":", 2)
+        e_str, mu_str = betapart.rsplit("/", 1)
+        ins_str, out = rest.split("->")
+        if not kpart.startswith(family):
+            raise ValueError
+        return (int(kpart[len(family):]), (frac(e_str), int(mu_str)),
+                tuple(s for s in ins_str.split(",") if s), out)
+    except (ValueError, ZeroDivisionError):
+        raise ValueError(f"malformed constant id {cid!r}") from None
 
 
 def replaced(obj, **slots):

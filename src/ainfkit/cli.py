@@ -14,10 +14,14 @@ import sys
 from fractions import Fraction
 
 from ainfkit.ainf import (
+    assemble,
+    beta_norm,
     check_ainf,
     check_unit,
+    constant_ids,
     flip_constant,
     mc_defect,
+    parse_constant_id,
 )
 from ainfkit.floer import algebra_cohomology, barcode, check_hf_kunneth, hf_dimension
 from ainfkit.isotopy import (
@@ -30,6 +34,7 @@ from ainfkit.isotopy import (
 from ainfkit.kunneth import box_product, check_commuting, check_subalgebra
 from ainfkit.scalars import frac, frac_str
 from ainfkit.specio import SpecError, dump_document, load_spec
+from ainfkit.torus import appendix_suite
 
 
 def _jsonify(obj):
@@ -137,9 +142,6 @@ def _cmd_check_isotopy(doc, args):
 
 
 def _new_level_constants(m0, m_ext):
-    from ainfkit.ainf import constant_ids, parse_constant_id
-    from ainfkit.ainf import beta_norm
-
     old = set(constant_ids(m0))
     out = {}
     for cid in constant_ids(m_ext):
@@ -178,8 +180,6 @@ def _cmd_check_commuting_isotopy(doc, args):
 
 
 def _cmd_torus_suite(args):
-    from ainfkit.torus import appendix_suite
-
     return appendix_suite(args.seed, args.trials)
 
 
@@ -256,8 +256,6 @@ def main(argv=None) -> int:
         else:
             doc = load_spec(args.spec)
             if getattr(args, "cutoff", None):
-                from ainfkit.ainf import assemble
-
                 try:
                     cutoff = frac(args.cutoff)
                 except ZeroDivisionError as exc:

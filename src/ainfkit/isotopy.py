@@ -29,6 +29,13 @@ extension formula transports them to t = 0:
 with c^tau_{k,beta} = 0 at the new level.  Terms that would involve the
 unknown new-level families vanish: they pair with c^t_{j,0} = 0 or with the
 new-level c, which is declared zero.
+
+Every quadratic sum here is an insertion sum of ainf's kernel with Poly
+coefficients: the m^t relation is the A-infinity relation scan over Q[t]
+(ainf.relation_violations on mT), and the two mixed sums are the insertion
+plans of m^t over c^t (no sign) and of c^t over m^t (Koszul sign), built
+once per (beta, k) by isotopy_sums and shared by the differential-equation
+check and the extension.
 """
 
 from __future__ import annotations
@@ -36,11 +43,13 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import product
 
-from ainfkit.ainf import (AInfAlgebra, beta_json, beta_norm,
-                          parse_constant_id, replaced)
+from ainfkit.ainf import (AInfAlgebra, AlgElement, beta_from_json, beta_json,
+                          beta_norm, insertion_plan, insertion_sum,
+                          parse_constant_id, relation_violations, replaced)
+from ainfkit.kunneth import kunneth_K
 from ainfkit.poly import Poly
-from ainfkit.scalars import BETA_ZERO, EnergyMonoid, frac, frac_str
-from ainfkit.signs import koszul_prefix_sign, sign_pow
+from ainfkit.scalars import BETA_ZERO, EnergyMonoid, frac, frac_str, monoid_sum
+from ainfkit.signs import shifted, shifted_parities, sign_pow
 
 
 def _clean_family(name, basis_degrees, monoid, cutoff, tables, degree_drop,
@@ -98,7 +107,7 @@ class Pseudoisotopy:
     """Polynomial operation/correction families modulo a cutoff energy."""
 
     __slots__ = ("n", "basis", "monoid", "cutoff", "unit", "mT", "cT",
-                 "_degrees", "_names", "window")
+                 "_degrees", "_names", "_parity", "window")
 
     def __init__(self, n, basis, monoid, cutoff, unit, mT, cT, window=None):
         n = int(n)
@@ -125,6 +134,7 @@ class Pseudoisotopy:
         object.__setattr__(self, "cT", cT)
         object.__setattr__(self, "_degrees", degrees)
         object.__setattr__(self, "_names", names)
+        object.__setattr__(self, "_parity", shifted_parities(degrees))
         object.__setattr__(self, "window", tuple(window))
 
     def __setattr__(self, *a):
@@ -139,9 +149,6 @@ class Pseudoisotopy:
 
     def max_arity(self) -> int:
         return max((k for k, _ in list(self.mT) + list(self.cT)), default=0)
-
-    def beta_splits(self, beta):
-        return self.monoid.splits(beta)
 
     def endpoint(self, t) -> AInfAlgebra:
         """Evaluate m^t at a rational parameter value; modulo-mode algebra."""
@@ -186,7 +193,7 @@ class Pseudoisotopy:
         def fam(entries):
             tables = {}
             for e in entries:
-                key = (int(e["k"]), beta_norm((frac(e["beta"][0]), e["beta"][1])))
+                key = (int(e["k"]), beta_from_json(e["beta"]))
                 tables.setdefault(key, {}).setdefault(
                     tuple(e["inputs"]), {})[e["output"]] = Poly.from_json(e["poly"])
             return tables
@@ -238,76 +245,20 @@ def _add_into(acc, contrib, scale=1):
         acc[o] = acc[o] + term if o in acc else term
 
 
-def _poly_defect(P: Pseudoisotopy, tables, beta, names) -> dict:
-    """Quadratic-relation sum of a polynomial family, as out -> Poly."""
-    names = tuple(names)
-    nlen = len(names)
-    degs = [P.degree(nm) for nm in names]
-    acc = {}
-    for b_inner, b_outer in P.beta_splits(beta):
-        for j in range(nlen + 1):
-            inner_table = tables.get((j, b_inner))
-            if not inner_table:
-                continue
-            outer_table = tables.get((nlen - j + 1, b_outer))
-            if not outer_table:
-                continue
-            for i in range(1, nlen - j + 2):
-                inner = inner_table.get(names[i - 1:i - 1 + j])
-                if not inner:
-                    continue
-                sign = koszul_prefix_sign(degs, i)
-                prefix, suffix = names[:i - 1], names[i - 1 + j:]
-                for mid, p_in in inner.items():
-                    outer = outer_table.get(prefix + (mid,) + suffix)
-                    if not outer:
-                        continue
-                    for out, p_out in outer.items():
-                        term = p_in * p_out * sign
-                        acc[out] = acc[out] + term if out in acc else term
-    return {o: p for o, p in acc.items() if not p.is_zero()}
-
-
-def isotopy_sums(P: Pseudoisotopy, k, beta, names):
-    """The two mixed sums of the differential equation on a basis tuple.
+def isotopy_sums(P: Pseudoisotopy, k, beta):
+    """The two mixed sums of the differential equation at (beta, k), as
+    insertion plans, each paired with the parity map of its sign:
 
     S1 = sum m^t_{k-j+1,beta1}(xi_1, ..., c^t_{j,beta2}(...), ...)  (no sign)
     S2 = sum (-1)^{prefix} c^t_{k-j+1,beta1}(xi_1, ..., m^t_{j,beta2}(...), ...)
 
-    Both are dicts out -> Poly.  Lookups at levels absent from the stored
-    families contribute zero, which is exactly the convention under which
-    the extension formula is well defined.
+    insertion_sum(plan, parity, names) evaluates either on a basis tuple as a
+    dict out -> Poly.  Lookups at levels absent from the stored families
+    contribute zero, which is exactly the convention under which the
+    extension formula is well defined.
     """
-    names = tuple(names)
-    degs = [P.degree(nm) for nm in names]
-    s1, s2 = {}, {}
-    for b_outer, b_inner in P.beta_splits(beta):
-        for j in range(k + 1):
-            for (acc, outer_tables, inner_tables, signed) in (
-                (s1, P.mT, P.cT, False),
-                (s2, P.cT, P.mT, True),
-            ):
-                inner_table = inner_tables.get((j, b_inner))
-                outer_table = outer_tables.get((k - j + 1, b_outer))
-                if not inner_table or not outer_table:
-                    continue
-                for i in range(1, k - j + 2):
-                    inner = inner_table.get(names[i - 1:i - 1 + j])
-                    if not inner:
-                        continue
-                    sign = koszul_prefix_sign(degs, i) if signed else 1
-                    prefix, suffix = names[:i - 1], names[i - 1 + j:]
-                    for mid, p_in in inner.items():
-                        outer = outer_table.get(prefix + (mid,) + suffix)
-                        if not outer:
-                            continue
-                        for out, p_out in outer.items():
-                            term = p_in * p_out * sign
-                            acc[out] = acc[out] + term if out in acc else term
-    return (
-        {o: p for o, p in s1.items() if not p.is_zero()},
-        {o: p for o, p in s2.items() if not p.is_zero()},
-    )
+    return ((insertion_plan(P.cT, P.mT, beta, k), dict.fromkeys(P.names, 0)),
+            (insertion_plan(P.mT, P.cT, beta, k), P._parity))
 
 
 def check_pseudoisotopy(P: Pseudoisotopy, m0: AInfAlgebra = None,
@@ -319,40 +270,32 @@ def check_pseudoisotopy(P: Pseudoisotopy, m0: AInfAlgebra = None,
     max_m = max((k for k, _ in P.mT), default=0)
     max_c = max((k for k, _ in P.cT), default=0)
 
-    # Quadratic relations of m^t, polynomially in t.
+    # Quadratic relations of m^t: the A-infinity relation over Q[t], on the
+    # full basis.
     n_bound = max(2 * max_m - 1, 0)
-    for beta in betas:
-        for nlen in range(n_bound + 1):
-            feasible = any(
-                (j, b1) in P.mT and (nlen - j + 1, b2) in P.mT
-                for b1, b2 in P.beta_splits(beta)
-                for j in range(nlen + 1)
-            )
-            if not feasible:
-                continue
-            for names in product(P.names, repeat=nlen):
-                defect = _poly_defect(P, P.mT, beta, names)
-                if defect:
-                    violations.append({
-                        "clause": "ainf-family", "beta": beta_json(beta),
-                        "n": nlen, "inputs": list(names),
-                        "defect": {o: p.to_json() for o, p in sorted(defect.items())},
-                    })
-                    break
+    for beta, n, names, defect in relation_violations(
+            P.mT, P._parity, betas, n_bound,
+            lambda n: product(P.names, repeat=n)):
+        violations.append({
+            "clause": "ainf-family", "beta": beta_json(beta),
+            "n": n, "inputs": list(names),
+            "defect": {o: p.to_json() for o, p in sorted(defect.items())},
+        })
 
     # The differential equation.
     k_bound = max(max_m, max_m + max_c - 1, 0)
     for beta in betas:
         for k in range(k_bound + 1):
+            (s1, unsigned), (s2, parity) = isotopy_sums(P, k, beta)
+            m_table = P.mT.get((k, beta), {})
+            if not (s1 or s2 or m_table):
+                continue
             for names in product(P.names, repeat=k):
-                acc = {}
-                table = P.mT.get((k, beta), {}).get(tuple(names), {})
-                for out, poly in table.items():
-                    _add_into(acc, {out: poly.derivative()}, pf)
-                s1, s2 = isotopy_sums(P, k, beta, names)
-                _add_into(acc, s1, -1)
-                _add_into(acc, s2, 1)
-                acc = {o: p for o, p in acc.items() if not p.is_zero()}
+                acc = {out: poly.derivative() * pf
+                       for out, poly in m_table.get(names, {}).items()}
+                _add_into(acc, insertion_sum(s1, unsigned, names), -1)
+                _add_into(acc, insertion_sum(s2, parity, names), 1)
+                acc = {o: p for o, p in acc.items() if p}
                 if acc:
                     violations.append({
                         "clause": "differential-equation",
@@ -416,18 +359,20 @@ def extend_one_level(m0: AInfAlgebra, m1: AInfAlgebra, P: Pseudoisotopy):
     new_tau_tables = {}
     for beta in new_betas:
         for k in range(k_bound + 1):
+            (s1, unsigned), (s2, parity) = isotopy_sums(P, k, beta)
+            m1_table = m1.op_table(k, beta)
+            if not (s1 or s2 or m1_table):
+                continue
             for names in product(m1.names, repeat=k):
-                acc = {}
-                for out, cf in m1.op_on_names(k, beta, names).items():
-                    _add_into(acc, {out: Poly.const(cf)})
-                s1, s2 = isotopy_sums(P, k, beta, names)
-                for out, poly in s1.items():
+                acc = {out: Poly.const(cf)
+                       for out, cf in m1_table.get(names, {}).items()}
+                for out, poly in insertion_sum(s1, unsigned, names).items():
                     _add_into(acc, {out: poly.integral_from_to_one()}, sign_n)
-                for out, poly in s2.items():
+                for out, poly in insertion_sum(s2, parity, names).items():
                     _add_into(acc, {out: poly.integral_from_to_one()}, -sign_n)
-                acc = {o: p for o, p in acc.items() if not p.is_zero()}
+                acc = {o: p for o, p in acc.items() if p}
                 if acc:
-                    new_tau_tables.setdefault((k, beta), {})[tuple(names)] = acc
+                    new_tau_tables.setdefault((k, beta), {})[names] = acc
 
     ext_ops = {key: {ins: dict(cmb) for ins, cmb in tbl.items()}
                for key, tbl in m0.ops.items()}
@@ -495,10 +440,6 @@ def check_commuting_isotopy(PC: Pseudoisotopy, PA: Pseudoisotopy,
         and symmetrically for G_B with the second-factor insertion signs
         (-1)^{|a|(1 + ||b_1|| + .. + ||b_i||)} and the extra (-1)^{n_A}.
     """
-    from ainfkit.kunneth import kunneth_K
-    from ainfkit.scalars import monoid_sum
-    from ainfkit.signs import shifted
-
     if PC.n != PA.n + PB.n:
         raise ValueError("dimension parameters must satisfy n_C = n_A + n_B")
     if monoid_sum(PA.monoid, PB.monoid) != PC.monoid:
@@ -511,13 +452,16 @@ def check_commuting_isotopy(PC: Pseudoisotopy, PA: Pseudoisotopy,
     a_names, b_names = PA.names, PB.names
     a_unit, b_unit = embA.source.unit, embB.source.unit
     K0 = kunneth_K(embA, embB)
+    k_values = {}
 
     def k_pair(na, nb) -> dict:
-        from ainfkit.ainf import AlgElement
-        val = K0(AlgElement.basis(na, embA.source.truncation),
-                 AlgElement.basis(nb, embB.source.truncation))
-        return {o: Poly.const(nov.coefficient(0))
-                for o, nov in val.coeffs.items()}
+        """K(na (x) nb) with constant Poly coefficients, computed once."""
+        if (na, nb) not in k_values:
+            val = K0(AlgElement.basis(na, embA.source.truncation),
+                     AlgElement.basis(nb, embB.source.truncation))
+            k_values[(na, nb)] = {o: Poly.const(nov.coefficient(0))
+                                  for o, nov in val.coeffs.items()}
+        return k_values[(na, nb)]
 
     violations = []
 
@@ -709,7 +653,7 @@ def flip_isotopy_constant(P: Pseudoisotopy, cid: str) -> Pseudoisotopy:
     if not cid.startswith(("im", "ic")):
         raise ValueError(f"malformed isotopy constant id {cid!r}")
     which = "mT" if cid[1] == "m" else "cT"
-    k, beta, inputs, out = parse_constant_id("m" + cid[2:])
+    k, beta, inputs, out = parse_constant_id(cid, cid[:2])
     key = (k, beta)
     tables = getattr(P, which)
     table = tables.get(key)

@@ -25,6 +25,7 @@ from ainfkit.ainf import (
     beta_json,
     differential_matrix,
     eval_op,
+    mc_defect,
 )
 from ainfkit.poly import (
     graded_dims,
@@ -360,8 +361,6 @@ def box_product(embA: SubalgebraEmbedding, embB: SubalgebraEmbedding,
     Returns the candidate iota_A(b1) + iota_B(b2) together with the three
     curvature-potential values and the exactness status of the combination.
     """
-    from ainfkit.ainf import mc_defect
-
     c = embA.target
     p1, rem1 = mc_defect(embA.source, b1)
     p2, rem2 = mc_defect(embB.source, b2)

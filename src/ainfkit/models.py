@@ -25,10 +25,10 @@ checked relation instance close exactly.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 
 from ainfkit.ainf import AInfAlgebra, AlgElement
-from ainfkit.isotopy import Pseudoisotopy
+from ainfkit.isotopy import Pseudoisotopy, extend_one_level
 from ainfkit.kunneth import SubalgebraEmbedding
 from ainfkit.poly import Poly
 from ainfkit.scalars import EnergyMonoid, NovikovElement, frac, monoid_sum
@@ -65,7 +65,6 @@ def derham_model(n: int, w: int) -> AInfAlgebra:
     freqs = sorted(product(range(-2 * w, 2 * w + 1), repeat=n))
     idx_sets = []
     for r in range(n + 1):
-        from itertools import combinations
         idx_sets += [tuple(c) for c in combinations(range(1, n + 1), r)]
     basis = []
     elements = []
@@ -117,7 +116,6 @@ def derham_factor_embeddings(n1: int, n2: int, w: int, target=None,
 
     iota_a = {}
     for f in sorted(product(range(-2 * factor_w, 2 * factor_w + 1), repeat=n1)):
-        from itertools import combinations
         for r in range(n1 + 1):
             for idx in combinations(range(1, n1 + 1), r):
                 src = _form_name(f, tuple(idx))
@@ -125,7 +123,6 @@ def derham_factor_embeddings(n1: int, n2: int, w: int, target=None,
                 iota_a[src] = {tgt: Fraction(sign_pow(len(idx) * n2))}
     iota_b = {}
     for f in sorted(product(range(-2 * factor_w, 2 * factor_w + 1), repeat=n2)):
-        from itertools import combinations
         for r in range(n2 + 1):
             for idx in combinations(range(1, n2 + 1), r):
                 src = _form_name(f, tuple(idx))
@@ -319,8 +316,6 @@ def chain_fixture(theta=23, **kw):
     isotopy carrying one further curvature term at energy 3."""
     fix = extension_fixture(**kw)
     m0, p1, m1 = fix["m0"], fix["P"], fix["m1"]
-    from ainfkit.isotopy import extend_one_level
-
     m_ext1, _ = extend_one_level(m0, m1, p1)
     mt2 = {key: {ins: {o: Poly.const(c) for o, c in cmb.items()}
                  for ins, cmb in tbl.items()}

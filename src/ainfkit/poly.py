@@ -43,6 +43,9 @@ class Poly:
     def is_zero(self) -> bool:
         return not self.coeffs
 
+    def __bool__(self) -> bool:
+        return bool(self.coeffs)
+
     def degree(self) -> int:
         """Degree, with -1 for the zero polynomial."""
         return len(self.coeffs) - 1

@@ -13,6 +13,11 @@ def shifted(degree: int) -> int:
     return degree - 1
 
 
+def shifted_parities(degrees) -> dict:
+    """{name: ||a|| mod 2} for a {name: degree} map, for insertion signs."""
+    return {nm: shifted(d) % 2 for nm, d in degrees.items()}
+
+
 def sign_pow(exponent: int) -> int:
     return -1 if exponent % 2 else 1
 

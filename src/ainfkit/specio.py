@@ -137,11 +137,15 @@ class SpecDocument:
         section = self._section("chain")
         steps = []
         for i, step in enumerate(section):
-            try:
-                steps.append((AInfAlgebra.from_json(step["m"]),
-                              Pseudoisotopy.from_json(step["isotopy"])))
-            except _BAD_INPUT as exc:
-                raise SpecError(f"{self.path}: chain[{i}]: {exc}") from exc
+            parts = []
+            for key, parse in (("m", AInfAlgebra.from_json),
+                               ("isotopy", Pseudoisotopy.from_json)):
+                try:
+                    parts.append(parse(step[key]))
+                except _BAD_INPUT as exc:
+                    raise SpecError(
+                        f"{self.path}: chain[{i}].{key}: {exc}") from exc
+            steps.append(tuple(parts))
         return steps
 
     def has(self, key) -> bool:

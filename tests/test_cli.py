@@ -29,6 +29,19 @@ def test_unknown_mutation_id_is_input_error(fixture_path, capsys):
     code = main(["check-ainf", fixture_path("derham_t1.json"),
                  "--mutate", "flip:m1:0/0:nope->nope"])
     assert code == 2
+    # Ids that do not split into arity, beta, inputs and output are named.
+    for command, name, cid in (
+            ("check-isotopy", "isotopy_extend.json", "im0"),
+            ("check-isotopy", "isotopy_extend.json", "ic1:0"),
+            ("check-ainf", "derham_t1.json", ""),
+            ("check-ainf", "derham_t1.json", "m0:1"),
+            ("check-ainf", "derham_t1.json", "m1:0:x->z"),
+            ("check-ainf", "derham_t1.json", "mx:0/0:x->z"),
+            ("check-ainf", "derham_t1.json", "q1:0/0:x->z"),
+            ("check-ainf", "derham_t1.json", "m1:1/0/0:x->z")):
+        err = _input_error(capsys, command, fixture_path(name),
+                           "--mutate", f"flip:{cid}")
+        assert f"malformed constant id {cid!r}" in err
 
 
 def test_missing_file_is_input_error(capsys):
@@ -204,3 +217,27 @@ def test_dense_monoid_enumeration_is_input_error(tmp_path, capsys):
     err = _input_error(capsys, "check-ainf", path)
     assert "energy monoid has more than 100000 elements of energy <= 1" in err
     assert time.monotonic() - start < 20
+
+
+def _isotopy_fixture_with(fixture_path, tmp_path, name, locate):
+    """A copy of a fixture whose first m^t entry, in the isotopy that
+    locate(document) picks, has the malformed beta ["0"]."""
+    with open(fixture_path(name), encoding="utf-8") as fh:
+        document = json.load(fh)
+    locate(document)["mt"][0]["beta"] = ["0"]
+    return _write_doc(tmp_path, name, document)
+
+
+@pytest.mark.parametrize("command,name,section,locate", [
+    ("check-isotopy", "isotopy_extend.json", "isotopy",
+     lambda doc: doc["isotopy"]),
+    ("check-commuting-isotopy", "commuting_isotopy.json", "factor_isotopies.A",
+     lambda doc: doc["factor_isotopies"]["A"]),
+    ("extend", "isotopy_chain.json", "chain[1].isotopy",
+     lambda doc: doc["chain"][1]["isotopy"]),
+])
+def test_malformed_isotopy_beta_is_input_error(command, name, section, locate,
+                                               fixture_path, tmp_path, capsys):
+    path = _isotopy_fixture_with(fixture_path, tmp_path, name, locate)
+    err = _input_error(capsys, command, path)
+    assert f": {section}: beta must be a pair" in err

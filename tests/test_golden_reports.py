@@ -1,7 +1,8 @@
 """Golden reports: the sha256 of the --report bytes of cohomology, hf and
-barcode, recorded before the linear algebra behind them went sparse, and of
+barcode, recorded before the linear algebra behind them went sparse, of
 check-ainf, recorded before the relation scan was compiled into insertion
-plans and the monoid enumeration was kept.
+plans and the monoid enumeration was kept, and of the isotopy commands,
+recorded before the pseudoisotopy sums moved onto the same insertion plans.
 
 Report determinism (criterion 10) compares two runs of the same code; these
 digests pin the bytes across code changes, so a different choice of
@@ -123,6 +124,54 @@ CHECK_AINF = {
 }
 
 
+# Isotopy commands: (command, document, extra arguments) -> (exit code, report
+# digest). The flips reach the ainf-family, differential-equation, endpoint,
+# restriction and k-insertion clauses.
+ISOTOPY = {
+    ("check-isotopy", "isotopy_extend", ()):
+        (0, "082f6b9c7c0e01cd550c8b30106e2ef913a22bf44146c496a31d17d8a9d2b7f8"),
+    ("check-isotopy", "commuting_isotopy", ()):
+        (0, "082f6b9c7c0e01cd550c8b30106e2ef913a22bf44146c496a31d17d8a9d2b7f8"),
+    ("extend", "isotopy_extend", ()):
+        (0, "96febc07acee66279ec33be3653ff781b675e959c3676db13e5673277c4dd3e2"),
+    ("extend", "isotopy_chain", ()):
+        (0, "5408785724fe988ce984efe79f9369ac4751f661c0c478138648d88cb147b25d"),
+    ("check-commuting-isotopy", "commuting_isotopy", ()):
+        (0, "e39d706a9d1306802fc9d4c4abe34163d819b3e9b381d957da450dc411c80c9d"),
+    ("check-isotopy", "isotopy_extend", ("--mutate", "flip:im0:1/0:->z")):
+        (1, "3aca76ae387dd263c89a124bdb0e0a5a23206d730777df97f0bcca0cd2dc585d"),
+    ("check-isotopy", "isotopy_extend", ("--mutate", "flip:im2:0/0:e,x->x")):
+        (1, "51fbb32e4ec6ebd250b3bccd439da79a9b0d32470f486c3557caefb404f97a32"),
+    ("check-isotopy", "isotopy_extend", ("--mutate", "flip:im2:1/0:x,x->z")):
+        (1, "a2d21db3a242fd94982355ccf9612006cbec8966fef70ac26cf96c4812fdbcc4"),
+    ("check-isotopy", "isotopy_extend", ("--mutate", "flip:ic0:1/0:->x")):
+        (1, "839e02fce0d4a80a7905f885852a70e445a3359fa3bc84a3531b79016c01fd13"),
+    ("extend", "isotopy_extend", ("--mutate", "flip:ic0:1/0:->x")):
+        (1, "7c1bf26b88e13c550705fa22a84098b3c6e0d2489e761a9db13ef53410acd686"),
+    ("check-isotopy", "commuting_isotopy",
+     ("--mutate", "flip:im1:0/0:xA|eB->zA|eB")):
+        (1, "bacbe3df4137d2477c0c03cea9ef47687aa6c3ebd9497441acf1e09535d436ed"),
+    ("check-isotopy", "commuting_isotopy",
+     ("--mutate", "flip:im2:0/0:eA|xB,xA|eB->xA|xB")):
+        (1, "60440f2970074f8f0a92e1b9c5299b52cf7da99d227b9aab98e4d52c45b898e8"),
+    ("check-isotopy", "commuting_isotopy",
+     ("--mutate", "flip:ic0:1/0:->xA|eB")):
+        (1, "7ce90032a58afd5a3e7c70921be4b912a4c41fd9579345a040684b0a63ec5a40"),
+    ("check-commuting-isotopy", "commuting_isotopy",
+     ("--mutate", "flip:im0:1/2/2:->eA|eB")):
+        (1, "c96ec90922c2996290e31dd02f873c0f8b4690e3d5210b9aae30dd9fc742135d"),
+    ("check-commuting-isotopy", "commuting_isotopy",
+     ("--mutate", "flip:im1:0/0:eA|xB->eA|zB")):
+        (1, "d4c8da413bbaa39a1fa0c9ebafe9def00d7e7f8e1a86ca1bb126937ad1c66902"),
+    ("check-commuting-isotopy", "commuting_isotopy",
+     ("--mutate", "flip:im2:0/0:eA|xB,xA|eB->xA|xB")):
+        (1, "6428dbae597b65ec36eee25e90580b6355c9788edf8040daf5278f3ea07278d4"),
+    ("check-commuting-isotopy", "commuting_isotopy",
+     ("--mutate", "flip:ic0:1/0:->xA|eB")):
+        (1, "9956bcb1bd7c825281a2d0ca3e611c31e8e0a7ac9bb0dfe6433e531fcdcde03b"),
+}
+
+
 def curved_line(cutoff):
     """Curvature 3z at (1/20, 0) and -5e at (1/20, 2) over the monoid
     generated by (1/20, 0), (1/19, 0), (1/20, 2), modulo T^cutoff."""
@@ -182,3 +231,14 @@ def test_check_ainf_report_bytes_match_golden(name, extra, documents,
     capsys.readouterr()
     digest = hashlib.sha256(dest.read_bytes()).hexdigest()
     assert (code, digest) == CHECK_AINF[(name, extra)]
+
+
+@pytest.mark.parametrize("command,name,extra", sorted(ISOTOPY))
+def test_isotopy_report_bytes_match_golden(command, name, extra, fixture_path,
+                                           tmp_path, capsys):
+    dest = tmp_path / "report.json"
+    code = main([command, fixture_path(f"{name}.json"), *extra,
+                 "--report", str(dest)])
+    capsys.readouterr()
+    digest = hashlib.sha256(dest.read_bytes()).hexdigest()
+    assert (code, digest) == ISOTOPY[(command, name, extra)]

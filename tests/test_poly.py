@@ -27,6 +27,13 @@ def test_normalization_and_queries():
         Poly().lead()
 
 
+def test_truth_value_is_nonzero():
+    assert bool(Poly.ZERO) is False
+    assert bool(Poly([0, 0])) is False
+    assert bool(Poly.ONE) is True
+    assert bool(Poly.T) is True
+
+
 def test_evaluation():
     p = Poly([1, 0, 2])  # 1 + 2 t^2
     assert p(Fraction(1, 2)) == Fraction(3, 2)
