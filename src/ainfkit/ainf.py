@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import islice, product
+from math import lcm
 
 from ainfkit.scalars import (
     BETA_ZERO,
@@ -304,8 +305,8 @@ class AInfAlgebra:
             key = (int(entry["k"]), beta_from_json(entry["beta"]))
             table = ops.setdefault(key, {})
             combo = table.setdefault(tuple(entry["inputs"]), {})
-            out = entry["output"]
-            combo[out] = combo.get(out, Fraction(0)) + frac(entry["coeff"])
+            out, coeff = entry["output"], frac(entry["coeff"])
+            combo[out] = combo[out] + coeff if out in combo else coeff
         return AInfAlgebra(
             basis=doc["space"]["basis"],
             monoid=EnergyMonoid.from_json(doc["monoid"]),
@@ -389,16 +390,15 @@ def insertion_sum(plan, parity, names) -> dict:
     coefficient}, zero coefficients dropped.  The term at slot i carries the
     sign (-1)^{p(a_1) + ... + p(a_{i-1})} with p = parity; the shifted-degree
     parities give the Koszul sign, an all-zero map gives no sign."""
-    prefix_odd = [0]
-    for nm in names:
-        prefix_odd.append(prefix_odd[-1] ^ parity[nm])
     acc = {}
     for start, stop, inner_table, outer_table in plan:
         inner = inner_table.get(names[start:stop])
         if not inner:
             continue
         prefix, suffix = names[:start], names[stop:]
-        odd = prefix_odd[start]
+        odd = 0
+        for nm in prefix:
+            odd ^= parity[nm]
         for mid, c_in in inner.items():
             outer = outer_table.get(prefix + (mid,) + suffix)
             if not outer:
@@ -426,6 +426,18 @@ def relation_violations(ops, parity, betas, n_bound, tuples):
                     break
 
 
+def integer_ops(ops) -> dict:
+    """The op table D*m, with D the lcm of every coefficient's denominator:
+    the same keys, integer coefficients.  A quadratic sum over it is D^2
+    times the rational one, so it vanishes exactly when that does."""
+    scale = lcm(*(c.denominator for table in ops.values()
+                  for combo in table.values() for c in combo.values()))
+    return {key: {inputs: {out: c.numerator * (scale // c.denominator)
+                           for out, c in combo.items()}
+                  for inputs, combo in table.items()}
+            for key, table in ops.items()}
+
+
 def ainf_defect(alg: AInfAlgebra, beta, names) -> AlgElement:
     """The quadratic-relation sum at (beta, input tuple), as an element;
     zero iff the relation holds on this instance."""
@@ -449,12 +461,14 @@ def _relation_tuples(alg: AInfAlgebra, n: int):
 
 def check_ainf(alg: AInfAlgebra, max_counterexamples=None) -> dict:
     """Scan all relation instances; report the first counterexample per
-    (beta, n), at most max_counterexamples of them."""
+    (beta, n), at most max_counterexamples of them.  The scan runs over the
+    integer table `integer_ops(alg.ops)`; each counterexample's defect is
+    replayed over the rational table by `ainf_defect`."""
     max_a = alg.max_arity()
     n_bound = max(2 * max_a - 1, 0)
     betas = alg.beta_range()
-    found = relation_violations(alg.ops, alg._parity, betas, n_bound,
-                                lambda n: _relation_tuples(alg, n))
+    found = relation_violations(integer_ops(alg.ops), alg._parity, betas,
+                                n_bound, lambda n: _relation_tuples(alg, n))
     counterexamples = [{
         "beta": beta_json(beta),
         "n": n,

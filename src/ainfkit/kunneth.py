@@ -165,22 +165,26 @@ def check_subalgebra(emb: SubalgebraEmbedding) -> dict:
 
 
 def kunneth_K(embA: SubalgebraEmbedding, embB: SubalgebraEmbedding):
-    """The comparison map as a bilinear function of factor elements."""
+    """The comparison map as a bilinear function of factor elements.  Its
+    value on each pair of basis names is computed once and kept."""
     if embA.target is not embB.target and embA.target.ops != embB.target.ops:
         raise ValueError("embeddings must share the target algebra")
     c = embA.target
+    on_basis = {}
 
     def K(a: AlgElement, b: AlgElement) -> AlgElement:
         out = AlgElement.zero(c.truncation)
         for na, nova in a.coeffs.items():
-            ia = embA.apply_name(na)
-            s = sign_pow(embA.source.degree(na))
             for nb, novb in b.coeffs.items():
-                val = eval_op(c, 2, BETA_ZERO, (ia, embB.apply_name(nb)))
+                val = on_basis.get((na, nb))
+                if val is None:
+                    val = on_basis[(na, nb)] = eval_op(
+                        c, 2, BETA_ZERO,
+                        (embA.apply_name(na), embB.apply_name(nb)),
+                    ).scale(sign_pow(embA.source.degree(na)))
                 if not val.is_zero():
-                    factor = nova.retruncate(c.truncation) * \
-                        novb.retruncate(c.truncation) * s
-                    out = out + val.scale(factor)
+                    out = out + val.scale(nova.retruncate(c.truncation) *
+                                          novb.retruncate(c.truncation))
         return out
 
     return K
@@ -289,6 +293,9 @@ def check_commuting(embA: SubalgebraEmbedding, embB: SubalgebraEmbedding) -> dic
     a_window = list(a_alg.window)
     b_window = list(b_alg.window)
     window_tags = [("A", nm) for nm in a_window] + [("B", nm) for nm in b_window]
+    mids = {(na, nb): K(AlgElement.basis(na, a_alg.truncation),
+                        AlgElement.basis(nb, b_alg.truncation))
+            for na in a_window for nb in b_window}
     for beta in betas:
         in_ga, in_gb = beta in a_alg.monoid, beta in b_alg.monoid
         for k in range(0, k_max):
@@ -301,8 +308,7 @@ def check_commuting(embA: SubalgebraEmbedding, embB: SubalgebraEmbedding) -> dic
                     for na in a_window:
                         for nb in b_window:
                             da, db = a_alg.degree(na), b_alg.degree(nb)
-                            mid = K(AlgElement.basis(na, a_alg.truncation),
-                                    AlgElement.basis(nb, b_alg.truncation))
+                            mid = mids[(na, nb)]
                             args = tuple(plain_elems[:i]) + (mid,) + \
                                 tuple(plain_elems[i:])
                             lhs = eval_op(c, k + 1, beta, args)

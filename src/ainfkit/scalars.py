@@ -17,17 +17,32 @@ from typing import Iterable, Optional
 
 
 def frac(x) -> Fraction:
-    """Coerce ints, Fractions and 'p/q' strings to Fraction."""
+    """Coerce ints, Fractions and 'p/q' strings to Fraction.
+
+    The two shapes `frac_str` writes, "p" and "p/q" with ASCII decimal
+    integers (p optionally negative), are split and read with `int`; any
+    other string goes to `Fraction(str)`, which accepts and rejects the same
+    strings with the same messages.
+    """
+    if isinstance(x, str):
+        num, slash, den = x.partition("/")
+        digits = num[1:] if num[:1] == "-" else num
+        try:
+            if not (_is_decimal(digits) and (not slash or _is_decimal(den))):
+                return Fraction(x)
+            return Fraction(int(num), int(den)) if slash else Fraction(int(num))
+        except ZeroDivisionError:
+            raise ZeroDivisionError(f"zero denominator in {x!r}") from None
     if isinstance(x, Fraction):
         return x
     if isinstance(x, int):
         return Fraction(x)
-    if isinstance(x, str):
-        try:
-            return Fraction(x)
-        except ZeroDivisionError:
-            raise ZeroDivisionError(f"zero denominator in {x!r}") from None
     raise TypeError(f"cannot coerce {x!r} to an exact rational")
+
+
+def _is_decimal(s: str) -> bool:
+    """s is a nonempty run of ASCII digits."""
+    return s.isdigit() and s.isascii()
 
 
 def frac_str(x: Fraction) -> str:

@@ -18,8 +18,13 @@ from ainfkit.kunneth import SubalgebraEmbedding
 FORMAT = "ainfctl/1"
 
 # What parsing a malformed section raises; a "1/0" scalar raises
-# ZeroDivisionError.
+# ZeroDivisionError.  The parsers read objects with .get and .items(), so
+# every object they read is checked to be one before they run.
 _BAD_INPUT = (KeyError, ValueError, TypeError, ZeroDivisionError)
+
+_JSON_TYPES = {dict: "an object", list: "an array", str: "a string",
+               int: "a number", float: "a number", bool: "a boolean",
+               type(None): "null"}
 
 
 class SpecError(Exception):
@@ -43,29 +48,52 @@ class SpecDocument:
         self._isotopy = None
         self._factor_isotopies = None
 
-    def _section(self, key):
+    def _section(self, key, kind=dict):
         if key not in self.raw:
             raise SpecError(f"{self.path}: missing section {key!r}")
-        return self.raw[key]
+        return self._expect(self.raw[key], key, kind)
+
+    def _expect(self, value, where, kind=dict):
+        """value, which the document must give as a `kind` (dict or list)."""
+        if not isinstance(value, kind):
+            got = _JSON_TYPES.get(type(value), type(value).__name__)
+            raise SpecError(f"{self.path}: {where}: expected "
+                            f"{_JSON_TYPES[kind]}, got {got}")
+        return value
+
+    def _member(self, section, name, where):
+        if name not in section:
+            raise SpecError(f"{self.path}: {where}.{name} is required")
+        return section[name]
+
+    def _parse(self, parse, value, where, *args):
+        """parse(value, *args) of the object value, with errors located."""
+        self._expect(value, where)
+        try:
+            return parse(value, *args)
+        except _BAD_INPUT as exc:
+            raise SpecError(f"{self.path}: {where}: {exc}") from exc
 
     @property
     def algebra(self) -> AInfAlgebra:
         if self._algebra is None:
-            try:
-                self._algebra = AInfAlgebra.from_json(self._section("algebra"))
-            except _BAD_INPUT as exc:
-                raise SpecError(f"{self.path}: algebra: {exc}") from exc
+            self._algebra = self._parse(AInfAlgebra.from_json,
+                                        self._section("algebra"), "algebra")
         return self._algebra
 
     def embeddings(self) -> dict:
         if self._embeddings is None:
             out = {}
             for name, doc in self._section("embeddings").items():
-                try:
-                    out[name] = SubalgebraEmbedding.from_json(doc, self.algebra)
-                except _BAD_INPUT as exc:
-                    raise SpecError(
-                        f"{self.path}: embeddings.{name}: {exc}") from exc
+                where = f"embeddings.{name}"
+                self._expect(doc, where)
+                for key in ("source", "iota"):
+                    if key in doc:
+                        self._expect(doc[key], f"{where}.{key}")
+                for src, combo in doc.get("iota", {}).items():
+                    self._expect(combo, f"{where}.iota.{src}")
+                out[name] = self._parse(SubalgebraEmbedding.from_json, doc,
+                                        where, self.algebra)
             self._embeddings = out
         return self._embeddings
 
@@ -77,13 +105,10 @@ class SpecDocument:
         return embs["A"], embs["B"]
 
     def bounding(self, name="b") -> AlgElement:
-        section = self._section("bounding")
-        if name not in section:
-            raise SpecError(f"{self.path}: bounding.{name} is required")
-        try:
-            elem = AlgElement.from_json(section[name], self.algebra.truncation)
-        except _BAD_INPUT as exc:
-            raise SpecError(f"{self.path}: bounding.{name}: {exc}") from exc
+        elem = self._parse(AlgElement.from_json,
+                           self._member(self._section("bounding"), name,
+                                        "bounding"),
+                           f"bounding.{name}", self.algebra.truncation)
         for nm in elem.coeffs:
             if nm not in self.algebra._degrees:
                 raise SpecError(
@@ -91,61 +116,44 @@ class SpecDocument:
         return elem
 
     def factor_bounding(self, name, emb) -> AlgElement:
-        section = self._section("bounding")
-        if name not in section:
-            raise SpecError(f"{self.path}: bounding.{name} is required")
-        try:
-            return AlgElement.from_json(section[name], emb.source.truncation)
-        except _BAD_INPUT as exc:
-            raise SpecError(f"{self.path}: bounding.{name}: {exc}") from exc
+        return self._parse(AlgElement.from_json,
+                           self._member(self._section("bounding"), name,
+                                        "bounding"),
+                           f"bounding.{name}", emb.source.truncation)
 
     @property
     def isotopy(self) -> Pseudoisotopy:
         if self._isotopy is None:
-            try:
-                self._isotopy = Pseudoisotopy.from_json(self._section("isotopy"))
-            except _BAD_INPUT as exc:
-                raise SpecError(f"{self.path}: isotopy: {exc}") from exc
+            self._isotopy = self._parse(Pseudoisotopy.from_json,
+                                        self._section("isotopy"), "isotopy")
         return self._isotopy
 
     def factor_isotopies(self):
         if self._factor_isotopies is None:
             section = self._section("factor_isotopies")
-            out = {}
-            for name in ("A", "B"):
-                if name not in section:
-                    raise SpecError(
-                        f"{self.path}: factor_isotopies.{name} is required")
-                try:
-                    out[name] = Pseudoisotopy.from_json(section[name])
-                except _BAD_INPUT as exc:
-                    raise SpecError(
-                        f"{self.path}: factor_isotopies.{name}: {exc}") from exc
-            self._factor_isotopies = (out["A"], out["B"])
+            self._factor_isotopies = tuple(
+                self._parse(Pseudoisotopy.from_json,
+                            self._member(section, name, "factor_isotopies"),
+                            f"factor_isotopies.{name}")
+                for name in ("A", "B"))
         return self._factor_isotopies
 
     def extension_target(self) -> AInfAlgebra:
-        section = self._section("extension")
-        if "m1" not in section:
-            raise SpecError(f"{self.path}: extension.m1 is required")
-        try:
-            return AInfAlgebra.from_json(section["m1"])
-        except _BAD_INPUT as exc:
-            raise SpecError(f"{self.path}: extension.m1: {exc}") from exc
+        return self._parse(AInfAlgebra.from_json,
+                           self._member(self._section("extension"), "m1",
+                                        "extension"),
+                           "extension.m1")
 
     def extension_chain(self):
-        section = self._section("chain")
         steps = []
-        for i, step in enumerate(section):
-            parts = []
-            for key, parse in (("m", AInfAlgebra.from_json),
-                               ("isotopy", Pseudoisotopy.from_json)):
-                try:
-                    parts.append(parse(step[key]))
-                except _BAD_INPUT as exc:
-                    raise SpecError(
-                        f"{self.path}: chain[{i}].{key}: {exc}") from exc
-            steps.append(tuple(parts))
+        for i, step in enumerate(self._section("chain", list)):
+            where = f"chain[{i}]"
+            self._expect(step, where)
+            steps.append(tuple(
+                self._parse(parse, self._member(step, key, where),
+                            f"{where}.{key}")
+                for key, parse in (("m", AInfAlgebra.from_json),
+                                   ("isotopy", Pseudoisotopy.from_json))))
         return steps
 
     def has(self, key) -> bool:

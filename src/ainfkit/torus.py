@@ -7,6 +7,15 @@ to drop the 2 pi i factor: d(e_f) = sum_j f_j e_f dx_j.  Every identity
 tested here is homogeneous in the number of d's per term, so the rescaling
 is harmless and keeps all coefficients in Q(i).
 
+A coefficient `QI` is stored as three integers (a, b, d) in lowest terms,
+meaning (a + b i) / d, and all arithmetic of the calculus runs on them;
+`QI.re`, `QI.im` and `to_json` give Fractions back at the boundary.  The
+public `TorusForm` constructors validate their terms; the operations below
+build their results through `_form`, which trusts its keys and only drops
+zero coefficients.  The pullback of dx_I through an integer matrix is
+expanded with integer coefficients before the form's own coefficient is
+applied.
+
 Two fiber-integration conventions are provided.  `fiber_integrate` is the
 local-coordinate rule: reorder fiber differentials to the front in ascending
 order (Koszul sign), keep only terms carrying every fiber differential with
@@ -22,22 +31,41 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from functools import cache
+from math import gcd
+from operator import add, mul
 
 from ainfkit.scalars import frac, frac_str
 from ainfkit.signs import reorder_sign
 
 
 class QI:
-    """Gaussian rational a + b*i with exact components."""
+    """Gaussian rational (a + b*i) / d, kept as integers in lowest terms:
+    gcd(a, b, d) = 1 and d > 0, so equal values have equal triples.  `re`
+    and `im` read the parts back as Fractions.  Multiplying by an int (the
+    signs and frequency factors of the calculus) skips the Gaussian
+    product."""
 
-    __slots__ = ("re", "im")
+    __slots__ = ("_a", "_b", "_d")
 
     def __init__(self, re=0, im=0):
-        object.__setattr__(self, "re", frac(re))
-        object.__setattr__(self, "im", frac(im))
+        re, im = frac(re), frac(im)
+        p, q = re.denominator, im.denominator
+        d = p * q // gcd(p, q)
+        _set_a(self, re.numerator * (d // p))
+        _set_b(self, im.numerator * (d // q))
+        _set_d(self, d)
 
     def __setattr__(self, *a):
         raise AttributeError("QI is immutable")
+
+    @property
+    def re(self) -> Fraction:
+        return Fraction(self._a, self._d)
+
+    @property
+    def im(self) -> Fraction:
+        return Fraction(self._b, self._d)
 
     @staticmethod
     def coerce(x) -> "QI":
@@ -46,22 +74,32 @@ class QI:
         return QI(frac(x))
 
     def is_zero(self) -> bool:
-        return self.re == 0 and self.im == 0
+        return not self._a and not self._b
 
     def __add__(self, other):
         other = QI.coerce(other)
-        return QI(self.re + other.re, self.im + other.im)
+        d1, d2 = self._d, other._d
+        if d1 == d2:
+            return _qi(self._a + other._a, self._b + other._b, d1)
+        return _qi(self._a * d2 + other._a * d1, self._b * d2 + other._b * d1,
+                   d1 * d2)
 
     def __neg__(self):
-        return QI(-self.re, -self.im)
+        return _qi(-self._a, -self._b, self._d)
 
     def __sub__(self, other):
         return self + (-QI.coerce(other))
 
     def __mul__(self, other):
+        if type(other) is int:
+            if other == 1:
+                return self
+            if other == -1:
+                return _qi(-self._a, -self._b, self._d)
+            return _qi(self._a * other, self._b * other, self._d)
         other = QI.coerce(other)
-        return QI(self.re * other.re - self.im * other.im,
-                  self.re * other.im + self.im * other.re)
+        a1, b1, a2, b2 = self._a, self._b, other._a, other._b
+        return _qi(a1 * a2 - b1 * b2, a1 * b2 + b1 * a2, self._d * other._d)
 
     __radd__ = __add__
     __rmul__ = __mul__
@@ -72,13 +110,14 @@ class QI:
                 other = QI.coerce(other)
             except TypeError:
                 return NotImplemented
-        return self.re == other.re and self.im == other.im
+        return (self._a == other._a and self._b == other._b
+                and self._d == other._d)
 
     def __hash__(self):
         return hash((self.re, self.im))
 
     def __repr__(self):
-        return f"QI({self.re}, {self.im})" if self.im else f"QI({self.re})"
+        return f"QI({self.re}, {self.im})" if self._b else f"QI({self.re})"
 
     def to_json(self):
         return [frac_str(self.re), frac_str(self.im)]
@@ -88,12 +127,29 @@ class QI:
         return QI(frac(data[0]), frac(data[1]))
 
 
+_set_a, _set_b, _set_d = QI._a.__set__, QI._b.__set__, QI._d.__set__
+
+
+def _qi(a: int, b: int, d: int) -> QI:
+    """The QI (a + b*i) / d for any integers with d > 0."""
+    g = gcd(a, b, d)
+    if g != 1:
+        a, b, d = a // g, b // g, d // g
+    q = object.__new__(QI)
+    _set_a(q, a)
+    _set_b(q, b)
+    _set_d(q, d)
+    return q
+
+
 QI_ZERO = QI(0)
 QI_ONE = QI(1)
 
 
+@cache
 def _merge_wedge(I, J):
-    """Merge two sorted index tuples; returns (sign, merged) or None on clash."""
+    """Merge two sorted index tuples; returns (sign, merged) or None on clash.
+    Kept per (I, J): the index sets of forms on small tori are few."""
     if set(I) & set(J):
         return None
     merged = tuple(sorted(I + J))
@@ -103,7 +159,12 @@ def _merge_wedge(I, J):
 
 
 class TorusForm:
-    """Differential form on T^n; terms may have mixed degrees."""
+    """Differential form on T^n; terms may have mixed degrees.
+
+    The constructor validates and merges its terms.  The operations below
+    build their results through `_form`, which trusts its keys and only
+    drops zero coefficients.
+    """
 
     __slots__ = ("dim", "terms")
 
@@ -185,18 +246,19 @@ class TorusForm:
         self._check_dim(other)
         out = dict(self.terms)
         for k, c in other.terms.items():
-            out[k] = out.get(k, QI_ZERO) + c
-        return TorusForm(self.dim, out)
+            out[k] = out[k] + c if k in out else c
+        return _form(self.dim, out)
 
     def __neg__(self):
-        return TorusForm(self.dim, {k: -c for k, c in self.terms.items()})
+        return _form(self.dim, {k: -c for k, c in self.terms.items()})
 
     def __sub__(self, other):
         return self + (-other)
 
     def scale(self, c) -> "TorusForm":
-        c = QI.coerce(c)
-        return TorusForm(self.dim, {k: c * v for k, v in self.terms.items()})
+        if type(c) is not int:
+            c = QI.coerce(c)
+        return _form(self.dim, {k: v * c for k, v in self.terms.items()})
 
     # -- serialization -----------------------------------------------------
     def to_json(self):
@@ -214,6 +276,19 @@ class TorusForm:
         })
 
 
+_set_dim, _set_terms = TorusForm.dim.__set__, TorusForm.terms.__set__
+
+
+def _form(dim: int, terms: dict) -> TorusForm:
+    """The form with these terms, which must already be valid on T^dim:
+    (freq, idx) keys of int tuples, idx ascending, QI coefficients.  Zero
+    coefficients are dropped; nothing else is checked."""
+    form = object.__new__(TorusForm)
+    _set_dim(form, dim)
+    _set_terms(form, {k: c for k, c in terms.items() if c._a or c._b})
+    return form
+
+
 def form_wedge(alpha: TorusForm, beta: TorusForm) -> TorusForm:
     alpha._check_dim(beta)
     out = {}
@@ -223,10 +298,10 @@ def form_wedge(alpha: TorusForm, beta: TorusForm) -> TorusForm:
             if merged is None:
                 continue
             sign, idx = merged
-            freq = tuple(a + b for a, b in zip(f1, f2))
-            k = (freq, idx)
-            out[k] = out.get(k, QI_ZERO) + c1 * c2 * sign
-    return TorusForm(alpha.dim, out)
+            k = (tuple(map(add, f1, f2)), idx)
+            c = c1 * c2 * sign
+            out[k] = out[k] + c if k in out else c
+    return _form(alpha.dim, out)
 
 
 def form_d(alpha: TorusForm) -> TorusForm:
@@ -236,13 +311,11 @@ def form_d(alpha: TorusForm) -> TorusForm:
         for j, fj in enumerate(freq, start=1):
             if fj == 0 or j in I:
                 continue
-            # Sign to insert dx_j at the front of dx_I and resort.
-            before = sum(1 for i in I if i < j)
-            sign = -1 if before % 2 else 1
-            idx = tuple(sorted(I + (j,)))
+            sign, idx = _merge_wedge((j,), I)
             k = (freq, idx)
-            out[k] = out.get(k, QI_ZERO) + c * (fj * sign)
-    return TorusForm(alpha.dim, out)
+            v = c * (fj * sign)
+            out[k] = out[k] + v if k in out else v
+    return _form(alpha.dim, out)
 
 
 class TorusMap:
@@ -326,25 +399,32 @@ def pullback(phi: TorusMap, alpha: TorusForm) -> TorusForm:
     if alpha.dim != phi.target_dim:
         raise ValueError("form does not live on the target of the map")
     n = phi.source_dim
-    out = TorusForm.zero(n)
+    # Characters pull back through the transpose matrix.
+    cols = [tuple(row[j] for row in phi.rows) for j in range(n)]
+    out = {}
     for (freq, I), c in alpha.terms.items():
-        # Characters pull back through the transpose matrix.
-        new_freq = tuple(
-            sum(freq[i] * phi.rows[i][j] for i in range(phi.target_dim))
-            for j in range(n)
-        )
-        piece = TorusForm.term(n, new_freq, (), c)
-        for i in I:
-            row = phi.rows[i - 1]
-            dxi = TorusForm(n, {
-                ((0,) * n, (j,)): QI(row[j - 1])
-                for j in range(1, n + 1) if row[j - 1] != 0
-            })
-            piece = form_wedge(piece, dxi)
-            if piece.is_zero():
-                break
-        out = out + piece
-    return out
+        new_freq = tuple(sum(map(mul, freq, col)) for col in cols)
+        for J, m in _pullback_dx(phi.rows, I).items():
+            k = (new_freq, J)
+            v = c * m
+            out[k] = out[k] + v if k in out else v
+    return _form(n, out)
+
+
+def _pullback_dx(rows, I) -> dict:
+    """phi^* dx_I = phi^* dx_{i_1} ^ ... ^ phi^* dx_{i_k} as {J: integer
+    coefficient}, where phi^* dx_i = sum_j rows[i-1][j-1] dx_j."""
+    acc = {(): 1}
+    for i in I:
+        nxt = {}
+        for J, m in acc.items():
+            for j, r in enumerate(rows[i - 1], start=1):
+                merged = _merge_wedge(J, (j,))
+                if r and merged is not None:
+                    sign, K = merged
+                    nxt[K] = nxt.get(K, 0) + sign * r * m
+        acc = {K: m for K, m in nxt.items() if m}
+    return acc
 
 
 def fiber_integrate(pi: TorusMap, alpha: TorusForm) -> TorusForm:
@@ -377,8 +457,9 @@ def fiber_integrate(pi: TorusMap, alpha: TorusForm) -> TorusForm:
         new_freq = tuple(freq[c0 - 1] for c0 in pi.proj_coords)
         new_idx = tuple(target_pos[i] for i in base_part)
         k = (new_freq, new_idx)
-        out[k] = out.get(k, QI_ZERO) + c * sign
-    return TorusForm(pi.target_dim, out)
+        v = c * sign
+        out[k] = out[k] + v if k in out else v
+    return _form(pi.target_dim, out)
 
 
 def projection_orientation_sign(pi: TorusMap) -> int:
@@ -457,8 +538,10 @@ def correspondence(f: TorusMap, g: TorusMap, xi: TorusForm) -> TorusForm:
 # ---------------------------------------------------------------------------
 
 def _random_coeff(rng) -> QI:
-    return QI(Fraction(rng.randint(-3, 3), rng.choice([1, 2])),
-              Fraction(rng.randint(-2, 2), rng.choice([1, 2])))
+    """a/p + (b/q) i with a in [-3, 3], b in [-2, 2] and p, q in {1, 2}."""
+    a, p = rng.randint(-3, 3), rng.choice([1, 2])
+    b, q = rng.randint(-2, 2), rng.choice([1, 2])
+    return _qi(a * q, b * p, p * q)
 
 
 def random_form(rng, dim: int, degree=None, max_terms=3) -> TorusForm:
@@ -469,7 +552,7 @@ def random_form(rng, dim: int, degree=None, max_terms=3) -> TorusForm:
         deg = degree if degree is not None else rng.randint(0, dim)
         idx = tuple(sorted(rng.sample(range(1, dim + 1), deg))) if deg else ()
         terms[(freq, idx)] = _random_coeff(rng)
-    return TorusForm(dim, terms)
+    return _form(dim, terms)
 
 
 def _random_projection(rng, source_dim: int, target_dim: int) -> TorusMap:

@@ -241,3 +241,34 @@ def test_malformed_isotopy_beta_is_input_error(command, name, section, locate,
     path = _isotopy_fixture_with(fixture_path, tmp_path, name, locate)
     err = _input_error(capsys, command, path)
     assert f": {section}: beta must be a pair" in err
+
+
+def _fixture_with(fixture_path, tmp_path, name, edit):
+    with open(fixture_path(name), encoding="utf-8") as fh:
+        document = json.load(fh)
+    edit(document)
+    return _write_doc(tmp_path, name, document)
+
+
+@pytest.mark.parametrize("command,name,edit,message", [
+    ("extend", "isotopy_extend.json",
+     lambda doc: doc["extension"].update(m1="oops"),
+     ": extension.m1: expected an object, got a string"),
+    ("check-commuting-isotopy", "commuting_isotopy.json",
+     lambda doc: doc["embeddings"]["A"]["iota"].update(xA=["xA|eB", "1"]),
+     ": embeddings.A.iota.xA: expected an object, got an array"),
+    ("check-commuting-isotopy", "commuting_isotopy.json",
+     lambda doc: doc["embeddings"]["B"].update(source=7),
+     ": embeddings.B.source: expected an object, got a number"),
+    ("check-commuting-isotopy", "commuting_isotopy.json",
+     lambda doc: doc.update(factor_isotopies=3),
+     ": factor_isotopies: expected an object, got a number"),
+    ("extend", "isotopy_chain.json",
+     lambda doc: doc["chain"].append(None),
+     ": chain[2]: expected an object, got null"),
+])
+def test_section_of_wrong_json_type_is_input_error(command, name, edit, message,
+                                                   fixture_path, tmp_path,
+                                                   capsys):
+    path = _fixture_with(fixture_path, tmp_path, name, edit)
+    assert message in _input_error(capsys, command, path)

@@ -2,7 +2,10 @@
 barcode, recorded before the linear algebra behind them went sparse, of
 check-ainf, recorded before the relation scan was compiled into insertion
 plans and the monoid enumeration was kept, and of the isotopy commands,
-recorded before the pseudoisotopy sums moved onto the same insertion plans.
+recorded before the pseudoisotopy sums moved onto the same insertion plans,
+and of torus-suite, check-unit, check-subalgebra, check-commuting, mc-defect
+and box-product, recorded before the torus calculus and the relation scan
+moved onto integers and K was kept per basis pair.
 
 Report determinism (criterion 10) compares two runs of the same code; these
 digests pin the bytes across code changes, so a different choice of
@@ -172,6 +175,53 @@ ISOTOPY = {
 }
 
 
+# The remaining commands: (command, document or None, extra arguments) ->
+# (exit code, report digest). torus-suite reads no document. The flips reach
+# the anticommutator and K-insertion clauses of check-commuting and the
+# restriction clause of check-subalgebra.
+COMMANDS = {
+    ("torus-suite", None, ("--seed", "1", "--trials", "200")):
+        (0, "51fb3bdd1fdf3abd6d40d1922092e6232073b7c257fe393ba8d5d2ba6abb2e4d"),
+    ("torus-suite", None, ("--seed", "2", "--trials", "200")):
+        (0, "fda84bac99685bc27c82a7a841ec8e6d400bc396e86bc2df841deebb048c75d2"),
+    ("torus-suite", None, ("--seed", "3", "--trials", "200")):
+        (0, "5df671ab6ec25da35b46b74fdc43d89ee16f01cc1213436bfb1d841b635a79de"),
+    ("torus-suite", None, ("--seed", "0", "--trials", "1")):
+        (0, "5af853bb3e6c0a6fd93319275f5d1218ffc6b4a00bfaec5d108fb1519d88be63"),
+    ("check-unit", "derham_t2", ()):
+        (0, "f901b67bf130bf16ef9944502ef070335cfa9400403a8376f4165ee475fb6464"),
+    ("check-unit", "curved_line_1_2", ()):
+        (0, "f901b67bf130bf16ef9944502ef070335cfa9400403a8376f4165ee475fb6464"),
+    ("check-subalgebra", "kunneth_derham", ("--embedding", "A")):
+        (0, "b8775021dd172e515da408d62b2868a6592b0043a3d0bb2fa92012871ea600f1"),
+    ("check-subalgebra", "kunneth_derham", ("--embedding", "B")):
+        (0, "b8775021dd172e515da408d62b2868a6592b0043a3d0bb2fa92012871ea600f1"),
+    ("check-subalgebra", "kunneth_derham",
+     ("--mutate", "flip:m2:0/0:f1_0;d,f1_0;d->f2_0;d")):
+        (1, "d951c49c26e0b53501f851fc180229c3fdab248bf48048c51680cc890ea6a333"),
+    ("check-commuting", "kunneth_derham", ()):
+        (0, "6f876cd2bbb3c53d70f576c9e10a6e58ccbabd81a04fb4bcb3ac5d3701565e70"),
+    ("check-commuting", "kunneth_minimal", ()):
+        (0, "6f876cd2bbb3c53d70f576c9e10a6e58ccbabd81a04fb4bcb3ac5d3701565e70"),
+    ("check-commuting", "kunneth_derham",
+     ("--mutate", "flip:m2:0/0:f1_0;d,f0_1;d->f1_1;d")):
+        (1, "1801dbbb7e190614e86199ac4bb0ec7638d58ddac617b6706e886706e9ed2c9c"),
+    ("check-commuting", "kunneth_derham",
+     ("--mutate", "flip:m1:0/0:f1_0;d->f1_0;d1")):
+        (1, "db62853bab48b2b203e00701d393658fc67c447b37e44cdf1b83a9fae530869a"),
+    ("mc-defect", "gapped_product", ("--cutoff", "2")):
+        (0, "f2f1308b42466f6a5705947a28ebb39d85de1455c746df26c41c856730cfb8e6"),
+    ("mc-defect", "gapped_product", ("--cutoff", "4")):
+        (0, "f2f1308b42466f6a5705947a28ebb39d85de1455c746df26c41c856730cfb8e6"),
+    ("mc-defect", "gapped_product", ("--cutoff", "6")):
+        (0, "f2f1308b42466f6a5705947a28ebb39d85de1455c746df26c41c856730cfb8e6"),
+    ("mc-defect", "gapped_product", ("--cutoff", "8")):
+        (0, "f2f1308b42466f6a5705947a28ebb39d85de1455c746df26c41c856730cfb8e6"),
+    ("box-product", "gapped_product", ()):
+        (0, "b7ac27762764ac135af8e8f7fb6d09287d7c93bd0d56ee8ab17343ab62a22296"),
+}
+
+
 def curved_line(cutoff):
     """Curvature 3z at (1/20, 0) and -5e at (1/20, 2) over the monoid
     generated by (1/20, 0), (1/19, 0), (1/20, 2), modulo T^cutoff."""
@@ -242,3 +292,17 @@ def test_isotopy_report_bytes_match_golden(command, name, extra, fixture_path,
     capsys.readouterr()
     digest = hashlib.sha256(dest.read_bytes()).hexdigest()
     assert (code, digest) == ISOTOPY[(command, name, extra)]
+
+
+@pytest.mark.parametrize("command,name,extra", sorted(
+    COMMANDS, key=lambda key: (key[0], key[1] or "", key[2])))
+def test_command_report_bytes_match_golden(command, name, extra, documents,
+                                           fixture_path, tmp_path, capsys):
+    dest = tmp_path / "report.json"
+    argv = [command, *extra]
+    if name is not None:
+        argv.insert(1, documents.get(name) or fixture_path(f"{name}.json"))
+    code = main([*argv, "--report", str(dest)])
+    capsys.readouterr()
+    digest = hashlib.sha256(dest.read_bytes()).hexdigest()
+    assert (code, digest) == COMMANDS[(command, name, extra)]

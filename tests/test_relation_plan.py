@@ -7,7 +7,8 @@ and membership query from its largest enumeration so far. The per-tuple scan
 below rebuilds the beta-splits from a fresh enumeration, the Koszul signs and
 the defect element on every tuple, as the scan did before it was compiled.
 It stays here as a differential oracle: reports must agree exactly, down to
-which counterexample comes first.
+which counterexample comes first. The scan itself runs over the integer
+table `integer_ops`; the same scan over the Fraction table is its oracle.
 """
 
 from fractions import Fraction
@@ -25,6 +26,8 @@ from ainfkit.ainf import (
     check_ainf,
     constant_ids,
     flip_constant,
+    integer_ops,
+    relation_violations,
 )
 from ainfkit.isotopy import Pseudoisotopy, flip_isotopy_constant, \
     isotopy_constant_ids
@@ -35,7 +38,7 @@ from ainfkit.models import (
     two_factor_gapped,
 )
 from ainfkit.scalars import BETA_ZERO, EnergyMonoid, NovikovElement
-from ainfkit.signs import koszul_prefix_sign
+from ainfkit.signs import koszul_prefix_sign, shifted_parities
 
 
 # -- the replaced code, kept as the oracle ---------------------------------------
@@ -155,7 +158,7 @@ generators = st.lists(
 
 
 @st.composite
-def sparse_algebras(draw):
+def sparse_algebras(draw, denominators=st.sampled_from([1, 1, 2])):
     """Degree-consistent sparse tables over a rich monoid, gapped or
     truncated, with curvature m_0, an optional window, and no promise that
     the relations hold."""
@@ -180,7 +183,7 @@ def sparse_algebras(draw):
             continue
         beta, out = draw(st.sampled_from(keys))
         coeff = Fraction(draw(st.sampled_from([-3, -2, -1, 1, 2, 3])),
-                         draw(st.sampled_from([1, 1, 2])))
+                         draw(denominators))
         ops.setdefault((k, beta), {}).setdefault(inputs, {})[out] = coeff
     window = None
     if draw(st.booleans()):
@@ -243,6 +246,42 @@ def test_ainf_defect_matches_per_tuple_defect(alg, data):
     names = tuple(data.draw(st.lists(st.sampled_from(alg.names),
                                      min_size=n, max_size=n)))
     assert ainf_defect(alg, beta, names) == oracle_defect(alg, beta, names)
+
+
+def first_violations(alg, ops):
+    """(beta, n, names) of each first violation of the scan over ops."""
+    n_bound = max(2 * alg.max_arity() - 1, 0)
+
+    def tuples(n):
+        return product(alg.names if n == 1 else alg.window, repeat=n)
+
+    return [(beta, n, names) for beta, n, names, _ in relation_violations(
+        ops, shifted_parities(dict(alg.basis)), alg.beta_range(), n_bound,
+        tuples)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(sparse_algebras(st.integers(2, 12)), st.data())
+def test_integer_scan_matches_fraction_scan(alg, data):
+    """The bundled fixtures hold integer constants only, so the scaling to
+    integers is checked on random denominators: the Fraction scan stays as
+    the oracle of the integer one, before and after one flip."""
+    algebras = [alg]
+    ids = constant_ids(alg)
+    if ids:
+        algebras.append(flip_constant(alg, data.draw(st.sampled_from(ids))))
+    for a in algebras:
+        assert first_violations(a, integer_ops(a.ops)) == \
+            first_violations(a, a.ops)
+        assert check_ainf(a) == oracle_check_ainf(a)
+
+
+def test_integer_ops_scales_by_the_common_denominator():
+    ops = {(1, BETA_ZERO): {("x",): {"y": Fraction(1, 4)}},
+           (2, BETA_ZERO): {("x", "y"): {"y": Fraction(-5, 6), "x": Fraction(3)}}}
+    assert integer_ops(ops) == {(1, BETA_ZERO): {("x",): {"y": 3}},
+                                (2, BETA_ZERO): {("x", "y"): {"y": -10, "x": 36}}}
+    assert integer_ops({}) == {}
 
 
 def test_ainf_defect_rejects_beta_outside_monoid():

@@ -112,3 +112,49 @@ def test_json_roundtrip():
     assert NovikovElement.from_json(x.to_json()) == x
     g = EnergyMonoid([(1, 0), (Fraction(1, 2), -2)])
     assert EnergyMonoid.from_json(g.to_json()) == g
+
+
+# -- the regex-free parser against the Fraction(str) parser it replaced ---------------
+
+def oracle_frac(x) -> Fraction:
+    """`frac` as it was before "p" and "p/q" were read with int."""
+    if isinstance(x, Fraction):
+        return x
+    if isinstance(x, int):
+        return Fraction(x)
+    if isinstance(x, str):
+        try:
+            return Fraction(x)
+        except ZeroDivisionError:
+            raise ZeroDivisionError(f"zero denominator in {x!r}") from None
+    raise TypeError(f"cannot coerce {x!r} to an exact rational")
+
+
+def outcome(parse, text):
+    """(value, None) or (None, (exception type, message))."""
+    try:
+        value = parse(text)
+    except Exception as exc:  # noqa: BLE001 - the exception is the outcome
+        return None, (type(exc), str(exc))
+    assert type(value) is Fraction
+    return value, None
+
+
+PARSER_CASES = ["0", "-0", "+3", " 1/2 ", "3/-4", "1/0", "0/0", "1.5", "1e3",
+                "007", "1/007", "", "abc", "1_000", "-12/18", "5", "-7/1",
+                "1 / 2", "/2", "2/", "-", "--1", "1/2/3", "١/2", "²",
+                "1/٢", "-1/-2", "12345678901234567890/3"]
+
+
+@pytest.mark.parametrize("text", PARSER_CASES)
+def test_frac_parses_like_fraction_str(text):
+    assert outcome(frac, text) == outcome(oracle_frac, text)
+
+
+@given(st.one_of(
+    st.text(),
+    st.text(alphabet="0123456789-+/ ._eE", max_size=8),
+    st.builds("{}/{}".format, st.integers(-10 ** 6, 10 ** 6),
+              st.integers(0, 10 ** 6))))
+def test_frac_parses_like_fraction_str_on_any_text(text):
+    assert outcome(frac, text) == outcome(oracle_frac, text)
