@@ -352,6 +352,42 @@ def eval_op(alg: AInfAlgebra, k: int, beta, inputs) -> AlgElement:
     return AlgElement(acc, trunc)
 
 
+def eval_table(ops, k, beta, inputs) -> dict:
+    """The multilinear extension of the stored table ops[(k, beta)] to sparse
+    elements {name: coefficient}: {output: coefficient}, zeros dropped.  The
+    coefficients may be Fractions or t-polynomials; (k, beta) must be in the
+    stored key form."""
+    table = ops.get((k, beta))
+    acc = {}
+    if not table:
+        return acc
+    for combo in product(*[inp.items() for inp in inputs]):
+        hit = table.get(tuple(nm for nm, _ in combo))
+        if not hit:
+            continue
+        factor = combo[0][1] if combo else None
+        for _, c in combo[1:]:
+            factor = factor * c
+        add_into(acc, hit, factor)
+    return {out: c for out, c in acc.items() if c}
+
+
+def add_into(acc: dict, vec: dict, scale=None):
+    """acc += scale * vec on sparse elements; no scale means 1."""
+    for out, c in vec.items():
+        term = c if scale is None else scale * c
+        acc[out] = acc[out] + term if out in acc else term
+
+
+def linear_image(images: dict, elem: dict) -> dict:
+    """The image of a sparse element under the linear map that sends each
+    basis name to images[name] (a sparse element), zeros dropped."""
+    acc = {}
+    for nm, c in elem.items():
+        add_into(acc, images[nm], c)
+    return {out: v for out, v in acc.items() if v}
+
+
 def differential_matrix(alg: AInfAlgebra):
     """mu_{1,0} as columns over the basis, entries Fractions."""
     idx = {nm: i for i, nm in enumerate(alg.names)}

@@ -31,7 +31,12 @@ from ainfkit.isotopy import (
     extend_to,
     flip_isotopy_constant,
 )
-from ainfkit.kunneth import box_product, check_commuting, check_subalgebra
+from ainfkit.kunneth import (
+    box_product,
+    check_commuting,
+    check_kunneth_hypothesis,
+    check_subalgebra,
+)
 from ainfkit.scalars import frac, frac_str
 from ainfkit.specio import SpecError, dump_document, load_spec
 from ainfkit.torus import appendix_suite
@@ -82,6 +87,10 @@ def _cmd_check_subalgebra(doc, args):
 def _cmd_check_commuting(doc, args):
     emb_a, emb_b = doc.embedding_pair()
     return check_commuting(emb_a, emb_b)
+
+
+def _cmd_check_kunneth(doc, args):
+    return check_kunneth_hypothesis(*doc.embedding_pair())
 
 
 def _cmd_mc_defect(doc, args):
@@ -188,6 +197,7 @@ _SPEC_COMMANDS = {
     "check-unit": _cmd_check_unit,
     "check-subalgebra": _cmd_check_subalgebra,
     "check-commuting": _cmd_check_commuting,
+    "check-kunneth": _cmd_check_kunneth,
     "mc-defect": _cmd_mc_defect,
     "box-product": _cmd_box_product,
     "cohomology": _cmd_cohomology,
@@ -227,6 +237,7 @@ def build_parser() -> argparse.ArgumentParser:
     add("check-unit", "verify the strict unit axioms")
     add("check-subalgebra", "verify one factor embedding", needs_embedding=True)
     add("check-commuting", "verify the commuting-pair conditions")
+    add("check-kunneth", "verify that K is a quasi-isomorphism at beta = 0")
     add("mc-defect", "curvature of a bounding candidate", needs_bounding=True)
     add("box-product", "combine factor bounding cochains")
     add("cohomology", "classical cohomology of the energy-zero differential")

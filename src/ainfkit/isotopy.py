@@ -43,10 +43,11 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import product
 
-from ainfkit.ainf import (AInfAlgebra, AlgElement, beta_from_json, beta_json,
-                          beta_norm, insertion_plan, insertion_sum,
-                          parse_constant_id, relation_violations, replaced)
-from ainfkit.kunneth import kunneth_K
+from ainfkit.ainf import (AInfAlgebra, add_into, beta_from_json, beta_json,
+                          beta_norm, eval_table, insertion_plan, insertion_sum,
+                          linear_image, parse_constant_id, relation_violations,
+                          replaced)
+from ainfkit.kunneth import kunneth_K_table
 from ainfkit.poly import Poly
 from ainfkit.scalars import BETA_ZERO, EnergyMonoid, frac, frac_str, monoid_sum
 from ainfkit.signs import shifted, shifted_parities, sign_pow
@@ -210,41 +211,6 @@ class Pseudoisotopy:
         )
 
 
-# -- polynomial-coefficient evaluation --------------------------------------------
-
-def poly_elem(name) -> dict:
-    return {name: Poly.ONE}
-
-
-def eval_poly_op(tables, k, beta, inputs) -> dict:
-    """Multilinear evaluation of a polynomial family on poly-coefficient
-    elements (dicts name -> Poly).  Returns a dict name -> Poly."""
-    table = tables.get((int(k), beta_norm(beta)))
-    out = {}
-    if not table:
-        return out
-    for combo in product(*[list(inp.items()) for inp in inputs]):
-        names = tuple(nm for nm, _ in combo)
-        hit = table.get(names)
-        if not hit:
-            continue
-        factor = Poly.ONE
-        for _, p in combo:
-            factor = factor * p
-        if factor.is_zero():
-            continue
-        for o, poly in hit.items():
-            term = factor * poly
-            out[o] = out[o] + term if o in out else term
-    return {o: p for o, p in out.items() if not p.is_zero()}
-
-
-def _add_into(acc, contrib, scale=1):
-    for o, p in contrib.items():
-        term = p * scale
-        acc[o] = acc[o] + term if o in acc else term
-
-
 def isotopy_sums(P: Pseudoisotopy, k, beta):
     """The two mixed sums of the differential equation at (beta, k), as
     insertion plans, each paired with the parity map of its sign:
@@ -293,8 +259,8 @@ def check_pseudoisotopy(P: Pseudoisotopy, m0: AInfAlgebra = None,
             for names in product(P.names, repeat=k):
                 acc = {out: poly.derivative() * pf
                        for out, poly in m_table.get(names, {}).items()}
-                _add_into(acc, insertion_sum(s1, unsigned, names), -1)
-                _add_into(acc, insertion_sum(s2, parity, names), 1)
+                add_into(acc, insertion_sum(s1, unsigned, names), -1)
+                add_into(acc, insertion_sum(s2, parity, names), 1)
                 acc = {o: p for o, p in acc.items() if p}
                 if acc:
                     violations.append({
@@ -367,9 +333,9 @@ def extend_one_level(m0: AInfAlgebra, m1: AInfAlgebra, P: Pseudoisotopy):
                 acc = {out: Poly.const(cf)
                        for out, cf in m1_table.get(names, {}).items()}
                 for out, poly in insertion_sum(s1, unsigned, names).items():
-                    _add_into(acc, {out: poly.integral_from_to_one()}, sign_n)
+                    add_into(acc, {out: poly.integral_from_to_one()}, sign_n)
                 for out, poly in insertion_sum(s2, parity, names).items():
-                    _add_into(acc, {out: poly.integral_from_to_one()}, -sign_n)
+                    add_into(acc, {out: poly.integral_from_to_one()}, -sign_n)
                 acc = {o: p for o, p in acc.items() if p}
                 if acc:
                     new_tau_tables.setdefault((k, beta), {})[names] = acc
@@ -409,19 +375,6 @@ def extend_to(m0: AInfAlgebra, chain):
 
 # -- commuting pairs of isotopies -----------------------------------------------------
 
-def _iota_poly(emb, name) -> dict:
-    return {tgt: Poly.const(c) for tgt, c in emb.iota[name].items()}
-
-
-def _apply_iota_poly(emb, elem: dict) -> dict:
-    out = {}
-    for nm, p in elem.items():
-        for tgt, c in emb.iota[nm].items():
-            term = p * c
-            out[tgt] = out[tgt] + term if tgt in out else term
-    return {o: p for o, p in out.items() if not p.is_zero()}
-
-
 def check_commuting_isotopy(PC: Pseudoisotopy, PA: Pseudoisotopy,
                             PB: Pseudoisotopy, embA, embB) -> dict:
     """Product-compatibility of an isotopy with two factor isotopies.
@@ -451,18 +404,8 @@ def check_commuting_isotopy(PC: Pseudoisotopy, PA: Pseudoisotopy,
     n1, n2 = PA.n, PB.n
     a_names, b_names = PA.names, PB.names
     a_unit, b_unit = embA.source.unit, embB.source.unit
-    K0 = kunneth_K(embA, embB)
-    k_values = {}
-
-    def k_pair(na, nb) -> dict:
-        """K(na (x) nb) with constant Poly coefficients, computed once."""
-        if (na, nb) not in k_values:
-            val = K0(AlgElement.basis(na, embA.source.truncation),
-                     AlgElement.basis(nb, embB.source.truncation))
-            k_values[(na, nb)] = {o: Poly.const(nov.coefficient(0))
-                                  for o, nov in val.coeffs.items()}
-        return k_values[(na, nb)]
-
+    k_values = {pair: {o: Poly.const(v) for o, v in val.items()}
+                for pair, val in kunneth_K_table(embA, embB).items()}
     violations = []
 
     def record(clause, beta, detail):
@@ -476,7 +419,8 @@ def check_commuting_isotopy(PC: Pseudoisotopy, PA: Pseudoisotopy,
         [("B", nm) for nm in b_names if nm != b_unit]
 
     def tag_elem(t):
-        return _iota_poly(embA if t[0] == "A" else embB, t[1])
+        return {tgt: Poly.const(c) for tgt, c in
+                (embA if t[0] == "A" else embB).iota[t[1]].items()}
 
     def tag_deg(t):
         return (PA if t[0] == "A" else PB).degree(t[1])
@@ -498,8 +442,8 @@ def check_commuting_isotopy(PC: Pseudoisotopy, PA: Pseudoisotopy,
 
     def factor_names(tup, side):
         if side == "A":
-            return [t[1] for t in tup]
-        return [t[1] if t[0] == "B" else b_unit for t in tup]
+            return tuple(t[1] for t in tup)
+        return tuple(t[1] if t[0] == "B" else b_unit for t in tup)
 
     for beta in betas:
         in_ga = beta in PA.monoid
@@ -510,7 +454,7 @@ def check_commuting_isotopy(PC: Pseudoisotopy, PA: Pseudoisotopy,
                 side = side_of(tup)
                 elems = [tag_elem(t) for t in tup]
                 for fam, c_tab, a_tab, b_tab, extra_a, extra_b in fam_pairs():
-                    lhs = eval_poly_op(c_tab, k, beta, elems)
+                    lhs = eval_table(c_tab, k, beta, elems)
                     if side == "mixed":
                         # Mixed tuples vanish; the one exception is the
                         # graded anticommutator of the t-independent (2, 0)
@@ -525,19 +469,15 @@ def check_commuting_isotopy(PC: Pseudoisotopy, PA: Pseudoisotopy,
                     # the expected curvature is the sum of both reductions.
                     expected = {}
                     if (side == "A" or k == 0) and in_ga:
-                        inner = eval_poly_op(
-                            a_tab, k, beta,
-                            [poly_elem(nm) for nm in factor_names(tup, "A")])
-                        for o, p in _apply_iota_poly(embA, inner).items():
-                            term = p * sign_pow(extra_a) if fam == "c" else p
-                            expected[o] = expected.get(o, Poly.ZERO) + term
+                        inner = a_tab.get((k, beta), {}).get(
+                            factor_names(tup, "A"), {})
+                        add_into(expected, linear_image(embA.iota, inner),
+                                 sign_pow(extra_a) if fam == "c" else None)
                     if (side == "B" or k == 0) and in_gb:
-                        inner = eval_poly_op(
-                            b_tab, k, beta,
-                            [poly_elem(nm) for nm in factor_names(tup, "B")])
-                        for o, p in _apply_iota_poly(embB, inner).items():
-                            term = p * sign_pow(extra_b) if fam == "c" else p
-                            expected[o] = expected.get(o, Poly.ZERO) + term
+                        inner = b_tab.get((k, beta), {}).get(
+                            factor_names(tup, "B"), {})
+                        add_into(expected, linear_image(embB.iota, inner),
+                                 sign_pow(extra_b) if fam == "c" else None)
                     expected = {o: p for o, p in expected.items()
                                 if not p.is_zero()}
                     # A tuple drawn from the wrong factor for this beta (or a
@@ -571,44 +511,30 @@ def check_commuting_isotopy(PC: Pseudoisotopy, PA: Pseudoisotopy,
                         for nb in b_window:
                             da = embA.source.degree(na)
                             db = embB.source.degree(nb)
-                            mid = k_pair(na, nb)
+                            mid = k_values[(na, nb)]
                             args = plain_elems[:i] + [mid] + plain_elems[i:]
                             for fam, c_tab, a_tab, b_tab, extra_a, extra_b \
                                     in fam_pairs():
-                                lhs = eval_poly_op(c_tab, k + 1, beta, args)
+                                lhs = eval_table(c_tab, k + 1, beta, args)
                                 expected = {}
                                 if apply_a:
-                                    inner_args = [poly_elem(nm)
-                                                  for nm in a_plain[:i]] + \
-                                        [poly_elem(na)] + \
-                                        [poly_elem(nm) for nm in a_plain[i:]]
-                                    inner = eval_poly_op(
-                                        a_tab, k + 1, beta, inner_args)
+                                    inner = a_tab.get((k + 1, beta), {}).get(
+                                        a_plain[:i] + (na,) + a_plain[i:], {})
                                     s = sign_pow(
                                         db * sum(shifted(d)
                                                  for d in plain_degs[i:])
                                         + (extra_a if fam == "c" else 0))
                                     for nm2, p in inner.items():
-                                        for o, q in k_pair(nm2, nb).items():
-                                            term = p * q * s
-                                            expected[o] = expected.get(
-                                                o, Poly.ZERO) + term
+                                        add_into(expected, k_values[(nm2, nb)], p * s)
                                 if apply_b:
-                                    inner_args = [poly_elem(nm)
-                                                  for nm in b_plain[:i]] + \
-                                        [poly_elem(nb)] + \
-                                        [poly_elem(nm) for nm in b_plain[i:]]
-                                    inner = eval_poly_op(
-                                        b_tab, k + 1, beta, inner_args)
+                                    inner = b_tab.get((k + 1, beta), {}).get(
+                                        b_plain[:i] + (nb,) + b_plain[i:], {})
                                     s = sign_pow(
                                         da * (1 + sum(shifted(d)
                                                       for d in plain_degs[:i]))
                                         + (extra_b if fam == "c" else 0))
                                     for nm2, p in inner.items():
-                                        for o, q in k_pair(na, nm2).items():
-                                            term = p * q * s
-                                            expected[o] = expected.get(
-                                                o, Poly.ZERO) + term
+                                        add_into(expected, k_values[(na, nm2)], p * s)
                                 expected = {o: p for o, p in expected.items()
                                             if not p.is_zero()}
                                 if lhs != expected:

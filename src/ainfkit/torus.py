@@ -352,10 +352,8 @@ class TorusMap:
 
     @staticmethod
     def projection(source_dim: int, coords) -> "TorusMap":
-        coords = tuple(coords)
-        rows = [tuple(1 if j == c else 0 for j in range(1, source_dim + 1))
-                for c in coords]
-        return TorusMap(source_dim, len(coords), rows, proj_coords=coords)
+        phi = _projection(source_dim, coords)
+        return TorusMap(source_dim, phi.target_dim, phi.rows, phi.proj_coords)
 
     @staticmethod
     def identity(dim: int) -> "TorusMap":
@@ -374,15 +372,15 @@ class TorusMap:
         """self after other (source of self = target of other)."""
         if self.source_dim != other.target_dim:
             raise ValueError("composition dimension mismatch")
-        rows = [
+        rows = tuple(
             tuple(sum(self.rows[i][k] * other.rows[k][j] for k in range(self.source_dim))
                   for j in range(other.source_dim))
             for i in range(self.target_dim)
-        ]
+        )
         pc = None
         if self.is_projection() and other.is_projection():
             pc = tuple(other.proj_coords[c - 1] for c in self.proj_coords)
-        return TorusMap(other.source_dim, self.target_dim, rows, proj_coords=pc)
+        return _map(other.source_dim, self.target_dim, rows, pc)
 
     def __eq__(self, other):
         return (isinstance(other, TorusMap) and self.source_dim == other.source_dim
@@ -392,6 +390,26 @@ class TorusMap:
         if self.is_projection():
             return f"TorusMap(T^{self.source_dim} -> T^{self.target_dim}, proj {self.proj_coords})"
         return f"TorusMap(T^{self.source_dim} -> T^{self.target_dim}, {self.rows})"
+
+
+def _map(source_dim: int, target_dim: int, rows, proj_coords=None) -> TorusMap:
+    """The map with these rows, which must already be valid: a tuple of
+    target_dim tuples of source_dim ints, and proj_coords None or a tuple of
+    ascending source coordinates.  Nothing is checked."""
+    phi = object.__new__(TorusMap)
+    for slot, value in zip(TorusMap.__slots__,
+                           (source_dim, target_dim, rows, proj_coords)):
+        object.__setattr__(phi, slot, value)
+    return phi
+
+
+def _projection(source_dim: int, coords) -> TorusMap:
+    """The coordinate projection onto coords, which must already be
+    ascending source coordinates; unchecked."""
+    coords = tuple(coords)
+    return _map(source_dim, len(coords),
+                tuple(tuple(int(j == c) for j in range(1, source_dim + 1))
+                      for c in coords), coords)
 
 
 def pullback(phi: TorusMap, alpha: TorusForm) -> TorusForm:
@@ -494,8 +512,8 @@ def total_integral(alpha: TorusForm) -> QI:
 def cross_product(alpha: TorusForm, beta: TorusForm) -> TorusForm:
     """alpha x beta = p1^* alpha ^ p2^* beta on the product torus."""
     n1, n2 = alpha.dim, beta.dim
-    p1 = TorusMap.projection(n1 + n2, range(1, n1 + 1))
-    p2 = TorusMap.projection(n1 + n2, range(n1 + 1, n1 + n2 + 1))
+    p1 = _projection(n1 + n2, range(1, n1 + 1))
+    p2 = _projection(n1 + n2, range(n1 + 1, n1 + n2 + 1))
     return form_wedge(pullback(p1, alpha), pullback(p2, beta))
 
 
@@ -521,8 +539,8 @@ def fiber_product_assemble(pi: TorusMap, g: TorusMap):
         else:
             grow = g.rows[base_slot[c] - 1]
             rows.append((0,) * k + tuple(grow))
-    p1 = TorusMap(pdim, pi.source_dim, rows)
-    p2 = TorusMap.projection(pdim, range(k + 1, pdim + 1))
+    p1 = _map(pdim, pi.source_dim, tuple(rows))
+    p2 = _projection(pdim, range(k + 1, pdim + 1))
     return pdim, p1, p2
 
 
@@ -557,12 +575,13 @@ def random_form(rng, dim: int, degree=None, max_terms=3) -> TorusForm:
 
 def _random_projection(rng, source_dim: int, target_dim: int) -> TorusMap:
     coords = sorted(rng.sample(range(1, source_dim + 1), target_dim))
-    return TorusMap.projection(source_dim, coords)
+    return _projection(source_dim, coords)
 
 
 def _random_linear(rng, source_dim: int, target_dim: int) -> TorusMap:
-    rows = [[rng.randint(-2, 2) for _ in range(source_dim)] for _ in range(target_dim)]
-    return TorusMap(source_dim, target_dim, rows)
+    return _map(source_dim, target_dim, tuple(
+        tuple(rng.randint(-2, 2) for _ in range(source_dim))
+        for _ in range(target_dim)))
 
 
 def _run_group(name, trials, instance):
@@ -633,13 +652,13 @@ def appendix_suite(seed: int, trials: int) -> dict:
         n1, k1 = rng.randint(0, 1), rng.randint(1, 2)
         n2, k2 = rng.randint(0, 1), rng.randint(1, 2)
         m1, m2 = n1 + k1, n2 + k2
-        pi1 = TorusMap.projection(m1, range(k1 + 1, m1 + 1))
-        pi2 = TorusMap.projection(m2, range(k2 + 1, m2 + 1))
+        pi1 = _projection(m1, range(k1 + 1, m1 + 1))
+        pi2 = _projection(m2, range(k2 + 1, m2 + 1))
         rho1 = random_form(rng, m1, degree=rng.randint(0, m1))
         rho2 = random_form(rng, m2, degree=rng.randint(0, m2))
         fibers = tuple(range(1, k1 + 1)) + tuple(range(m1 + 1, m1 + k2 + 1))
         kept = tuple(c for c in range(1, m1 + m2 + 1) if c not in fibers)
-        prod = TorusMap.projection(m1 + m2, kept)
+        prod = _projection(m1 + m2, kept)
         lhs = fiber_pushforward(prod, cross_product(rho1, rho2))
         sign = -1 if (k2 * (n1 + k1 + rho1.degree())) % 2 else 1
         rhs = cross_product(fiber_pushforward(pi1, rho1), fiber_pushforward(pi2, rho2))
@@ -653,7 +672,7 @@ def appendix_suite(seed: int, trials: int) -> dict:
         m = n + k
         f = _random_projection(rng, m, n + l)
         base = sorted(rng.sample(range(1, n + l + 1), n)) if n else []
-        g = TorusMap.projection(n + l, base)
+        g = _projection(n + l, base)
         pi = g.compose(f)
         alpha = random_form(rng, n + l)
         res = fiber_pushforward(pi, pullback(f, alpha))

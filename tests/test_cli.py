@@ -67,6 +67,32 @@ def test_subalgebra_and_commuting(fixture_path, capsys):
     assert code == 0 and report["status"] == "PASS"
 
 
+def test_check_kunneth(fixture_path, capsys):
+    code, report = run(capsys, "check-kunneth",
+                       fixture_path("kunneth_derham.json"))
+    assert code == 0 and report["status"] == "PASS"
+    # m_2 is stored where one factor lies in its window (|frequency| <= 1);
+    # the 16 pairs of frequency +-2 in both factors are out of scope.
+    assert report["tensor_dim"] == report["K_rank"] == 84
+    assert len(report["excluded_pairs"]) == 16
+    assert all(na.startswith(("f-2;", "f2;")) and nb.startswith(("f-2;", "f2;"))
+               for na, nb in report["excluded_pairs"])
+    assert report["chain_map"] and report["cohomology_bijective"]
+    code, report = run(capsys, "check-kunneth",
+                       fixture_path("kunneth_minimal.json"))
+    assert code == 0 and report["status"] == "PASS"
+    assert (report["tensor_dim"], report["excluded_pairs"]) == (4, [])
+    # K(f1;d (x) f1;d) is m_2(f1_0;d, f0_1;d) up to sign: negating it leaves
+    # K injective but no longer a chain map.
+    code, report = run(capsys, "check-kunneth",
+                       fixture_path("kunneth_derham.json"),
+                       "--mutate", "flip:m2:0/0:f1_0;d,f0_1;d->f1_1;d")
+    assert code == 1 and report["status"] == "FAIL"
+    assert report["injective"] and not report["chain_map"]
+    err = _input_error(capsys, "check-kunneth", fixture_path("derham_t2.json"))
+    assert "embeddings" in err
+
+
 def test_mc_defect_and_box_product(fixture_path, capsys):
     code, report = run(capsys, "mc-defect", fixture_path("gapped_product.json"))
     assert code == 0

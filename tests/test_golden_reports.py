@@ -5,7 +5,9 @@ plans and the monoid enumeration was kept, and of the isotopy commands,
 recorded before the pseudoisotopy sums moved onto the same insertion plans,
 and of torus-suite, check-unit, check-subalgebra, check-commuting, mc-defect
 and box-product, recorded before the torus calculus and the relation scan
-moved onto integers and K was kept per basis pair.
+moved onto integers and K was kept per basis pair, and more check-commuting
+and check-subalgebra reports, recorded before those scans became lookups into
+the stored tables.
 
 Report determinism (criterion 10) compares two runs of the same code; these
 digests pin the bytes across code changes, so a different choice of
@@ -219,6 +221,46 @@ COMMANDS = {
         (0, "f2f1308b42466f6a5705947a28ebb39d85de1455c746df26c41c856730cfb8e6"),
     ("box-product", "gapped_product", ()):
         (0, "b7ac27762764ac135af8e8f7fb6d09287d7c93bd0d56ee8ab17343ab62a22296"),
+    # Recorded at c9f57b7, before check-commuting and check-subalgebra moved
+    # onto table lookups: flips that reach every clause (c-insertion from an
+    # all-A and an all-B plain tuple), nonzero beta (gapped_product), and a
+    # document whose violation lists reach both caps (stray_product).
+    ("check-commuting", "gapped_product", ()):
+        (0, "6f876cd2bbb3c53d70f576c9e10a6e58ccbabd81a04fb4bcb3ac5d3701565e70"),
+    ("check-commuting", "gapped_product", ("--mutate", "flip:m0:1/0:->zA|eB")):
+        (1, "756c7dc0e05bfa175d7be2a093cca4040f58a643d0cf21c7194c813afc8146ea"),
+    ("check-commuting", "gapped_product",
+     ("--mutate", "flip:m2:0/0:xA|eB,eA|xB->xA|xB")):
+        (1, "4f78e567a960825203a46bedaec92b88661b29f06b1015babe13fa7398a44fbb"),
+    ("check-commuting", "kunneth_derham",
+     ("--mutate", "flip:m2:0/0:f-1_-1;d,f-1_0;d->f-2_-1;d")):
+        (1, "b4b613dfeafe6d90634849cadb51759599d157f072f14d7aeb909e3de3900f98"),
+    ("check-commuting", "kunneth_derham",
+     ("--mutate", "flip:m2:0/0:f-1_-1;d,f0_-1;d->f-1_-2;d")):
+        (1, "302005090717f0bc9473acfe56e5ba1d8ade0dd7f8a156b83c90b0afc58fd050"),
+    ("check-commuting", "kunneth_derham",
+     ("--mutate", "flip:m2:0/0:f0_0;d,f0_0;d->f0_0;d")):
+        (1, "699e35409502f5df05d0df2098869153e004ecd4d20afad088eab8aec262ed9b"),
+    ("check-commuting", "kunneth_minimal",
+     ("--mutate", "flip:m2:0/0:f0_0;d1,f0_0;d2->f0_0;d12")):
+        (1, "8e14debd0900442d0fd737e54da32f2047d87725fead25667271b92e5b0c4aaf"),
+    ("check-commuting", "stray_product", ()):
+        (1, "51a17d70d1b6a71f5e22912de81865fc673251e4d2527fd5060bf2cfc3d05da7"),
+    ("check-commuting", "stray_product",
+     ("--mutate", "flip:m2:1/2/0:xA|eB,eA|xB->xA|xB")):
+        (1, "f7867a5fa4e9128036556555025c1fb22d697fecb021e22ae5632011001d10d9"),
+    ("check-subalgebra", "gapped_product", ("--embedding", "A")):
+        (0, "b8775021dd172e515da408d62b2868a6592b0043a3d0bb2fa92012871ea600f1"),
+    ("check-subalgebra", "gapped_product",
+     ("--embedding", "B", "--mutate", "flip:m1:0/0:eA|xB->eA|zB")):
+        (1, "1711ab6126e0ff406ac959feb7f96a57a594e128ac737a5dc5fb03c3da9b7c45"),
+    ("check-subalgebra", "kunneth_derham",
+     ("--embedding", "B", "--mutate", "flip:m1:0/0:f0_-1;d->f0_-1;d2")):
+        (1, "c989765ac88204512ce2bd17a57e46a69b589891b7b8441c7271707111471460"),
+    ("check-subalgebra", "stray_product", ("--embedding", "A")):
+        (1, "31b9e421df16a419bd09c1a043968116e09bb3a17a5206a7da6c59c791376da1"),
+    ("check-subalgebra", "stray_product", ("--embedding", "B")):
+        (1, "56c2aa546d9d55739f7f95403e2db56e48b412af056dbe6b8ea6c8c52fdc2088"),
 }
 
 
@@ -237,9 +279,25 @@ def curved_line(cutoff):
     return AInfAlgebra(basis, monoid, "modulo", cutoff, "e", ops)
 
 
-@pytest.fixture(scope="module")
-def documents(tmp_path_factory):
-    root = tmp_path_factory.mktemp("golden")
+def stray_product():
+    """gapped_product's target plus copies of its m_{1,0} and m_{2,0} tables
+    at the energies (1/2, 0), (1, 0) and (3/2, 0): mixed and pure tuples that
+    must vanish do not, and the violation lists reach both caps of
+    check-commuting."""
+    two = models.two_factor_gapped()
+    c = two["C"]
+    ops = dict(c.ops)
+    for energy in (Fraction(1, 2), Fraction(1), Fraction(3, 2)):
+        for k in (1, 2):
+            ops[(k, (energy, 0))] = c.ops[(k, BETA_ZERO)]
+    target = AInfAlgebra(c.basis, c.monoid, c.mode, c.cutoff, c.unit, ops,
+                         c.window)
+    return {"format": FORMAT, "algebra": target.to_json(),
+            "embeddings": {side: two[f"emb{side}"].to_json() for side in "AB"}}
+
+
+def write_documents(root):
+    """The generated documents the digests are taken on: {name: path}."""
     two = models.two_factor_gapped()
     generated = {
         "derham_1_4": (models.derham_model(1, 4), {}),
@@ -258,7 +316,15 @@ def documents(tmp_path_factory):
             "format": FORMAT,
             "algebra": curved_line(Fraction(cutoff)).to_json()}))
         paths[path.stem] = str(path)
+    path = root / "stray_product.json"
+    path.write_text(json.dumps(stray_product()))
+    paths[path.stem] = str(path)
     return paths
+
+
+@pytest.fixture(scope="module")
+def documents(tmp_path_factory):
+    return write_documents(tmp_path_factory.mktemp("golden"))
 
 
 @pytest.mark.parametrize("command,name", sorted(GOLDEN))

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from ainfkit.ainf import AlgElement, flip_constant, mc_defect
+from ainfkit.ainf import AlgElement, flip_constant, mc_defect, replaced
 from ainfkit.kunneth import (
     SubalgebraEmbedding,
     box_product,
@@ -59,6 +59,7 @@ def test_kunneth_hypothesis_minimal_torus_pair():
     report = check_kunneth_hypothesis(emb_a, emb_b)
     assert report["status"] == "PASS"
     assert report["K_rank"] == 4
+    assert report["excluded_pairs"] == []
     assert report["injective"]
     assert report["chain_map"]
     assert report["dim_H_source"] == 4
@@ -66,6 +67,22 @@ def test_kunneth_hypothesis_minimal_torus_pair():
     assert report["cohomology_bijective"]
     # classical count: 1, 2, 1 across degrees 0, 1, 2
     assert report["dims_by_degree_target"] == {"0": 1, "1": 2, "2": 1}
+
+
+def test_kunneth_hypothesis_window_scope():
+    emb_a, emb_b = derham_factor_embeddings(1, 1, 1)
+    report = check_kunneth_hypothesis(emb_a, emb_b)
+    assert report["status"] == "PASS"
+    assert report["K_rank"] == report["tensor_dim"] == 84
+    assert len(report["excluded_pairs"]) == 16
+    # A window that the differential leaves is an error, not a smaller scope.
+    src = emb_a.source
+    narrowed = replaced(src, window=tuple(nm for nm in src.window
+                                          if nm != "f1;d1"))
+    report = check_kunneth_hypothesis(replaced(emb_a, source=narrowed), emb_b)
+    assert report["status"] == "FAIL"
+    assert report["errors"] and all("leaves the window scope" in e
+                                    for e in report["errors"])
 
 
 def test_kunneth_K_values():

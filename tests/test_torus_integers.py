@@ -9,9 +9,12 @@ validating every key of every result, and `pullback` built from
 report that passes lists only its groups and trial counts: a kernel that
 returned the zero form, or lost a sign, would still pass every identity.
 Both calculi must give the same term dicts, with coefficients compared as
-(re, im) Fractions.
+(re, im) Fractions. Likewise `compose`, `fiber_product_assemble` and the
+random maps of the suite build their `TorusMap`s unchecked; the validating
+constructor and the previous builders stay as their oracle.
 """
 
+import random
 from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
@@ -302,6 +305,70 @@ def fiber_integrate(pi: TorusMap, alpha: TorusForm) -> TorusForm:
     return TorusForm(pi.target_dim, out)
 
 
+# -- the validating map constructors, kept as the oracle of the trusted ones --------
+# `compose`, `fiber_product_assemble`, `_random_linear` and `_random_projection`
+# build their maps unchecked; below, verbatim, they go through the validating
+# `TorusMap` constructor, as before.
+
+def projection(source_dim: int, coords) -> TorusMap:
+    coords = tuple(coords)
+    rows = [tuple(1 if j == c else 0 for j in range(1, source_dim + 1))
+            for c in coords]
+    return TorusMap(source_dim, len(coords), rows, proj_coords=coords)
+
+
+def compose(self, other: "TorusMap") -> "TorusMap":
+    """self after other (source of self = target of other)."""
+    if self.source_dim != other.target_dim:
+        raise ValueError("composition dimension mismatch")
+    rows = [
+        tuple(sum(self.rows[i][k] * other.rows[k][j] for k in range(self.source_dim))
+              for j in range(other.source_dim))
+        for i in range(self.target_dim)
+    ]
+    pc = None
+    if self.is_projection() and other.is_projection():
+        pc = tuple(other.proj_coords[c - 1] for c in self.proj_coords)
+    return TorusMap(other.source_dim, self.target_dim, rows, proj_coords=pc)
+
+
+def fiber_product_assemble(pi: TorusMap, g: TorusMap):
+    """Fiber product of pi: M -> N (projection) with g: N1 -> N.
+
+    Returns (P, p1, p2) with P = T^{k + dim N1}, p1(t, y) = (t, g(y)) into M
+    and p2(t, y) = y onto N1; the square pi p1 = g p2 commutes.
+    """
+    if not pi.is_projection():
+        raise ValueError("first map must be a coordinate projection")
+    if pi.target_dim != g.target_dim:
+        raise ValueError("maps must share a target")
+    fiber = pi.fiber_coords()
+    k, n1 = len(fiber), g.source_dim
+    pdim = k + n1
+    rows = []
+    fiber_slot = {c: t for t, c in enumerate(fiber, start=1)}
+    base_slot = {c: t for t, c in enumerate(pi.proj_coords, start=1)}
+    for c in range(1, pi.source_dim + 1):
+        if c in fiber_slot:
+            rows.append(tuple(1 if j == fiber_slot[c] else 0 for j in range(1, pdim + 1)))
+        else:
+            grow = g.rows[base_slot[c] - 1]
+            rows.append((0,) * k + tuple(grow))
+    p1 = TorusMap(pdim, pi.source_dim, rows)
+    p2 = projection(pdim, range(k + 1, pdim + 1))
+    return pdim, p1, p2
+
+
+def _random_projection(rng, source_dim: int, target_dim: int) -> TorusMap:
+    coords = sorted(rng.sample(range(1, source_dim + 1), target_dim))
+    return projection(source_dim, coords)
+
+
+def _random_linear(rng, source_dim: int, target_dim: int) -> TorusMap:
+    rows = [[rng.randint(-2, 2) for _ in range(source_dim)] for _ in range(target_dim)]
+    return TorusMap(source_dim, target_dim, rows)
+
+
 # -- random forms and maps ------------------------------------------------------------
 
 coeffs = st.fractions(min_value=-4, max_value=4, max_denominator=6)
@@ -415,3 +482,42 @@ def test_qi_is_kept_in_lowest_terms():
     assert torus.QI(1, 2) == torus.QI("1", "2") == torus.QI.from_json(["1", "2"])
     assert torus.QI(Fraction(3, 2)) == Fraction(3, 2)
     assert repr(torus.QI(Fraction(-1, 2), 3)) == "QI(-1/2, 3)"
+
+
+def slots(phi):
+    return tuple(getattr(phi, slot) for slot in TorusMap.__slots__)
+
+
+def checked(phi):
+    """phi's slots after the validating constructor, which raises on a
+    malformed map and normalizes rows to tuples of int tuples."""
+    return slots(TorusMap(phi.source_dim, phi.target_dim, phi.rows,
+                          phi.proj_coords))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2**32), st.integers(2, 4), st.data())
+def test_trusted_maps_match_validating_constructor(seed, m, data):
+    n = data.draw(st.integers(1, m - 1))
+    q = data.draw(st.integers(0, n))
+    n1 = data.draw(st.integers(1, 3))
+    new_rng, old_rng = random.Random(seed), random.Random(seed)
+    f_new, f_old = torus._random_projection(new_rng, m, n), \
+        _random_projection(old_rng, m, n)
+    g_new, g_old = torus._random_projection(new_rng, n, q), \
+        _random_projection(old_rng, n, q)
+    h_new, h_old = torus._random_linear(new_rng, n1, n), \
+        _random_linear(old_rng, n1, n)
+    l_new, l_old = torus._random_linear(new_rng, m, n1), \
+        _random_linear(old_rng, m, n1)
+    pairs_ = [(f_new, f_old), (g_new, g_old), (h_new, h_old), (l_new, l_old),
+              (g_new.compose(f_new), compose(g_old, f_old)),
+              (h_new.compose(l_new), compose(h_old, l_old)),
+              (TorusMap.projection(m, range(1, n + 1)),
+               projection(m, range(1, n + 1)))]
+    pdim, p1, p2 = torus.fiber_product_assemble(f_new, h_new)
+    pdim_old, p1_old, p2_old = fiber_product_assemble(f_old, h_old)
+    assert pdim == pdim_old
+    pairs_ += [(p1, p1_old), (p2, p2_old)]
+    for new, old in pairs_:
+        assert slots(new) == slots(old) == checked(new)
