@@ -3,7 +3,7 @@
     python3 scripts/bench_pairs.py --parent DIR --change DIR \\
         --workload relations:1-10 --workload mutation-cohomology:1-6 \\
         --seconds 60 --parent-commit SHA --claimed relations:wall_s \\
-        --description TEXT --out BENCH_name.json
+        --traced-seed 21 --description TEXT --out BENCH_name.json
 
 Each pair runs `perfbench/run.py --workload W --seed S --seconds N --trace 0`
 in the parent checkout and in the change checkout, one after the other, on
@@ -13,7 +13,9 @@ BENCHMARK.json the file records the runs, their median and inclusive
 quartiles, the number of pairs in which the change was better, the relative
 change of the median, whether the gap between the medians exceeds the
 parent's interquartile range, and whether a worse median stays inside the
-metric's bound.
+metric's bound. With --traced-seed, each workload also runs once per side
+with --trace 1 on that seed, parent first, and the file records every
+per-layer metric of those two runs.
 """
 
 import argparse
@@ -25,10 +27,10 @@ import subprocess
 import sys
 
 
-def run_once(checkout, workload, seed, seconds):
+def run_once(checkout, workload, seed, seconds, trace=0):
     out = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload,
-         "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
+         "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace)],
         cwd=checkout, check=True, capture_output=True, text=True).stdout
     return json.loads(out.strip().splitlines()[-1])
 
@@ -72,6 +74,7 @@ def main():
     ap.add_argument("--seconds", type=int, default=60)
     ap.add_argument("--parent-commit", required=True)
     ap.add_argument("--claimed", metavar="WORKLOAD:METRIC")
+    ap.add_argument("--traced-seed", type=int)
     ap.add_argument("--description", default="")
     ap.add_argument("--out", required=True)
     args = ap.parse_args()
@@ -118,6 +121,13 @@ def main():
                 [r["metrics"][spec["name"]]["value"] for r in results["change"]])
                 for spec in specs},
         }
+        if args.traced_seed is not None:
+            doc["workloads"][workload]["traced"] = {"seed": args.traced_seed, **{
+                side: {name: m["value"] for name, m in run_once(
+                    checkout, workload, args.traced_seed, args.seconds,
+                    trace=1)["metrics"].items()}
+                for side, checkout in (("parent", args.parent),
+                                       ("change", args.change))}}
     with open(args.out, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=1, sort_keys=True)
         fh.write("\n")

@@ -445,20 +445,88 @@ def insertion_sum(plan, parity, names) -> dict:
     return {out: c for out, c in acc.items() if c}
 
 
-def relation_violations(ops, parity, betas, n_bound, tuples):
+def relation_violations(ops, parity, betas, n_bound, order):
     """The A-infinity relation of an op table, scanned in order: for each
-    beta and n <= n_bound, the first input tuple of tuples(n) on which it
-    fails, as (beta, n, names, {output: coefficient}).  Each (beta, n) is
-    planned once for all its tuples; an empty plan is structurally zero."""
+    beta and n <= n_bound, the first tuple of order(n)^n, in product order,
+    on which it fails, as (beta, n, names, {output: coefficient}).  Each
+    (beta, n) is planned once; an empty plan is structurally zero.  The
+    plan's tables are joined on the name at the insertion slot, so only
+    tuples with a term are formed; they are summed per leading name, in scan
+    order, up to the first with a nonzero sum.  Coefficients may be integers,
+    Fractions or t-polynomials."""
+    indexes = {}
+
+    def grouped(table, p):
+        """The keys of a table with at most one name outside the scan as
+        {key[p]: [(key, combo, position of that name or -1)]}, or for
+        p = None the keys inside it as {output: [(key, coefficient)]}."""
+        got = index.get((id(table), p))
+        if got is None:
+            if id(table) not in index:
+                index[id(table)] = rows = []
+                for key, combo in table.items():
+                    strays = () if inside.issuperset(key) else [
+                        i for i, nm in enumerate(key) if nm not in inside]
+                    if len(strays) < 2:
+                        rows.append((key, combo, strays[0] if strays else -1))
+            got = index[(id(table), p)] = {}
+            for key, combo, stray in index[id(table)]:
+                if p is not None:
+                    got.setdefault(key[p], []).append((key, combo, stray))
+                elif stray < 0:
+                    for out, c in combo.items():
+                        got.setdefault(out, []).append((key, c))
+        return got
+
     for beta in betas:
         for n in range(n_bound + 1):
             plan = insertion_plan(ops, ops, beta, n)
             if not plan:
                 continue
-            for names in tuples(n):
-                terms = insertion_sum(plan, parity, names)
+            if n == 0:
+                terms = insertion_sum(plan, parity, ())
                 if terms:
-                    yield beta, n, names, terms
+                    yield beta, n, (), terms
+                continue
+            names = order(n)
+            inside = frozenset(names)
+            index = indexes.setdefault(inside, {})
+            position = {nm: i for i, nm in enumerate(dict.fromkeys(names))}
+            for lead in position:
+                sums = {}
+                for start, stop, inner_table, outer_table in plan:
+                    if start == 0 < stop:  # the inner key leads the tuple
+                        outer_first = grouped(outer_table, 0)
+                        for inner_key, inner, stray in grouped(
+                                inner_table, 0).get(lead, ()):
+                            for mid, c_in in () if stray >= 0 else inner.items():
+                                for outer_key, outer, stray in outer_first.get(mid, ()):
+                                    if stray > 0:
+                                        continue
+                                    acc = sums.setdefault(inner_key + outer_key[1:], {})
+                                    for out, c_out in outer.items():
+                                        acc[out] = acc[out] + c_in * c_out \
+                                            if out in acc else c_in * c_out
+                        continue
+                    # The outer key leads; after a slot-0 curvature, its second name.
+                    inner_out = grouped(inner_table, None)
+                    for outer_key, outer, stray in grouped(
+                            outer_table, 0 if start else 1).get(lead, ()):
+                        if stray >= 0 and stray != start or \
+                                outer_key[start] not in inner_out:
+                            continue
+                        prefix, suffix = outer_key[:start], outer_key[start + 1:]
+                        odd = sum(parity[nm] for nm in prefix) & 1
+                        for inner_key, c_in in inner_out[outer_key[start]]:
+                            c_in = -c_in if odd else c_in
+                            acc = sums.setdefault(prefix + inner_key + suffix, {})
+                            for out, c_out in outer.items():
+                                acc[out] = acc[out] + c_in * c_out \
+                                    if out in acc else c_in * c_out
+                hits = [key for key, acc in sums.items() if any(acc.values())]
+                if hits:
+                    key = min(hits, key=lambda h: [position[nm] for nm in h])
+                    yield beta, n, key, {o: c for o, c in sums[key].items() if c}
                     break
 
 
@@ -487,24 +555,17 @@ def ainf_defect(alg: AInfAlgebra, beta, names) -> AlgElement:
                        insertion_sum(plan, alg._parity, names).items()}, trunc)
 
 
-def _relation_tuples(alg: AInfAlgebra, n: int):
-    if n == 0:
-        return [()]
-    if n == 1:
-        return [(nm,) for nm in alg.names]
-    return product(alg.window, repeat=n)
-
-
 def check_ainf(alg: AInfAlgebra, max_counterexamples=None) -> dict:
     """Scan all relation instances; report the first counterexample per
-    (beta, n), at most max_counterexamples of them.  The scan runs over the
-    integer table `integer_ops(alg.ops)`; each counterexample's defect is
-    replayed over the rational table by `ainf_defect`."""
+    (beta, n), at most max_counterexamples of them.  The scan joins the
+    integer table `integer_ops(alg.ops)` with itself; each counterexample's
+    defect is replayed over the rational table by `ainf_defect`."""
     max_a = alg.max_arity()
     n_bound = max(2 * max_a - 1, 0)
     betas = alg.beta_range()
-    found = relation_violations(integer_ops(alg.ops), alg._parity, betas,
-                                n_bound, lambda n: _relation_tuples(alg, n))
+    found = relation_violations(
+        integer_ops(alg.ops), alg._parity, betas, n_bound,
+        lambda n: alg.names if n == 1 else alg.window)
     counterexamples = [{
         "beta": beta_json(beta),
         "n": n,

@@ -32,10 +32,10 @@ new-level c, which is declared zero.
 
 Every quadratic sum here is an insertion sum of ainf's kernel with Poly
 coefficients: the m^t relation is the A-infinity relation scan over Q[t]
-(ainf.relation_violations on mT), and the two mixed sums are the insertion
-plans of m^t over c^t (no sign) and of c^t over m^t (Koszul sign), built
-once per (beta, k) by isotopy_sums and shared by the differential-equation
-check and the extension.
+(ainf.relation_violations on mT, a join of the stored tables), and the two
+mixed sums are the insertion plans of m^t over c^t (no sign) and of c^t over
+m^t (Koszul sign), built once per (beta, k) by isotopy_sums and evaluated
+tuple by tuple in the differential-equation check and the extension.
 """
 
 from __future__ import annotations
@@ -240,8 +240,7 @@ def check_pseudoisotopy(P: Pseudoisotopy, m0: AInfAlgebra = None,
     # full basis.
     n_bound = max(2 * max_m - 1, 0)
     for beta, n, names, defect in relation_violations(
-            P.mT, P._parity, betas, n_bound,
-            lambda n: product(P.names, repeat=n)):
+            P.mT, P._parity, betas, n_bound, lambda n: P.names):
         violations.append({
             "clause": "ainf-family", "beta": beta_json(beta),
             "n": n, "inputs": list(names),

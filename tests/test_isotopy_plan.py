@@ -2,13 +2,15 @@
 they replaced.
 
 `check_pseudoisotopy` scans the A-infinity relation of m^t with
-`ainf.relation_violations`, and both `check_pseudoisotopy` and
-`extend_one_level` evaluate the mixed sums of the differential equation
-through the two insertion plans of `isotopy_sums`, all over Q[t]. The
-per-tuple sums below re-enumerate the beta-splits and the Koszul signs on
-every tuple, as the isotopy code did before it shared the kernel. They stay
-here as a differential oracle: reports, sums and extensions must agree
-exactly, down to which violation comes first.
+`ainf.relation_violations`, the join over the stored tables, and both
+`check_pseudoisotopy` and `extend_one_level` evaluate the mixed sums of the
+differential equation through the two insertion plans of `isotopy_sums`, all
+over Q[t]. The per-tuple sums below re-enumerate the beta-splits and the
+Koszul signs on every tuple, as the isotopy code did before it shared the
+kernel, and the planned per-tuple relation scan of `test_relation_plan` runs
+every tuple of the basis through `insertion_sum`, as the scan did before it
+became a join. They stay here as differential oracles: reports, sums and
+extensions must agree exactly, down to which violation comes first.
 """
 
 from fractions import Fraction
@@ -16,7 +18,8 @@ from itertools import product
 
 from hypothesis import given, settings, strategies as st
 
-from ainfkit.ainf import AInfAlgebra, beta_json, insertion_sum
+from ainfkit.ainf import AInfAlgebra, beta_json, insertion_sum, \
+    relation_violations
 from ainfkit.isotopy import (
     Pseudoisotopy,
     check_pseudoisotopy,
@@ -28,7 +31,8 @@ from ainfkit.isotopy import (
 from ainfkit.models import chain_fixture, extension_fixture
 from ainfkit.poly import Poly
 from ainfkit.scalars import BETA_ZERO, EnergyMonoid
-from ainfkit.signs import koszul_prefix_sign, sign_pow
+from ainfkit.signs import koszul_prefix_sign, shifted_parities, sign_pow
+from test_relation_plan import oracle_relation_violations
 
 
 # -- the replaced code, kept as the oracle ---------------------------------------
@@ -286,6 +290,24 @@ def test_planned_isotopy_check_matches_per_tuple_check(P, data):
         flipped = flip_isotopy_constant(P, data.draw(st.sampled_from(ids)))
         assert check_pseudoisotopy(flipped) == \
             oracle_check_pseudoisotopy(flipped)
+
+
+@settings(max_examples=80, deadline=None)
+@given(sparse_families(), st.data())
+def test_joined_family_scan_matches_per_tuple_scan(P, data):
+    """The ainf-family clause on random Q[t] tables: the same first
+    violations with the same polynomial terms, before and after one flip."""
+    families = [P]
+    ids = isotopy_constant_ids(P)
+    if ids:
+        families.append(flip_isotopy_constant(P, data.draw(st.sampled_from(ids))))
+    for fam in families:
+        n_bound = max(2 * max((k for k, _ in fam.mT), default=0) - 1, 0)
+        args = (fam.mT, shifted_parities(dict(fam.basis)),
+                fam.monoid.enumerate(fam.cutoff), n_bound)
+        assert list(relation_violations(*args, lambda n: fam.names)) == \
+            list(oracle_relation_violations(
+                *args, lambda n: product(fam.names, repeat=n)))
 
 
 @settings(max_examples=60, deadline=None)

@@ -1,16 +1,25 @@
-"""The planned relation scan and the kept monoid enumeration, against the
+"""The joined relation scan and the kept monoid enumeration, against the
 code they replaced.
 
-`check_ainf` compiles each (beta, n) into one insertion plan and runs every
-input tuple through it, and `EnergyMonoid` answers every enumeration, split
-and membership query from its largest enumeration so far. The per-tuple scan
-below rebuilds the beta-splits from a fresh enumeration, the Koszul signs and
-the defect element on every tuple, as the scan did before it was compiled.
-It stays here as a differential oracle: reports must agree exactly, down to
-which counterexample comes first. The scan itself runs over the integer
-table `integer_ops`; the same scan over the Fraction table is its oracle.
+`check_ainf` plans each (beta, n) once and joins the stored tables on the
+name at each insertion slot, so only tuples that have a term are formed, and
+`EnergyMonoid` answers every enumeration, split and membership query from
+its largest enumeration so far. Two older scans stay here as differential
+oracles, and reports must agree exactly, down to which counterexample comes
+first:
+
+- the planned per-tuple scan, which ran every tuple of window^n through
+  `insertion_sum` (`oracle_relation_violations`);
+- the per-tuple scan before that, which rebuilt the beta-splits from a fresh
+  enumeration, the Koszul signs and the defect element on every tuple
+  (`oracle_check_ainf`).
+
+The scan itself runs over the integer table `integer_ops`; the same scan over
+the Fraction table is its oracle.
 """
 
+import json
+import time
 from fractions import Fraction
 from itertools import product
 
@@ -26,9 +35,12 @@ from ainfkit.ainf import (
     check_ainf,
     constant_ids,
     flip_constant,
+    insertion_plan,
+    insertion_sum,
     integer_ops,
     relation_violations,
 )
+from ainfkit.cli import main
 from ainfkit.isotopy import Pseudoisotopy, flip_isotopy_constant, \
     isotopy_constant_ids
 from ainfkit.models import (
@@ -39,9 +51,38 @@ from ainfkit.models import (
 )
 from ainfkit.scalars import BETA_ZERO, EnergyMonoid, NovikovElement
 from ainfkit.signs import koszul_prefix_sign, shifted_parities
+from ainfkit.specio import load_spec
 
 
 # -- the replaced code, kept as the oracle ---------------------------------------
+# The planned per-tuple scan, copied verbatim but for its name.
+
+def oracle_relation_violations(ops, parity, betas, n_bound, tuples):
+    """The A-infinity relation of an op table, scanned in order: for each
+    beta and n <= n_bound, the first input tuple of tuples(n) on which it
+    fails, as (beta, n, names, {output: coefficient}).  Each (beta, n) is
+    planned once for all its tuples; an empty plan is structurally zero."""
+    for beta in betas:
+        for n in range(n_bound + 1):
+            plan = insertion_plan(ops, ops, beta, n)
+            if not plan:
+                continue
+            for names in tuples(n):
+                terms = insertion_sum(plan, parity, names)
+                if terms:
+                    yield beta, n, names, terms
+                    break
+
+
+def _relation_tuples(alg: AInfAlgebra, n: int):
+    if n == 0:
+        return [()]
+    if n == 1:
+        return [(nm,) for nm in alg.names]
+    return product(alg.window, repeat=n)
+
+
+# The per-tuple scan before it was planned.
 
 def oracle_enumerate(generators, cutoff):
     """Breadth-first generator sums of energy <= cutoff, sorted."""
@@ -248,16 +289,41 @@ def test_ainf_defect_matches_per_tuple_defect(alg, data):
     assert ainf_defect(alg, beta, names) == oracle_defect(alg, beta, names)
 
 
+def scan_order(alg):
+    return lambda n: alg.names if n == 1 else alg.window
+
+
 def first_violations(alg, ops):
     """(beta, n, names) of each first violation of the scan over ops."""
     n_bound = max(2 * alg.max_arity() - 1, 0)
-
-    def tuples(n):
-        return product(alg.names if n == 1 else alg.window, repeat=n)
-
     return [(beta, n, names) for beta, n, names, _ in relation_violations(
         ops, shifted_parities(dict(alg.basis)), alg.beta_range(), n_bound,
-        tuples)]
+        scan_order(alg))]
+
+
+def both_scans(alg, ops):
+    """Every first violation, with its terms, of the joined scan and of the
+    per-tuple scan over ops."""
+    args = (ops, shifted_parities(dict(alg.basis)), alg.beta_range(),
+            max(2 * alg.max_arity() - 1, 0))
+    return (list(relation_violations(*args, scan_order(alg))),
+            list(oracle_relation_violations(
+                *args, lambda n: _relation_tuples(alg, n))))
+
+
+@settings(max_examples=100, deadline=None)
+@given(sparse_algebras(st.integers(2, 12)), st.data())
+def test_joined_scan_matches_per_tuple_scan(alg, data):
+    """The same first violations with the same terms, over the integer and
+    the Fraction tables, before and after one flip."""
+    algebras = [alg]
+    ids = constant_ids(alg)
+    if ids:
+        algebras.append(flip_constant(alg, data.draw(st.sampled_from(ids))))
+    for a in algebras:
+        for ops in (integer_ops(a.ops), a.ops):
+            joined, per_tuple = both_scans(a, ops)
+            assert joined == per_tuple
 
 
 @settings(max_examples=60, deadline=None)
@@ -363,3 +429,85 @@ def test_enumeration_stops_at_budget(monkeypatch):
     assert line.enumerate(9) == oracle_enumerate(line.generators, 9)
     assert (Fraction(9), 0) in line
     assert line.splits((Fraction(1), 2)) == []
+
+
+# -- every single flip of the small fixtures -----------------------------------------
+
+SWEEP = {"derham_t1": 55, "gapped_product": 35, "isotopy_extend": 9,
+         "commuting_isotopy": 33}
+
+
+def _sweep(fixture_path):
+    for name, count in SWEEP.items():
+        path = fixture_path(f"{name}.json")
+        alg = load_spec(path).algebra
+        ids = constant_ids(alg)
+        assert len(ids) == count
+        yield path, alg, ids
+
+
+def test_every_single_flip_matches_the_oracle(fixture_path):
+    for path, alg, ids in _sweep(fixture_path):
+        assert check_ainf(alg) == oracle_check_ainf(alg)
+        for cid in ids:
+            flipped = flip_constant(alg, cid)
+            assert check_ainf(flipped) == oracle_check_ainf(flipped), (path, cid)
+
+
+def test_mutate_exits_one_exactly_where_the_oracle_fails(fixture_path, capsys):
+    for path, alg, ids in _sweep(fixture_path):
+        for cid in ids[::4]:
+            expected = oracle_check_ainf(flip_constant(alg, cid))
+            code = main(["check-ainf", path, "--mutate", f"flip:{cid}"])
+            report = json.loads(capsys.readouterr().out)
+            assert code == (1 if expected["status"] == "FAIL" else 0), cid
+            assert report["status"] == expected["status"]
+            assert report["counterexamples"] == expected["counterexamples"]
+
+
+# -- the work of a scan is bounded by its terms ----------------------------------------
+
+def test_high_arity_constant_scans_only_its_terms():
+    """One m6 constant on seven names puts the relation arity bound at 11:
+    window^11 holds 7^11 tuples, but no key has z as an input, so the join
+    forms no term at all."""
+    basis = [(f"a{i}", 1) for i in range(6)] + [("z", 2)]
+    inputs = tuple(f"a{i}" for i in range(6))
+    alg = AInfAlgebra(basis, EnergyMonoid([]),
+                      ops={(6, BETA_ZERO): {inputs: {"z": Fraction(1)}}})
+    started = time.perf_counter()
+    report = check_ainf(alg)
+    assert time.perf_counter() - started < 1.0
+    assert report == {"check": "ainf", "status": "PASS", "max_arity": 6,
+                      "relation_arity_bound": 11, "betas_checked": [["0", 0]],
+                      "counterexamples": []}
+
+
+def test_high_arity_failure_matches_the_oracle():
+    """Four m3 constants on three names, x of odd shifted degree, where the
+    relation at (x, x, x, x, x) fails after its signed terms are summed."""
+    basis = [("x", 0), ("z", -1), ("w", -2)]
+    ops = {(3, BETA_ZERO): {("x", "x", "x"): {"z": Fraction(2)},
+                            ("z", "x", "x"): {"w": Fraction(3)},
+                            ("x", "z", "x"): {"w": Fraction(-3)},
+                            ("x", "x", "z"): {"w": Fraction(1, 2)}}}
+    alg = AInfAlgebra(basis, EnergyMonoid([]), ops=ops)
+    report = check_ainf(alg)
+    assert report["status"] == "FAIL"
+    assert report["relation_arity_bound"] == 5
+    assert report == oracle_check_ainf(alg)
+    for cid in constant_ids(alg):
+        flipped = flip_constant(alg, cid)
+        assert check_ainf(flipped) == oracle_check_ainf(flipped)
+
+
+def test_repeated_window_names_scan_in_first_occurrence_order():
+    """A window may list a name twice; product order then meets each tuple
+    first at the first occurrence of its names."""
+    alg = derham_model(1, 1)
+    names = list(alg.window)
+    alg = AInfAlgebra(alg.basis, alg.monoid, alg.mode, alg.cutoff, alg.unit,
+                      alg.ops, names[::-1] + names[:3])
+    for cid in constant_ids(alg):
+        flipped = flip_constant(alg, cid)
+        assert check_ainf(flipped) == oracle_check_ainf(flipped)
