@@ -34,6 +34,10 @@ from ainfkit.signs import shifted_parities, sign_pow
 
 
 def beta_norm(beta):
+    """beta in the stored form (Fraction energy, int Maslov index)."""
+    if type(beta) is tuple and len(beta) == 2 and type(beta[0]) is Fraction \
+            and type(beta[1]) is int:
+        return beta
     return (frac(beta[0]), int(beta[1]))
 
 
@@ -45,6 +49,69 @@ def beta_from_json(data):
     if not isinstance(data, (list, tuple)) or len(data) != 2:
         raise ValueError(f"beta must be a pair [energy, maslov], got {data!r}")
     return (frac(data[0]), int(data[1]))
+
+
+def _parse_once(memo, key, parse, raw):
+    """memo[key], set to parse(raw) the first time.  A raw value that cannot
+    be a key is parsed every time, so its error is the parser's own."""
+    try:
+        hit = memo.get(key)
+    except TypeError:
+        return parse(raw)
+    if hit is None:
+        hit = memo[key] = parse(raw)
+    return hit
+
+
+def entry_tables(entries, field, parse, where, add=True):
+    """The op tables {(k, beta): {inputs: {output: value}}} of a document's
+    list of stored entries, value = parse(entry[field]), keys in the stored
+    form, nothing validated beyond the parse.
+
+    Each distinct raw beta and raw value is parsed once.  The memo keys hold
+    the type of each raw part next to its value, so 1, 1.0 and True never
+    share an entry.  Entries that repeat (k, beta, inputs, output) are
+    summed when add is set; otherwise the last one counts.  `inputs` must be
+    an array, so that a string is not read letter by letter.
+    """
+    tables, betas, values = {}, {}, {}
+    by_raw = {}  # {(k, raw beta key): table}, so no Fraction is hashed
+    for i, entry in enumerate(entries):
+        k = int(entry["k"])
+        raw = entry["beta"]
+        raw_key = (type(raw[0]), raw[0], type(raw[1]), raw[1]) \
+            if type(raw) is list and len(raw) == 2 else (type(raw), raw)
+        try:
+            table = by_raw.get((k, raw_key))
+        except TypeError:  # a part that cannot be a key is no scalar either
+            table = None
+        if table is None:
+            beta = _parse_once(betas, raw_key, beta_from_json, raw)
+            table = by_raw[(k, raw_key)] = tables.setdefault((k, beta), {})
+        inputs = entry["inputs"]
+        if not isinstance(inputs, (list, tuple)):
+            raise ValueError(f"{where}[{i}]: inputs must be an array of "
+                             f"names, got {inputs!r}")
+        inputs = tuple(inputs)
+        combo = table.get(inputs)
+        if combo is None:
+            combo = table[inputs] = {}
+        out, raw = entry["output"], entry[field]
+        value = _parse_once(values, (type(raw), raw), parse, raw)
+        combo[out] = combo[out] + value if add and out in combo else value
+    return tables
+
+
+def basis_pairs(basis) -> tuple:
+    """The basis as ((name, degree), ...); every entry must be a
+    [name, degree] pair, so that a string is not read letter by letter."""
+    pairs = []
+    for entry in basis:
+        if not isinstance(entry, (list, tuple)) or len(entry) != 2:
+            raise ValueError(
+                f"basis entry {entry!r} is not a [name, degree] pair")
+        pairs.append((str(entry[0]), int(entry[1])))
+    return tuple(pairs)
 
 
 class AlgElement:
@@ -159,7 +226,7 @@ class AInfAlgebra:
                 raise ValueError("modulo mode needs a positive cutoff")
         elif cutoff is not None:
             raise ValueError("gapped mode takes no cutoff")
-        basis = tuple((str(n), int(d)) for n, d in basis)
+        basis = basis_pairs(basis)
         names = [n for n, _ in basis]
         if len(set(names)) != len(names):
             raise ValueError("duplicate basis names")
@@ -191,18 +258,21 @@ class AInfAlgebra:
                 inputs = tuple(inputs)
                 if len(inputs) != k:
                     raise ValueError(f"arity mismatch in inputs {inputs}")
+                target = 2 - k - beta[1]
                 for nm in inputs:
-                    if nm not in degrees:
+                    degree = degrees.get(nm)
+                    if degree is None:
                         raise ValueError(f"unknown basis name {nm!r}")
-                target = sum(degrees[nm] for nm in inputs) + 2 - k - beta[1]
+                    target += degree
                 clean_combo = {}
                 for out, coeff in combo.items():
-                    coeff = frac(coeff)
-                    if coeff == 0:
+                    if type(coeff) is not Fraction:
+                        coeff = frac(coeff)
+                    if not coeff:
                         continue
-                    if out not in degrees:
-                        raise ValueError(f"unknown output name {out!r}")
-                    if degrees[out] != target:
+                    if degrees.get(out) != target:
+                        if out not in degrees:
+                            raise ValueError(f"unknown output name {out!r}")
                         raise ValueError(
                             f"degree violation at m_{k},{beta}{inputs} -> {out}: "
                             f"expected degree {target}, got {degrees[out]}"
@@ -300,20 +370,14 @@ class AInfAlgebra:
 
     @staticmethod
     def from_json(doc) -> "AInfAlgebra":
-        ops = {}
-        for entry in doc.get("ops", []):
-            key = (int(entry["k"]), beta_from_json(entry["beta"]))
-            table = ops.setdefault(key, {})
-            combo = table.setdefault(tuple(entry["inputs"]), {})
-            out, coeff = entry["output"], frac(entry["coeff"])
-            combo[out] = combo[out] + coeff if out in combo else coeff
+        # The entries are read before the header: a bad entry is named first.
         return AInfAlgebra(
+            ops=entry_tables(doc.get("ops", []), "coeff", frac, "ops"),
             basis=doc["space"]["basis"],
             monoid=EnergyMonoid.from_json(doc["monoid"]),
             mode=doc.get("mode", "gapped"),
             cutoff=frac(doc["cutoff"]) if "cutoff" in doc else None,
             unit=doc.get("unit"),
-            ops=ops,
             window=tuple(doc["window"]) if "window" in doc else None,
         )
 

@@ -43,10 +43,10 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import product
 
-from ainfkit.ainf import (AInfAlgebra, add_into, beta_from_json, beta_json,
-                          beta_norm, eval_table, insertion_plan, insertion_sum,
-                          linear_image, parse_constant_id, relation_violations,
-                          replaced)
+from ainfkit.ainf import (AInfAlgebra, add_into, basis_pairs, beta_json,
+                          beta_norm, entry_tables, eval_table, insertion_plan,
+                          insertion_sum, linear_image, parse_constant_id,
+                          relation_violations, replaced)
 from ainfkit.kunneth import kunneth_K_table
 from ainfkit.poly import Poly
 from ainfkit.scalars import BETA_ZERO, EnergyMonoid, frac, frac_str, monoid_sum
@@ -115,7 +115,7 @@ class Pseudoisotopy:
         cutoff = frac(cutoff)
         if cutoff <= 0:
             raise ValueError("cutoff must be positive")
-        basis = tuple((str(nm), int(d)) for nm, d in basis)
+        basis = basis_pairs(basis)
         names = tuple(nm for nm, _ in basis)
         degrees = dict(basis)
         if unit is not None and degrees.get(unit) != 0:
@@ -191,22 +191,16 @@ class Pseudoisotopy:
 
     @staticmethod
     def from_json(doc) -> "Pseudoisotopy":
-        def fam(entries):
-            tables = {}
-            for e in entries:
-                key = (int(e["k"]), beta_from_json(e["beta"]))
-                tables.setdefault(key, {}).setdefault(
-                    tuple(e["inputs"]), {})[e["output"]] = Poly.from_json(e["poly"])
-            return tables
-
         return Pseudoisotopy(
             n=doc["n"],
             basis=doc["space"]["basis"],
             monoid=EnergyMonoid.from_json(doc["monoid"]),
             cutoff=frac(doc["cutoff"]),
             unit=doc.get("unit"),
-            mT=fam(doc.get("mt", [])),
-            cT=fam(doc.get("ct", [])),
+            mT=entry_tables(doc.get("mt", []), "poly", Poly.from_json, "mt",
+                            add=False),
+            cT=entry_tables(doc.get("ct", []), "poly", Poly.from_json, "ct",
+                            add=False),
             window=tuple(doc["window"]) if "window" in doc else None,
         )
 

@@ -39,6 +39,7 @@ from ainfkit.ainf import (
     mc_defect,
 )
 from ainfkit.poly import (
+    EchelonSpan,
     graded_dims,
     kernel_basis,
     rational_matrix_rank,
@@ -78,16 +79,10 @@ class SubalgebraEmbedding:
         for nm in source.names:
             if nm not in clean or not clean[nm]:
                 raise ValueError(f"iota undefined (or zero) on {nm!r}")
-        tgt_index = {nm: i for i, nm in enumerate(target.names)}
-        cols = []
-        for nm in source.names:
-            col = [Fraction(0)] * len(target.names)
-            for tgt, c in clean[nm].items():
-                col[tgt_index[tgt]] = c
-            cols.append(col)
-        matrix = [[cols[j][i] for j in range(len(cols))]
-                  for i in range(len(target.names))]
-        if rational_matrix_rank(matrix) != len(source.names):
+        # iota is injective exactly when its sparse columns, indexed by
+        # target name, are linearly independent.
+        span = EchelonSpan()
+        if not all(span.add(clean[nm]) for nm in source.names):
             raise ValueError("iota is not injective")
         if source.unit is None or target.unit is None:
             raise ValueError("both algebras need units")

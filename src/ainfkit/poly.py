@@ -325,10 +325,13 @@ class EchelonSpan:
     def add(self, vec) -> bool:
         """Add vec to the span; True exactly when it was not already in it.
 
+        vec is a dense list or a sparse {index: entry} dict; sparse indices
+        need only be comparable with each other, so basis names will do.
         A vector raises the rank exactly when its reduction against the
         basis is nonzero; the reduced vector then joins the basis.
         """
-        v = {i: frac(x) for i, x in enumerate(vec) if x != 0}
+        entries = vec.items() if isinstance(vec, dict) else enumerate(vec)
+        v = {i: frac(x) for i, x in entries if x != 0}
         while v:
             lead = min(v)
             row = self.rows.get(lead)

@@ -1,9 +1,11 @@
 import json
 import time
+from fractions import Fraction
 
 import pytest
 
 from ainfkit.cli import main
+from test_golden_reports import curved_line
 
 
 def run(capsys, *argv):
@@ -298,3 +300,47 @@ def test_section_of_wrong_json_type_is_input_error(command, name, edit, message,
                                                    capsys):
     path = _fixture_with(fixture_path, tmp_path, name, edit)
     assert message in _input_error(capsys, command, path)
+
+
+def _curved_line_doc(tmp_path, rewrite):
+    """A check-ainf document on golden curved_line(1/2), rewritten in place."""
+    doc = curved_line(Fraction(1, 2)).to_json()
+    rewrite(doc)
+    path = tmp_path / "curved.json"
+    path.write_text(json.dumps({"format": "ainfctl/1", "algebra": doc}))
+    return str(path)
+
+
+def test_string_where_an_array_is_required_is_input_error(tmp_path, capsys):
+    assert main(["check-ainf", _curved_line_doc(tmp_path, lambda d: None)]) == 0
+    capsys.readouterr()
+
+    def inputs_as_string(doc):
+        for entry in doc["ops"]:
+            if entry["inputs"] == ["e", "e"]:
+                entry["inputs"] = "ee"
+
+    err = _input_error(capsys, "check-ainf",
+                       _curved_line_doc(tmp_path, inputs_as_string))
+    assert "curved.json: algebra: ops[" in err
+    assert "]: inputs must be an array of names, got 'ee'" in err
+
+    def basis_entry_as_string(doc):
+        doc["space"]["basis"][1] = "x1"
+
+    err = _input_error(capsys, "check-ainf",
+                       _curved_line_doc(tmp_path, basis_entry_as_string))
+    assert "curved.json: algebra: basis entry 'x1' is not a [name, degree] " \
+        "pair" in err
+
+
+def test_isotopy_inputs_as_string_is_input_error(fixture_path, tmp_path,
+                                                 capsys):
+    raw = json.load(open(fixture_path("isotopy_extend.json")))
+    entry = next(e for e in raw["isotopy"]["mt"] if len(e["inputs"]) == 2)
+    entry["inputs"] = "".join(entry["inputs"])
+    path = tmp_path / "iso.json"
+    path.write_text(json.dumps(raw))
+    err = _input_error(capsys, "check-isotopy", str(path))
+    assert "iso.json: isotopy: mt[" in err
+    assert "inputs must be an array of names" in err

@@ -1,6 +1,7 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ainfkit.ainf import AlgElement, flip_constant, mc_defect, replaced
 from ainfkit.kunneth import (
@@ -16,6 +17,7 @@ from ainfkit.models import (
     derham_model,
     two_factor_gapped,
 )
+from ainfkit.poly import rational_matrix_rank
 from ainfkit.scalars import NovikovElement
 
 
@@ -29,6 +31,62 @@ def test_embedding_validation():
         SubalgebraEmbedding(emb.source, emb.target,
                             {nm: {"eA|eB": Fraction(1)} for nm in
                              emb.source.names})
+
+
+def dense_injective(source, target, iota):
+    """The injectivity test SubalgebraEmbedding made before its sparse one:
+    the rank of the dense target x source matrix of iota."""
+    row = {nm: i for i, nm in enumerate(target.names)}
+    matrix = [[Fraction(0)] * len(source.names) for _ in target.names]
+    for j, nm in enumerate(source.names):
+        for tgt, c in iota[nm].items():
+            matrix[row[tgt]][j] = Fraction(c)
+    return rational_matrix_rank(matrix) == len(source.names)
+
+
+def accepts(source, target, iota):
+    try:
+        SubalgebraEmbedding(source, target, iota)
+    except ValueError as exc:
+        assert str(exc) == "iota is not injective"
+        return False
+    return True
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_injectivity_matches_dense_rank(data):
+    """Random degree-preserving, unit-preserving iota from derham_model(1, 1)
+    into the product model: accepted exactly when the dense rank is full."""
+    emb_a, _ = derham_factor_embeddings(1, 1, 1)
+    source, target = emb_a.source, emb_a.target
+    by_degree = {}
+    for nm in target.names:
+        by_degree.setdefault(target.degree(nm), []).append(nm)
+    width = data.draw(st.integers(3, 8))
+    iota = {source.unit: {target.unit: 1}}
+    for nm in source.names:
+        if nm != source.unit:
+            pool = by_degree[source.degree(nm)][:width]
+            support = data.draw(st.lists(st.sampled_from(pool),
+                                         min_size=1, max_size=3, unique=True))
+            iota[nm] = {t: data.draw(st.sampled_from([1, -1, 2, Fraction(1, 3)]))
+                        for t in support}
+    assert accepts(source, target, iota) == dense_injective(source, target, iota)
+
+
+def test_injectivity_on_the_bundled_embeddings():
+    for emb in derham_factor_embeddings(1, 1, 1) + (two_factor_gapped()["embA"],):
+        assert dense_injective(emb.source, emb.target, emb.iota)
+        assert accepts(emb.source, emb.target, emb.iota)
+        # Sending a second name onto the image of a first breaks injectivity.
+        names = [nm for nm in emb.source.names if nm != emb.source.unit]
+        same = [b for b in names[1:] if emb.source.degree(b) ==
+                emb.source.degree(names[0])]
+        if same:
+            iota = dict(emb.iota, **{same[0]: emb.iota[names[0]]})
+            assert not dense_injective(emb.source, emb.target, iota)
+            assert not accepts(emb.source, emb.target, iota)
 
 
 def test_derham_pair_subalgebra_and_commuting():

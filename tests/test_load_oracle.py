@@ -1,0 +1,439 @@
+"""The document load against the load it replaced.
+
+`AInfAlgebra.from_json` and the family loop of `Pseudoisotopy.from_json`
+share one entry-table parser that reads each distinct raw scalar and beta
+once, and `AInfAlgebra.__init__` validates each (k, beta) key once and each
+constant with a few dict lookups. The per-entry load before them is kept
+here verbatim but for its names (`oracle_algebra`, `oracle_isotopy`). Both
+must agree on every valid document (equal tables, equal `to_json` bytes) and
+on every malformed one (same exception type and message).
+
+The two inputs on which they differ on purpose are a string where an array
+is required: `"inputs": "ee"` and a basis entry `"x1"`. The old load read
+them letter by letter; the new one refuses them.
+
+The shared parser reads an entry's fields in the algebra loop's order (k,
+beta, inputs, output, value); the old isotopy loop parsed the polynomial
+before inputs and output. An isotopy entry with two faults, one of them in
+its polynomial, may therefore be refused with the other fault's message, so
+the isotopy fuzz puts one fault into one entry.
+"""
+
+import json
+import os
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from ainfkit import ainf
+from ainfkit.ainf import AInfAlgebra, assemble, beta_from_json
+from ainfkit.isotopy import Pseudoisotopy
+from ainfkit.models import derham_model, two_factor_gapped
+from ainfkit.poly import Poly
+from ainfkit.scalars import BETA_ZERO, EnergyMonoid, frac
+from ainfkit.signs import shifted_parities
+from ainfkit.specio import dump_document
+from test_golden_reports import curved_line
+
+FIXTURES = os.path.join(os.path.dirname(__file__), "..", "src", "ainfkit",
+                        "fixtures")
+
+
+def fixture(name):
+    with open(os.path.join(FIXTURES, name + ".json"), encoding="utf-8") as fh:
+        return json.load(fh)
+
+
+# -- the replaced code, kept as the oracle ---------------------------------------
+
+def oracle_beta_norm(beta):
+    return (frac(beta[0]), int(beta[1]))
+
+
+def oracle_init(basis, monoid, mode="gapped", cutoff=None, unit=None,
+                ops=None, window=None):
+    """AInfAlgebra.__init__ before the cheap validation pass."""
+    if mode not in ("gapped", "modulo"):
+        raise ValueError(f"unknown mode {mode!r}")
+    if mode == "modulo":
+        cutoff = frac(cutoff)
+        if cutoff <= 0:
+            raise ValueError("modulo mode needs a positive cutoff")
+    elif cutoff is not None:
+        raise ValueError("gapped mode takes no cutoff")
+    basis = tuple((str(n), int(d)) for n, d in basis)
+    names = [n for n, _ in basis]
+    if len(set(names)) != len(names):
+        raise ValueError("duplicate basis names")
+    degrees = dict(basis)
+    if unit is not None:
+        if unit not in degrees:
+            raise ValueError(f"unit {unit!r} not in basis")
+        if degrees[unit] != 0:
+            raise ValueError("unit must have degree 0")
+    if window is None:
+        window = tuple(names)
+    else:
+        window = tuple(window)
+        for n in window:
+            if n not in degrees:
+                raise ValueError(f"window name {n!r} not in basis")
+    clean_ops = {}
+    for (k, beta), table in (ops or {}).items():
+        k = int(k)
+        beta = oracle_beta_norm(beta)
+        if k < 0:
+            raise ValueError("negative arity")
+        if beta not in monoid:
+            raise ValueError(f"beta {beta} outside the energy monoid")
+        if mode == "modulo" and beta[0] > cutoff:
+            raise ValueError(f"stored beta {beta} above cutoff {cutoff}")
+        clean_table = {}
+        for inputs, combo in table.items():
+            inputs = tuple(inputs)
+            if len(inputs) != k:
+                raise ValueError(f"arity mismatch in inputs {inputs}")
+            for nm in inputs:
+                if nm not in degrees:
+                    raise ValueError(f"unknown basis name {nm!r}")
+            target = sum(degrees[nm] for nm in inputs) + 2 - k - beta[1]
+            clean_combo = {}
+            for out, coeff in combo.items():
+                coeff = frac(coeff)
+                if coeff == 0:
+                    continue
+                if out not in degrees:
+                    raise ValueError(f"unknown output name {out!r}")
+                if degrees[out] != target:
+                    raise ValueError(
+                        f"degree violation at m_{k},{beta}{inputs} -> {out}: "
+                        f"expected degree {target}, got {degrees[out]}"
+                    )
+                clean_combo[out] = coeff
+            if clean_combo:
+                clean_table[inputs] = clean_combo
+        if clean_table:
+            if (k, beta) == (0, BETA_ZERO):
+                raise ValueError("m_{0,0} must vanish")
+            clean_ops[(k, beta)] = clean_table
+    self = object.__new__(AInfAlgebra)
+    object.__setattr__(self, "basis", basis)
+    object.__setattr__(self, "monoid", monoid)
+    object.__setattr__(self, "mode", mode)
+    object.__setattr__(self, "cutoff", cutoff)
+    object.__setattr__(self, "unit", unit)
+    object.__setattr__(self, "ops", clean_ops)
+    object.__setattr__(self, "window", window)
+    object.__setattr__(self, "_degrees", degrees)
+    object.__setattr__(self, "_names", tuple(names))
+    object.__setattr__(self, "_parity", shifted_parities(degrees))
+    return self
+
+
+def oracle_algebra(doc):
+    """AInfAlgebra.from_json before the memoized parser."""
+    ops = {}
+    for entry in doc.get("ops", []):
+        key = (int(entry["k"]), beta_from_json(entry["beta"]))
+        table = ops.setdefault(key, {})
+        combo = table.setdefault(tuple(entry["inputs"]), {})
+        out, coeff = entry["output"], frac(entry["coeff"])
+        combo[out] = combo[out] + coeff if out in combo else coeff
+    return oracle_init(
+        basis=doc["space"]["basis"],
+        monoid=EnergyMonoid.from_json(doc["monoid"]),
+        mode=doc.get("mode", "gapped"),
+        cutoff=frac(doc["cutoff"]) if "cutoff" in doc else None,
+        unit=doc.get("unit"),
+        ops=ops,
+        window=tuple(doc["window"]) if "window" in doc else None,
+    )
+
+
+def oracle_isotopy(doc):
+    """Pseudoisotopy.from_json before the shared entry-table parser."""
+    def fam(entries):
+        tables = {}
+        for e in entries:
+            key = (int(e["k"]), beta_from_json(e["beta"]))
+            tables.setdefault(key, {}).setdefault(
+                tuple(e["inputs"]), {})[e["output"]] = Poly.from_json(e["poly"])
+        return tables
+
+    return Pseudoisotopy(
+        n=doc["n"],
+        basis=doc["space"]["basis"],
+        monoid=EnergyMonoid.from_json(doc["monoid"]),
+        cutoff=frac(doc["cutoff"]),
+        unit=doc.get("unit"),
+        mT=fam(doc.get("mt", [])),
+        cT=fam(doc.get("ct", [])),
+        window=tuple(doc["window"]) if "window" in doc else None,
+    )
+
+
+# -- comparison ------------------------------------------------------------------
+
+def outcome(load, doc):
+    """What loading doc gives: the object's tables and canonical bytes, or
+    the exception's type and message."""
+    try:
+        obj = load(doc)
+    except Exception as exc:  # noqa: BLE001 - the exception is the outcome
+        return type(exc), str(exc)
+    if isinstance(obj, AInfAlgebra):
+        tables = (obj.ops,)
+        for (k, beta), table in obj.ops.items():
+            assert type(k) is int and type(beta) is tuple
+            assert type(beta[0]) is Fraction and type(beta[1]) is int
+            for inputs, combo in table.items():
+                assert type(inputs) is tuple
+                assert all(type(c) is Fraction for c in combo.values())
+    else:
+        tables = (obj.mT, obj.cT)
+    return tables, obj.basis, obj.window, dump_document(obj.to_json())
+
+
+def failed(got):
+    """Whether an outcome is an exception's (type, message)."""
+    return isinstance(got[0], type)
+
+
+def assert_algebra_loads_agree(doc):
+    got = outcome(AInfAlgebra.from_json, doc)
+    assert got == outcome(oracle_algebra, doc)
+    return got
+
+
+def assert_isotopy_loads_agree(doc):
+    got = outcome(Pseudoisotopy.from_json, doc)
+    assert got == outcome(oracle_isotopy, doc)
+    return got
+
+
+# -- valid documents -------------------------------------------------------------
+
+FIXTURE_NAMES = sorted(name[:-5] for name in os.listdir(FIXTURES)
+                       if name.endswith(".json"))
+
+
+def document_sections(raw):
+    """Every algebra and isotopy section of a document: (kind, section)."""
+    if "algebra" in raw:
+        yield "algebra", raw["algebra"]
+    for emb in raw.get("embeddings", {}).values():
+        yield "algebra", emb["source"]
+    if "extension" in raw:
+        yield "algebra", raw["extension"]["m1"]
+    for step in raw.get("chain", []):
+        yield "algebra", step["m"]
+        yield "isotopy", step["isotopy"]
+    if "isotopy" in raw:
+        yield "isotopy", raw["isotopy"]
+    for iso in raw.get("factor_isotopies", {}).values():
+        yield "isotopy", iso
+
+
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
+def test_fixture_sections_load_as_before(name):
+    kinds = []
+    for kind, section in document_sections(fixture(name)):
+        check = assert_algebra_loads_agree if kind == "algebra" \
+            else assert_isotopy_loads_agree
+        assert not failed(check(section))
+        kinds.append(kind)
+    assert "algebra" in kinds
+
+
+def test_generated_models_load_as_before():
+    docs = [derham_model(1, w).to_json() for w in (1, 2, 4, 8)]
+    docs += [curved_line(Fraction(c)).to_json() for c in ("1/4", "3/8", "1/2")]
+    two = two_factor_gapped()
+    docs += [two[side].to_json() for side in ("A", "B", "C")]
+    gapped = AInfAlgebra.from_json(fixture("gapped_product")["algebra"])
+    docs += [assemble(gapped, c).to_json() for c in (2, 4, 6, 8)]
+    for doc in docs:
+        assert not failed(assert_algebra_loads_agree(doc))
+
+
+# -- malformed documents ---------------------------------------------------------
+
+ALGEBRA_BASES = [fixture(name)["algebra"] for name in
+                 ("derham_t1", "gapped_product", "isotopy_extend",
+                  "commuting_isotopy")]
+
+BAD_SCALARS = [1, 0, -2, 1.0, 0.5, True, False, None, [1], {"p": 1}, "1/0",
+               " 1", "1.5", "", "x", "0", "-0/3", "2/4"]
+
+BAD_BETAS = [["0", 0], [0, 0], ["0"], ["0", 0, 0], "00", {"a": 1, "b": 2},
+             [0.0, 0], ["0", 0.0], ["0", 1.5], ["0", "2"], ["0", True],
+             [None, 0], [["0"], 0], ["1", 2], ["1/2", 0], ["1/0", 0],
+             ["-1", 0], ["100", 0], ["1", 1]]
+
+
+def mutation(base):
+    """One change to one entry of an op list: a retyped coefficient or k, a
+    reshaped beta, an unknown name, a degree violation, or a duplicate entry
+    whose coefficient cancels or repeats the original."""
+    names = [nm for nm, _ in base["space"]["basis"]]
+    index = st.integers(0, len(base["ops"]) - 1)
+    return st.one_of(
+        st.tuples(st.just("coeff"), index, st.sampled_from(BAD_SCALARS)),
+        st.tuples(st.just("beta"), index, st.sampled_from(BAD_BETAS)),
+        st.tuples(st.just("k"), index,
+                  st.sampled_from([-1, 0, 1, 3, "2", 2.5, None])),
+        st.tuples(st.just("output"), index,
+                  st.sampled_from(names + ["ghost", 7, None])),
+        st.tuples(st.just("input"), index,
+                  st.sampled_from(names + ["ghost", 7, None, ["x"]])),
+        st.tuples(st.just("drop"), index,
+                  st.sampled_from(["k", "beta", "inputs", "output", "coeff"])),
+        st.tuples(st.just("duplicate"), index,
+                  st.sampled_from(["cancel", "repeat", "1.0", "True"])),
+    )
+
+
+def apply_mutations(base, changes):
+    doc = json.loads(json.dumps(base))
+    ops = doc["ops"]
+    for kind, i, value in changes:
+        entry = ops[i]
+        if kind in ("coeff", "beta", "k", "output"):
+            entry[kind] = value
+        elif kind == "input":
+            inputs = entry.get("inputs") or [None]
+            entry["inputs"] = inputs[1:] + [value]
+        elif kind == "drop":
+            entry.pop(value, None)
+        else:
+            twin = dict(entry)
+            coeff = entry.get("coeff")
+            twin["coeff"] = {"cancel": f"-{coeff}" if isinstance(coeff, str)
+                             and not coeff.startswith("-") else coeff,
+                             "repeat": coeff, "1.0": 1.0,
+                             "True": True}[value]
+            ops.append(twin)
+    return doc
+
+
+@settings(max_examples=250, deadline=None)
+@given(st.sampled_from(range(len(ALGEBRA_BASES))).flatmap(
+    lambda b: st.tuples(st.just(b), st.lists(
+        mutation(ALGEBRA_BASES[b]), min_size=1, max_size=3))))
+def test_malformed_algebras_fail_as_before(case):
+    base, changes = case
+    assert_algebra_loads_agree(apply_mutations(ALGEBRA_BASES[base], changes))
+
+
+ISOTOPY_BASES = [fixture(name)["isotopy"] for name in
+                 ("isotopy_extend", "commuting_isotopy")]
+
+BAD_POLYS = [["1"], [], ["0", "1"], "1", 1, None, [1.0], [True], ["1/0"],
+             [[1]], {"a": "1"}]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(range(len(ISOTOPY_BASES))), st.sampled_from(["mt", "ct"]),
+       st.data())
+def test_malformed_isotopies_fail_as_before(base, family, data):
+    doc = json.loads(json.dumps(ISOTOPY_BASES[base]))
+    entries = doc[family]
+    if not entries:
+        return
+    names = [nm for nm, _ in doc["space"]["basis"]]
+    i = data.draw(st.integers(0, len(entries) - 1))
+    kind = data.draw(st.sampled_from(["poly", "beta", "k", "output", "input",
+                                      "duplicate"]))
+    entry = entries[i]
+    if kind == "poly":
+        entry["poly"] = data.draw(st.sampled_from(BAD_POLYS))
+    elif kind == "beta":
+        entry["beta"] = data.draw(st.sampled_from(BAD_BETAS))
+    elif kind == "k":
+        entry["k"] = data.draw(st.sampled_from([-1, 0, 3, "2", None]))
+    elif kind == "output":
+        entry["output"] = data.draw(st.sampled_from(names + ["ghost"]))
+    elif kind == "input":
+        entry["inputs"] = entry["inputs"][1:] + [
+            data.draw(st.sampled_from(names + ["ghost"]))]
+    else:
+        entries.append(dict(entry, poly=data.draw(st.sampled_from(BAD_POLYS))))
+    assert_isotopy_loads_agree(doc)
+
+
+# -- cases that share a memo entry -----------------------------------------------
+
+def two_entry_doc(first, second):
+    """curved_line's m_{1,0}(x) -> z stored as two entries: one with the
+    coefficient and beta of `first`, one with those of `second`."""
+    doc = curved_line(Fraction(1, 2)).to_json()
+    doc["ops"] = [e for e in doc["ops"] if e["k"] != 1]
+    for n, (coeff, beta) in enumerate((first, second)):
+        doc["ops"].append({"k": 2 - n, "beta": beta,
+                           "inputs": ["x"] if n else ["e", "x"],
+                           "output": "z" if n else "x", "coeff": coeff})
+    return doc
+
+
+@pytest.mark.parametrize("first, second, fails", [
+    ((1, ["0", 0]), (1.0, ["0", 0]), True),
+    ((1, ["0", 0]), (True, ["0", 0]), False),
+    ((True, ["0", 0]), (1, ["0", 0]), False),
+    (("1", ["0", 0]), (1, ["0", 0]), False),
+    (("1", ["0", 0]), ("1", [0.0, 0]), True),
+    (("1", [0, 0]), ("1", ["0", 0]), False),
+    (("1", ["0", 0]), ("1", ["0", 0.0]), False),
+    (("1", ["0", 0]), ("1", ["0", True]), True),
+])
+def test_memo_keys_keep_types_apart(first, second, fails):
+    got = assert_algebra_loads_agree(two_entry_doc(first, second))
+    assert failed(got) == fails
+
+
+# -- the deliberate differences --------------------------------------------------
+
+def test_string_inputs_and_basis_entries_are_refused():
+    doc = curved_line(Fraction(1, 2)).to_json()
+    for entry in doc["ops"]:
+        if entry["inputs"] == ["e", "e"]:
+            entry["inputs"] = "ee"
+    assert not failed(outcome(oracle_algebra, doc))
+    with pytest.raises(ValueError, match=r"inputs must be an array"):
+        AInfAlgebra.from_json(doc)
+
+    doc = curved_line(Fraction(1, 2)).to_json()
+    doc["space"]["basis"] = [["e", 0], "x1", ["z", 2]]
+    assert not failed(outcome(oracle_algebra, doc))
+    with pytest.raises(ValueError, match=r"basis entry 'x1' is not"):
+        AInfAlgebra.from_json(doc)
+
+    iso = fixture("isotopy_extend")["isotopy"]
+    iso["mt"][0]["inputs"] = "".join(iso["mt"][0]["inputs"]) or "e"
+    with pytest.raises(ValueError, match=r"inputs must be an array"):
+        Pseudoisotopy.from_json(iso)
+
+
+# -- the work a load does --------------------------------------------------------
+
+def test_load_parses_each_distinct_raw_value_once(monkeypatch):
+    doc = fixture("derham_t2")["algebra"]
+    calls = {"frac": 0, "beta": 0}
+
+    def counted(name, func):
+        def wrapper(*args):
+            calls[name] += 1
+            return func(*args)
+        return wrapper
+
+    monkeypatch.setattr(ainf, "frac", counted("frac", ainf.frac))
+    monkeypatch.setattr(ainf, "beta_from_json",
+                        counted("beta", ainf.beta_from_json))
+    alg = AInfAlgebra.from_json(doc)
+    assert sum(len(c) for t in alg.ops.values() for c in t.values()) > 2000
+    raw_scalars = {(type(e["coeff"]), e["coeff"]) for e in doc["ops"]}
+    raw_scalars |= {(type(e["beta"][0]), e["beta"][0]) for e in doc["ops"]}
+    raw_betas = {json.dumps(e["beta"]) for e in doc["ops"]}
+    header = int("cutoff" in doc)
+    assert calls["frac"] <= len(raw_scalars) + header
+    assert calls["beta"] <= len(raw_betas)
