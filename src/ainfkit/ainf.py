@@ -29,6 +29,7 @@ from ainfkit.scalars import (
     NovikovElement,
     frac,
     frac_str,
+    json_int,
 )
 from ainfkit.signs import shifted_parities, sign_pow
 
@@ -48,7 +49,7 @@ def beta_json(beta):
 def beta_from_json(data):
     if not isinstance(data, (list, tuple)) or len(data) != 2:
         raise ValueError(f"beta must be a pair [energy, maslov], got {data!r}")
-    return (frac(data[0]), int(data[1]))
+    return (frac(data[0]), json_int(data[1], "Maslov index"))
 
 
 def _parse_once(memo, key, parse, raw):
@@ -71,13 +72,16 @@ def entry_tables(entries, field, parse, where, add=True):
     Each distinct raw beta and raw value is parsed once.  The memo keys hold
     the type of each raw part next to its value, so 1, 1.0 and True never
     share an entry.  Entries that repeat (k, beta, inputs, output) are
-    summed when add is set; otherwise the last one counts.  `inputs` must be
-    an array, so that a string is not read letter by letter.
+    summed when add is set; otherwise the last one counts.  `k` must be a
+    JSON integer and `inputs` an array, so that 1.9 is not truncated and a
+    string is not read letter by letter.
     """
     tables, betas, values = {}, {}, {}
     by_raw = {}  # {(k, raw beta key): table}, so no Fraction is hashed
     for i, entry in enumerate(entries):
-        k = int(entry["k"])
+        k = entry["k"]
+        if type(k) is not int:  # json_int, without a message per entry
+            raise ValueError(f"{where}[{i}]: k must be an integer, got {k!r}")
         raw = entry["beta"]
         raw_key = (type(raw[0]), raw[0], type(raw[1]), raw[1]) \
             if type(raw) is list and len(raw) == 2 else (type(raw), raw)
@@ -110,7 +114,9 @@ def basis_pairs(basis) -> tuple:
         if not isinstance(entry, (list, tuple)) or len(entry) != 2:
             raise ValueError(
                 f"basis entry {entry!r} is not a [name, degree] pair")
-        pairs.append((str(entry[0]), int(entry[1])))
+        name, degree = entry
+        what = f"degree of basis name {name!r}"
+        pairs.append((str(name), json_int(degree, what)))
     return tuple(pairs)
 
 
@@ -269,6 +275,8 @@ class AInfAlgebra:
                     if type(coeff) is not Fraction:
                         coeff = frac(coeff)
                     if not coeff:
+                        if out not in degrees:
+                            raise ValueError(f"unknown output name {out!r}")
                         continue
                     if degrees.get(out) != target:
                         if out not in degrees:

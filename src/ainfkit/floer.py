@@ -15,9 +15,8 @@ from math import lcm
 from ainfkit.ainf import (
     AInfAlgebra,
     AlgElement,
+    deformed_eval,
     differential_matrix,
-    eval_op,
-    insertion_patterns,
     mc_defect,
     validate_bounding_candidate,
 )
@@ -25,13 +24,11 @@ from ainfkit.kunneth import SubalgebraEmbedding, box_product
 from ainfkit.poly import (
     EchelonSpan,
     Poly,
-    graded_dims,
-    kernel_basis,
     matrix_rank_fraction_field,
     smith_normal_form,
     squares_to_zero,
 )
-from ainfkit.scalars import NovikovElement, frac_str
+from ainfkit.scalars import frac_str
 
 
 def scalar_cohomology(matrix, grading) -> dict:
@@ -51,37 +48,30 @@ def scalar_cohomology(matrix, grading) -> dict:
         for j in range(n):
             if matrix[i][j] != 0 and grading[i] != grading[j] + 1:
                 raise ValueError("differential does not have degree +1")
-    names = list(range(n))
-    degs = {i: grading[i] for i in names}
-    dims = graded_dims(names, degs, matrix)
-
-    # Representatives: per degree, kernel vectors of the outgoing block that
-    # are independent modulo the incoming image.  One echelon basis of the
-    # image grows by each chosen vector; a kernel vector is chosen exactly
+    # Per degree, one echelon basis of the outgoing block's rows gives its
+    # rank and its kernel.  Representatives are the kernel vectors that are
+    # independent modulo the incoming image: one echelon basis of the image
+    # grows by each chosen vector, and a kernel vector is chosen exactly
     # when it does not reduce to zero against it.
     by_deg = {}
-    for i in names:
+    for i in range(n):
         by_deg.setdefault(grading[i], []).append(i)
-    reps = {}
+    ranks, dims, reps = {}, {}, {}
     for d, idxs in sorted(by_deg.items()):
-        tgt = by_deg.get(d + 1, [])
-        block = [[matrix[i][j] for j in idxs] for i in tgt]
-        kernel = kernel_basis(block) if tgt else [
-            [Fraction(1) if t == s else Fraction(0) for s in range(len(idxs))]
-            for t in range(len(idxs))
-        ]
-        span = EchelonSpan()
-        for j in by_deg.get(d - 1, []):
-            span.add([matrix[i][j] for i in idxs])
-        chosen = [vec for vec in kernel if span.add(vec)]
+        outgoing = EchelonSpan([[matrix[i][j] for j in idxs]
+                                for i in by_deg.get(d + 1, [])])
+        ranks[d] = len(outgoing.rows)
+        dims[d] = len(idxs) - ranks[d] - ranks.get(d - 1, 0)
+        image = EchelonSpan([[matrix[i][j] for i in idxs]
+                             for j in by_deg.get(d - 1, [])])
+        chosen = [v for v in outgoing.kernel(len(idxs)) if image.add(v)]
         reps[d] = [
             {str(idxs[i]): frac_str(v[i]) for i in range(len(idxs)) if v[i] != 0}
             for v in chosen
         ]
-    total = sum(dims.values())
     return {
         "dims": {str(d): v for d, v in sorted(dims.items())},
-        "total": total,
+        "total": sum(dims.values()),
         "representatives": {str(d): reps[d] for d in sorted(reps) if reps[d]},
     }
 
@@ -117,32 +107,18 @@ def deformed_differential_matrix(alg: AInfAlgebra, b: AlgElement):
     n_den = _energy_denominator(alg, b)
     names = alg.names
     idx = {nm: i for i, nm in enumerate(names)}
-    size = len(names)
-    mat = [[Poly.ZERO] * size for _ in range(size)]
-    max_a = alg.max_arity()
-    for nm in names:
-        x = AlgElement.basis(nm)
-        total = AlgElement.zero()
-        for big_k in range(1, max_a + 1):
-            for pattern in insertion_patterns(1, big_k - 1):
-                args = [b] * pattern[0] + [x] + [b] * pattern[1]
-                for (kk, beta) in alg.ops:
-                    if kk != big_k:
-                        continue
-                    val = eval_op(alg, big_k, beta, tuple(args))
-                    if not val.is_zero():
-                        total = total + val.scale(
-                            NovikovElement.monomial(1, beta[0]))
-        for out, nov in total.coeffs.items():
+    mat = [[Poly.ZERO] * len(names) for _ in names]
+    for j, nm in enumerate(names):
+        column = deformed_eval(alg, b, 1, (AlgElement.basis(nm),))
+        for out, nov in column.coeffs.items():
             coeffs = {}
             for e, cf in nov.terms:
                 power = e * n_den
                 if power.denominator != 1:
                     raise ValueError("energy outside (1/N)Z lattice")
-                coeffs[int(power)] = cf
-            poly = Poly([coeffs.get(p, Fraction(0))
-                         for p in range(max(coeffs) + 1)]) if coeffs else Poly.ZERO
-            mat[idx[out]][idx[nm]] = poly
+                coeffs[power.numerator] = cf
+            mat[idx[out]][j] = Poly([coeffs.get(p, Fraction(0))
+                                     for p in range(max(coeffs) + 1)])
     if not squares_to_zero(mat, Poly.ZERO):
         raise ValueError("deformed differential does not square to zero")
     return mat, n_den

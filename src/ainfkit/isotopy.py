@@ -49,7 +49,8 @@ from ainfkit.ainf import (AInfAlgebra, add_into, basis_pairs, beta_json,
                           relation_violations, replaced)
 from ainfkit.kunneth import kunneth_K_table
 from ainfkit.poly import Poly
-from ainfkit.scalars import BETA_ZERO, EnergyMonoid, frac, frac_str, monoid_sum
+from ainfkit.scalars import (BETA_ZERO, EnergyMonoid, frac, frac_str, json_int,
+                              monoid_sum)
 from ainfkit.signs import shifted, shifted_parities, sign_pow
 
 
@@ -83,10 +84,10 @@ def _clean_family(name, basis_degrees, monoid, cutoff, tables, degree_drop,
             for out, poly in combo.items():
                 if not isinstance(poly, Poly):
                     poly = Poly.const(poly)
-                if poly.is_zero():
-                    continue
                 if out not in basis_degrees:
                     raise ValueError(f"{name}: unknown output name {out!r}")
+                if poly.is_zero():
+                    continue
                 if basis_degrees[out] != target:
                     raise ValueError(
                         f"{name}: degree violation at ({k}, {beta}){inputs} -> {out}"
@@ -192,7 +193,7 @@ class Pseudoisotopy:
     @staticmethod
     def from_json(doc) -> "Pseudoisotopy":
         return Pseudoisotopy(
-            n=doc["n"],
+            n=json_int(doc["n"], "n"),
             basis=doc["space"]["basis"],
             monoid=EnergyMonoid.from_json(doc["monoid"]),
             cutoff=frac(doc["cutoff"]),

@@ -41,7 +41,6 @@ from ainfkit.ainf import (
 from ainfkit.poly import (
     EchelonSpan,
     graded_dims,
-    kernel_basis,
     rational_matrix_rank,
     sparse_product,
     squares_to_zero,
@@ -422,7 +421,7 @@ def check_kunneth_hypothesis(embA: SubalgebraEmbedding,
     dim_h_target = nc - 2 * rank_mu
 
     # Induced map on cohomology: classes of K(ker D) modulo im(mu).
-    ker_vectors = kernel_basis(D)
+    ker_vectors = EchelonSpan(D).kernel(np_)
     k_of_ker = sparse_product(
         kmat, [[vec[j] for vec in ker_vectors] for j in range(np_)], 0)
     stacked = [mu[i] + [k_of_ker.get((i, c), Fraction(0))

@@ -210,81 +210,6 @@ def matrix_rank_fraction_field(rows) -> int:
     return rank
 
 
-def rational_matrix_rank(rows) -> int:
-    """Rank of a matrix of Fractions by exact Gaussian elimination."""
-    m = [[frac(x) for x in r] for r in rows]
-    if not m or not m[0]:
-        return 0
-    nrows, ncols = len(m), len(m[0])
-    rank, r = 0, 0
-    for c in range(ncols):
-        piv = next((i for i in range(r, nrows) if m[i][c] != 0), None)
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        inv = 1 / m[r][c]
-        m[r] = [x * inv for x in m[r]]
-        for i in range(nrows):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
-        rank += 1
-        r += 1
-        if r == nrows:
-            break
-    return rank
-
-
-def kernel_basis(mat):
-    """Column vectors spanning the kernel, by exact Gaussian elimination."""
-    if not mat:
-        return []
-    nrows, ncols = len(mat), len(mat[0])
-    m = [row[:] for row in mat]
-    pivots = {}
-    r = 0
-    for cidx in range(ncols):
-        piv = next((i for i in range(r, nrows) if m[i][cidx] != 0), None)
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        inv = 1 / m[r][cidx]
-        m[r] = [x * inv for x in m[r]]
-        for i in range(nrows):
-            if i != r and m[i][cidx] != 0:
-                f = m[i][cidx]
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
-        pivots[cidx] = r
-        r += 1
-        if r == nrows:
-            break
-    basis = []
-    free = [cidx for cidx in range(ncols) if cidx not in pivots]
-    for fcol in free:
-        vec = [Fraction(0)] * ncols
-        vec[fcol] = Fraction(1)
-        for pcol, prow in pivots.items():
-            vec[pcol] = -m[prow][fcol]
-        basis.append(vec)
-    return basis
-
-
-def graded_dims(names, degrees, diff):
-    """Per-degree cohomology dimensions of a degree-respecting differential."""
-    by_deg = {}
-    for i, nm in enumerate(names):
-        by_deg.setdefault(degrees[nm], []).append(i)
-    ranks = {}
-    for d, idxs in by_deg.items():
-        tgt = by_deg.get(d + 1, [])
-        block = [[diff[i][j] for j in idxs] for i in tgt]
-        ranks[d] = rational_matrix_rank(block) if tgt else 0
-    dims = {}
-    for d, idxs in by_deg.items():
-        dims[d] = len(idxs) - ranks.get(d, 0) - ranks.get(d - 1, 0)
-    return {d: dims[d] for d in sorted(dims)}
-
-
 def sparse_product(a, b, zero) -> dict:
     """The exact product a*b as {(row, column): nonzero entry}, over any ring
     whose zero is `zero`.  Column j is the sum over nonzero b[k][j] of b[k][j]
@@ -310,17 +235,31 @@ def squares_to_zero(mat, zero) -> bool:
     return not sparse_product(mat, mat, zero)
 
 
+def _subtract(v, f, row) -> None:
+    """v -= f * row on sparse {index: entry} vectors, dropping zeros."""
+    for i, x in row.items():
+        y = v.get(i, 0) - f * x
+        if y:
+            v[i] = y
+        else:
+            v.pop(i, None)
+
+
 class EchelonSpan:
     """A growing span of rational vectors, kept as an echelon basis.
 
     Each basis row is sparse ({index: Fraction}), is 1 at its leading
-    (smallest) index, and no two rows share a leading index.
+    (smallest) index, and no two rows share a leading index.  This is the
+    one Gaussian elimination over Q: the rank of what was added is
+    len(self.rows), and `kernel` reads the null space off the basis.
     """
 
     __slots__ = ("rows",)
 
-    def __init__(self):
+    def __init__(self, rows=()):
         self.rows = {}
+        for row in rows:
+            self.add(row)
 
     def add(self, vec) -> bool:
         """Add vec to the span; True exactly when it was not already in it.
@@ -331,7 +270,7 @@ class EchelonSpan:
         basis is nonzero; the reduced vector then joins the basis.
         """
         entries = vec.items() if isinstance(vec, dict) else enumerate(vec)
-        v = {i: frac(x) for i, x in entries if x != 0}
+        v = {i: y for i, x in entries if x and (y := frac(x))}
         while v:
             lead = min(v)
             row = self.rows.get(lead)
@@ -339,14 +278,51 @@ class EchelonSpan:
                 inv = 1 / v[lead]
                 self.rows[lead] = {i: x * inv for i, x in v.items()}
                 return True
-            f = v[lead]
-            for i, x in row.items():
-                y = v.get(i, 0) - f * x
-                if y:
-                    v[i] = y
-                else:
-                    v.pop(i, None)
+            _subtract(v, v[lead], row)
         return False
+
+    def kernel(self, ncols) -> list:
+        """A basis of the vectors of length ncols orthogonal to every row:
+        one dense Fraction vector per free column (no row leads there), in
+        ascending order, 1 there and 0 at the other free columns.
+
+        The rows are first back-substituted to the (unique) reduced echelon
+        form of the same span, each 0 at every other row's lead.
+        """
+        for lead in sorted(self.rows, reverse=True):
+            row = self.rows[lead]
+            for other in [i for i in row if i != lead and i in self.rows]:
+                _subtract(row, row[other], self.rows[other])
+        basis = {j: [Fraction(0)] * ncols
+                 for j in range(ncols) if j not in self.rows}
+        for j, vec in basis.items():
+            vec[j] = Fraction(1)
+        for lead, row in self.rows.items():
+            for j, x in row.items():
+                if j != lead:
+                    basis[j][lead] = -x
+        return list(basis.values())
+
+
+def rational_matrix_rank(rows) -> int:
+    """Rank of a matrix of Fractions: the size of its echelon basis."""
+    return len(EchelonSpan(rows).rows)
+
+
+def graded_dims(names, degrees, diff):
+    """Per-degree cohomology dimensions of a degree-respecting differential."""
+    by_deg = {}
+    for i, nm in enumerate(names):
+        by_deg.setdefault(degrees[nm], []).append(i)
+    ranks = {}
+    for d, idxs in by_deg.items():
+        tgt = by_deg.get(d + 1, [])
+        block = [[diff[i][j] for j in idxs] for i in tgt]
+        ranks[d] = rational_matrix_rank(block) if tgt else 0
+    dims = {}
+    for d, idxs in by_deg.items():
+        dims[d] = len(idxs) - ranks.get(d, 0) - ranks.get(d - 1, 0)
+    return {d: dims[d] for d in sorted(dims)}
 
 
 def smith_normal_form(rows):

@@ -40,6 +40,14 @@ def frac(x) -> Fraction:
     raise TypeError(f"cannot coerce {x!r} to an exact rational")
 
 
+def json_int(x, what) -> int:
+    """x, which a document must give as a JSON integer: a float, a string or
+    a boolean is refused rather than truncated or read as a number."""
+    if type(x) is not int:
+        raise ValueError(f"{what} must be an integer, got {x!r}")
+    return x
+
+
 def _is_decimal(s: str) -> bool:
     """s is a nonempty run of ASCII digits."""
     return s.isdigit() and s.isascii()
@@ -283,7 +291,8 @@ class EnergyMonoid:
 
     @staticmethod
     def from_json(data) -> "EnergyMonoid":
-        return EnergyMonoid([(frac(e), int(mu)) for e, mu in data])
+        return EnergyMonoid([(frac(e), json_int(mu, "monoid Maslov index"))
+                             for e, mu in data])
 
 
 def monoid_sum(G1: EnergyMonoid, G2: EnergyMonoid) -> EnergyMonoid:

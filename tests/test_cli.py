@@ -344,3 +344,58 @@ def test_isotopy_inputs_as_string_is_input_error(fixture_path, tmp_path,
     err = _input_error(capsys, "check-isotopy", str(path))
     assert "iso.json: isotopy: mt[" in err
     assert "inputs must be an array of names" in err
+
+
+def test_zero_coefficient_with_unknown_output_is_input_error(tmp_path,
+                                                            capsys):
+    def ghost(doc):
+        doc["ops"].append({"k": 1, "beta": ["0", 0], "inputs": ["x"],
+                           "output": "ghost", "coeff": "0"})
+
+    err = _input_error(capsys, "check-ainf", _curved_line_doc(tmp_path, ghost))
+    assert err.rstrip().endswith(
+        "curved.json: algebra: unknown output name 'ghost'")
+
+
+def test_zero_isotopy_polynomial_with_unknown_output_is_input_error(
+        fixture_path, tmp_path, capsys):
+    raw = json.load(open(fixture_path("isotopy_extend.json")))
+    mt = raw["isotopy"]["mt"]
+    mt.append(dict(mt[0], output="ghost", poly=[]))
+    path = tmp_path / "iso.json"
+    path.write_text(json.dumps(raw))
+    err = _input_error(capsys, "check-isotopy", str(path))
+    assert "iso.json: isotopy: m^t: unknown output name 'ghost'" in err
+
+
+def _m1_entries(doc):
+    return [e for e in doc["ops"] if e["k"] == 1]
+
+
+@pytest.mark.parametrize("edit,message", [
+    (lambda doc: [e.update(k=1.9, beta=["0", 0.5]) for e in _m1_entries(doc)],
+     "algebra: ops[{i}]: k must be an integer, got 1.9"),
+    (lambda doc: [e.update(k="1") for e in _m1_entries(doc)],
+     "algebra: ops[{i}]: k must be an integer, got '1'"),
+    (lambda doc: [e.update(beta=["0", 0.5]) for e in _m1_entries(doc)],
+     "algebra: Maslov index must be an integer, got 0.5"),
+    (lambda doc: doc["space"]["basis"][1].__setitem__(1, True),
+     "algebra: degree of basis name 'x' must be an integer, got True"),
+    (lambda doc: doc["monoid"][2].__setitem__(1, 2.0),
+     "algebra: monoid Maslov index must be an integer, got 2.0"),
+])
+def test_non_integer_number_is_input_error(edit, message, tmp_path, capsys):
+    doc = curved_line(Fraction(1, 2)).to_json()
+    first_m1 = next(i for i, e in enumerate(doc["ops"]) if e["k"] == 1)
+    path = _curved_line_doc(tmp_path, edit)
+    err = _input_error(capsys, "check-ainf", path)
+    assert f"curved.json: {message.format(i=first_m1)}" in err
+
+
+def test_non_integer_isotopy_n_is_input_error(fixture_path, tmp_path, capsys):
+    raw = json.load(open(fixture_path("isotopy_extend.json")))
+    raw["isotopy"]["n"] = 1.5
+    path = tmp_path / "iso.json"
+    path.write_text(json.dumps(raw))
+    err = _input_error(capsys, "check-isotopy", str(path))
+    assert "iso.json: isotopy: n must be an integer, got 1.5" in err

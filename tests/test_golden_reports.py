@@ -5,9 +5,10 @@ plans and the monoid enumeration was kept, and of the isotopy commands,
 recorded before the pseudoisotopy sums moved onto the same insertion plans,
 and of torus-suite, check-unit, check-subalgebra, check-commuting, mc-defect
 and box-product, recorded before the torus calculus and the relation scan
-moved onto integers and K was kept per basis pair, and more check-commuting
+moved onto integers and K was kept per basis pair, more check-commuting
 and check-subalgebra reports, recorded before those scans became lookups into
-the stored tables.
+the stored tables, and of check-kunneth and check-hf-kunneth, recorded before
+the rank and kernel over Q became one echelon elimination.
 
 Report determinism (criterion 10) compares two runs of the same code; these
 digests pin the bytes across code changes, so a different choice of
@@ -261,6 +262,17 @@ COMMANDS = {
         (1, "31b9e421df16a419bd09c1a043968116e09bb3a17a5206a7da6c59c791376da1"),
     ("check-subalgebra", "stray_product", ("--embedding", "B")):
         (1, "56c2aa546d9d55739f7f95403e2db56e48b412af056dbe6b8ea6c8c52fdc2088"),
+    # Recorded at 7cdb11e, before the rank and kernel over Q moved onto one
+    # echelon elimination and m^b_1 onto deformed_eval.
+    ("check-kunneth", "kunneth_derham", ()):
+        (0, "9f9bf30dc453e9dff52f267f78cdd8a96d7ada9cd5a76735e3af36098cd9ccf2"),
+    ("check-kunneth", "kunneth_minimal", ()):
+        (0, "ec2710032c0678916d3368514da2b17f8cfe34f5e4efeeb875a5fdff25c82fd9"),
+    ("check-kunneth", "kunneth_derham",
+     ("--mutate", "flip:m2:0/0:f1_0;d,f0_1;d->f1_1;d")):
+        (1, "e90ba7e24d3d543c18aa20f25b842057d166702cef96ac4c1de95593f79980b2"),
+    ("check-hf-kunneth", "gapped_product", ()):
+        (0, "75c090e567b2ed5a4ccd65f417c3d5a27b8aab57670f54daa48a3189d5cd15bf"),
 }
 
 

@@ -1,7 +1,7 @@
 """Differential tests: the sparse linear-algebra kernels against the dense
 ones they replaced, kept here as oracles (the dense d^2 check, the dense
-matrix product of the chain-map test, the repeated-rank picker and the old
-scalar_cohomology).
+matrix product of the chain-map test, the dense Gauss-Jordan rank and kernel,
+the repeated-rank picker and the old scalar_cohomology).
 
 The strategies draw sparse matrices (each entry zero with probability 0.7),
 so the zero-skipping branches of Bareiss, Smith form and the d^2 check are
@@ -20,15 +20,13 @@ from ainfkit.models import derham_model
 from ainfkit.poly import (
     EchelonSpan,
     Poly,
-    graded_dims,
-    kernel_basis,
     matrix_rank_fraction_field,
     rational_matrix_rank,
     smith_normal_form,
     sparse_product,
     squares_to_zero,
 )
-from ainfkit.scalars import frac_str
+from ainfkit.scalars import frac, frac_str
 
 coeffs = st.fractions(min_value=-5, max_value=5, max_denominator=4)
 polys = st.lists(coeffs, max_size=3).map(Poly)
@@ -71,6 +69,81 @@ def _mat_mul(a, b, zero=0):
              for j in range(len(b[0]))] for i in range(len(a))]
 
 
+def dense_rank(rows) -> int:
+    """Rank of a matrix of Fractions by exact Gaussian elimination."""
+    m = [[frac(x) for x in r] for r in rows]
+    if not m or not m[0]:
+        return 0
+    nrows, ncols = len(m), len(m[0])
+    rank, r = 0, 0
+    for c in range(ncols):
+        piv = next((i for i in range(r, nrows) if m[i][c] != 0), None)
+        if piv is None:
+            continue
+        m[r], m[piv] = m[piv], m[r]
+        inv = 1 / m[r][c]
+        m[r] = [x * inv for x in m[r]]
+        for i in range(nrows):
+            if i != r and m[i][c] != 0:
+                f = m[i][c]
+                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+        rank += 1
+        r += 1
+        if r == nrows:
+            break
+    return rank
+
+
+def dense_kernel_basis(mat):
+    """Column vectors spanning the kernel, by exact Gaussian elimination."""
+    if not mat:
+        return []
+    nrows, ncols = len(mat), len(mat[0])
+    m = [row[:] for row in mat]
+    pivots = {}
+    r = 0
+    for cidx in range(ncols):
+        piv = next((i for i in range(r, nrows) if m[i][cidx] != 0), None)
+        if piv is None:
+            continue
+        m[r], m[piv] = m[piv], m[r]
+        inv = 1 / m[r][cidx]
+        m[r] = [x * inv for x in m[r]]
+        for i in range(nrows):
+            if i != r and m[i][cidx] != 0:
+                f = m[i][cidx]
+                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+        pivots[cidx] = r
+        r += 1
+        if r == nrows:
+            break
+    basis = []
+    free = [cidx for cidx in range(ncols) if cidx not in pivots]
+    for fcol in free:
+        vec = [Fraction(0)] * ncols
+        vec[fcol] = Fraction(1)
+        for pcol, prow in pivots.items():
+            vec[pcol] = -m[prow][fcol]
+        basis.append(vec)
+    return basis
+
+
+def dense_graded_dims(names, degrees, diff):
+    """Per-degree cohomology dimensions of a degree-respecting differential."""
+    by_deg = {}
+    for i, nm in enumerate(names):
+        by_deg.setdefault(degrees[nm], []).append(i)
+    ranks = {}
+    for d, idxs in by_deg.items():
+        tgt = by_deg.get(d + 1, [])
+        block = [[diff[i][j] for j in idxs] for i in tgt]
+        ranks[d] = dense_rank(block) if tgt else 0
+    dims = {}
+    for d, idxs in by_deg.items():
+        dims[d] = len(idxs) - ranks.get(d, 0) - ranks.get(d - 1, 0)
+    return {d: dims[d] for d in sorted(dims)}
+
+
 def repeated_rank_pick(image_vectors, kernel):
     """Keep each kernel vector that raises the rank of what is kept so far."""
     size = len(kernel[0]) if kernel else 0
@@ -78,7 +151,7 @@ def repeated_rank_pick(image_vectors, kernel):
     for vec in kernel:
         trial = image_vectors + chosen + [vec]
         rows = [[col[i] for col in trial] for i in range(size)]
-        if rational_matrix_rank(rows) > rational_matrix_rank(
+        if dense_rank(rows) > dense_rank(
                 [[col[i] for col in image_vectors + chosen]
                  for i in range(size)]):
             chosen.append(vec)
@@ -90,7 +163,7 @@ def dense_scalar_cohomology(matrix, grading):
     n = len(grading)
     if not dense_squares_to_zero(matrix, Fraction(0)):
         raise ValueError("differential does not square to zero")
-    dims = graded_dims(list(range(n)), dict(enumerate(grading)), matrix)
+    dims = dense_graded_dims(list(range(n)), dict(enumerate(grading)), matrix)
     by_deg = {}
     for i in range(n):
         by_deg.setdefault(grading[i], []).append(i)
@@ -98,7 +171,7 @@ def dense_scalar_cohomology(matrix, grading):
     for d, idxs in sorted(by_deg.items()):
         tgt = by_deg.get(d + 1, [])
         block = [[matrix[i][j] for j in idxs] for i in tgt]
-        kernel = kernel_basis(block) if tgt else [
+        kernel = dense_kernel_basis(block) if tgt else [
             [Fraction(1) if t == s else Fraction(0) for s in range(len(idxs))]
             for t in range(len(idxs))
         ]
@@ -251,6 +324,59 @@ def test_smith_factors_match_sympy_rank_on_sparse(rows):
     assert len(factors) == sympy_rank(rows)
     for a, b in zip(factors, factors[1:]):
         assert (b % a).is_zero()
+
+
+# -- rank and kernel over Q --------------------------------------------------
+
+@st.composite
+def rectangular_matrices(draw):
+    """(ncols, rows): a sparse Fraction matrix of 0-6 rows and 1-7 columns,
+    sometimes with a repeated row or an all-zero row put in."""
+    ncols = draw(st.integers(1, 7))
+    row = st.lists(sparse(coeffs, Fraction(0)), min_size=ncols,
+                   max_size=ncols)
+    rows = draw(st.lists(row, max_size=6))
+    if rows and draw(st.booleans()):
+        rows.append(list(draw(st.sampled_from(rows))))
+    if draw(st.booleans()):
+        rows.insert(draw(st.integers(0, len(rows))), [Fraction(0)] * ncols)
+    return ncols, rows
+
+
+def identity(n):
+    return [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(rectangular_matrices())
+@example((3, []))
+@example((3, [[Fraction(0)] * 3, [Fraction(0)] * 3]))
+@example((3, [[Fraction(1), Fraction(2), Fraction(0)]] * 2))
+@example((4, [[Fraction(0), Fraction(1), Fraction(1), Fraction(0)],
+              [Fraction(1), Fraction(1), Fraction(0), Fraction(2)],
+              [Fraction(1), Fraction(0), Fraction(-1), Fraction(2)]]))
+def test_echelon_rank_and_kernel_match_dense(matrix):
+    ncols, rows = matrix
+    span = EchelonSpan(rows)
+    kernel = span.kernel(ncols)
+    assert kernel == (dense_kernel_basis(rows) if rows else identity(ncols))
+    assert all(type(x) is Fraction for vec in kernel for x in vec)
+    assert rational_matrix_rank(rows) == dense_rank(rows) == \
+        len(span.rows) == ncols - len(kernel)
+    # Back-substitution leaves a reduced echelon basis of the same span.
+    for lead, row in span.rows.items():
+        assert min(row) == lead and row[lead] == 1
+        assert not (set(row) - {lead}) & set(span.rows)
+    assert not any(span.add(r) for r in rows)
+
+
+@settings(max_examples=60, deadline=None)
+@given(rectangular_matrices())
+def test_echelon_span_takes_sparse_rows(matrix):
+    ncols, rows = matrix
+    sparse_rows = [{j: x for j, x in enumerate(r) if x} for r in rows]
+    assert EchelonSpan(sparse_rows).kernel(ncols) == \
+        EchelonSpan(rows).kernel(ncols)
 
 
 # -- representative picking --------------------------------------------------
