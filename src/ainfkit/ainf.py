@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import islice, product
-from math import lcm
+from math import lcm, prod
 
 from ainfkit.scalars import (
     BETA_ZERO,
@@ -108,7 +108,8 @@ def entry_tables(entries, field, parse, where, add=True):
 
 def basis_pairs(basis) -> tuple:
     """The basis as ((name, degree), ...); every entry must be a
-    [name, degree] pair, so that a string is not read letter by letter."""
+    [name, degree] pair, so that a string is not read letter by letter, and
+    no name may repeat."""
     pairs = []
     for entry in basis:
         if not isinstance(entry, (list, tuple)) or len(entry) != 2:
@@ -117,7 +118,23 @@ def basis_pairs(basis) -> tuple:
         name, degree = entry
         what = f"degree of basis name {name!r}"
         pairs.append((str(name), json_int(degree, what)))
+    if len({name for name, _ in pairs}) != len(pairs):
+        raise ValueError("duplicate basis names")
     return tuple(pairs)
+
+
+def window_names(window, names) -> tuple:
+    """The window as a tuple of basis names, None meaning all of names; it
+    must be an array, so that a string is not read letter by letter."""
+    if window is None:
+        return tuple(names)
+    if not isinstance(window, (list, tuple)):
+        raise ValueError("window must be an array of names")
+    known = set(names)
+    for name in window:
+        if name not in known:
+            raise ValueError(f"window name {name!r} not in basis")
+    return tuple(window)
 
 
 class AlgElement:
@@ -234,21 +251,13 @@ class AInfAlgebra:
             raise ValueError("gapped mode takes no cutoff")
         basis = basis_pairs(basis)
         names = [n for n, _ in basis]
-        if len(set(names)) != len(names):
-            raise ValueError("duplicate basis names")
         degrees = dict(basis)
         if unit is not None:
             if unit not in degrees:
                 raise ValueError(f"unit {unit!r} not in basis")
             if degrees[unit] != 0:
                 raise ValueError("unit must have degree 0")
-        if window is None:
-            window = tuple(names)
-        else:
-            window = tuple(window)
-            for n in window:
-                if n not in degrees:
-                    raise ValueError(f"window name {n!r} not in basis")
+        window = window_names(window, names)
         clean_ops = {}
         for (k, beta), table in (ops or {}).items():
             k = int(k)
@@ -386,7 +395,7 @@ class AInfAlgebra:
             mode=doc.get("mode", "gapped"),
             cutoff=frac(doc["cutoff"]) if "cutoff" in doc else None,
             unit=doc.get("unit"),
-            window=tuple(doc["window"]) if "window" in doc else None,
+            window=doc.get("window"),
         )
 
 
@@ -403,45 +412,42 @@ def eval_op(alg: AInfAlgebra, k: int, beta, inputs) -> AlgElement:
         raise ValueError(f"beta {beta} outside the energy monoid")
     if alg.mode == "modulo" and beta[0] > alg.cutoff:
         raise ValueError(f"beta {beta} above cutoff {alg.cutoff}")
-    trunc = alg.truncation
-    table = alg.op_table(k, beta)
-    if not table:
-        return AlgElement.zero(trunc)
-    acc = {}
-    for combo in product(*[list(inp.coeffs.items()) for inp in inputs]):
-        names = tuple(nm for nm, _ in combo)
-        hit = table.get(names)
-        if not hit:
-            continue
-        scalar = NovikovElement.scalar(1, trunc)
-        for _, nov in combo:
-            scalar = scalar * nov
-        if scalar.is_zero():
-            continue
-        for out, coeff in hit.items():
-            term = scalar * coeff
-            acc[out] = acc[out] + term if out in acc else term
-    return AlgElement(acc, trunc)
+    columns = [inverse_index({i: inp.coeffs}) for i, inp in enumerate(inputs)]
+    return AlgElement(pull_back(alg.op_table(k, beta), columns).get(
+        tuple(range(k)), {}), alg.truncation)
 
 
-def eval_table(ops, k, beta, inputs) -> dict:
-    """The multilinear extension of the stored table ops[(k, beta)] to sparse
-    elements {name: coefficient}: {output: coefficient}, zeros dropped.  The
-    coefficients may be Fractions or t-polynomials; (k, beta) must be in the
-    stored key form."""
-    table = ops.get((k, beta))
-    acc = {}
-    if not table:
-        return acc
-    for combo in product(*[inp.items() for inp in inputs]):
-        hit = table.get(tuple(nm for nm, _ in combo))
-        if not hit:
-            continue
-        factor = combo[0][1] if combo else None
-        for _, c in combo[1:]:
-            factor = factor * c
-        add_into(acc, hit, factor)
-    return {out: c for out, c in acc.items() if c}
+def inverse_index(images: dict) -> dict:
+    """{target name: [(label, coefficient)]} over the supports of images,
+    with None for a coefficient 1 (no product to form)."""
+    inverse = {}
+    for label, image in images.items():
+        for out, c in image.items():
+            inverse.setdefault(out, []).append((label, None if c == 1 else c))
+    return inverse
+
+
+def pull_back(table, columns) -> dict:
+    """A stored table read along sparse linear maps, in one pass: columns[j]
+    is the inverse index {name: [(label, coefficient, None for 1)]} of the
+    map on input j.  Returns {label tuple: {output: coefficient}} where
+    m(image(l_1), ..., image(l_k)) has terms.  The pass goes over the stored
+    keys with every input in its column, or over the column products that
+    are stored keys, whichever is fewer."""
+    if prod(map(len, columns)) < len(table):
+        keys = [key for key in product(*columns) if key in table]
+    else:
+        keys = [key for key in table if all(map(dict.__contains__, columns, key))]
+    out = {}
+    for key in keys:
+        for picks in product(*map(dict.__getitem__, columns, key)):
+            factor = None
+            for _, c in picks:
+                if c is not None:
+                    factor = c if factor is None else factor * c
+            add_into(out.setdefault(tuple(label for label, _ in picks), {}),
+                     table[key], factor)
+    return out
 
 
 def add_into(acc: dict, vec: dict, scale=None):

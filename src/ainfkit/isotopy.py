@@ -35,7 +35,9 @@ coefficients: the m^t relation is the A-infinity relation scan over Q[t]
 (ainf.relation_violations on mT, a join of the stored tables), and the two
 mixed sums are the insertion plans of m^t over c^t (no sign) and of c^t over
 m^t (Koszul sign), built once per (beta, k) by isotopy_sums and evaluated
-tuple by tuple in the differential-equation check and the extension.
+tuple by tuple in the differential-equation check and the extension; both
+identities hold on the scope of check_ainf, every name at arity 1 and the
+window beyond.  Product compatibility is kunneth.pullback_scan over Q[t].
 """
 
 from __future__ import annotations
@@ -44,14 +46,14 @@ from fractions import Fraction
 from itertools import product
 
 from ainfkit.ainf import (AInfAlgebra, add_into, basis_pairs, beta_json,
-                          beta_norm, entry_tables, eval_table, insertion_plan,
-                          insertion_sum, linear_image, parse_constant_id,
-                          relation_violations, replaced)
-from ainfkit.kunneth import kunneth_K_table
+                          beta_norm, entry_tables, insertion_plan,
+                          insertion_sum, parse_constant_id,
+                          relation_violations, replaced, window_names)
+from ainfkit.kunneth import kunneth_K_table, pullback_scan, scan_report
 from ainfkit.poly import Poly
 from ainfkit.scalars import (BETA_ZERO, EnergyMonoid, frac, frac_str, json_int,
                               monoid_sum)
-from ainfkit.signs import shifted, shifted_parities, sign_pow
+from ainfkit.signs import shifted_parities, sign_pow
 
 
 def _clean_family(name, basis_degrees, monoid, cutoff, tables, degree_drop,
@@ -125,8 +127,7 @@ class Pseudoisotopy:
                            t_independent_beta_zero=True)
         cT = _clean_family("c^t", degrees, monoid, cutoff, cT, 1,
                            unit=unit, forbid_beta_zero=True)
-        if window is None:
-            window = names
+        window = window_names(window, names)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "basis", basis)
         object.__setattr__(self, "monoid", monoid)
@@ -137,7 +138,7 @@ class Pseudoisotopy:
         object.__setattr__(self, "_degrees", degrees)
         object.__setattr__(self, "_names", names)
         object.__setattr__(self, "_parity", shifted_parities(degrees))
-        object.__setattr__(self, "window", tuple(window))
+        object.__setattr__(self, "window", window)
 
     def __setattr__(self, *a):
         raise AttributeError("Pseudoisotopy is immutable")
@@ -202,7 +203,7 @@ class Pseudoisotopy:
                             add=False),
             cT=entry_tables(doc.get("ct", []), "poly", Poly.from_json, "ct",
                             add=False),
-            window=tuple(doc["window"]) if "window" in doc else None,
+            window=doc.get("window"),
         )
 
 
@@ -231,11 +232,15 @@ def check_pseudoisotopy(P: Pseudoisotopy, m0: AInfAlgebra = None,
     max_m = max((k for k, _ in P.mT), default=0)
     max_c = max((k for k, _ in P.cT), default=0)
 
-    # Quadratic relations of m^t: the A-infinity relation over Q[t], on the
-    # full basis.
+    # Quadratic relations of m^t: the A-infinity relation over Q[t].  Both
+    # identities are scanned as check_ainf scans an algebra: every name at
+    # arity 1, the window beyond.
+    def scope(n):
+        return P.names if n == 1 else P.window
+
     n_bound = max(2 * max_m - 1, 0)
     for beta, n, names, defect in relation_violations(
-            P.mT, P._parity, betas, n_bound, lambda n: P.names):
+            P.mT, P._parity, betas, n_bound, scope):
         violations.append({
             "clause": "ainf-family", "beta": beta_json(beta),
             "n": n, "inputs": list(names),
@@ -250,7 +255,7 @@ def check_pseudoisotopy(P: Pseudoisotopy, m0: AInfAlgebra = None,
             m_table = P.mT.get((k, beta), {})
             if not (s1 or s2 or m_table):
                 continue
-            for names in product(P.names, repeat=k):
+            for names in product(scope(k), repeat=k):
                 acc = {out: poly.derivative() * pf
                        for out, poly in m_table.get(names, {}).items()}
                 add_into(acc, insertion_sum(s1, unsigned, names), -1)
@@ -371,21 +376,19 @@ def extend_to(m0: AInfAlgebra, chain):
 
 def check_commuting_isotopy(PC: Pseudoisotopy, PA: Pseudoisotopy,
                             PB: Pseudoisotopy, embA, embB) -> dict:
-    """Product-compatibility of an isotopy with two factor isotopies.
-
-    Writing G_A, G_B for the factor monoids inside the product monoid:
-
-      * at beta outside G_A and G_B, both families of PC vanish on embedded
-        and K-inserted tuples;
-      * at beta in G_A (nonzero), tuples with a strict second-factor input
-        kill both families, and symmetrically;
-      * at beta in G_A, on first-factor tuples:
-          m^t_C(iota a_1, ..)                      = iota(m^t_A(a_1, ..))
-          c^t_C(iota a_1, ..)                      = (-1)^{n_B} iota(c^t_A(a_1, ..))
-          m^t_C(.., K(a (x) b), ..) = (-1)^{|b|(||a_{i+1}||+..)} K(m^t_A(.., a, ..) (x) b)
-          c^t_C(.., K(a (x) b), ..) = (-1)^{n_B + |b|(||a_{i+1}||+..)} K(c^t_A(.., a, ..) (x) b)
-        and symmetrically for G_B with the second-factor insertion signs
-        (-1)^{|a|(1 + ||b_1|| + .. + ||b_i||)} and the extra (-1)^{n_A}.
+    """Product-compatibility of an isotopy with two factor isotopies: the
+    clauses of kunneth.check_commuting for both families, as
+    kunneth.pullback_scan over Q[t].  With G_A, G_B the factor monoids: at
+    beta outside both, both families of PC vanish on embedded and K-inserted
+    tuples; at nonzero beta in G_A, tuples with a strict second-factor input
+    kill both, and on first-factor tuples
+        m^t_C(iota a_1, ..) = iota(m^t_A(a_1, ..)),
+        m^t_C(.., K(a (x) b), ..) = (-1)^{|b|(||a_{i+1}||+..)} K(m^t_A(.., a, ..) (x) b),
+    and the same for c^t with the extra sign (-1)^{n_B}; symmetrically for
+    G_B, with (-1)^{|a|(1 + ||b_1|| + .. + ||b_i||)} and (-1)^{n_A}.  The
+    shared unit is one tag, on the first-factor side, read by the second
+    factor as its unit: tuples of units (or units mixed with one factor)
+    belong to one factor, the first when nothing strict is present.
     """
     if PC.n != PA.n + PB.n:
         raise ValueError("dimension parameters must satisfy n_C = n_A + n_B")
@@ -395,160 +398,43 @@ def check_commuting_isotopy(PC: Pseudoisotopy, PA: Pseudoisotopy,
         raise ValueError("embedding sources must match the factor isotopies")
     if embA.target.basis != PC.basis:
         raise ValueError("embedding target must match the product isotopy")
-    n1, n2 = PA.n, PB.n
-    a_names, b_names = PA.names, PB.names
-    a_unit, b_unit = embA.source.unit, embB.source.unit
-    k_values = {pair: {o: Poly.const(v) for o, v in val.items()}
-                for pair, val in kunneth_K_table(embA, embB).items()}
+    embs, units, b_unit = (embA, embB), [("A", embA.source.unit)], embB.source.unit
+    scanned = (PA.names, [nm for nm in PB.names if nm != b_unit])
+    windows = (embA.source.window,
+               [nm for nm in embB.source.window if nm != b_unit])
+    kt = kunneth_K_table(embA, embB)
     violations = []
 
-    def record(clause, beta, detail):
-        violations.append({"clause": clause, "beta": beta_json(beta), **detail})
+    def record(clause, beta, detail, lhs, rhs):
+        violations.append({"clause": clause, "beta": beta_json(beta), **detail,
+                           **{key: {o: p.to_json() for o, p in sorted(vec.items())}
+                              for key, vec in (("lhs", lhs), ("rhs", rhs))}})
 
-    betas = PC.monoid.enumerate(PC.cutoff)
-    k_max = PC.max_arity()
-    # The shared unit is listed once, on the first-factor side, so tuples of
-    # units (or units mixed with one factor) classify as single-factor tuples.
-    tags = [("A", nm) for nm in a_names] + \
-        [("B", nm) for nm in b_names if nm != b_unit]
-
-    def tag_elem(t):
-        return {tgt: Poly.const(c) for tgt, c in
-                (embA if t[0] == "A" else embB).iota[t[1]].items()}
-
-    def tag_deg(t):
-        return (PA if t[0] == "A" else PB).degree(t[1])
-
-    def fam_pairs():
-        return (("m", PC.mT, PA.mT, PB.mT, 0, 0),
-                ("c", PC.cT, PA.cT, PB.cT, n2, n1))
-
-    def side_of(tup):
-        """Which factor a tuple belongs to; units act as wildcards and are
-        attributed to the first factor when nothing strict is present."""
-        has_a = any(t[0] == "A" and t[1] != a_unit for t in tup)
-        has_b = any(t[0] == "B" for t in tup)
-        if has_a and has_b:
-            return "mixed"
-        if has_b:
-            return "B"
-        return "A"
-
-    def factor_names(tup, side):
-        if side == "A":
-            return tuple(t[1] for t in tup)
-        return tuple(t[1] if t[0] == "B" else b_unit for t in tup)
-
-    for beta in betas:
-        in_ga = beta in PA.monoid
-        in_gb = beta in PB.monoid
-        # -- plain embedded tuples --------------------------------------------
-        for k in range(0, k_max + 1):
-            for tup in product(tags, repeat=k):
-                side = side_of(tup)
-                elems = [tag_elem(t) for t in tup]
-                for fam, c_tab, a_tab, b_tab, extra_a, extra_b in fam_pairs():
-                    lhs = eval_table(c_tab, k, beta, elems)
-                    if side == "mixed":
-                        # Mixed tuples vanish; the one exception is the
-                        # graded anticommutator of the t-independent (2, 0)
-                        # product, which the endpoint commuting check owns.
-                        if fam == "m" and (k, beta) == (2, BETA_ZERO):
-                            continue
-                        if lhs:
-                            record(f"{fam}-mixed-tuple", beta,
-                                   {"k": k, "inputs": [list(t) for t in tup]})
-                        continue
-                    # The empty tuple is a tuple of both factors at once:
-                    # the expected curvature is the sum of both reductions.
-                    expected = {}
-                    if (side == "A" or k == 0) and in_ga:
-                        inner = a_tab.get((k, beta), {}).get(
-                            factor_names(tup, "A"), {})
-                        add_into(expected, linear_image(embA.iota, inner),
-                                 sign_pow(extra_a) if fam == "c" else None)
-                    if (side == "B" or k == 0) and in_gb:
-                        inner = b_tab.get((k, beta), {}).get(
-                            factor_names(tup, "B"), {})
-                        add_into(expected, linear_image(embB.iota, inner),
-                                 sign_pow(extra_b) if fam == "c" else None)
-                    expected = {o: p for o, p in expected.items()
-                                if not p.is_zero()}
-                    # A tuple drawn from the wrong factor for this beta (or a
-                    # beta outside both factor monoids) must evaluate to zero.
-                    if lhs != expected:
-                        record(f"{fam}-restriction", beta, {
-                            "k": k, "inputs": [list(t) for t in tup],
-                            "lhs": {o: p.to_json() for o, p in sorted(lhs.items())},
-                            "rhs": {o: p.to_json()
-                                    for o, p in sorted(expected.items())},
-                        })
-        # -- K-inserted tuples --------------------------------------------------
-        a_window = list(embA.source.window)
-        b_window = list(embB.source.window)
-        wtags = [("A", nm) for nm in a_window] + \
-            [("B", nm) for nm in b_window if nm != b_unit]
-        for k in range(0, k_max):
-            for plain in product(wtags, repeat=k):
-                side = side_of(plain)
-                # For the empty tuple both one-factor reductions apply and
-                # the expected value is their sum; otherwise exactly one does.
-                apply_a = in_ga and (side == "A" or k == 0)
-                apply_b = in_gb and (side == "B" or k == 0)
-                plain_elems = [tag_elem(t) for t in plain]
-                plain_degs = [tag_deg(t) for t in plain]
-                a_plain = factor_names(plain, "A") if side != "B" else None
-                b_plain = factor_names(plain, "B") if side != "A" or k == 0 \
-                    else None
-                for i in range(k + 1):
-                    for na in a_window:
-                        for nb in b_window:
-                            da = embA.source.degree(na)
-                            db = embB.source.degree(nb)
-                            mid = k_values[(na, nb)]
-                            args = plain_elems[:i] + [mid] + plain_elems[i:]
-                            for fam, c_tab, a_tab, b_tab, extra_a, extra_b \
-                                    in fam_pairs():
-                                lhs = eval_table(c_tab, k + 1, beta, args)
-                                expected = {}
-                                if apply_a:
-                                    inner = a_tab.get((k + 1, beta), {}).get(
-                                        a_plain[:i] + (na,) + a_plain[i:], {})
-                                    s = sign_pow(
-                                        db * sum(shifted(d)
-                                                 for d in plain_degs[i:])
-                                        + (extra_a if fam == "c" else 0))
-                                    for nm2, p in inner.items():
-                                        add_into(expected, k_values[(nm2, nb)], p * s)
-                                if apply_b:
-                                    inner = b_tab.get((k + 1, beta), {}).get(
-                                        b_plain[:i] + (nb,) + b_plain[i:], {})
-                                    s = sign_pow(
-                                        da * (1 + sum(shifted(d)
-                                                      for d in plain_degs[:i]))
-                                        + (extra_b if fam == "c" else 0))
-                                    for nm2, p in inner.items():
-                                        add_into(expected, k_values[(na, nm2)], p * s)
-                                expected = {o: p for o, p in expected.items()
-                                            if not p.is_zero()}
-                                if lhs != expected:
-                                    record(f"{fam}-k-insertion", beta, {
-                                        "k": k, "slot": i, "pair": [na, nb],
-                                        "plain": [list(t) for t in plain],
-                                        "lhs": {o: p.to_json()
-                                                for o, p in sorted(lhs.items())},
-                                        "rhs": {o: p.to_json()
-                                                for o, p in
-                                                sorted(expected.items())},
-                                    })
+    fams = [(PC.mT, ((PA.mT, PA.monoid), (PB.mT, PB.monoid)), (1, 1)),
+            (PC.cT, ((PA.cT, PA.monoid), (PB.cT, PB.monoid)),
+             (sign_pow(PB.n), sign_pow(PA.n)))]
+    for beta in PC.monoid.enumerate(PC.cutoff):
+        for k in range(PC.max_arity() + 1):
+            for (tup, _, _), f, owners, lhs, rhs in pullback_scan(
+                    fams, beta, k, embs, scanned, units):
+                detail = {"k": k, "inputs": [list(t) for t in tup]}
+                if owners:
+                    record(f"{'mc'[f]}-restriction", beta, detail, lhs, rhs)
+                # Mixed tuples vanish; the one exception is the graded
+                # anticommutator of the t-independent (2, 0) product, which
+                # the endpoint commuting check owns.
+                elif f or (k, beta) != (2, BETA_ZERO):
+                    violations.append({"clause": f"{'mc'[f]}-mixed-tuple",
+                                       "beta": beta_json(beta), **detail})
+        for k in range(PC.max_arity()):
+            for (plain, i, pair), f, _, lhs, rhs in pullback_scan(
+                    fams, beta, k, embs, windows, units, kt):
+                record(f"{'mc'[f]}-k-insertion", beta, {
+                    "k": k, "slot": i, "pair": list(pair),
+                    "plain": [list(t) for t in plain]}, lhs, rhs)
         if len(violations) > 40:
             break
-
-    return {
-        "check": "commuting-isotopy",
-        "status": "PASS" if not violations else "FAIL",
-        "violations": violations,
-    }
+    return scan_report("commuting-isotopy", violations)
 
 
 # -- mutation harness ---------------------------------------------------------------

@@ -16,16 +16,17 @@ identities on stated scan sets:
     the tensor pairs with a factor in its window (the excluded pairs are
     listed).
 
-The subalgebra and commuting scans evaluate the stored op tables
-(ainf.eval_table) on sparse {name: Fraction} arguments: iota-images of basis
-names and K-images of window pairs.  Every coefficient they meet is an
-energy-zero scalar, so no Novikov arithmetic is needed; a violation's
-elements are built only when it is recorded.
+The subalgebra, commuting-pair and commuting-isotopy checks are one scan
+over Q or Q[t], pullback_scan: a stored target table is pulled back to
+factor tags in one pass through an inverse index of the iota-supports (and
+of the K-images for an inserted slot), compared with the factor tables
+pushed forward, and the differences are reported in product order.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 from itertools import islice, product
 
 from ainfkit.ainf import (
@@ -34,9 +35,10 @@ from ainfkit.ainf import (
     add_into,
     beta_json,
     differential_matrix,
-    eval_table,
+    inverse_index,
     linear_image,
     mc_defect,
+    pull_back,
 )
 from ainfkit.poly import (
     EchelonSpan,
@@ -106,10 +108,9 @@ class SubalgebraEmbedding:
         )
 
     def apply(self, elem: AlgElement) -> AlgElement:
-        out = AlgElement.zero(self.target.truncation)
-        for nm, nov in elem.coeffs.items():
-            out = out + self.apply_name(nm).scale(nov.retruncate(self.target.truncation))
-        return out
+        trunc = self.target.truncation
+        return AlgElement(linear_image(self.iota, {
+            nm: nov.retruncate(trunc) for nm, nov in elem.coeffs.items()}), trunc)
 
     def to_json(self):
         return {
@@ -135,41 +136,130 @@ def _scan_betas(emb: SubalgebraEmbedding):
     return sorted(betas)
 
 
-def _elem_json(vec: dict, truncation):
-    return AlgElement(vec, truncation).to_json()
+def scan_report(check, violations) -> dict:
+    """The report of a scan: PASS exactly when it found no violation."""
+    return {"check": check, "status": "PASS" if not violations else "FAIL",
+            "violations": violations}
+
+
+def pullback_scan(fams, beta, k, embs, names, units=(), kt=None,
+                  vanishing=False):
+    """Where stored families differ from their factors' at one (beta, k).
+
+    fams lists (target ops, (ops, monoid) per factor, sign per factor), over
+    Q or Q[t]; embs are the factor embeddings and names the scanned names of
+    each, as tags ("A", name), ("B", name).  The left side is the target
+    table pulled back along iota.  A tag tuple belongs to each factor whose
+    reading covers it: a factor reads its own tags, and each tag of units as
+    its unit.  The right side is the first owner's table (every owner's, on
+    the empty tuple) read along the reading, pushed forward along iota and
+    times the sign, and zero outside that factor's monoid or on a mixed
+    tuple, which no factor owns.  With vanishing, the tuples of a factor
+    whose monoid holds beta are left out (the subalgebra check restricts
+    them), and at (2, 0) a mixed pair's left side is the graded
+    anticommutator.  With the K table kt, the tables are read at k + 1 with
+    one input K(a (x) b), a and b in the source windows, and the right side
+    is K(m^A(.., a, ..) (x) b), with the Koszul sign of moving b past the
+    plain inputs after the slot, or K(a (x) m^B(.., b, ..)), with that of
+    moving a past the slot and the inputs before it.
+
+    Returns ((plain tags, slot, pair), family index, owners, lhs, rhs),
+    slot and pair None without kt, wherever the two sides differ, in
+    product order: tags by position, then slot, pair, family.
+    """
+    tags = [(side, nm) for side, scanned in zip("AB", names) for nm in scanned]
+    sides = []  # (reading {tag: factor name}, iota, degrees) per factor
+    for side, emb in zip("AB", embs):
+        reading = {t: t[1] for t in tags if t[0] == side}
+        reading.update((t, emb.source.unit) for t in units
+                       if t[0] != side and t in tags)
+        sides.append((reading, emb.iota, dict(emb.source.basis)))
+    position = {t: i for i, t in enumerate(tags)}
+    own = {t: sides["AB".index(t[0])] for t in tags}
+    inverse = inverse_index({t: own[t][1][t[1]] for t in tags})
+    parity = {t: shifted(own[t][2][t[1]]) for t in tags}
+    n, slots, windows, slot_inverse = k, [None], [{}, {}], {}
+    if kt is not None:
+        # The slot of a factor table keeps its window name a (or b).
+        windows = [{nm: [(nm, None)] for nm in emb.source.window} for emb in embs]
+        slot_inverse = inverse_index({p: kt[p] for p in product(*windows)})
+        n, slots = k + 1, range(k + 1)
+    pair_pos = {p: i for i, p in enumerate(product(*windows))}
+
+    @cache
+    def owners(tup):
+        return [s for s, (reading, _, _) in enumerate(sides)
+                if all(t in reading for t in tup)]
+
+    def pulled(table, column, slot_column):
+        """{(plain tags, slot, slot label): value}; None, None without kt."""
+        for i in slots:
+            for labels, vec in pull_back(table, [
+                    slot_column if j == i else column for j in range(n)]).items():
+                yield ((labels, None, None) if i is None else
+                       (labels[:i] + labels[i + 1:], i, labels[i])), vec
+
+    rows = []
+    for f, (target, factors, signs) in enumerate(fams):
+        inside = {s for s, (_, monoid) in enumerate(factors) if beta in monoid}
+        skip = inside if vanishing else set()
+        lhs = {key: vec for key, vec in pulled(
+            target.get((n, beta), {}), inverse, slot_inverse)
+            if not skip or skip.isdisjoint(owners(key[0]))}
+        if vanishing and (k, beta) == (2, BETA_ZERO):
+            for (x, y), vec in [(key[0], dict(vec)) for key, vec in lhs.items()]:
+                if not owners((x, y)):
+                    add_into(lhs.setdefault(((y, x), None, None), {}), vec,
+                             sign_pow(parity[x] * parity[y]))
+        rhs = {}
+        for s in inside - skip:
+            reading, iota, _ = sides[s]
+            for (plain, i, mid), vec in pulled(
+                    factors[s][0].get((n, beta), {}),
+                    inverse_index({t: {nm: 1} for t, nm in reading.items()}),
+                    windows[s]):
+                if s not in (owners(plain)[:1] if plain else owners(plain)):
+                    continue
+                if i is None:
+                    add_into(rhs.setdefault((plain, i, mid), {}),
+                             linear_image(iota, vec), signs[s])
+                    continue
+                moved = s + sum(parity[t] for t in (plain[:i] if s else plain[i:]))
+                for other in windows[1 - s]:
+                    acc = rhs.setdefault((plain, i, (other, mid) if s else
+                                          (mid, other)), {})
+                    odd = signs[s] * sign_pow(sides[1 - s][2][other] * moved) < 0
+                    for nm, c in vec.items():
+                        add_into(acc, kt[(other, nm) if s else (nm, other)],
+                                 -c if odd else c)
+        for key in lhs.keys() | rhs.keys():
+            left, right = lhs.get(key, {}), rhs.get(key, {})
+            if left != right:  # then again without cancelled outputs
+                left, right = ({o: c for o, c in side.items() if c}
+                               for side in (left, right))
+            if left != right:
+                plain, i, pair = key
+                rows.append((([position[t] for t in plain], i,
+                              pair_pos.get(pair), f),
+                             (key, f, owners(plain), left, right)))
+    return [row for _, row in sorted(rows, key=lambda row: row[0])]
 
 
 def check_subalgebra(emb: SubalgebraEmbedding) -> dict:
     """Operations of C restrict along iota to those of A, and vanish at
     beta outside A's monoid, on every source-basis tuple; the first
-    violation is reported."""
+    violation is reported: the restriction clause of pullback_scan with a
+    single factor."""
     a, c = emb.source, emb.target
     k_max = max(a.max_arity(), c.max_arity())
-
-    def mismatches():
-        for beta in _scan_betas(emb):
-            a_ops = a.ops if beta in a.monoid else {}
-            for k in range(1, k_max + 1):
-                a_table = a_ops.get((k, beta), {})
-                if not a_table and (k, beta) not in c.ops:
-                    continue
-                for names in product(a.names, repeat=k):
-                    lhs = eval_table(c.ops, k, beta,
-                                     [emb.iota[nm] for nm in names])
-                    rhs = linear_image(emb.iota, a_table.get(names, {}))
-                    if lhs != rhs:
-                        yield {"beta": beta_json(beta), "k": k,
-                               "inputs": list(names),
-                               "lhs": _elem_json(lhs, c.truncation),
-                               "rhs": _elem_json(rhs, c.truncation)}
-                        break
-
-    violations = list(islice(mismatches(), 1))
-    return {
-        "check": "subalgebra",
-        "status": "PASS" if not violations else "FAIL",
-        "violations": violations,
-    }
+    fams = [(c.ops, ((a.ops, a.monoid),), (1,))]
+    found = ({"beta": beta_json(beta), "k": k, "inputs": [t[1] for t in tup],
+              "lhs": AlgElement(lhs, c.truncation).to_json(),
+              "rhs": AlgElement(rhs, c.truncation).to_json()}
+             for beta in _scan_betas(emb) for k in range(1, k_max + 1)
+             for (tup, _, _), _, _, lhs, rhs in pullback_scan(
+                 fams, beta, k, (emb,), (a.names,))[:1])
+    return scan_report("subalgebra", list(islice(found, 1)))
 
 
 def kunneth_K_table(embA: SubalgebraEmbedding, embB: SubalgebraEmbedding):
@@ -178,29 +268,12 @@ def kunneth_K_table(embA: SubalgebraEmbedding, embB: SubalgebraEmbedding):
     K(na (x) nb) = (-1)^{|na|} m_{2,0}(iota_A(na), iota_B(nb))."""
     if embA.target is not embB.target and embA.target.ops != embB.target.ops:
         raise ValueError("embeddings must share the target algebra")
-    ops, a_alg = embA.target.ops, embA.source
-    return {(na, nb): {out: v * sign_pow(a_alg.degree(na)) for out, v in
-                       eval_table(ops, 2, BETA_ZERO,
-                                  (embA.iota[na], embB.iota[nb])).items()}
+    a_alg = embA.source
+    m2 = pull_back(embA.target.ops.get((2, BETA_ZERO), {}),
+                   [inverse_index(embA.iota), inverse_index(embB.iota)])
+    return {(na, nb): {out: v * sign_pow(a_alg.degree(na))
+                       for out, v in m2.get((na, nb), {}).items() if v}
             for na in a_alg.names for nb in embB.source.names}
-
-
-def kunneth_K(embA: SubalgebraEmbedding, embB: SubalgebraEmbedding):
-    """The comparison map as a bilinear function of factor elements, read
-    from kunneth_K_table."""
-    table = kunneth_K_table(embA, embB)
-    trunc = embA.target.truncation
-
-    def K(a: AlgElement, b: AlgElement) -> AlgElement:
-        out = AlgElement.zero(trunc)
-        for na, nova in a.coeffs.items():
-            for nb, novb in b.coeffs.items():
-                if table[(na, nb)]:
-                    out = out + AlgElement(table[(na, nb)], trunc).scale(
-                        nova.retruncate(trunc) * novb.retruncate(trunc))
-        return out
-
-    return K
 
 
 def check_commuting(embA: SubalgebraEmbedding, embB: SubalgebraEmbedding) -> dict:
@@ -209,132 +282,60 @@ def check_commuting(embA: SubalgebraEmbedding, embB: SubalgebraEmbedding) -> dic
     Clause (a): mixed tuples vanish except the graded (2,0) anticommutator;
     pure tuples vanish at beta outside their factor monoid.  Clause (b):
     curvature splits as iota_A(m^A_0) + iota_B(m^B_0).  Clause (c): one
-    K-inserted argument reduces to a single factor operation; when the plain
-    inputs are empty the all-A and all-B reductions both apply and the
-    right-hand side is their sum.
-
-    Every value is a lookup into the stored tables on sparse arguments
-    (iota-images of basis names and K-images of window pairs), whose
-    coefficients are energy-zero scalars, so plain Fractions.
+    K-inserted argument reduces to a single factor operation (to both, and
+    their sum, when the plain inputs are empty).  Each is a pullback_scan;
+    in (a) and (b) both units are tags, each read by the other factor as
+    its unit.
     """
-    if embA.target is not embB.target and embA.target.ops != embB.target.ops:
-        raise ValueError("embeddings must share the target algebra")
-    c = embA.target
-    a_alg, b_alg = embA.source, embB.source
+    kt = kunneth_K_table(embA, embB)
+    c, a_alg, b_alg = embA.target, embA.source, embB.source
     if monoid_sum(a_alg.monoid, b_alg.monoid) != c.monoid:
         raise ValueError("target monoid must be the sum of the factor monoids")
-    kt = kunneth_K_table(embA, embB)
-    trunc = c.truncation
     violations = []
     betas = sorted(set(_scan_betas(embA)) | set(_scan_betas(embB)))
     k_max = c.max_arity()
-    # A tag (side, name) is a factor basis element; the shared unit appears
-    # once per factor and identities are checked per tag.
-    embs = {"A": embA, "B": embB}
-    tags = [("A", nm) for nm in a_alg.names] + [("B", nm) for nm in b_alg.names]
-    image = {t: embs[t[0]].iota[t[1]] for t in tags}
-    sdeg = {t: shifted(embs[t[0]].source.degree(t[1])) for t in tags}
-    strict = {t: t[1] != embs[t[0]].source.unit for t in tags}
+    fams = [(c.ops, ((a_alg.ops, a_alg.monoid), (b_alg.ops, b_alg.monoid)),
+             (1, 1))]
+    embs, units = (embA, embB), [("A", a_alg.unit), ("B", b_alg.unit)]
+    tagged = (embs, (a_alg.names, b_alg.names), units)
 
-    def record(clause, beta, detail):
-        violations.append({"clause": clause, "beta": beta_json(beta), **detail})
+    def record(clause, beta, detail, **elements):
+        violations.append({"clause": clause, "beta": beta_json(beta), **detail,
+                           **{key: AlgElement(vec, c.truncation).to_json()
+                              for key, vec in elements.items()}})
 
-    # -- clause (a) ---------------------------------------------------------
+    # -- clause (a): the subalgebra check restricts the pure tuples of a
+    # factor whose monoid holds beta ---------------------------------------
     for beta in betas:
-        in_ga, in_gb = beta in a_alg.monoid, beta in b_alg.monoid
         for k in range(1, k_max + 1):
-            if (k, beta) not in c.ops:
-                continue  # every value below is zero
-            for tup in product(tags, repeat=k):
-                has_a = any(t[0] == "A" and strict[t] for t in tup)
-                has_b = any(t[0] == "B" and strict[t] for t in tup)
-                mixed = has_a and has_b
-                if not mixed and ((in_ga and not has_b) or (in_gb and not has_a)):
-                    continue  # covered by the subalgebra check
-                args = [image[t] for t in tup]
-                val = eval_table(c.ops, k, beta, args)
-                detail = {"k": k}
-                if mixed and (k, beta) == (2, BETA_ZERO):
-                    add_into(val, eval_table(c.ops, 2, beta, args[::-1]),
-                             sign_pow(sdeg[tup[0]] * sdeg[tup[1]]))
-                    val = {out: v for out, v in val.items() if v}
-                    clause, detail = "a-anticommutator", {}
+            anti = (k, beta) == (2, BETA_ZERO)
+            for (tup, _, _), _, owners, val, _ in pullback_scan(
+                    fams, beta, k, *tagged, vanishing=True):
+                inputs = [list(t) for t in tup]
+                if anti and not owners:
+                    record("a-anticommutator", beta, {"inputs": inputs},
+                           value=val)
                 else:
-                    clause = "a-mixed-vanishing" if mixed else "a-pure-vanishing"
-                if val:
-                    record(clause, beta, {**detail, "inputs": [list(t) for t in tup],
-                                          "value": _elem_json(val, trunc)})
+                    record("a-pure-vanishing" if owners else "a-mixed-vanishing",
+                           beta, {"k": k, "inputs": inputs}, value=val)
         if len(violations) > 20:
             break
 
     # -- clause (b) ----------------------------------------------------------
-    for beta in betas:
-        if beta == BETA_ZERO:
-            continue
-        rhs = {}
-        for emb in (embA, embB):
-            if beta in emb.source.monoid:
-                add_into(rhs, linear_image(
-                    emb.iota, eval_table(emb.source.ops, 0, beta, ())))
-        lhs = eval_table(c.ops, 0, beta, ())
-        rhs = {out: v for out, v in rhs.items() if v}
-        if lhs != rhs:
-            record("b-curvature", beta, {"lhs": _elem_json(lhs, trunc),
-                                         "rhs": _elem_json(rhs, trunc)})
+    for beta in [b for b in betas if b != BETA_ZERO]:
+        for _, _, _, lhs, rhs in pullback_scan(fams, beta, 0, *tagged):
+            record("b-curvature", beta, {}, lhs=lhs, rhs=rhs)
 
     # -- clause (c) ----------------------------------------------------------
-    window_tags = [("A", nm) for nm in a_alg.window] + \
-        [("B", nm) for nm in b_alg.window]
-    pairs = list(product(a_alg.window, b_alg.window))
-    for beta in betas:
-        a_ops = a_alg.ops if beta in a_alg.monoid else {}
-        b_ops = b_alg.ops if beta in b_alg.monoid else {}
-        for k in range(0, k_max):
-            a_table = a_ops.get((k + 1, beta), {})
-            b_table = b_ops.get((k + 1, beta), {})
-            for plain in product(window_tags, repeat=k):
-                all_a = all(t[0] == "A" for t in plain)
-                all_b = all(t[0] == "B" for t in plain)
-                names = tuple(t[1] for t in plain)
-                args = [image[t] for t in plain]
-                for i in range(k + 1):
-                    # Koszul exponents of moving b past the plain inputs after
-                    # slot i, and of moving a past those before it.
-                    after = sum(sdeg[t] for t in plain[i:])
-                    before = 1 + sum(sdeg[t] for t in plain[:i])
-                    for na, nb in pairs:
-                        lhs = eval_table(c.ops, k + 1, beta,
-                                         args[:i] + [kt[(na, nb)]] + args[i:])
-                        rhs = {}
-                        if all_a:
-                            s = sign_pow(b_alg.degree(nb) * after)
-                            for nm, v in a_table.get(
-                                    names[:i] + (na,) + names[i:], {}).items():
-                                add_into(rhs, kt[(nm, nb)], s * v)
-                        if all_b:
-                            s = sign_pow(a_alg.degree(na) * before)
-                            for nm, v in b_table.get(
-                                    names[:i] + (nb,) + names[i:], {}).items():
-                                add_into(rhs, kt[(na, nm)], s * v)
-                        rhs = {out: v for out, v in rhs.items() if v}
-                        if lhs != rhs:
-                            record("c-insertion", beta, {
-                                "k": k, "slot": i,
-                                "plain": [list(t) for t in plain],
-                                "pair": [na, nb],
-                                "lhs": _elem_json(lhs, trunc),
-                                "rhs": _elem_json(rhs, trunc),
-                            })
-            if len(violations) > 40:
-                break
+    for beta, k in product(betas, range(k_max)):
+        for (plain, i, pair), _, _, lhs, rhs in pullback_scan(
+                fams, beta, k, embs, (a_alg.window, b_alg.window), kt=kt):
+            record("c-insertion", beta, {
+                "k": k, "slot": i, "plain": [list(t) for t in plain],
+                "pair": list(pair)}, lhs=lhs, rhs=rhs)
         if len(violations) > 40:
             break
-
-    return {
-        "check": "commuting",
-        "status": "PASS" if not violations else "FAIL",
-        "violations": violations,
-    }
+    return scan_report("commuting", violations)
 
 
 def box_product(embA: SubalgebraEmbedding, embB: SubalgebraEmbedding,

@@ -333,6 +333,13 @@ def test_string_where_an_array_is_required_is_input_error(tmp_path, capsys):
     assert "curved.json: algebra: basis entry 'x1' is not a [name, degree] " \
         "pair" in err
 
+    def window_as_string(doc):
+        doc["window"] = "ex"
+
+    err = _input_error(capsys, "check-ainf",
+                       _curved_line_doc(tmp_path, window_as_string))
+    assert "curved.json: algebra: window must be an array of names" in err
+
 
 def test_isotopy_inputs_as_string_is_input_error(fixture_path, tmp_path,
                                                  capsys):
@@ -399,3 +406,35 @@ def test_non_integer_isotopy_n_is_input_error(fixture_path, tmp_path, capsys):
     path.write_text(json.dumps(raw))
     err = _input_error(capsys, "check-isotopy", str(path))
     assert "iso.json: isotopy: n must be an integer, got 1.5" in err
+
+
+@pytest.mark.parametrize("window,message", [
+    (["e", "ghost"], "window name 'ghost' not in basis"),
+    ("ex", "window must be an array of names"),
+])
+def test_isotopy_window_is_checked(window, message, fixture_path, tmp_path,
+                                   capsys):
+    """The window is the scope of the m^t relation and the differential
+    equation, so it must name basis elements, also without an algebra to
+    compare the endpoint with."""
+    raw = json.load(open(fixture_path("isotopy_extend.json")))
+    raw["isotopy"]["window"] = window
+    for keep_algebra in (True, False):
+        if not keep_algebra:
+            del raw["algebra"], raw["extension"]
+        path = tmp_path / "iso.json"
+        path.write_text(json.dumps(raw))
+        err = _input_error(capsys, "check-isotopy", str(path))
+        assert f"iso.json: isotopy: {message}" in err
+
+
+def test_duplicate_isotopy_basis_name_is_input_error(fixture_path, tmp_path,
+                                                     capsys):
+    raw = json.load(open(fixture_path("isotopy_extend.json")))
+    basis = raw["isotopy"]["space"]["basis"]
+    basis.append(basis[1])
+    del raw["algebra"], raw["extension"]
+    path = tmp_path / "iso.json"
+    path.write_text(json.dumps(raw))
+    err = _input_error(capsys, "check-isotopy", str(path))
+    assert "iso.json: isotopy: duplicate basis names" in err

@@ -16,6 +16,7 @@ from ainfkit.kunneth import check_commuting, check_subalgebra
 from ainfkit.models import (
     chain_fixture,
     commuting_isotopy_fixture,
+    derham_model,
     extension_fixture,
 )
 from ainfkit.poly import Poly
@@ -133,3 +134,18 @@ def test_isotopy_constant_ids_roundtrip():
     flipped = flip_isotopy_constant(fix["P"], cid)
     back = flip_isotopy_constant(flipped, cid)
     assert back.cT == fix["P"].cT and back.mT == fix["P"].mT
+
+
+@pytest.mark.parametrize("w", [1, 2])
+def test_constant_isotopy_of_a_windowed_model_passes(w):
+    """m^t = m and c^t = 0 on a model whose relations hold on its window:
+    the isotopy check scans the same scope as check_ainf."""
+    alg = derham_model(1, w)
+    assert alg.window != alg.names
+    assert check_ainf(alg)["status"] == "PASS"
+    mt = {key: {ins: {o: Poly.const(c) for o, c in combo.items()}
+                for ins, combo in table.items()}
+          for key, table in alg.ops.items()}
+    P = Pseudoisotopy(1, alg.basis, alg.monoid, 1, alg.unit, mt, {},
+                      alg.window)
+    assert check_pseudoisotopy(P, alg, alg)["status"] == "PASS"

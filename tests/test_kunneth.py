@@ -3,21 +3,22 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ainfkit.ainf import AlgElement, flip_constant, mc_defect, replaced
+from ainfkit.ainf import AlgElement, eval_op, flip_constant, mc_defect, replaced
 from ainfkit.kunneth import (
     SubalgebraEmbedding,
     box_product,
     check_commuting,
     check_kunneth_hypothesis,
     check_subalgebra,
-    kunneth_K,
+    kunneth_K_table,
 )
 from ainfkit.models import (
     derham_factor_embeddings,
     derham_model,
     two_factor_gapped,
 )
-from ainfkit.scalars import NovikovElement
+from ainfkit.scalars import BETA_ZERO, NovikovElement
+from ainfkit.signs import sign_pow
 from test_sparse_linalg import dense_rank
 
 
@@ -147,14 +148,18 @@ def test_kunneth_K_values():
     target = derham_model(2, 1)
     emb_a, emb_b = derham_factor_embeddings(1, 1, 1, target=target,
                                             factor_w=0)
-    K = kunneth_K(emb_a, emb_b)
-    a = AlgElement.basis(emb_a.source.names[0])
-    b = AlgElement.basis(emb_b.source.names[0])
-    img = K(a, b)
-    assert not img.is_zero()
-    # bilinearity over Novikov scalars
-    s = NovikovElement.scalar(Fraction(3, 2))
-    assert K(a.scale(s), b) == img.scale(s)
+    table = kunneth_K_table(emb_a, emb_b)
+    trunc = target.truncation
+    for na in emb_a.source.names[:3]:
+        nb = emb_b.source.names[0]
+        img = AlgElement(table[(na, nb)], trunc)
+        assert not img.is_zero()
+        # K(a (x) b) = (-1)^{|a|} m_{2,0}(iota_A a, iota_B b)
+        assert img == eval_op(target, 2, BETA_ZERO, (
+            emb_a.apply_name(na), emb_b.apply_name(nb))).scale(
+                sign_pow(emb_a.source.degree(na)))
+    assert {emb_a.source.degree(na) % 2 for na in emb_a.source.names[:3]} \
+        == {0, 1}
 
 
 def test_gapped_fixture_pair():
