@@ -398,40 +398,40 @@ def check_commuting_isotopy(PC: Pseudoisotopy, PA: Pseudoisotopy,
         raise ValueError("embedding sources must match the factor isotopies")
     if embA.target.basis != PC.basis:
         raise ValueError("embedding target must match the product isotopy")
-    embs, units, b_unit = (embA, embB), [("A", embA.source.unit)], embB.source.unit
+    embs = (embA, embB)
+    units = [("A", embA.source.unit)]
+    b_unit = embB.source.unit
     scanned = (PA.names, [nm for nm in PB.names if nm != b_unit])
     windows = (embA.source.window,
                [nm for nm in embB.source.window if nm != b_unit])
     kt = kunneth_K_table(embA, embB)
     violations = []
 
-    def record(clause, beta, detail, lhs, rhs):
+    def record(clause, beta, detail, row):
         violations.append({"clause": clause, "beta": beta_json(beta), **detail,
                            **{key: {o: p.to_json() for o, p in sorted(vec.items())}
-                              for key, vec in (("lhs", lhs), ("rhs", rhs))}})
+                              for key, vec in (("lhs", row.lhs), ("rhs", row.rhs))}})
 
-    fams = [(PC.mT, ((PA.mT, PA.monoid), (PB.mT, PB.monoid)), (1, 1)),
-            (PC.cT, ((PA.cT, PA.monoid), (PB.cT, PB.monoid)),
+    fams = [("m", PC.mT, ((PA.mT, PA.monoid), (PB.mT, PB.monoid)), (1, 1)),
+            ("c", PC.cT, ((PA.cT, PA.monoid), (PB.cT, PB.monoid)),
              (sign_pow(PB.n), sign_pow(PA.n)))]
     for beta in PC.monoid.enumerate(PC.cutoff):
         for k in range(PC.max_arity() + 1):
-            for (tup, _, _), f, owners, lhs, rhs in pullback_scan(
-                    fams, beta, k, embs, scanned, units):
-                detail = {"k": k, "inputs": [list(t) for t in tup]}
-                if owners:
-                    record(f"{'mc'[f]}-restriction", beta, detail, lhs, rhs)
+            for row in pullback_scan(fams, beta, k, embs, scanned, units):
+                detail = {"k": k, "inputs": [list(t) for t in row.tags]}
+                if row.owners:
+                    record(f"{row.family}-restriction", beta, detail, row)
                 # Mixed tuples vanish; the one exception is the graded
                 # anticommutator of the t-independent (2, 0) product, which
                 # the endpoint commuting check owns.
-                elif f or (k, beta) != (2, BETA_ZERO):
-                    violations.append({"clause": f"{'mc'[f]}-mixed-tuple",
+                elif row.family == "c" or (k, beta) != (2, BETA_ZERO):
+                    violations.append({"clause": f"{row.family}-mixed-tuple",
                                        "beta": beta_json(beta), **detail})
         for k in range(PC.max_arity()):
-            for (plain, i, pair), f, _, lhs, rhs in pullback_scan(
-                    fams, beta, k, embs, windows, units, kt):
-                record(f"{'mc'[f]}-k-insertion", beta, {
-                    "k": k, "slot": i, "pair": list(pair),
-                    "plain": [list(t) for t in plain]}, lhs, rhs)
+            for row in pullback_scan(fams, beta, k, embs, windows, units, kt):
+                record(f"{row.family}-k-insertion", beta, {
+                    "k": k, "slot": row.slot, "pair": list(row.pair),
+                    "plain": [list(t) for t in row.tags]}, row)
         if len(violations) > 40:
             break
     return scan_report("commuting-isotopy", violations)

@@ -28,6 +28,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cache
 from itertools import islice, product
+from typing import NamedTuple
 
 from ainfkit.ainf import (
     AInfAlgebra,
@@ -142,49 +143,70 @@ def scan_report(check, violations) -> dict:
             "violations": violations}
 
 
-def pullback_scan(fams, beta, k, embs, names, units=(), kt=None,
-                  vanishing=False):
+class Mismatch(NamedTuple):
+    """A key where pullback_scan finds the two sides different: the plain
+    tags, the K-inserted slot and window pair (None without a K table), the
+    family name, the factors owning the tags, and both sides."""
+
+    tags: tuple
+    slot: int | None
+    pair: tuple | None
+    family: str
+    owners: list
+    lhs: dict
+    rhs: dict
+
+
+def _positions(items) -> dict:
+    """{item: [every index at which it occurs]}."""
+    found = {}
+    for i, item in enumerate(items):
+        found.setdefault(item, []).append(i)
+    return found
+
+
+def pullback_scan(fams, beta, k, embs, names, units=(), kt=None):
     """Where stored families differ from their factors' at one (beta, k).
 
-    fams lists (target ops, (ops, monoid) per factor, sign per factor), over
-    Q or Q[t]; embs are the factor embeddings and names the scanned names of
-    each, as tags ("A", name), ("B", name).  The left side is the target
-    table pulled back along iota.  A tag tuple belongs to each factor whose
-    reading covers it: a factor reads its own tags, and each tag of units as
-    its unit.  The right side is the first owner's table (every owner's, on
-    the empty tuple) read along the reading, pushed forward along iota and
-    times the sign, and zero outside that factor's monoid or on a mixed
-    tuple, which no factor owns.  With vanishing, the tuples of a factor
-    whose monoid holds beta are left out (the subalgebra check restricts
-    them), and at (2, 0) a mixed pair's left side is the graded
-    anticommutator.  With the K table kt, the tables are read at k + 1 with
-    one input K(a (x) b), a and b in the source windows, and the right side
-    is K(m^A(.., a, ..) (x) b), with the Koszul sign of moving b past the
-    plain inputs after the slot, or K(a (x) m^B(.., b, ..)), with that of
-    moving a past the slot and the inputs before it.
+    fams lists (name, target ops, (ops, monoid) per factor, sign per
+    factor), over Q or Q[t]; embs are the factor embeddings and names the
+    scanned names of each, as tags ("A", name), ("B", name).  The left side
+    is the target table pulled back along iota.  A tag tuple belongs to each
+    factor whose reading covers it: a factor reads its own tags, and each
+    tag of units as its unit.  The right side is the first owner's table
+    (every owner's, on the empty tuple) read along the reading, pushed
+    forward along iota and times the sign, and zero outside that factor's
+    monoid or on a mixed tuple, which no factor owns.  With the K table kt,
+    the tables are read at k + 1 with one input K(a (x) b), a and b in the
+    source windows, and the right side is K(m^A(.., a, ..) (x) b), with the
+    Koszul sign of moving b past the plain inputs after the slot, or
+    K(a (x) m^B(.., b, ..)), with that of moving a past the slot and the
+    inputs before it.
 
-    Returns ((plain tags, slot, pair), family index, owners, lhs, rhs),
-    slot and pair None without kt, wherever the two sides differ, in
-    product order: tags by position, then slot, pair, family.
+    Returns a Mismatch wherever the two sides differ, in product order:
+    tags by position, then slot, pair, family.  A name listed twice is
+    scanned once and reported at each of its positions.
     """
     tags = [(side, nm) for side, scanned in zip("AB", names) for nm in scanned]
+    positions = _positions(tags)
     sides = []  # (reading {tag: factor name}, iota, degrees) per factor
     for side, emb in zip("AB", embs):
-        reading = {t: t[1] for t in tags if t[0] == side}
+        reading = {t: t[1] for t in positions if t[0] == side}
         reading.update((t, emb.source.unit) for t in units
-                       if t[0] != side and t in tags)
+                       if t[0] != side and t in positions)
         sides.append((reading, emb.iota, dict(emb.source.basis)))
-    position = {t: i for i, t in enumerate(tags)}
-    own = {t: sides["AB".index(t[0])] for t in tags}
-    inverse = inverse_index({t: own[t][1][t[1]] for t in tags})
-    parity = {t: shifted(own[t][2][t[1]]) for t in tags}
+    own = {t: sides["AB".index(t[0])] for t in positions}
+    inverse = inverse_index({t: own[t][1][t[1]] for t in positions})
+    parity = {t: shifted(own[t][2][t[1]]) for t in positions}
     n, slots, windows, slot_inverse = k, [None], [{}, {}], {}
+    pair_positions = {None: [None]}
     if kt is not None:
         # The slot of a factor table keeps its window name a (or b).
         windows = [{nm: [(nm, None)] for nm in emb.source.window} for emb in embs]
         slot_inverse = inverse_index({p: kt[p] for p in product(*windows)})
         n, slots = k + 1, range(k + 1)
-    pair_pos = {p: i for i, p in enumerate(product(*windows))}
+        pair_positions = _positions(
+            product(*(emb.source.window for emb in embs)))
 
     @cache
     def owners(tup):
@@ -200,25 +222,20 @@ def pullback_scan(fams, beta, k, embs, names, units=(), kt=None,
                        (labels[:i] + labels[i + 1:], i, labels[i])), vec
 
     rows = []
-    for f, (target, factors, signs) in enumerate(fams):
-        inside = {s for s, (_, monoid) in enumerate(factors) if beta in monoid}
-        skip = inside if vanishing else set()
-        lhs = {key: vec for key, vec in pulled(
-            target.get((n, beta), {}), inverse, slot_inverse)
-            if not skip or skip.isdisjoint(owners(key[0]))}
-        if vanishing and (k, beta) == (2, BETA_ZERO):
-            for (x, y), vec in [(key[0], dict(vec)) for key, vec in lhs.items()]:
-                if not owners((x, y)):
-                    add_into(lhs.setdefault(((y, x), None, None), {}), vec,
-                             sign_pow(parity[x] * parity[y]))
+    for f, (name, target, factors, signs) in enumerate(fams):
+        lhs = dict(pulled(target.get((n, beta), {}), inverse, slot_inverse))
         rhs = {}
-        for s in inside - skip:
+        for s, (ops, monoid) in enumerate(factors):
+            if beta not in monoid:
+                continue
             reading, iota, _ = sides[s]
             for (plain, i, mid), vec in pulled(
-                    factors[s][0].get((n, beta), {}),
+                    ops.get((n, beta), {}),
                     inverse_index({t: {nm: 1} for t, nm in reading.items()}),
                     windows[s]):
-                if s not in (owners(plain)[:1] if plain else owners(plain)):
+                # The first owner gives the right side; on the empty tuple
+                # every owner does, and the sides add up.
+                if s not in owners(plain) or plain and owners(plain)[0] != s:
                     continue
                 if i is None:
                     add_into(rhs.setdefault((plain, i, mid), {}),
@@ -226,8 +243,8 @@ def pullback_scan(fams, beta, k, embs, names, units=(), kt=None,
                     continue
                 moved = s + sum(parity[t] for t in (plain[:i] if s else plain[i:]))
                 for other in windows[1 - s]:
-                    acc = rhs.setdefault((plain, i, (other, mid) if s else
-                                          (mid, other)), {})
+                    pair = (other, mid) if s else (mid, other)
+                    acc = rhs.setdefault((plain, i, pair), {})
                     odd = signs[s] * sign_pow(sides[1 - s][2][other] * moved) < 0
                     for nm, c in vec.items():
                         add_into(acc, kt[(other, nm) if s else (nm, other)],
@@ -237,11 +254,12 @@ def pullback_scan(fams, beta, k, embs, names, units=(), kt=None,
             if left != right:  # then again without cancelled outputs
                 left, right = ({o: c for o, c in side.items() if c}
                                for side in (left, right))
-            if left != right:
-                plain, i, pair = key
-                rows.append((([position[t] for t in plain], i,
-                              pair_pos.get(pair), f),
-                             (key, f, owners(plain), left, right)))
+            if left == right:
+                continue
+            plain, i, pair = key
+            row = Mismatch(plain, i, pair, name, owners(plain), left, right)
+            for at in product(*(positions[t] for t in plain)):
+                rows.extend(((at, i, p, f), row) for p in pair_positions[pair])
     return [row for _, row in sorted(rows, key=lambda row: row[0])]
 
 
@@ -252,13 +270,13 @@ def check_subalgebra(emb: SubalgebraEmbedding) -> dict:
     single factor."""
     a, c = emb.source, emb.target
     k_max = max(a.max_arity(), c.max_arity())
-    fams = [(c.ops, ((a.ops, a.monoid),), (1,))]
-    found = ({"beta": beta_json(beta), "k": k, "inputs": [t[1] for t in tup],
-              "lhs": AlgElement(lhs, c.truncation).to_json(),
-              "rhs": AlgElement(rhs, c.truncation).to_json()}
+    fams = [("m", c.ops, ((a.ops, a.monoid),), (1,))]
+    found = ({"beta": beta_json(beta), "k": k,
+              "inputs": [t[1] for t in row.tags],
+              "lhs": AlgElement(row.lhs, c.truncation).to_json(),
+              "rhs": AlgElement(row.rhs, c.truncation).to_json()}
              for beta in _scan_betas(emb) for k in range(1, k_max + 1)
-             for (tup, _, _), _, _, lhs, rhs in pullback_scan(
-                 fams, beta, k, (emb,), (a.names,))[:1])
+             for row in pullback_scan(fams, beta, k, (emb,), (a.names,))[:1])
     return scan_report("subalgebra", list(islice(found, 1)))
 
 
@@ -274,6 +292,17 @@ def kunneth_K_table(embA: SubalgebraEmbedding, embB: SubalgebraEmbedding):
     return {(na, nb): {out: v * sign_pow(a_alg.degree(na))
                        for out, v in m2.get((na, nb), {}).items() if v}
             for na in a_alg.names for nb in embB.source.names}
+
+
+def _anticommutator(table, alg: AInfAlgebra) -> dict:
+    """The table (x, y) -> m(x, y) + (-1)^{||x|| ||y||} m(y, x) of a table
+    m on pairs of basis names of alg."""
+    anti = {}
+    for (x, y), vec in table.items():
+        add_into(anti.setdefault((x, y), {}), vec)
+        add_into(anti.setdefault((y, x), {}), vec, sign_pow(
+            shifted(alg.degree(x)) * shifted(alg.degree(y))))
+    return anti
 
 
 def check_commuting(embA: SubalgebraEmbedding, embB: SubalgebraEmbedding) -> dict:
@@ -294,45 +323,65 @@ def check_commuting(embA: SubalgebraEmbedding, embB: SubalgebraEmbedding) -> dic
     violations = []
     betas = sorted(set(_scan_betas(embA)) | set(_scan_betas(embB)))
     k_max = c.max_arity()
-    fams = [(c.ops, ((a_alg.ops, a_alg.monoid), (b_alg.ops, b_alg.monoid)),
-             (1, 1))]
-    embs, units = (embA, embB), [("A", a_alg.unit), ("B", b_alg.unit)]
-    tagged = (embs, (a_alg.names, b_alg.names), units)
+    factors = ((a_alg.ops, a_alg.monoid), (b_alg.ops, b_alg.monoid))
+    fams = [("m", c.ops, factors, (1, 1))]
+    embs = (embA, embB)
+    tagged = (embs, (a_alg.names, b_alg.names),
+              [("A", a_alg.unit), ("B", b_alg.unit)])
 
     def record(clause, beta, detail, **elements):
         violations.append({"clause": clause, "beta": beta_json(beta), **detail,
                            **{key: AlgElement(vec, c.truncation).to_json()
                               for key, vec in elements.items()}})
 
-    # -- clause (a): the subalgebra check restricts the pure tuples of a
-    # factor whose monoid holds beta ---------------------------------------
+    # -- clause (a): every tuple must vanish that no factor whose monoid
+    # holds beta owns (the subalgebra check covers the others), so the
+    # factor tables are left empty, and a stored key is scanned only if it
+    # has an input in the image of the other factor's strict names for
+    # each such factor.  The (2, 0) table is read as the graded
+    # anticommutator (beta = 0 lies in both monoids, so only mixed pairs
+    # are left, and their keys are kept in both orders). ----------------------
+    vanishing = (({}, a_alg.monoid), ({}, b_alg.monoid))
+    foreign = [{nm for x in emb.source.names if x != emb.source.unit
+                for nm in emb.iota[x]} for emb in (embB, embA)]
+    support = inverse_index({nm: {nm: 1} for emb in embs
+                             for image in emb.iota.values() for nm in image})
     for beta in betas:
+        inside = [s for s, (_, monoid) in enumerate(factors) if beta in monoid]
         for k in range(1, k_max + 1):
-            anti = (k, beta) == (2, BETA_ZERO)
-            for (tup, _, _), _, owners, val, _ in pullback_scan(
-                    fams, beta, k, *tagged, vanishing=True):
-                inputs = [list(t) for t in tup]
-                if anti and not owners:
+            table = {key: vec for key, vec in pull_back(
+                c.ops.get((k, beta), {}), [support] * k).items()
+                if all(not foreign[s].isdisjoint(key) for s in inside)}
+            if (k, beta) == (2, BETA_ZERO):
+                table = _anticommutator(table, c)
+            for row in pullback_scan([("m", {(k, beta): table}, vanishing,
+                                       (1, 1))], beta, k, *tagged):
+                if any(s in inside for s in row.owners):
+                    continue
+                inputs = [list(t) for t in row.tags]
+                if (k, beta) == (2, BETA_ZERO):
                     record("a-anticommutator", beta, {"inputs": inputs},
-                           value=val)
+                           value=row.lhs)
                 else:
-                    record("a-pure-vanishing" if owners else "a-mixed-vanishing",
-                           beta, {"k": k, "inputs": inputs}, value=val)
+                    record("a-pure-vanishing" if row.owners
+                           else "a-mixed-vanishing",
+                           beta, {"k": k, "inputs": inputs}, value=row.lhs)
         if len(violations) > 20:
             break
 
     # -- clause (b) ----------------------------------------------------------
     for beta in [b for b in betas if b != BETA_ZERO]:
-        for _, _, _, lhs, rhs in pullback_scan(fams, beta, 0, *tagged):
-            record("b-curvature", beta, {}, lhs=lhs, rhs=rhs)
+        for row in pullback_scan(fams, beta, 0, *tagged):
+            record("b-curvature", beta, {}, lhs=row.lhs, rhs=row.rhs)
 
     # -- clause (c) ----------------------------------------------------------
     for beta, k in product(betas, range(k_max)):
-        for (plain, i, pair), _, _, lhs, rhs in pullback_scan(
-                fams, beta, k, embs, (a_alg.window, b_alg.window), kt=kt):
+        for row in pullback_scan(fams, beta, k, embs,
+                                 (a_alg.window, b_alg.window), kt=kt):
             record("c-insertion", beta, {
-                "k": k, "slot": i, "plain": [list(t) for t in plain],
-                "pair": list(pair)}, lhs=lhs, rhs=rhs)
+                "k": k, "slot": row.slot,
+                "plain": [list(t) for t in row.tags],
+                "pair": list(row.pair)}, lhs=row.lhs, rhs=row.rhs)
         if len(violations) > 40:
             break
     return scan_report("commuting", violations)

@@ -13,7 +13,9 @@ elements. Full reports must agree, down to the order of the violations and
 where the silent caps cut the lists. The evaluators of both are kept here
 as well: `eval_op` as it was before `ainf.eval_op` read its table through
 `ainf.pull_back`, and `eval_table`, with the Q[t] evaluator `eval_poly_op`
-it replaced; each is the oracle of the next.
+it replaced; each is the oracle of the next. The per-tuple scans read K
+from `kunneth_K_table` as it was before it became a pull-back, on
+`eval_table`, so that they share no evaluation with the scan they check.
 """
 
 from fractions import Fraction
@@ -35,7 +37,7 @@ from ainfkit.ainf import (
     linear_image,
     replaced,
 )
-from ainfkit.kunneth import SubalgebraEmbedding, kunneth_K_table
+from ainfkit.kunneth import SubalgebraEmbedding
 from ainfkit.models import two_factor_gapped
 from ainfkit.poly import Poly
 from ainfkit.scalars import BETA_ZERO, EnergyMonoid, NovikovElement, monoid_sum
@@ -366,6 +368,23 @@ def eval_table(ops, k, beta, inputs) -> dict:
     return {out: c for out, c in acc.items() if c}
 
 
+# The comparison map as it was computed before `kunneth.kunneth_K_table` read
+# m_{2,0} through `ainf.pull_back`, so that the per-tuple scans share no
+# evaluation with the scan they check.
+
+def kunneth_K_table(embA: SubalgebraEmbedding, embB: SubalgebraEmbedding):
+    """The comparison map on every pair of factor basis names:
+    {(na, nb): {output: Fraction}} with
+    K(na (x) nb) = (-1)^{|na|} m_{2,0}(iota_A(na), iota_B(nb))."""
+    if embA.target is not embB.target and embA.target.ops != embB.target.ops:
+        raise ValueError("embeddings must share the target algebra")
+    ops, a_alg = embA.target.ops, embA.source
+    return {(na, nb): {out: v * sign_pow(a_alg.degree(na)) for out, v in
+                       eval_table(ops, 2, BETA_ZERO,
+                                  (embA.iota[na], embB.iota[nb])).items()}
+            for na in a_alg.names for nb in embB.source.names}
+
+
 def _elem_json(vec: dict, truncation):
     return AlgElement(vec, truncation).to_json()
 
@@ -542,7 +561,9 @@ def per_tuple_check_commuting(embA: SubalgebraEmbedding, embB: SubalgebraEmbeddi
 def assert_same_reports(embA, embB, every_oracle=True):
     """The pull-back scans give the per-tuple scans' reports, and the
     element scans' too (with every_oracle false, only where a report
-    fails); returns the commuting status."""
+    fails: the per-tuple scans evaluate everything on their own, so the
+    element scans add a second witness only to the failures); returns the
+    commuting status."""
     reports = [kunneth.check_commuting(embA, embB),
                kunneth.check_subalgebra(embA), kunneth.check_subalgebra(embB)]
     oracles = [(per_tuple_check_commuting, per_tuple_check_subalgebra)]
@@ -673,9 +694,9 @@ def test_clause_c_cut_before_the_last_k():
     beta = (Fraction(3, 2), 0)
     factors = tuple((emb.source.ops, emb.source.monoid) for emb in (embA, embB))
     assert kunneth.pullback_scan(
-        [(embA.target.ops, factors, (1, 1))], beta, 1, (embA, embB),
+        [("m", embA.target.ops, factors, (1, 1))], beta, 1, (embA, embB),
         (embA.source.window, embB.source.window),
-        kt=kunneth_K_table(embA, embB))
+        kt=kunneth.kunneth_K_table(embA, embB))
     assert_same_reports(embA, embB)
 
 
@@ -689,6 +710,31 @@ def test_clause_a_cut_after_its_beta():
     assert [v["beta"] for v in kunneth.check_commuting(*alone)["violations"]
             if v["clause"].startswith("a-")] == [["3/2", 0]]
     assert_same_reports(embA, embB)
+
+
+def with_window(emb, window):
+    """emb with its source algebra's window replaced."""
+    a = emb.source
+    return replaced(emb, source=AInfAlgebra(a.basis, a.monoid, a.mode, a.cutoff,
+                                            a.unit, a.ops, window))
+
+
+@pytest.mark.parametrize("sides", ["A", "B", "AB"])
+def test_repeated_window_names_report_each_position(sides):
+    """A factor window may list a name twice, as check_ainf allows; clause
+    (c) then reports a violation at each position of the name, as the
+    per-tuple scans do, and the cut counts every copy."""
+    embA, embB = stray_pair(STRAY_41)
+    wa, wb = list(embA.source.window), list(embB.source.window)
+    if "A" in sides:
+        embA = with_window(embA, wa[::-1] + wa[:1])
+    if "B" in sides:
+        embB = with_window(embB, wb + wb[1:2])
+    assert_same_reports(embA, embB)
+    found = [(v["plain"], v["slot"], v["pair"], v["beta"], v["k"])
+             for v in kunneth.check_commuting(embA, embB)["violations"]
+             if v["clause"] == "c-insertion"]
+    assert len(found) > len({repr(v) for v in found}) > 0
 
 
 nonzero = st.integers(-9, 9).filter(bool).map(Fraction) | \
@@ -714,7 +760,8 @@ def test_two_factor_gapped_with_one_flip(lam_a, rho_a, lam_b, rho_b, data):
 def test_kunneth_K_matches_oracle(derham_pair):
     embA, embB = derham_pair
     old = kunneth_K(embA, embB)
-    table = kunneth_K_table(embA, embB)
+    table = kunneth.kunneth_K_table(embA, embB)
+    assert table == kunneth_K_table(embA, embB)
     trunc = embA.target.truncation
     assert len(table) == len(embA.source.names) * len(embB.source.names)
     for na, nb in table:
