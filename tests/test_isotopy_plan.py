@@ -18,8 +18,8 @@ from itertools import product
 
 from hypothesis import given, settings, strategies as st
 
-from ainfkit.ainf import AInfAlgebra, beta_json, insertion_sum, \
-    relation_violations
+from ainfkit.ainf import AInfAlgebra, add_into, beta_json, insertion_plan, \
+    insertion_sum, relation_violations
 from ainfkit.isotopy import (
     Pseudoisotopy,
     check_pseudoisotopy,
@@ -228,6 +228,138 @@ def oracle_extend_one_level(m0, m1, P):
     return m_ext, p_ext
 
 
+# The planned per-tuple code: the differential-equation loop of
+# check_pseudoisotopy and the transport loop of extend_one_level, copied
+# verbatim from before both became joins, one insertion_sum per tuple of
+# scope(k)^k (m1.names^k in the transport).  `isotopy_sums` is its plan
+# builder, copied with it; the m^t relation is scanned by the planned
+# per-tuple relation scan on the same scope.
+
+def planned_isotopy_sums(P: Pseudoisotopy, k, beta):
+    return ((insertion_plan(P.cT, P.mT, beta, k), dict.fromkeys(P.names, 0)),
+            (insertion_plan(P.mT, P.cT, beta, k), P._parity))
+
+
+def planned_check_pseudoisotopy(P: Pseudoisotopy, m0=None, m1=None,
+                                _parity_factor=None) -> dict:
+    violations = []
+    pf = sign_pow(P.n + 1) if _parity_factor is None else _parity_factor
+    betas = P.monoid.enumerate(P.cutoff)
+    max_m = max((k for k, _ in P.mT), default=0)
+    max_c = max((k for k, _ in P.cT), default=0)
+
+    def scope(n):
+        return P.names if n == 1 else P.window
+
+    n_bound = max(2 * max_m - 1, 0)
+    for beta, n, names, defect in oracle_relation_violations(
+            P.mT, P._parity, betas, n_bound,
+            lambda n: product(scope(n), repeat=n)):
+        violations.append({
+            "clause": "ainf-family", "beta": beta_json(beta),
+            "n": n, "inputs": list(names),
+            "defect": {o: p.to_json() for o, p in sorted(defect.items())},
+        })
+
+    # The differential equation.
+    k_bound = max(max_m, max_m + max_c - 1, 0)
+    for beta in betas:
+        for k in range(k_bound + 1):
+            (s1, unsigned), (s2, parity) = planned_isotopy_sums(P, k, beta)
+            m_table = P.mT.get((k, beta), {})
+            if not (s1 or s2 or m_table):
+                continue
+            for names in product(scope(k), repeat=k):
+                acc = {out: poly.derivative() * pf
+                       for out, poly in m_table.get(names, {}).items()}
+                add_into(acc, insertion_sum(s1, unsigned, names), -1)
+                add_into(acc, insertion_sum(s2, parity, names), 1)
+                acc = {o: p for o, p in acc.items() if p}
+                if acc:
+                    violations.append({
+                        "clause": "differential-equation",
+                        "beta": beta_json(beta), "k": k, "inputs": list(names),
+                        "defect": {o: p.to_json() for o, p in sorted(acc.items())},
+                    })
+
+    # Endpoint comparisons.
+    for label, target, t in (("endpoint-0", m0, 0), ("endpoint-1", m1, 1)):
+        if target is None:
+            continue
+        got = P.endpoint(t)
+        if got.ops != target.ops:
+            violations.append({"clause": label,
+                               "detail": "evaluated family differs from the "
+                                         "given algebra"})
+    return {
+        "check": "pseudoisotopy",
+        "status": "PASS" if not violations else "FAIL",
+        "violations": violations,
+    }
+
+
+def planned_extend_one_level(m0, m1, P):
+    """The transport of extend_one_level (the input validation is left out:
+    the inputs below are valid)."""
+    e0, e1 = m0.cutoff, m1.cutoff
+    new_betas = [b for b in m1.monoid.enumerate(e1) if b[0] > e0]
+    sign_n = sign_pow(P.n)
+    max_m = max((k for k, _ in P.mT), default=0)
+    max_c = max((k for k, _ in P.cT), default=0)
+    k_candidates = [k for (k, b) in m1.ops if b in new_betas]
+    k_bound = max([max_m + max_c - 1, 0] + k_candidates)
+
+    new_tau_tables = {}
+    for beta in new_betas:
+        for k in range(k_bound + 1):
+            (s1, unsigned), (s2, parity) = planned_isotopy_sums(P, k, beta)
+            m1_table = m1.op_table(k, beta)
+            if not (s1 or s2 or m1_table):
+                continue
+            for names in product(m1.names, repeat=k):
+                acc = {out: Poly.const(cf)
+                       for out, cf in m1_table.get(names, {}).items()}
+                for out, poly in insertion_sum(s1, unsigned, names).items():
+                    add_into(acc, {out: poly.integral_from_to_one()}, sign_n)
+                for out, poly in insertion_sum(s2, parity, names).items():
+                    add_into(acc, {out: poly.integral_from_to_one()}, -sign_n)
+                acc = {o: p for o, p in acc.items() if p}
+                if acc:
+                    new_tau_tables.setdefault((k, beta), {})[names] = acc
+
+    ext_ops = {key: {ins: dict(cmb) for ins, cmb in tbl.items()}
+               for key, tbl in m0.ops.items()}
+    for key, tbl in new_tau_tables.items():
+        for inputs, combo in tbl.items():
+            for out, poly in combo.items():
+                val = poly(Fraction(0))
+                if val != 0:
+                    ext_ops.setdefault(key, {}).setdefault(inputs, {})[out] = val
+    m_ext = AInfAlgebra(m0.basis, m0.monoid, "modulo", e1, m0.unit,
+                        ext_ops, m0.window)
+
+    ext_mt = {key: {ins: dict(cmb) for ins, cmb in tbl.items()}
+              for key, tbl in P.mT.items()}
+    for key, tbl in new_tau_tables.items():
+        for inputs, combo in tbl.items():
+            ext_mt.setdefault(key, {})[inputs] = dict(combo)
+    p_ext = Pseudoisotopy(P.n, P.basis, P.monoid, e1, P.unit, ext_mt,
+                          {key: {ins: dict(cmb) for ins, cmb in tbl.items()}
+                           for key, tbl in P.cT.items()},
+                          P.window)
+    return m_ext, p_ext
+
+
+def assert_same_extension(m0, m1, P, *oracles):
+    m_ext, p_ext = extend_one_level(m0, m1, P)
+    for oracle in oracles:
+        o_ext, o_p = oracle(m0, m1, P)
+        assert m_ext.ops == o_ext.ops
+        assert m_ext.to_json() == o_ext.to_json()
+        assert (p_ext.mT, p_ext.cT) == (o_p.mT, o_p.cT)
+        assert p_ext.to_json() == o_p.to_json()
+
+
 # -- the planned sums on one tuple ---------------------------------------------------
 
 def planned_sums(P, k, beta, names):
@@ -242,10 +374,11 @@ COEFFS = [-2, -1, 0, 1, 2]
 
 
 @st.composite
-def sparse_families(draw):
+def sparse_families(draw, windowed=False):
     """Degree-consistent sparse m^t and c^t families (arity <= 3, t-degree
     <= 2) over a gapped monoid with one or two generators, with no promise
-    that the pseudoisotopy axioms hold."""
+    that the pseudoisotopy axioms hold.  When windowed, the window is drawn
+    too: a proper subset of the names in any order, or none."""
     # Both parities are present, so most drawn inputs meet some output.
     degrees = [0, 1] + draw(st.lists(st.integers(-1, 2), max_size=1))
     basis = [(f"a{i}", d) for i, d in enumerate(degrees)]
@@ -277,8 +410,11 @@ def sparse_families(draw):
     mT = family(2, draw(st.integers(4, 14)),
                 lambda k, beta: (k, beta) != (0, BETA_ZERO))
     cT = family(1, draw(st.integers(1, 8)), lambda k, beta: beta != BETA_ZERO)
+    window = draw(st.none() | st.lists(st.sampled_from(names), unique=True,
+                                       max_size=len(names) - 1)) \
+        if windowed else None
     return Pseudoisotopy(draw(st.integers(0, 2)), basis, monoid, cutoff, None,
-                         mT, cT)
+                         mT, cT, window)
 
 
 @settings(max_examples=60, deadline=None)
@@ -320,6 +456,53 @@ def test_planned_sums_match_per_tuple_sums(P, data):
                                max_size=k))
     assert planned_sums(P, k, beta, names) == \
         oracle_isotopy_sums(P, k, beta, names)
+
+
+def new_level(data, P):
+    """A few degree-consistent constants at the next energy level above the
+    cutoff of P, as ((k, beta), inputs, output, coefficient) entries."""
+    e1 = min(b[0] for b in P.monoid.enumerate(2 * P.cutoff) if b[0] > P.cutoff)
+    betas = [b for b in P.monoid.enumerate(e1) if b[0] == e1]
+    entries = []
+    for _ in range(data.draw(st.integers(0, 3))):
+        k = data.draw(st.integers(0, 3))
+        inputs = tuple(data.draw(st.lists(st.sampled_from(P.names),
+                                          min_size=k, max_size=k)))
+        in_deg = sum(P.degree(nm) for nm in inputs)
+        keys = [(beta, out) for beta in betas for out, d in P.basis
+                if d == in_deg + 2 - k - beta[1]]
+        if keys:
+            beta, out = data.draw(st.sampled_from(keys))
+            entries.append(((k, beta), inputs, out,
+                            Fraction(data.draw(st.sampled_from([-2, -1, 1, 2])))))
+    return e1, entries
+
+
+def one_level_up(P, level):
+    """(m0, m1) of one extension step along P: its t = 0 endpoint, and its
+    t = 1 endpoint with the new level's constants added."""
+    e1, entries = level
+    ops = P.endpoint(1).ops
+    for key, inputs, out, c in entries:
+        ops.setdefault(key, {}).setdefault(inputs, {})[out] = c
+    return P.endpoint(0), AInfAlgebra(P.basis, P.monoid, "modulo", e1, None,
+                                      ops, P.window)
+
+
+@settings(max_examples=50, deadline=None)
+@given(sparse_families(windowed=True), st.data())
+def test_isotopy_check_and_extension_match_planned_per_tuple_code(P, data):
+    """check_pseudoisotopy and extend_one_level against the per-tuple loops
+    they replaced, with and without a window, before and after one flip."""
+    level = new_level(data, P)
+    families = [P]
+    ids = isotopy_constant_ids(P)
+    if ids:
+        families.append(flip_isotopy_constant(P, data.draw(st.sampled_from(ids))))
+    for fam in families:
+        assert check_pseudoisotopy(fam) == planned_check_pseudoisotopy(fam)
+        assert_same_extension(*one_level_up(fam, level), fam,
+                              planned_extend_one_level)
 
 
 # -- the extension fixtures -------------------------------------------------------------
