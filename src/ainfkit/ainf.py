@@ -125,15 +125,18 @@ def basis_pairs(basis) -> tuple:
 
 def window_names(window, names) -> tuple:
     """The window as a tuple of basis names, None meaning all of names; it
-    must be an array, so that a string is not read letter by letter."""
+    must be an array, so that a string is not read letter by letter, and no
+    name may repeat."""
     if window is None:
         return tuple(names)
     if not isinstance(window, (list, tuple)):
         raise ValueError("window must be an array of names")
-    known = set(names)
+    unseen = set(names)
     for name in window:
-        if name not in known:
-            raise ValueError(f"window name {name!r} not in basis")
+        if name not in unseen:
+            raise ValueError(f"window name {name!r} " + (
+                "listed twice" if name in names else "not in basis"))
+        unseen.remove(name)
     return tuple(window)
 
 
@@ -523,16 +526,28 @@ def insertion_sum(plan, parity, names) -> dict:
     return {out: c for out, c in acc.items() if c}
 
 
-def relation_violations(ops, parity, betas, n_bound, order):
-    """The A-infinity relation of an op table, scanned in order: for each
-    beta and n <= n_bound, the first tuple of order(n)^n, in product order,
-    on which it fails, as (beta, n, names, {output: coefficient}).  Each
-    (beta, n) is planned once; an empty plan is structurally zero.  The
-    plan's tables are joined on the name at the insertion slot, so only
-    tuples with a term are formed; they are summed per leading name, in scan
-    order, up to the first with a nonzero sum.  Coefficients may be integers,
-    Fractions or t-polynomials."""
-    indexes = {}
+def joined_sums(n, terms, names, index, linear=None):
+    """Quadratic sums on the tuples xi of names^n: the sum over the (plan,
+    parity, sign) of terms of sign (+1 or -1) times insertion_sum(plan,
+    parity, xi), plus linear[xi] when a linear table is given.  Yields, for
+    each leading name in scan order, every tuple with a nonzero sum in
+    product order, as (xi, {output: coefficient}), zeros dropped.  The
+    plans' tables are joined on the name at the insertion slot, so only
+    tuples with a term are formed.  index, a dict the caller keeps across
+    calls on the same tables, holds each table grouped once per scanned
+    name set.  Coefficients may be integers, Fractions or t-polynomials."""
+    if not (linear or any(plan for plan, _, _ in terms)):
+        return
+    if n == 0:
+        acc = dict(linear.get((), {})) if linear else {}
+        for plan, parity, sign in terms:
+            add_into(acc, insertion_sum(plan, parity, ()), sign)
+        acc = {o: c for o, c in acc.items() if c}
+        if acc:
+            yield (), acc
+        return
+    inside = frozenset(names)
+    index = index.setdefault(inside, {})
 
     def grouped(table, p):
         """The keys of a table with at most one name outside the scan as
@@ -556,55 +571,64 @@ def relation_violations(ops, parity, betas, n_bound, order):
                         got.setdefault(out, []).append((key, c))
         return got
 
+    position = {nm: i for i, nm in enumerate(names)}
+    leading = {}
+    for key, vec in (linear or {}).items():
+        if inside.issuperset(key):
+            leading.setdefault(key[0], []).append((key, vec))
+    for lead in names:
+        sums = {key: dict(vec) for key, vec in leading.get(lead, ())}
+        for plan, parity, sign in terms:
+            flip = sign < 0
+            for start, stop, inner_table, outer_table in plan:
+                if start == 0 < stop:  # the inner key leads the tuple
+                    outer_first = grouped(outer_table, 0)
+                    for inner_key, inner, stray in grouped(
+                            inner_table, 0).get(lead, ()):
+                        for mid, c_in in () if stray >= 0 else inner.items():
+                            c_in = -c_in if flip else c_in
+                            for outer_key, outer, stray in outer_first.get(mid, ()):
+                                if stray > 0:
+                                    continue
+                                acc = sums.setdefault(inner_key + outer_key[1:], {})
+                                for out, c_out in outer.items():
+                                    acc[out] = acc[out] + c_in * c_out \
+                                        if out in acc else c_in * c_out
+                    continue
+                # The outer key leads; after a slot-0 curvature, its second name.
+                inner_out = grouped(inner_table, None)
+                for outer_key, outer, stray in grouped(
+                        outer_table, 0 if start else 1).get(lead, ()):
+                    if stray >= 0 and stray != start or \
+                            outer_key[start] not in inner_out:
+                        continue
+                    prefix, suffix = outer_key[:start], outer_key[start + 1:]
+                    odd = sum(parity[nm] for nm in prefix) & 1 != flip
+                    for inner_key, c_in in inner_out[outer_key[start]]:
+                        c_in = -c_in if odd else c_in
+                        acc = sums.setdefault(prefix + inner_key + suffix, {})
+                        for out, c_out in outer.items():
+                            acc[out] = acc[out] + c_in * c_out \
+                                if out in acc else c_in * c_out
+        for key in sorted((key for key, acc in sums.items() if any(acc.values())),
+                          key=lambda h: [position[nm] for nm in h]):
+            yield key, {o: c for o, c in sums[key].items() if c}
+
+
+def relation_violations(ops, parity, betas, n_bound, order):
+    """The A-infinity relation of an op table, scanned in order: for each
+    beta and n <= n_bound, the first tuple of order(n)^n, in product order,
+    on which it fails, as (beta, n, names, {output: coefficient}): the first
+    joined sum of its plan.  Each (beta, n) is planned once; an empty plan
+    is structurally zero."""
+    index = {}
     for beta in betas:
         for n in range(n_bound + 1):
             plan = insertion_plan(ops, ops, beta, n)
-            if not plan:
-                continue
-            if n == 0:
-                terms = insertion_sum(plan, parity, ())
-                if terms:
-                    yield beta, n, (), terms
-                continue
-            names = order(n)
-            inside = frozenset(names)
-            index = indexes.setdefault(inside, {})
-            position = {nm: i for i, nm in enumerate(dict.fromkeys(names))}
-            for lead in position:
-                sums = {}
-                for start, stop, inner_table, outer_table in plan:
-                    if start == 0 < stop:  # the inner key leads the tuple
-                        outer_first = grouped(outer_table, 0)
-                        for inner_key, inner, stray in grouped(
-                                inner_table, 0).get(lead, ()):
-                            for mid, c_in in () if stray >= 0 else inner.items():
-                                for outer_key, outer, stray in outer_first.get(mid, ()):
-                                    if stray > 0:
-                                        continue
-                                    acc = sums.setdefault(inner_key + outer_key[1:], {})
-                                    for out, c_out in outer.items():
-                                        acc[out] = acc[out] + c_in * c_out \
-                                            if out in acc else c_in * c_out
-                        continue
-                    # The outer key leads; after a slot-0 curvature, its second name.
-                    inner_out = grouped(inner_table, None)
-                    for outer_key, outer, stray in grouped(
-                            outer_table, 0 if start else 1).get(lead, ()):
-                        if stray >= 0 and stray != start or \
-                                outer_key[start] not in inner_out:
-                            continue
-                        prefix, suffix = outer_key[:start], outer_key[start + 1:]
-                        odd = sum(parity[nm] for nm in prefix) & 1
-                        for inner_key, c_in in inner_out[outer_key[start]]:
-                            c_in = -c_in if odd else c_in
-                            acc = sums.setdefault(prefix + inner_key + suffix, {})
-                            for out, c_out in outer.items():
-                                acc[out] = acc[out] + c_in * c_out \
-                                    if out in acc else c_in * c_out
-                hits = [key for key, acc in sums.items() if any(acc.values())]
-                if hits:
-                    key = min(hits, key=lambda h: [position[nm] for nm in h])
-                    yield beta, n, key, {o: c for o, c in sums[key].items() if c}
+            if plan:
+                for names, terms in joined_sums(n, [(plan, parity, 1)],
+                                                order(n), index):
+                    yield beta, n, names, terms
                     break
 
 

@@ -30,25 +30,26 @@ with c^tau_{k,beta} = 0 at the new level.  Terms that would involve the
 unknown new-level families vanish: they pair with c^t_{j,0} = 0 or with the
 new-level c, which is declared zero.
 
-Every quadratic sum here is an insertion sum of ainf's kernel with Poly
-coefficients: the m^t relation is the A-infinity relation scan over Q[t]
-(ainf.relation_violations on mT, a join of the stored tables), and the two
-mixed sums are the insertion plans of m^t over c^t (no sign) and of c^t over
-m^t (Koszul sign), built once per (beta, k) by isotopy_sums and evaluated
-tuple by tuple in the differential-equation check and the extension; both
-identities hold on the scope of check_ainf, every name at arity 1 and the
-window beyond.  Product compatibility is kunneth.pullback_scan over Q[t].
+Every quadratic sum here is ainf.joined_sums over Q[t], a join of the stored
+tables that forms only the tuples with a term: the m^t relation is the
+A-infinity relation scan (ainf.relation_violations on mT), and the two mixed
+sums are the insertion plans of m^t over c^t (no sign) and of c^t over m^t
+(Koszul sign), built once per (beta, k) by isotopy_sums.  The differential
+equation joins them with signs -1 and +1 and the table (-1)^{n+1} d/dt m^t;
+the extension joins them with signs (-1)^n and (-1)^{n+1} and integrates
+each sum.  Both identities hold on the scope of check_ainf, every name at
+arity 1 and the window beyond.  Product compatibility is
+kunneth.pullback_scan over Q[t].
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import product
 
 from ainfkit.ainf import (AInfAlgebra, add_into, basis_pairs, beta_json,
-                          beta_norm, entry_tables, insertion_plan,
-                          insertion_sum, parse_constant_id,
-                          relation_violations, replaced, window_names)
+                          beta_norm, entry_tables, insertion_plan, joined_sums,
+                          parse_constant_id, relation_violations, replaced,
+                          window_names)
 from ainfkit.kunneth import kunneth_K_table, pullback_scan, scan_report
 from ainfkit.poly import Poly
 from ainfkit.scalars import (BETA_ZERO, EnergyMonoid, frac, frac_str, json_int,
@@ -214,10 +215,10 @@ def isotopy_sums(P: Pseudoisotopy, k, beta):
     S1 = sum m^t_{k-j+1,beta1}(xi_1, ..., c^t_{j,beta2}(...), ...)  (no sign)
     S2 = sum (-1)^{prefix} c^t_{k-j+1,beta1}(xi_1, ..., m^t_{j,beta2}(...), ...)
 
-    insertion_sum(plan, parity, names) evaluates either on a basis tuple as a
-    dict out -> Poly.  Lookups at levels absent from the stored families
-    contribute zero, which is exactly the convention under which the
-    extension formula is well defined.
+    With a sign each, they are terms of ainf.joined_sums, which sums them on
+    every tuple that has a term, as dicts out -> Poly.  Lookups at levels
+    absent from the stored families contribute zero, which is exactly the
+    convention under which the extension formula is well defined.
     """
     return ((insertion_plan(P.cT, P.mT, beta, k), dict.fromkeys(P.names, 0)),
             (insertion_plan(P.mT, P.cT, beta, k), P._parity))
@@ -247,26 +248,23 @@ def check_pseudoisotopy(P: Pseudoisotopy, m0: AInfAlgebra = None,
             "defect": {o: p.to_json() for o, p in sorted(defect.items())},
         })
 
-    # The differential equation.
+    # The differential equation: pf d/dt m^t - S1 + S2 = 0.
     k_bound = max(max_m, max_m + max_c - 1, 0)
+    index = {}
     for beta in betas:
         for k in range(k_bound + 1):
             (s1, unsigned), (s2, parity) = isotopy_sums(P, k, beta)
-            m_table = P.mT.get((k, beta), {})
-            if not (s1 or s2 or m_table):
-                continue
-            for names in product(scope(k), repeat=k):
-                acc = {out: poly.derivative() * pf
-                       for out, poly in m_table.get(names, {}).items()}
-                add_into(acc, insertion_sum(s1, unsigned, names), -1)
-                add_into(acc, insertion_sum(s2, parity, names), 1)
-                acc = {o: p for o, p in acc.items() if p}
-                if acc:
-                    violations.append({
-                        "clause": "differential-equation",
-                        "beta": beta_json(beta), "k": k, "inputs": list(names),
-                        "defect": {o: p.to_json() for o, p in sorted(acc.items())},
-                    })
+            derivative = {names: {out: poly.derivative() * pf
+                                  for out, poly in combo.items()}
+                          for names, combo in P.mT.get((k, beta), {}).items()}
+            for names, acc in joined_sums(
+                    k, [(s1, unsigned, -1), (s2, parity, 1)], scope(k),
+                    index, derivative):
+                violations.append({
+                    "clause": "differential-equation",
+                    "beta": beta_json(beta), "k": k, "inputs": list(names),
+                    "defect": {o: p.to_json() for o, p in sorted(acc.items())},
+                })
 
     # Endpoint comparisons.
     for label, target, t in (("endpoint-0", m0, 0), ("endpoint-1", m1, 1)):
@@ -322,22 +320,22 @@ def extend_one_level(m0: AInfAlgebra, m1: AInfAlgebra, P: Pseudoisotopy):
     k_bound = max([max_m + max_c - 1, 0] + k_candidates)
 
     new_tau_tables = {}
+    index = {}
     for beta in new_betas:
         for k in range(k_bound + 1):
             (s1, unsigned), (s2, parity) = isotopy_sums(P, k, beta)
-            m1_table = m1.op_table(k, beta)
-            if not (s1 or s2 or m1_table):
-                continue
-            for names in product(m1.names, repeat=k):
-                acc = {out: Poly.const(cf)
-                       for out, cf in m1_table.get(names, {}).items()}
-                for out, poly in insertion_sum(s1, unsigned, names).items():
-                    add_into(acc, {out: poly.integral_from_to_one()}, sign_n)
-                for out, poly in insertion_sum(s2, parity, names).items():
-                    add_into(acc, {out: poly.integral_from_to_one()}, -sign_n)
-                acc = {o: p for o, p in acc.items() if p}
-                if acc:
-                    new_tau_tables.setdefault((k, beta), {})[names] = acc
+            tau = {names: {out: poly.integral_from_to_one()
+                           for out, poly in vec.items()}
+                   for names, vec in joined_sums(
+                       k, [(s1, unsigned, sign_n), (s2, parity, -sign_n)],
+                       m1.names, index)}
+            # A nonzero integral from tau to 1 is not constant, so adding
+            # the constant m1 term cancels nothing.
+            for names, combo in m1.op_table(k, beta).items():
+                add_into(tau.setdefault(names, {}),
+                         {out: Poly.const(cf) for out, cf in combo.items()})
+            if tau:
+                new_tau_tables[(k, beta)] = tau
 
     ext_ops = {key: {ins: dict(cmb) for ins, cmb in tbl.items()}
                for key, tbl in m0.ops.items()}

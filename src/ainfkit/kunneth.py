@@ -157,14 +157,6 @@ class Mismatch(NamedTuple):
     rhs: dict
 
 
-def _positions(items) -> dict:
-    """{item: [every index at which it occurs]}."""
-    found = {}
-    for i, item in enumerate(items):
-        found.setdefault(item, []).append(i)
-    return found
-
-
 def pullback_scan(fams, beta, k, embs, names, units=(), kt=None):
     """Where stored families differ from their factors' at one (beta, k).
 
@@ -184,11 +176,10 @@ def pullback_scan(fams, beta, k, embs, names, units=(), kt=None):
     inputs before it.
 
     Returns a Mismatch wherever the two sides differ, in product order:
-    tags by position, then slot, pair, family.  A name listed twice is
-    scanned once and reported at each of its positions.
+    tags by position, then slot, pair, family.
     """
-    tags = [(side, nm) for side, scanned in zip("AB", names) for nm in scanned]
-    positions = _positions(tags)
+    positions = {t: i for i, t in enumerate(
+        (side, nm) for side, scanned in zip("AB", names) for nm in scanned)}
     sides = []  # (reading {tag: factor name}, iota, degrees) per factor
     for side, emb in zip("AB", embs):
         reading = {t: t[1] for t in positions if t[0] == side}
@@ -199,14 +190,13 @@ def pullback_scan(fams, beta, k, embs, names, units=(), kt=None):
     inverse = inverse_index({t: own[t][1][t[1]] for t in positions})
     parity = {t: shifted(own[t][2][t[1]]) for t in positions}
     n, slots, windows, slot_inverse = k, [None], [{}, {}], {}
-    pair_positions = {None: [None]}
+    pair_positions = {None: None}
     if kt is not None:
         # The slot of a factor table keeps its window name a (or b).
         windows = [{nm: [(nm, None)] for nm in emb.source.window} for emb in embs]
-        slot_inverse = inverse_index({p: kt[p] for p in product(*windows)})
+        pair_positions = {p: i for i, p in enumerate(product(*windows))}
+        slot_inverse = inverse_index({p: kt[p] for p in pair_positions})
         n, slots = k + 1, range(k + 1)
-        pair_positions = _positions(
-            product(*(emb.source.window for emb in embs)))
 
     @cache
     def owners(tup):
@@ -257,9 +247,9 @@ def pullback_scan(fams, beta, k, embs, names, units=(), kt=None):
             if left == right:
                 continue
             plain, i, pair = key
-            row = Mismatch(plain, i, pair, name, owners(plain), left, right)
-            for at in product(*(positions[t] for t in plain)):
-                rows.extend(((at, i, p, f), row) for p in pair_positions[pair])
+            rows.append(((tuple(map(positions.get, plain)), i,
+                          pair_positions[pair], f),
+                         Mismatch(plain, i, pair, name, owners(plain), left, right)))
     return [row for _, row in sorted(rows, key=lambda row: row[0])]
 
 

@@ -164,15 +164,6 @@ Poly.ONE = Poly([1])
 Poly.T = Poly([0, 1])
 
 
-def poly_gcd(a: Poly, b: Poly) -> Poly:
-    """Monic gcd in Q[q]."""
-    while not b.is_zero():
-        a, b = b, a % b
-    if a.is_zero():
-        return a
-    return a * (1 / a.lead())
-
-
 def matrix_rank_fraction_field(rows) -> int:
     """Rank of a matrix of Poly entries over the fraction field Q(q).
 

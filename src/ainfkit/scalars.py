@@ -152,11 +152,6 @@ class NovikovElement:
 
     __rmul__ = __mul__
 
-    def shift(self, energy) -> "NovikovElement":
-        """Multiply by T^energy."""
-        energy = frac(energy)
-        return NovikovElement([(e + energy, c) for e, c in self.terms], self.truncation)
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, NovikovElement)

@@ -341,6 +341,36 @@ def test_string_where_an_array_is_required_is_input_error(tmp_path, capsys):
     assert "curved.json: algebra: window must be an array of names" in err
 
 
+# A window that repeats a name is refused wherever one is read: the main
+# algebra, an embedding's source, the isotopy and a factor isotopy.
+REPEATED_WINDOWS = [
+    ("check-ainf", "derham_t1.json", ("algebra",), "algebra"),
+    ("check-commuting", "kunneth_derham.json", ("embeddings", "A", "source"),
+     "embeddings.A"),
+    ("check-commuting-isotopy", "commuting_isotopy.json",
+     ("embeddings", "B", "source"), "embeddings.B"),
+    ("check-isotopy", "isotopy_extend.json", ("isotopy",), "isotopy"),
+    ("check-commuting-isotopy", "commuting_isotopy.json",
+     ("factor_isotopies", "A"), "factor_isotopies.A"),
+]
+
+
+@pytest.mark.parametrize("command,fixture,section,where", REPEATED_WINDOWS)
+def test_window_that_repeats_a_name_is_input_error(
+        fixture_path, tmp_path, capsys, command, fixture, section, where):
+    raw = json.load(open(fixture_path(fixture)))
+    doc = raw
+    for key in section:
+        doc = doc[key]
+    window = doc.get("window", [nm for nm, _ in doc["space"]["basis"]])
+    doc["window"] = window[::-1] + window[-1:]
+    path = tmp_path / fixture
+    path.write_text(json.dumps(raw))
+    err = _input_error(capsys, command, str(path))
+    assert err.rstrip().endswith(
+        f"{fixture}: {where}: window name {window[-1]!r} listed twice")
+
+
 def test_isotopy_inputs_as_string_is_input_error(fixture_path, tmp_path,
                                                  capsys):
     raw = json.load(open(fixture_path("isotopy_extend.json")))

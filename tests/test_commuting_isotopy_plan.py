@@ -27,7 +27,7 @@ from ainfkit.poly import Poly
 from ainfkit.scalars import BETA_ZERO, monoid_sum
 from ainfkit.signs import shifted, sign_pow
 from ainfkit.specio import load_spec
-from test_commuting_plan import eval_table, kunneth_K_table, with_window
+from test_commuting_plan import eval_table, kunneth_K_table
 
 
 # -- the replaced code, kept as the oracle ---------------------------------------
@@ -286,23 +286,6 @@ def test_constructed_clauses(isotopies, family, key, entries, clause):
     PC, PA, PB, embA, embB = isotopies
     PC = with_entries(PC, family, key, entries)
     assert clause in clauses(assert_same_report(PC, PA, PB, embA, embB))
-
-
-def test_repeated_window_names_report_each_position(isotopies):
-    """Factor windows that list names twice give a K-insertion violation at
-    each position of a name, as the per-tuple scan does."""
-    PC, PA, PB, embA, embB = isotopies
-    wa, wb = list(embA.source.window), list(embB.source.window)
-    embA = with_window(embA, wa + wa[:2])
-    embB = with_window(embB, wb[::-1] + wb)
-    repeated = 0
-    for cid in isotopy_constant_ids(PC):
-        report = assert_same_report(flip_isotopy_constant(PC, cid), PA, PB,
-                                    embA, embB)
-        found = [repr(v) for v in report["violations"]
-                 if v["clause"].endswith("k-insertion")]
-        repeated += len(found) > len(set(found))
-    assert repeated
 
 
 def test_cut_before_the_last_beta(isotopies):

@@ -712,31 +712,6 @@ def test_clause_a_cut_after_its_beta():
     assert_same_reports(embA, embB)
 
 
-def with_window(emb, window):
-    """emb with its source algebra's window replaced."""
-    a = emb.source
-    return replaced(emb, source=AInfAlgebra(a.basis, a.monoid, a.mode, a.cutoff,
-                                            a.unit, a.ops, window))
-
-
-@pytest.mark.parametrize("sides", ["A", "B", "AB"])
-def test_repeated_window_names_report_each_position(sides):
-    """A factor window may list a name twice, as check_ainf allows; clause
-    (c) then reports a violation at each position of the name, as the
-    per-tuple scans do, and the cut counts every copy."""
-    embA, embB = stray_pair(STRAY_41)
-    wa, wb = list(embA.source.window), list(embB.source.window)
-    if "A" in sides:
-        embA = with_window(embA, wa[::-1] + wa[:1])
-    if "B" in sides:
-        embB = with_window(embB, wb + wb[1:2])
-    assert_same_reports(embA, embB)
-    found = [(v["plain"], v["slot"], v["pair"], v["beta"], v["k"])
-             for v in kunneth.check_commuting(embA, embB)["violations"]
-             if v["clause"] == "c-insertion"]
-    assert len(found) > len({repr(v) for v in found}) > 0
-
-
 nonzero = st.integers(-9, 9).filter(bool).map(Fraction) | \
     st.fractions(min_value=-5, max_value=5, max_denominator=7).filter(bool)
 

@@ -1,18 +1,25 @@
-"""The pseudoisotopy checks on the shared insertion kernel, against the code
-they replaced.
+"""The pseudoisotopy checks on the shared joined-sum kernel, against the
+code they replaced.
 
-`check_pseudoisotopy` scans the A-infinity relation of m^t with
-`ainf.relation_violations`, the join over the stored tables, and both
-`check_pseudoisotopy` and `extend_one_level` evaluate the mixed sums of the
-differential equation through the two insertion plans of `isotopy_sums`, all
-over Q[t]. The per-tuple sums below re-enumerate the beta-splits and the
-Koszul signs on every tuple, as the isotopy code did before it shared the
-kernel, and the planned per-tuple relation scan of `test_relation_plan` runs
-every tuple of the basis through `insertion_sum`, as the scan did before it
-became a join. They stay here as differential oracles: reports, sums and
-extensions must agree exactly, down to which violation comes first.
+`check_pseudoisotopy` and `extend_one_level` sum every quadratic sum with
+`ainf.joined_sums`, the join over the stored tables: the A-infinity relation
+of m^t (through `ainf.relation_violations`) and the two insertion plans of
+`isotopy_sums`, all over Q[t]. Three older versions stay here as
+differential oracles:
+
+- the per-tuple sums, which re-enumerate the beta-splits and the Koszul
+  signs on every tuple, as the isotopy code did before it shared the kernel;
+- the planned per-tuple loops, which ran every tuple of the scope through
+  `insertion_sum`, as the differential equation and the extension did before
+  they became joins;
+- the planned per-tuple relation scan of `test_relation_plan`.
+
+Reports, sums and extensions must agree exactly, down to which violation
+comes first.
 """
 
+import json
+import time
 from fractions import Fraction
 from itertools import product
 
@@ -28,6 +35,7 @@ from ainfkit.isotopy import (
     isotopy_constant_ids,
     isotopy_sums,
 )
+from ainfkit.cli import main
 from ainfkit.models import chain_fixture, extension_fixture
 from ainfkit.poly import Poly
 from ainfkit.scalars import BETA_ZERO, EnergyMonoid
@@ -537,3 +545,55 @@ def test_extension_matches_per_tuple_transport():
                 for names in product(P.names, repeat=k):
                     assert planned_sums(P, k, beta, names) == \
                         oracle_isotopy_sums(P, k, beta, names)
+
+
+# -- the work of the isotopy sums is bounded by their terms --------------------------
+
+def high_arity_isotopy(size, cutoff):
+    """m^t_{6,(1,0)}(x^6) = (1 + t) y and c^t_{6,(1,0)}(x^6) = t x on size
+    basis names: the differential equation runs up to k = 11, where
+    size^11 tuples exist but only x^11 has a term."""
+    basis = [("x", 1), ("y", 2)] + [(f"z{i}", i % 3) for i in range(size - 2)]
+    key, xs = (6, (Fraction(1), 0)), ("x",) * 6
+    return Pseudoisotopy(1, basis, EnergyMonoid([(1, 0)]), cutoff, None,
+                         {key: {xs: {"y": Poly([1, 1])}}},
+                         {key: {xs: {"x": Poly([0, 1])}}})
+
+
+def test_high_arity_isotopy_sums_only_its_terms(tmp_path, capsys):
+    """The exact report on 8 names in under a second, in-process and through
+    ainfctl; on 3 names, the report of the per-tuple loop."""
+    started = time.perf_counter()
+    report = check_pseudoisotopy(high_arity_isotopy(8, 2))
+    assert time.perf_counter() - started < 1.0
+    assert report == planned_check_pseudoisotopy(high_arity_isotopy(3, 2))
+    # d/dt m^t at beta = (1, 0), and -6 t (1 + t) y from c^t inside m^t at
+    # each of the six slots at beta = (2, 0).
+    assert [(v["clause"], v["k"], v["defect"]) for v in report["violations"]] \
+        == [("differential-equation", 6, {"y": ["1"]}),
+            ("differential-equation", 11, {"y": ["0", "-6", "-6"]})]
+    path = tmp_path / "high_arity.json"
+    path.write_text(json.dumps({"format": "ainfctl/1",
+                                "isotopy": high_arity_isotopy(8, 2).to_json()}))
+    started = time.perf_counter()
+    code = main(["check-isotopy", str(path)])
+    assert time.perf_counter() - started < 1.0
+    assert code == 1
+    assert json.loads(capsys.readouterr().out) == report
+
+
+def high_arity_step(size):
+    """One extension step from cutoff 1 to 2 along the high-arity isotopy,
+    from its endpoints."""
+    P = high_arity_isotopy(size, 1)
+    m1 = AInfAlgebra(P.basis, P.monoid, "modulo", 2, None, P.endpoint(1).ops)
+    return P.endpoint(0), m1, P
+
+
+def test_high_arity_extension_sums_only_its_terms():
+    started = time.perf_counter()
+    m_ext, _ = extend_one_level(*high_arity_step(8))
+    assert time.perf_counter() - started < 1.0
+    # m^0_{11,(2,0)}(x^11) = (-1)^n int_0^1 6 t (1 + t) dt y = -5 y.
+    assert m_ext.ops[(11, (Fraction(2), 0))] == {("x",) * 11: {"y": -5}}
+    assert_same_extension(*high_arity_step(3), planned_extend_one_level)

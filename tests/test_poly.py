@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 from ainfkit.poly import (
     Poly,
     matrix_rank_fraction_field,
-    poly_gcd,
     rational_matrix_rank,
     smith_normal_form,
 )
@@ -73,14 +72,6 @@ def test_divmod_identity(a, b):
 @given(polys)
 def test_fundamental_theorem(p):
     assert p.antiderivative().derivative() == p
-
-
-def test_poly_gcd():
-    a = Poly([-1, 0, 1])
-    b = Poly([1, 2, 1])
-    g = poly_gcd(a, b)
-    assert g == Poly([1, 1])
-    assert poly_gcd(Poly.ZERO, Poly.ZERO).is_zero()
 
 
 def _to_sympy(rows):

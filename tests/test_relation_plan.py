@@ -499,15 +499,3 @@ def test_high_arity_failure_matches_the_oracle():
     for cid in constant_ids(alg):
         flipped = flip_constant(alg, cid)
         assert check_ainf(flipped) == oracle_check_ainf(flipped)
-
-
-def test_repeated_window_names_scan_in_first_occurrence_order():
-    """A window may list a name twice; product order then meets each tuple
-    first at the first occurrence of its names."""
-    alg = derham_model(1, 1)
-    names = list(alg.window)
-    alg = AInfAlgebra(alg.basis, alg.monoid, alg.mode, alg.cutoff, alg.unit,
-                      alg.ops, names[::-1] + names[:3])
-    for cid in constant_ids(alg):
-        flipped = flip_constant(alg, cid)
-        assert check_ainf(flipped) == oracle_check_ainf(flipped)

@@ -48,10 +48,9 @@ def test_mixed_truncation_rejected():
         x + y
 
 
-def test_shift_and_retruncate():
-    x = NovikovElement.scalar(3, truncation=2)
-    assert x.shift(Fraction(3, 2)).terms == ((Fraction(3, 2), Fraction(3)),)
-    assert x.shift(2).is_zero()
+def test_retruncate():
+    x = NovikovElement([(0, 3), (Fraction(3, 2), 1)], truncation=2)
+    assert x.retruncate(1).terms == ((Fraction(0), Fraction(3)),)
     assert x.retruncate(None).truncation is None
 
 
