@@ -239,9 +239,9 @@ def oracle_extend_one_level(m0, m1, P):
 # The planned per-tuple code: the differential-equation loop of
 # check_pseudoisotopy and the transport loop of extend_one_level, copied
 # verbatim from before both became joins, one insertion_sum per tuple of
-# scope(k)^k (m1.names^k in the transport).  `isotopy_sums` is its plan
-# builder, copied with it; the m^t relation is scanned by the planned
-# per-tuple relation scan on the same scope.
+# scope(k)^k (m1.names^k in the transport).  `isotopy_sums`, which makes
+# their plans, is copied with them; the m^t relation is scanned by the
+# planned per-tuple relation scan on the same scope.
 
 def planned_isotopy_sums(P: Pseudoisotopy, k, beta):
     return ((insertion_plan(P.cT, P.mT, beta, k), dict.fromkeys(P.names, 0)),
