@@ -20,7 +20,7 @@ vanishes identically (structural fact, not a checked approximation).
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import islice, product
+from itertools import combinations, islice, product
 from math import lcm, prod
 
 from ainfkit.scalars import (
@@ -415,9 +415,14 @@ def eval_op(alg: AInfAlgebra, k: int, beta, inputs) -> AlgElement:
         raise ValueError(f"beta {beta} outside the energy monoid")
     if alg.mode == "modulo" and beta[0] > alg.cutoff:
         raise ValueError(f"beta {beta} above cutoff {alg.cutoff}")
+    return evaluate(alg.op_table(k, beta), inputs, alg.truncation)
+
+
+def evaluate(table, inputs, truncation) -> AlgElement:
+    """A stored table {names: {output: coefficient}} applied to elements."""
     columns = [inverse_index({i: inp.coeffs}) for i, inp in enumerate(inputs)]
-    return AlgElement(pull_back(alg.op_table(k, beta), columns).get(
-        tuple(range(k)), {}), alg.truncation)
+    return AlgElement(pull_back(table, columns).get(
+        tuple(range(len(inputs))), {}), truncation)
 
 
 def inverse_index(images: dict) -> dict:
@@ -739,43 +744,42 @@ def validate_bounding_candidate(alg: AInfAlgebra, b: AlgElement):
             )
 
 
-def eval_assembled(alg: AInfAlgebra, k: int, inputs) -> AlgElement:
-    """m_k = sum_beta m_{k,beta} T^{E(beta)} applied to elements."""
-    total = AlgElement.zero(alg.truncation)
-    for (kk, beta) in alg.ops:
-        if kk != k:
+def deformed_table(alg: AInfAlgebra, b: AlgElement, k: int) -> dict:
+    """m^b_k on basis names, {inputs: {output: NovikovElement}}, zeros
+    dropped, in one pass over the stored entries of arity K >= k.
+
+    Filling K - k slots of a stored m_{K,beta}(n_1..n_K) = c * out whose
+    names lie in the support of b adds T^{E(beta)} c prod b-coefficients to
+    m^b_k at the k names left; no Koszul sign arises, since ||b|| is even.
+    """
+    table_b = {}
+    for (big_k, beta), table in alg.ops.items():
+        extra = big_k - k
+        if extra < 0 or extra and not b.coeffs:
             continue
-        val = eval_op(alg, k, beta, inputs)
-        if not val.is_zero():
-            total = total + val.scale(
-                NovikovElement.monomial(1, beta[0], alg.truncation))
-    return total
-
-
-def insertion_patterns(k: int, extra: int):
-    """All (i_0, ..., i_k) with nonnegative entries summing to extra."""
-    if k == 0:
-        yield (extra,)
-        return
-    for first in range(extra + 1):
-        for rest in insertion_patterns(k - 1, extra - first):
-            yield (first,) + rest
+        energy = NovikovElement.monomial(1, beta[0], alg.truncation)
+        for key, combo in table.items():
+            slots = [i for i, nm in enumerate(key) if nm in b.coeffs]
+            for filled in combinations(slots, extra):
+                factor = energy
+                for i in filled:
+                    factor = factor * b.coeffs[key[i]]
+                add_into(table_b.setdefault(tuple(
+                    nm for i, nm in enumerate(key) if i not in filled), {}),
+                    combo, factor)
+    out = {}
+    for key, row in table_b.items():
+        row = {o: v for o, v in row.items() if v.terms}
+        if row:
+            out[key] = row
+    return out
 
 
 def deformed_eval(alg: AInfAlgebra, b: AlgElement, k: int, inputs) -> AlgElement:
-    """m^b_k(a_1..a_k): all b-insertions, no extra Koszul signs (||b|| even)."""
-    max_a = alg.max_arity()
-    total = AlgElement.zero(alg.truncation)
-    for big_k in range(k, max_a + 1):
-        extra = big_k - k
-        for pattern in insertion_patterns(k, extra):
-            args = []
-            for slot, count in enumerate(pattern):
-                args.extend([b] * count)
-                if slot < k:
-                    args.append(inputs[slot])
-            total = total + eval_assembled(alg, big_k, tuple(args))
-    return total
+    """m^b_k(a_1..a_k): the table of m^b_k read along the inputs."""
+    if len(inputs) != k:
+        raise ValueError(f"expected {k} inputs, got {len(inputs)}")
+    return evaluate(deformed_table(alg, b, k), inputs, alg.truncation)
 
 
 def deform(alg: AInfAlgebra, b: AlgElement) -> AInfAlgebra:
@@ -788,25 +792,16 @@ def deform(alg: AInfAlgebra, b: AlgElement) -> AInfAlgebra:
     if alg.mode != "modulo":
         raise ValueError("deform needs a truncated algebra; use assemble() first")
     validate_bounding_candidate(alg, b)
-    max_a = alg.max_arity()
     new_ops = {}
-    generators = set()
-    for k in range(max_a + 1):
-        for names in product(alg.names, repeat=k):
-            basis_inputs = tuple(AlgElement.basis(nm, alg.truncation)
-                                 for nm in names)
-            val = deformed_eval(alg, b, k, basis_inputs)
-            in_deg = sum(alg.degree(nm) for nm in names)
-            for out, nov in val.coeffs.items():
+    for k in range(alg.max_arity() + 1):
+        for names, row in deformed_table(alg, b, k).items():
+            in_deg = sum(map(alg._degrees.__getitem__, names))
+            for out, nov in row.items():
                 mu = in_deg + 2 - k - alg.degree(out)
                 for energy, coeff in nov.terms:
-                    beta = (energy, mu)
-                    if beta != BETA_ZERO:
-                        generators.add(beta)
-                    table = new_ops.setdefault((k, beta), {})
-                    combo = table.setdefault(names, {})
-                    combo[out] = combo.get(out, Fraction(0)) + coeff
-    monoid = EnergyMonoid(sorted(generators))
+                    new_ops.setdefault((k, (energy, mu)), {}).setdefault(
+                        names, {})[out] = coeff
+    monoid = EnergyMonoid(sorted({beta for _, beta in new_ops} - {BETA_ZERO}))
     return AInfAlgebra(alg.basis, monoid, "modulo", alg.cutoff, alg.unit,
                        new_ops, alg.window)
 
@@ -816,15 +811,9 @@ def mc_defect(alg: AInfAlgebra, b: AlgElement):
     if alg.unit is None:
         raise ValueError("mc_defect needs a unit")
     validate_bounding_candidate(alg, b)
-    total = AlgElement.zero(alg.truncation)
-    for k in range(alg.max_arity() + 1):
-        total = total + eval_assembled(alg, k, (b,) * k)
-    p = total.coefficient(alg.unit)
-    rest = AlgElement(
-        {nm: v for nm, v in total.coeffs.items() if nm != alg.unit},
-        alg.truncation,
-    )
-    return p, rest
+    total = deformed_table(alg, b, 0).get((), {})
+    p = total.pop(alg.unit, NovikovElement.zero(alg.truncation))
+    return p, AlgElement(total, alg.truncation)
 
 
 def assemble(alg: AInfAlgebra, cutoff) -> AInfAlgebra:

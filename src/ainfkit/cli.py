@@ -107,8 +107,8 @@ def _cmd_mc_defect(doc, args):
 
 def _factor_pair(doc):
     emb_a, emb_b = doc.embedding_pair()
-    b1 = doc.factor_bounding("b1", emb_a)
-    b2 = doc.factor_bounding("b2", emb_b)
+    b1 = doc.bounding("b1", emb_a.source)
+    b2 = doc.bounding("b2", emb_b.source)
     return emb_a, emb_b, b1, b2
 
 

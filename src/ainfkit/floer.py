@@ -15,7 +15,7 @@ from math import lcm
 from ainfkit.ainf import (
     AInfAlgebra,
     AlgElement,
-    deformed_eval,
+    deformed_table,
     differential_matrix,
     mc_defect,
     validate_bounding_candidate,
@@ -108,17 +108,16 @@ def deformed_differential_matrix(alg: AInfAlgebra, b: AlgElement):
     names = alg.names
     idx = {nm: i for i, nm in enumerate(names)}
     mat = [[Poly.ZERO] * len(names) for _ in names]
-    for j, nm in enumerate(names):
-        column = deformed_eval(alg, b, 1, (AlgElement.basis(nm),))
-        for out, nov in column.coeffs.items():
+    for (nm,), column in deformed_table(alg, b, 1).items():
+        for out, nov in column.items():
             coeffs = {}
             for e, cf in nov.terms:
                 power = e * n_den
                 if power.denominator != 1:
                     raise ValueError("energy outside (1/N)Z lattice")
                 coeffs[power.numerator] = cf
-            mat[idx[out]][j] = Poly([coeffs.get(p, Fraction(0))
-                                     for p in range(max(coeffs) + 1)])
+            mat[idx[out]][idx[nm]] = Poly([coeffs.get(p, Fraction(0))
+                                           for p in range(max(coeffs) + 1)])
     if not squares_to_zero(mat, Poly.ZERO):
         raise ValueError("deformed differential does not square to zero")
     return mat, n_den

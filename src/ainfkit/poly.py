@@ -156,6 +156,9 @@ class Poly:
 
     @staticmethod
     def from_json(data) -> "Poly":
+        if not isinstance(data, (list, tuple)):
+            raise ValueError(
+                f"polynomial must be an array of coefficients, got {data!r}")
         return Poly([frac(c) for c in data])
 
 

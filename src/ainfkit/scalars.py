@@ -175,6 +175,15 @@ class NovikovElement:
 
     @staticmethod
     def from_json(data, truncation=None) -> "NovikovElement":
+        """An array of [energy, coefficient] pairs; a string or any other
+        term is refused rather than read letter by letter."""
+        if not isinstance(data, (list, tuple)):
+            raise ValueError("Novikov element must be an array of "
+                             f"[energy, coefficient] pairs, got {data!r}")
+        for term in data:
+            if not isinstance(term, (list, tuple)) or len(term) != 2:
+                raise ValueError(f"Novikov term {term!r} is not an "
+                                 "[energy, coefficient] pair")
         return NovikovElement([(frac(e), frac(c)) for e, c in data], truncation)
 
 

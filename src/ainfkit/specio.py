@@ -104,22 +104,17 @@ class SpecDocument:
                 raise SpecError(f"{self.path}: embeddings.{name} is required")
         return embs["A"], embs["B"]
 
-    def bounding(self, name="b") -> AlgElement:
-        elem = self._parse(AlgElement.from_json,
-                           self._member(self._section("bounding"), name,
-                                        "bounding"),
-                           f"bounding.{name}", self.algebra.truncation)
+    def bounding(self, name="b", alg=None) -> AlgElement:
+        """The named bounding cochain, on alg's basis (default: the algebra)."""
+        section = self._member(self._section("bounding"), name, "bounding")
+        alg = self.algebra if alg is None else alg
+        elem = self._parse(AlgElement.from_json, section, f"bounding.{name}",
+                           alg.truncation)
         for nm in elem.coeffs:
-            if nm not in self.algebra._degrees:
+            if nm not in alg._degrees:
                 raise SpecError(
                     f"{self.path}: bounding.{name}: unknown basis name {nm!r}")
         return elem
-
-    def factor_bounding(self, name, emb) -> AlgElement:
-        return self._parse(AlgElement.from_json,
-                           self._member(self._section("bounding"), name,
-                                        "bounding"),
-                           f"bounding.{name}", emb.source.truncation)
 
     @property
     def isotopy(self) -> Pseudoisotopy:

@@ -302,6 +302,38 @@ def test_section_of_wrong_json_type_is_input_error(command, name, edit, message,
     assert message in _input_error(capsys, command, path)
 
 
+# A JSON string is never read as an array: "7" is no polynomial [7], and
+# "12" is no Novikov term [1, 2].
+@pytest.mark.parametrize("command,name,edit,message", [
+    ("check-isotopy", "isotopy_extend.json",
+     lambda doc: doc["isotopy"]["mt"][0].update(poly="7"),
+     "isotopy: polynomial must be an array of coefficients, got '7'"),
+    ("mc-defect", "gapped_product.json",
+     lambda doc: doc["bounding"]["b"].update({"eA|xB": ["12"]}),
+     "bounding.b: Novikov term '12' is not an [energy, coefficient] pair"),
+    ("mc-defect", "gapped_product.json",
+     lambda doc: doc["bounding"]["b"].update({"eA|xB": "12"}),
+     "bounding.b: Novikov element must be an array of [energy, coefficient] "
+     "pairs, got '12'"),
+])
+def test_string_read_as_array_is_input_error(command, name, edit, message,
+                                             fixture_path, tmp_path, capsys):
+    path = _fixture_with(fixture_path, tmp_path, name, edit)
+    err = _input_error(capsys, command, path)
+    assert err.rstrip().endswith(f"{name}: {message}")
+
+
+@pytest.mark.parametrize("command", ["box-product", "check-hf-kunneth"])
+def test_unknown_name_in_factor_bounding_is_input_error(command, fixture_path,
+                                                        tmp_path, capsys):
+    path = _fixture_with(fixture_path, tmp_path, "gapped_product.json",
+                         lambda doc: doc["bounding"]["b1"].update(
+                             nope=[["1", "1"]]))
+    err = _input_error(capsys, command, path)
+    assert err.rstrip().endswith(
+        "gapped_product.json: bounding.b1: unknown basis name 'nope'")
+
+
 def _curved_line_doc(tmp_path, rewrite):
     """A check-ainf document on golden curved_line(1/2), rewritten in place."""
     doc = curved_line(Fraction(1, 2)).to_json()

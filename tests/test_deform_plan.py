@@ -9,6 +9,7 @@ of basis^k. It stays here as the differential oracle; reports, tables and
 cohomology must agree exactly.
 """
 
+import time
 from fractions import Fraction
 from itertools import product
 from unittest import mock
@@ -328,3 +329,38 @@ def test_barcode_and_derham_models_match_the_oracle():
         outcome(oracle_hf_dimension, torus, AlgElement.zero())
     assert outcome(floer.barcode, torus, AlgElement.zero()) == \
         outcome(oracle_barcode, torus, AlgElement.zero())
+
+
+# -- one high-arity constant -------------------------------------------------------
+
+def high_arity_algebra(n_names):
+    """One m_{6,0} constant x_0 x_1 ... -> z on n_names names (the inputs
+    cycle through the n_names - 1 odd names), modulo T^2, with b zero or
+    T^{1/2} x_0, so that b fills only slots of the constant's inputs."""
+    odd = [f"x{i}" for i in range(n_names - 1)]
+    basis = [(nm, 1) for nm in odd] + [("z", 2)]
+    inputs = tuple(odd[i % len(odd)] for i in range(6))
+    alg = AInfAlgebra(basis, EnergyMonoid([(Fraction(1, 2), 0)]), "modulo",
+                      Fraction(2), ops={(6, BETA_ZERO): {inputs: {"z": 1}}})
+    cochains = (AlgElement.zero(alg.truncation),
+                AlgElement({"x0": NovikovElement.monomial(1, Fraction(1, 2), 2)},
+                           alg.truncation))
+    return alg, cochains
+
+
+def test_high_arity_constant_deforms_only_its_terms():
+    """basis^6 holds 8^6 tuples, but m^b is read off the one stored key: b
+    fills its one x_0 slot or none."""
+    alg, cochains = high_arity_algebra(8)
+    inputs = ("x0", "x1", "x2", "x3", "x4", "x5")
+    expected = ({(6, BETA_ZERO): {inputs: {"z": 1}}},
+                {(6, BETA_ZERO): {inputs: {"z": 1}},
+                 (5, (Fraction(1, 2), 0)): {inputs[1:]: {"z": 1}}})
+    for b, ops in zip(cochains, expected):
+        started = time.perf_counter()
+        deformed = deform(alg, b)
+        assert time.perf_counter() - started < 1.0
+        assert deformed.ops == ops
+    small, cochains = high_arity_algebra(3)
+    for b in cochains:
+        assert deform_json(small, b) == oracle_deform_json(small, b)
