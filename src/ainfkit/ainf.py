@@ -755,7 +755,7 @@ def deformed_table(alg: AInfAlgebra, b: AlgElement, k: int) -> dict:
     table_b = {}
     for (big_k, beta), table in alg.ops.items():
         extra = big_k - k
-        if extra < 0 or extra and not b.coeffs:
+        if extra < 0 or (extra and not b.coeffs):
             continue
         energy = NovikovElement.monomial(1, beta[0], alg.truncation)
         for key, combo in table.items():
@@ -795,12 +795,12 @@ def deform(alg: AInfAlgebra, b: AlgElement) -> AInfAlgebra:
     new_ops = {}
     for k in range(alg.max_arity() + 1):
         for names, row in deformed_table(alg, b, k).items():
-            in_deg = sum(map(alg._degrees.__getitem__, names))
+            in_deg = sum(alg.degree(nm) for nm in names)
             for out, nov in row.items():
                 mu = in_deg + 2 - k - alg.degree(out)
                 for energy, coeff in nov.terms:
-                    new_ops.setdefault((k, (energy, mu)), {}).setdefault(
-                        names, {})[out] = coeff
+                    table = new_ops.setdefault((k, (energy, mu)), {})
+                    table.setdefault(names, {})[out] = coeff
     monoid = EnergyMonoid(sorted({beta for _, beta in new_ops} - {BETA_ZERO}))
     return AInfAlgebra(alg.basis, monoid, "modulo", alg.cutoff, alg.unit,
                        new_ops, alg.window)
