@@ -140,6 +140,69 @@ def window_names(window, names) -> tuple:
     return tuple(window)
 
 
+def clean_tables(tables, degrees, monoid, cutoff, drop, kind, coerce, where):
+    """Op tables {(k, beta): {inputs: {output: value}}} validated and in the
+    stored form: beta in the monoid and not above the cutoff (None: no
+    cutoff), known names, arity k inputs, every output of degree
+    sum(input degrees) + drop - k - mu, values of type kind (else coerce
+    them), zero values and empty tables dropped, nothing at (0, 0).  Each
+    message starts with where."""
+    clean = {}
+    for (k, beta), table in tables.items():
+        k = int(k)
+        beta = beta_norm(beta)
+        if k < 0:
+            raise ValueError(f"{where}negative arity")
+        if beta not in monoid:
+            raise ValueError(f"{where}beta {beta} outside the energy monoid")
+        if cutoff is not None and beta[0] > cutoff:
+            raise ValueError(f"{where}stored beta {beta} above cutoff {cutoff}")
+        clean_table = {}
+        for inputs, combo in table.items():
+            inputs = tuple(inputs)
+            if len(inputs) != k:
+                raise ValueError(f"{where}arity mismatch in inputs {inputs}")
+            target = drop - k - beta[1]
+            for nm in inputs:
+                degree = degrees.get(nm)
+                if degree is None:
+                    raise ValueError(f"{where}unknown basis name {nm!r}")
+                target += degree
+            clean_combo = {}
+            for out, value in combo.items():
+                if type(value) is not kind:
+                    value = coerce(value)
+                if not value:
+                    if out not in degrees:
+                        raise ValueError(f"{where}unknown output name {out!r}")
+                    continue
+                if degrees.get(out) != target:
+                    if out not in degrees:
+                        raise ValueError(f"{where}unknown output name {out!r}")
+                    raise ValueError(
+                        f"{where}degree violation at m_{k},{beta}{inputs} -> "
+                        f"{out}: expected degree {target}, got {degrees[out]}")
+                clean_combo[out] = value
+            if clean_combo:
+                clean_table[inputs] = clean_combo
+        if clean_table:
+            if (k, beta) == (0, BETA_ZERO):
+                raise ValueError(f"{where}m_{{0,0}} must vanish")
+            clean[(k, beta)] = clean_table
+    return clean
+
+
+def stored_entries(tables):
+    """Every stored (k, beta, inputs, output, value) of op tables, in the
+    canonical order: sorted by (k, beta), then inputs, then output."""
+    for key in sorted(tables):
+        table = tables[key]
+        for inputs in sorted(table):
+            combo = table[inputs]
+            for out in sorted(combo):
+                yield key[0], key[1], inputs, out, combo[out]
+
+
 class AlgElement:
     """Linear combination of basis names with Novikov coefficients."""
 
@@ -261,49 +324,8 @@ class AInfAlgebra:
             if degrees[unit] != 0:
                 raise ValueError("unit must have degree 0")
         window = window_names(window, names)
-        clean_ops = {}
-        for (k, beta), table in (ops or {}).items():
-            k = int(k)
-            beta = beta_norm(beta)
-            if k < 0:
-                raise ValueError("negative arity")
-            if beta not in monoid:
-                raise ValueError(f"beta {beta} outside the energy monoid")
-            if mode == "modulo" and beta[0] > cutoff:
-                raise ValueError(f"stored beta {beta} above cutoff {cutoff}")
-            clean_table = {}
-            for inputs, combo in table.items():
-                inputs = tuple(inputs)
-                if len(inputs) != k:
-                    raise ValueError(f"arity mismatch in inputs {inputs}")
-                target = 2 - k - beta[1]
-                for nm in inputs:
-                    degree = degrees.get(nm)
-                    if degree is None:
-                        raise ValueError(f"unknown basis name {nm!r}")
-                    target += degree
-                clean_combo = {}
-                for out, coeff in combo.items():
-                    if type(coeff) is not Fraction:
-                        coeff = frac(coeff)
-                    if not coeff:
-                        if out not in degrees:
-                            raise ValueError(f"unknown output name {out!r}")
-                        continue
-                    if degrees.get(out) != target:
-                        if out not in degrees:
-                            raise ValueError(f"unknown output name {out!r}")
-                        raise ValueError(
-                            f"degree violation at m_{k},{beta}{inputs} -> {out}: "
-                            f"expected degree {target}, got {degrees[out]}"
-                        )
-                    clean_combo[out] = coeff
-                if clean_combo:
-                    clean_table[inputs] = clean_combo
-            if clean_table:
-                if (k, beta) == (0, BETA_ZERO):
-                    raise ValueError("m_{0,0} must vanish")
-                clean_ops[(k, beta)] = clean_table
+        clean_ops = clean_tables(ops or {}, degrees, monoid, cutoff, 2,
+                                 Fraction, frac, "")
         object.__setattr__(self, "basis", basis)
         object.__setattr__(self, "monoid", monoid)
         object.__setattr__(self, "mode", mode)
@@ -363,17 +385,9 @@ class AInfAlgebra:
 
     # -- serialization ---------------------------------------------------------
     def to_json(self):
-        ops = []
-        for (k, beta) in sorted(self.ops, key=lambda kb: (kb[0], kb[1])):
-            for inputs in sorted(self.ops[(k, beta)]):
-                for out in sorted(self.ops[(k, beta)][inputs]):
-                    ops.append({
-                        "k": k,
-                        "beta": beta_json(beta),
-                        "inputs": list(inputs),
-                        "output": out,
-                        "coeff": frac_str(self.ops[(k, beta)][inputs][out]),
-                    })
+        ops = [{"k": k, "beta": beta_json(beta), "inputs": list(inputs),
+                "output": out, "coeff": frac_str(coeff)}
+               for k, beta, inputs, out, coeff in stored_entries(self.ops)]
         doc = {
             "space": {"basis": [[n, d] for n, d in self.basis]},
             "monoid": self.monoid.to_json(),
@@ -709,7 +723,7 @@ def check_unit(alg: AInfAlgebra) -> dict:
                 "clause": "right-unit", "element": name,
                 "got": {o: frac_str(c) for o, c in sorted(right.items())},
             })
-    for (k, beta) in sorted(alg.ops, key=lambda kb: (kb[0], kb[1])):
+    for (k, beta) in sorted(alg.ops):
         if (k, beta) == (2, BETA_ZERO):
             continue
         for inputs in sorted(alg.ops[(k, beta)]):
@@ -832,19 +846,10 @@ def assemble(alg: AInfAlgebra, cutoff) -> AInfAlgebra:
 
 # -- mutation harness ------------------------------------------------------------
 
-def constant_id(k, beta, inputs, out) -> str:
-    beta = beta_norm(beta)
-    return f"m{k}:{frac_str(beta[0])}/{beta[1]}:{','.join(inputs)}->{out}"
-
-
 def constant_ids(alg: AInfAlgebra):
     """Deterministic list of every stored structure constant's identifier."""
-    ids = []
-    for (k, beta) in sorted(alg.ops, key=lambda kb: (kb[0], kb[1])):
-        for inputs in sorted(alg.ops[(k, beta)]):
-            for out in sorted(alg.ops[(k, beta)][inputs]):
-                ids.append(constant_id(k, beta, inputs, out))
-    return ids
+    return [f"m{k}:{frac_str(beta[0])}/{beta[1]}:{','.join(inputs)}->{out}"
+            for k, beta, inputs, out, _ in stored_entries(alg.ops)]
 
 
 def parse_constant_id(cid: str, family: str = "m"):
@@ -872,17 +877,19 @@ def replaced(obj, **slots):
     return new
 
 
-def flip_constant(alg: AInfAlgebra, cid: str) -> AInfAlgebra:
-    """Return a copy of the algebra with one structure constant negated.
-
-    Only the touched table is copied and nothing is re-validated: negating
-    one stored nonzero constant keeps every degree and monoid rule.
-    """
-    k, beta, inputs, out = parse_constant_id(cid)
-    key = (k, beta)
-    table = alg.ops.get(key)
+def flip_stored(tables, cid: str, family: str) -> dict:
+    """A copy of op tables with the stored constant cid of the given family
+    negated.  Only the touched table is copied and nothing is re-validated:
+    negating one stored nonzero constant keeps every rule of the tables."""
+    k, beta, inputs, out = parse_constant_id(cid, family)
+    table = tables.get((k, beta))
     if table is None or out not in table.get(inputs, {}):
-        raise KeyError(f"no stored constant {cid!r}")
+        raise ValueError(f"no stored constant {cid!r}")
     combo = dict(table[inputs])
     combo[out] = -combo[out]
-    return replaced(alg, ops={**alg.ops, key: {**table, inputs: combo}})
+    return {**tables, (k, beta): {**table, inputs: combo}}
+
+
+def flip_constant(alg: AInfAlgebra, cid: str) -> AInfAlgebra:
+    """Return a copy of the algebra with one structure constant negated."""
+    return replaced(alg, ops=flip_stored(alg.ops, cid, "m"))

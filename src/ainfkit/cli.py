@@ -15,13 +15,12 @@ from fractions import Fraction
 
 from ainfkit.ainf import (
     assemble,
-    beta_norm,
     check_ainf,
     check_unit,
     constant_ids,
     flip_constant,
     mc_defect,
-    parse_constant_id,
+    stored_entries,
 )
 from ainfkit.floer import algebra_cohomology, barcode, check_hf_kunneth, hf_dimension
 from ainfkit.isotopy import (
@@ -152,13 +151,8 @@ def _cmd_check_isotopy(doc, args):
 
 def _new_level_constants(m0, m_ext):
     old = set(constant_ids(m0))
-    out = {}
-    for cid in constant_ids(m_ext):
-        if cid in old:
-            continue
-        k, beta, inputs, tgt = parse_constant_id(cid)
-        out[cid] = frac_str(m_ext.ops[(k, beta_norm(beta))][inputs][tgt])
-    return out
+    return {cid: frac_str(entry[-1]) for cid, entry in
+            zip(constant_ids(m_ext), stored_entries(m_ext.ops)) if cid not in old}
 
 
 def _cmd_extend(doc, args):

@@ -47,65 +47,14 @@ from __future__ import annotations
 from fractions import Fraction
 
 from ainfkit.ainf import (AInfAlgebra, add_into, basis_pairs, beta_json,
-                          beta_norm, entry_tables, insertion_plan, joined_sums,
-                          parse_constant_id, relation_violations, replaced,
-                          window_names)
+                          clean_tables, entry_tables, flip_stored,
+                          insertion_plan, joined_sums, relation_violations,
+                          replaced, stored_entries, window_names)
 from ainfkit.kunneth import kunneth_K_table, pullback_scan, scan_report
 from ainfkit.poly import Poly
 from ainfkit.scalars import (BETA_ZERO, EnergyMonoid, frac, frac_str, json_int,
                               monoid_sum)
 from ainfkit.signs import shifted_parities, sign_pow
-
-
-def _clean_family(name, basis_degrees, monoid, cutoff, tables, degree_drop,
-                  unit=None, forbid_beta_zero=False, t_independent_beta_zero=False):
-    clean = {}
-    for (k, beta), table in (tables or {}).items():
-        k = int(k)
-        beta = beta_norm(beta)
-        if k < 0:
-            raise ValueError("negative arity")
-        if beta not in monoid:
-            raise ValueError(f"{name}: beta {beta} outside the energy monoid")
-        if beta[0] > cutoff:
-            raise ValueError(f"{name}: beta {beta} above cutoff {cutoff}")
-        if forbid_beta_zero and beta == BETA_ZERO:
-            raise ValueError(f"{name} must vanish at beta = 0")
-        clean_table = {}
-        for inputs, combo in table.items():
-            inputs = tuple(inputs)
-            if len(inputs) != k:
-                raise ValueError(f"{name}: arity mismatch in {inputs}")
-            for nm in inputs:
-                if nm not in basis_degrees:
-                    raise ValueError(f"{name}: unknown basis name {nm!r}")
-            if unit is not None and unit in inputs:
-                raise ValueError(f"{name} may not take the unit as input")
-            target = sum(basis_degrees[nm] for nm in inputs) \
-                + degree_drop - k - beta[1]
-            clean_combo = {}
-            for out, poly in combo.items():
-                if not isinstance(poly, Poly):
-                    poly = Poly.const(poly)
-                if out not in basis_degrees:
-                    raise ValueError(f"{name}: unknown output name {out!r}")
-                if poly.is_zero():
-                    continue
-                if basis_degrees[out] != target:
-                    raise ValueError(
-                        f"{name}: degree violation at ({k}, {beta}){inputs} -> {out}"
-                    )
-                if t_independent_beta_zero and beta == BETA_ZERO \
-                        and poly.degree() > 0:
-                    raise ValueError(f"{name} must be t-independent at beta = 0")
-                clean_combo[out] = poly
-            if clean_combo:
-                clean_table[inputs] = clean_combo
-        if clean_table:
-            if (k, beta) == (0, BETA_ZERO):
-                raise ValueError(f"{name}_0 at beta = 0 must vanish")
-            clean[(k, beta)] = clean_table
-    return clean
 
 
 class Pseudoisotopy:
@@ -124,10 +73,19 @@ class Pseudoisotopy:
         degrees = dict(basis)
         if unit is not None and degrees.get(unit) != 0:
             raise ValueError("unit must exist and have degree 0")
-        mT = _clean_family("m^t", degrees, monoid, cutoff, mT, 2,
-                           t_independent_beta_zero=True)
-        cT = _clean_family("c^t", degrees, monoid, cutoff, cT, 1,
-                           unit=unit, forbid_beta_zero=True)
+        mT = clean_tables(mT or {}, degrees, monoid, cutoff, 2, Poly,
+                          Poly.const, "m^t: ")
+        for (_, beta), table in mT.items():
+            if beta == BETA_ZERO and any(poly.degree() > 0 for combo in
+                                         table.values() for poly in combo.values()):
+                raise ValueError("m^t: must be t-independent at beta = 0")
+        cT = clean_tables(cT or {}, degrees, monoid, cutoff, 1, Poly,
+                          Poly.const, "c^t: ")
+        if any(beta == BETA_ZERO for _, beta in cT):
+            raise ValueError("c^t: must vanish at beta = 0")
+        if unit is not None and any(unit in inputs for table in cT.values()
+                                    for inputs in table):
+            raise ValueError("c^t: may not take the unit as input")
         window = window_names(window, names)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "basis", basis)
@@ -171,18 +129,11 @@ class Pseudoisotopy:
     # -- serialization -------------------------------------------------------
     def to_json(self):
         def fam(tables):
-            out = []
-            for (k, beta) in sorted(tables, key=lambda kb: (kb[0], kb[1])):
-                for inputs in sorted(tables[(k, beta)]):
-                    for o in sorted(tables[(k, beta)][inputs]):
-                        out.append({
-                            "k": k, "beta": beta_json(beta),
-                            "inputs": list(inputs), "output": o,
-                            "poly": tables[(k, beta)][inputs][o].to_json(),
-                        })
-            return out
+            return [{"k": k, "beta": beta_json(beta), "inputs": list(inputs),
+                     "output": out, "poly": poly.to_json()}
+                    for k, beta, inputs, out, poly in stored_entries(tables)]
 
-        return {
+        doc = {
             "n": self.n,
             "space": {"basis": [[nm, d] for nm, d in self.basis]},
             "monoid": self.monoid.to_json(),
@@ -191,6 +142,9 @@ class Pseudoisotopy:
             "mt": fam(self.mT),
             "ct": fam(self.cT),
         }
+        if self.window != self._names:
+            doc["window"] = list(self.window)
+        return doc
 
     @staticmethod
     def from_json(doc) -> "Pseudoisotopy":
@@ -438,31 +392,14 @@ def check_commuting_isotopy(PC: Pseudoisotopy, PA: Pseudoisotopy,
 # -- mutation harness ---------------------------------------------------------------
 
 def isotopy_constant_ids(P: Pseudoisotopy):
-    ids = []
-    for prefix, tables in (("im", P.mT), ("ic", P.cT)):
-        for (k, beta) in sorted(tables, key=lambda kb: (kb[0], kb[1])):
-            for inputs in sorted(tables[(k, beta)]):
-                for out in sorted(tables[(k, beta)][inputs]):
-                    ids.append(f"{prefix}{k}:{frac_str(beta[0])}/{beta[1]}:"
-                               f"{','.join(inputs)}->{out}")
-    return ids
+    return [f"{family}{k}:{frac_str(beta[0])}/{beta[1]}:{','.join(inputs)}->{out}"
+            for family, tables in (("im", P.mT), ("ic", P.cT))
+            for k, beta, inputs, out, _ in stored_entries(tables)]
 
 
 def flip_isotopy_constant(P: Pseudoisotopy, cid: str) -> Pseudoisotopy:
-    """Negate one polynomial family member, returning a new isotopy.
-
-    Only the touched table is copied and nothing is re-validated: negating
-    one stored nonzero member keeps every degree, unit and t-rule.
-    """
+    """Negate one polynomial family member, returning a new isotopy."""
     if not cid.startswith(("im", "ic")):
         raise ValueError(f"malformed isotopy constant id {cid!r}")
     which = "mT" if cid[1] == "m" else "cT"
-    k, beta, inputs, out = parse_constant_id(cid, cid[:2])
-    key = (k, beta)
-    tables = getattr(P, which)
-    table = tables.get(key)
-    if table is None or out not in table.get(inputs, {}):
-        raise KeyError(f"no stored isotopy constant {cid!r}")
-    combo = dict(table[inputs])
-    combo[out] = -combo[out]
-    return replaced(P, **{which: {**tables, key: {**table, inputs: combo}}})
+    return replaced(P, **{which: flip_stored(getattr(P, which), cid, cid[:2])})

@@ -17,7 +17,8 @@ from typing import Iterable, Optional
 
 
 def frac(x) -> Fraction:
-    """Coerce ints, Fractions and 'p/q' strings to Fraction.
+    """Coerce ints, Fractions and 'p/q' strings to Fraction; a boolean is
+    refused, as `json_int` refuses it.
 
     The two shapes `frac_str` writes, "p" and "p/q" with ASCII decimal
     integers (p optionally negative), are split and read with `int`; any
@@ -35,7 +36,7 @@ def frac(x) -> Fraction:
             raise ZeroDivisionError(f"zero denominator in {x!r}") from None
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, int):
+    if isinstance(x, int) and type(x) is not bool:
         return Fraction(x)
     raise TypeError(f"cannot coerce {x!r} to an exact rational")
 

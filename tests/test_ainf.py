@@ -112,7 +112,7 @@ def test_flip_roundtrip_and_parse():
     cid = "m1:0/0:x->z"
     assert parse_constant_id(cid) == (1, (Fraction(0), 0), ("x",), "z")
     assert flip_constant(flip_constant(alg, cid), cid).ops == alg.ops
-    with pytest.raises(KeyError):
+    with pytest.raises(ValueError, match="^no stored constant "):
         flip_constant(alg, "m1:0/0:z->x")
 
 

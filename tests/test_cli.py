@@ -500,3 +500,35 @@ def test_duplicate_isotopy_basis_name_is_input_error(fixture_path, tmp_path,
     path.write_text(json.dumps(raw))
     err = _input_error(capsys, "check-isotopy", str(path))
     assert "iso.json: isotopy: duplicate basis names" in err
+
+
+@pytest.mark.parametrize("name,cid", [
+    ("derham_t1.json", "m9:0/0:x->y"),
+    ("isotopy_extend.json", "ic1:1/0:x->z"),
+])
+def test_flip_of_a_missing_constant_is_one_plain_line(name, cid, fixture_path,
+                                                      capsys):
+    command = "check-isotopy" if cid.startswith("i") else "check-ainf"
+    err = _input_error(capsys, command, fixture_path(name),
+                       "--mutate", f"flip:{cid}")
+    assert err == f"ainfctl: error: no stored constant '{cid}'\n"
+
+
+@pytest.mark.parametrize("command,name,edit,where", [
+    ("check-ainf", "derham_t1.json",
+     lambda doc: doc["algebra"]["ops"][0].update(coeff=True), "algebra"),
+    ("check-ainf", "derham_t1.json",
+     lambda doc: doc["algebra"]["ops"][0].update(coeff=False), "algebra"),
+    ("box-product", "gapped_product.json",
+     lambda doc: doc["bounding"].update(b1={"xA": [[True, "-3"]]}),
+     "bounding.b1"),
+    ("box-product", "gapped_product.json",
+     lambda doc: doc["bounding"].update(b1={"xA": [["1", False]]}),
+     "bounding.b1"),
+])
+def test_json_boolean_scalar_is_input_error(command, name, edit, where,
+                                            fixture_path, tmp_path, capsys):
+    path = _fixture_with(fixture_path, tmp_path, name, edit)
+    err = _input_error(capsys, command, path)
+    assert f"{name}: {where}: cannot coerce " in err
+    assert err.rstrip().endswith("to an exact rational")

@@ -143,9 +143,27 @@ def test_constant_isotopy_of_a_windowed_model_passes(w):
     alg = derham_model(1, w)
     assert alg.window != alg.names
     assert check_ainf(alg)["status"] == "PASS"
+    assert check_pseudoisotopy(constant_isotopy(alg), alg, alg)["status"] \
+        == "PASS"
+
+
+def constant_isotopy(alg):
+    """m^t = m and c^t = 0 at cutoff 1, on the algebra's window."""
     mt = {key: {ins: {o: Poly.const(c) for o, c in combo.items()}
                 for ins, combo in table.items()}
           for key, table in alg.ops.items()}
-    P = Pseudoisotopy(1, alg.basis, alg.monoid, 1, alg.unit, mt, {},
-                      alg.window)
-    assert check_pseudoisotopy(P, alg, alg)["status"] == "PASS"
+    return Pseudoisotopy(1, alg.basis, alg.monoid, 1, alg.unit, mt, {},
+                         alg.window)
+
+
+def test_isotopy_window_survives_a_round_trip():
+    """to_json writes the window when it is not the whole basis, so the
+    reloaded isotopy is checked on the same scope."""
+    P = constant_isotopy(derham_model(1, 1))
+    assert (len(P.names), len(P.window)) == (10, 6)
+    back = Pseudoisotopy.from_json(P.to_json())
+    assert back.window == P.window
+    assert back.to_json() == P.to_json()
+    assert check_pseudoisotopy(back)["status"] == "PASS"
+    whole = Pseudoisotopy.from_json(dict(P.to_json(), window=list(P.names)))
+    assert whole.window == P.names and "window" not in whole.to_json()

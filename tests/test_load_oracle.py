@@ -22,6 +22,14 @@ The inputs on which they differ on purpose:
   it unseen; the new one refuses the name. The algebra fuzz skips the
   documents whose entries for an unknown output sum to zero.
 
+The isotopy family validator before `ainf.clean_tables` is kept as
+`oracle_clean_family`, run after the live parser. It and the live load must
+give equal m^t and c^t tables or refuse the same family; the live messages
+start with "m^t: " or "c^t: " and follow the algebra's wording. One
+difference is deliberate: a zero c^t value at beta = 0, or on inputs with
+the unit, is now dropped like any zero value, where the old validator
+refused the table or the input tuple before it read the values.
+
 The shared parser reads an entry's fields in the algebra loop's order (k,
 beta, inputs, output, value); the old isotopy loop parsed the polynomial
 before inputs and output. An isotopy entry with two faults, one of them in
@@ -37,7 +45,8 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from ainfkit import ainf
-from ainfkit.ainf import AInfAlgebra, assemble, beta_from_json
+from ainfkit.ainf import (AInfAlgebra, assemble, basis_pairs, beta_from_json,
+                          beta_norm, entry_tables)
 from ainfkit.isotopy import Pseudoisotopy
 from ainfkit.models import derham_model, two_factor_gapped
 from ainfkit.poly import Poly
@@ -183,6 +192,80 @@ def oracle_isotopy(doc):
     )
 
 
+def oracle_clean_family(name, basis_degrees, monoid, cutoff, tables,
+                        degree_drop, unit=None, forbid_beta_zero=False,
+                        t_independent_beta_zero=False):
+    """The isotopy family validator before `ainf.clean_tables`."""
+    clean = {}
+    for (k, beta), table in (tables or {}).items():
+        k = int(k)
+        beta = beta_norm(beta)
+        if k < 0:
+            raise ValueError("negative arity")
+        if beta not in monoid:
+            raise ValueError(f"{name}: beta {beta} outside the energy monoid")
+        if beta[0] > cutoff:
+            raise ValueError(f"{name}: beta {beta} above cutoff {cutoff}")
+        if forbid_beta_zero and beta == BETA_ZERO:
+            raise ValueError(f"{name} must vanish at beta = 0")
+        clean_table = {}
+        for inputs, combo in table.items():
+            inputs = tuple(inputs)
+            if len(inputs) != k:
+                raise ValueError(f"{name}: arity mismatch in {inputs}")
+            for nm in inputs:
+                if nm not in basis_degrees:
+                    raise ValueError(f"{name}: unknown basis name {nm!r}")
+            if unit is not None and unit in inputs:
+                raise ValueError(f"{name} may not take the unit as input")
+            target = sum(basis_degrees[nm] for nm in inputs) \
+                + degree_drop - k - beta[1]
+            clean_combo = {}
+            for out, poly in combo.items():
+                if not isinstance(poly, Poly):
+                    poly = Poly.const(poly)
+                if out not in basis_degrees:
+                    raise ValueError(f"{name}: unknown output name {out!r}")
+                if poly.is_zero():
+                    continue
+                if basis_degrees[out] != target:
+                    raise ValueError(
+                        f"{name}: degree violation at ({k}, {beta}){inputs} -> {out}"
+                    )
+                if t_independent_beta_zero and beta == BETA_ZERO \
+                        and poly.degree() > 0:
+                    raise ValueError(f"{name} must be t-independent at beta = 0")
+                clean_combo[out] = poly
+            if clean_combo:
+                clean_table[inputs] = clean_combo
+        if clean_table:
+            if (k, beta) == (0, BETA_ZERO):
+                raise ValueError(f"{name}_0 at beta = 0 must vanish")
+            clean[(k, beta)] = clean_table
+    return clean
+
+
+def oracle_families(doc):
+    """(m^t, c^t) of an isotopy document as `oracle_clean_family` cleans
+    them after the live parser, or ("refused", family) when it refuses one
+    of them with a ValueError."""
+    monoid = EnergyMonoid.from_json(doc["monoid"])
+    cutoff, unit = frac(doc["cutoff"]), doc.get("unit")
+    mt, ct = (entry_tables(doc.get(f, []), "poly", Poly.from_json, f, add=False)
+              for f in ("mt", "ct"))
+    degrees = dict(basis_pairs(doc["space"]["basis"]))
+    families = []
+    for name, tables, drop, rules in (
+            ("m^t", mt, 2, {"t_independent_beta_zero": True}),
+            ("c^t", ct, 1, {"unit": unit, "forbid_beta_zero": True})):
+        try:
+            families.append(oracle_clean_family(name, degrees, monoid, cutoff,
+                                                tables, drop, **rules))
+        except ValueError:
+            return "refused", name
+    return tuple(families)
+
+
 # -- comparison ------------------------------------------------------------------
 
 def outcome(load, doc):
@@ -222,6 +305,33 @@ def assert_isotopy_loads_agree(doc):
     return got
 
 
+def live_families(doc):
+    """(m^t, c^t) of the live load, or ("refused", family) when it refuses
+    one family with a ValueError whose message starts with "m^t: " or
+    "c^t: "."""
+    try:
+        P = Pseudoisotopy.from_json(doc)
+    except ValueError as exc:
+        if str(exc).startswith(("m^t: ", "c^t: ")):
+            return "refused", str(exc)[:3]
+        raise
+    return P.mT, P.cT
+
+
+def assert_isotopy_validators_agree(doc):
+    """Equal tables, or the same family refused; an error of the parser or
+    the header is the same exception in both."""
+    try:
+        want = oracle_families(doc)
+    except Exception as exc:  # noqa: BLE001 - the exception is the outcome
+        with pytest.raises(type(exc)) as got:
+            live_families(doc)
+        assert str(got.value) == str(exc)
+        return None
+    assert live_families(doc) == want
+    return want
+
+
 # -- valid documents -------------------------------------------------------------
 
 FIXTURE_NAMES = sorted(name[:-5] for name in os.listdir(FIXTURES)
@@ -254,6 +364,14 @@ def test_fixture_sections_load_as_before(name):
         assert not failed(check(section))
         kinds.append(kind)
     assert "algebra" in kinds
+
+
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
+def test_fixture_isotopies_meet_the_family_validator_oracle(name):
+    for kind, section in document_sections(fixture(name)):
+        if kind == "isotopy":
+            got = assert_isotopy_validators_agree(section)
+            assert got[0] != "refused" and any(got)
 
 
 def test_generated_models_load_as_before():
@@ -361,14 +479,13 @@ BAD_POLYS = [["1"], [], ["0", "1"], "1", 1, None, [1.0], [True], ["1/0"],
              [[1]], {"a": "1"}]
 
 
-@settings(max_examples=100, deadline=None)
-@given(st.sampled_from(range(len(ISOTOPY_BASES))), st.sampled_from(["mt", "ct"]),
-       st.data())
-def test_malformed_isotopies_fail_as_before(base, family, data):
+def malformed_isotopy(base, family, data):
+    """One fault in one entry of a family of a fixture isotopy, or None when
+    the family is empty."""
     doc = json.loads(json.dumps(ISOTOPY_BASES[base]))
     entries = doc[family]
     if not entries:
-        return
+        return None
     names = [nm for nm, _ in doc["space"]["basis"]]
     i = data.draw(st.integers(0, len(entries) - 1))
     kind = data.draw(st.sampled_from(["poly", "beta", "k", "output", "input",
@@ -387,7 +504,28 @@ def test_malformed_isotopies_fail_as_before(base, family, data):
             data.draw(st.sampled_from(names + ["ghost"]))]
     else:
         entries.append(dict(entry, poly=data.draw(st.sampled_from(BAD_POLYS))))
-    assert_isotopy_loads_agree(doc)
+    return doc
+
+
+malformed_isotopies = given(st.sampled_from(range(len(ISOTOPY_BASES))),
+                            st.sampled_from(["mt", "ct"]), st.data())
+
+
+@settings(max_examples=100, deadline=None)
+@malformed_isotopies
+def test_malformed_isotopies_fail_as_before(base, family, data):
+    doc = malformed_isotopy(base, family, data)
+    if doc is not None:
+        assert_isotopy_loads_agree(doc)
+
+
+@settings(max_examples=100, deadline=None)
+@malformed_isotopies
+def test_malformed_isotopies_meet_the_family_validator_oracle(base, family,
+                                                              data):
+    doc = malformed_isotopy(base, family, data)
+    if doc is not None:
+        assert_isotopy_validators_agree(doc)
 
 
 # -- cases that share a memo entry -----------------------------------------------
@@ -406,8 +544,8 @@ def two_entry_doc(first, second):
 
 @pytest.mark.parametrize("first, second, fails", [
     ((1, ["0", 0]), (1.0, ["0", 0]), True),
-    ((1, ["0", 0]), (True, ["0", 0]), False),
-    ((True, ["0", 0]), (1, ["0", 0]), False),
+    ((1, ["0", 0]), (True, ["0", 0]), True),
+    ((True, ["0", 0]), (1, ["0", 0]), True),
     (("1", ["0", 0]), (1, ["0", 0]), False),
     (("1", ["0", 0]), ("1", [0.0, 0]), True),
     (("1", [0, 0]), ("1", ["0", 0]), False),
@@ -496,6 +634,21 @@ def test_zero_coefficient_with_unknown_output_is_refused():
     with pytest.raises(ValueError,
                        match=r"^m\^t: unknown output name 'ghost'$"):
         Pseudoisotopy.from_json(iso)
+
+
+def test_zero_correction_at_beta_zero_or_on_the_unit_is_dropped():
+    """The old validator refused a c^t table at beta = 0 and a c^t input
+    tuple with the unit before it looked at the values; a zero value there is
+    now dropped like any zero value, and the family rules see nothing."""
+    iso = fixture("isotopy_extend")["isotopy"]
+    want = live_families(iso)
+    for beta, inputs in ((["0", 0], ["x"]), (["1", 0], ["e"])):
+        doc = dict(iso, ct=iso["ct"] + [{"k": 1, "beta": beta, "inputs": inputs,
+                                          "output": "x", "poly": []}])
+        assert oracle_families(doc) == ("refused", "c^t")
+        assert live_families(doc) == want
+        doc["ct"][-1]["poly"] = ["1"]
+        assert live_families(doc) == ("refused", "c^t")
 
 
 # -- the work a load does --------------------------------------------------------

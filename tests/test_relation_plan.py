@@ -369,9 +369,9 @@ def test_flip_constant_equals_validated_rebuild():
             assert alg.ops != flipped.ops
             assert AInfAlgebra.from_json(alg.to_json()).ops == alg.ops
     alg = derham_model(1, 1)
-    with pytest.raises(KeyError):
+    with pytest.raises(ValueError, match="^no stored constant "):
         flip_constant(alg, "m2:0/0:nope,nope->nope")
-    with pytest.raises(KeyError):
+    with pytest.raises(ValueError, match="^no stored constant "):
         flip_constant(alg, "m7:0/0:->x")
 
 
@@ -383,7 +383,7 @@ def test_flip_isotopy_constant_equals_validated_rebuild():
             rebuilt = Pseudoisotopy.from_json(flipped.to_json())
             assert (flipped.mT, flipped.cT) == (rebuilt.mT, rebuilt.cT)
             assert (flipped.mT, flipped.cT) != (iso.mT, iso.cT)
-        with pytest.raises(KeyError):
+        with pytest.raises(ValueError, match="^no stored constant "):
             flip_isotopy_constant(iso, "ic1:0/0:nope->nope")
 
 
