@@ -1,7 +1,8 @@
 """Differential tests: the sparse linear-algebra kernels against the dense
 ones they replaced, kept here as oracles (the dense d^2 check, the dense
 matrix product of the chain-map test, the dense Gauss-Jordan rank and kernel,
-the repeated-rank picker and the old scalar_cohomology).
+the repeated-rank picker, the old scalar_cohomology, and the dense Bareiss
+rank and Smith normal form over Q[q]).
 
 The strategies draw sparse matrices (each entry zero with probability 0.7),
 so the zero-skipping branches of Bareiss, Smith form and the d^2 check are
@@ -14,8 +15,8 @@ import sympy
 from hypothesis import example, given, settings, strategies as st
 from sympy.polys.matrices import DomainMatrix
 
-from ainfkit.ainf import differential_matrix
-from ainfkit.floer import scalar_cohomology
+from ainfkit.ainf import AlgElement, differential_matrix
+from ainfkit.floer import deformed_differential_matrix, scalar_cohomology
 from ainfkit.models import derham_model
 from ainfkit.poly import (
     EchelonSpan,
@@ -187,6 +188,120 @@ def dense_scalar_cohomology(matrix, grading):
     }
 
 
+def dense_matrix_rank_fraction_field(rows) -> int:
+    """Rank of a matrix of Poly entries over the fraction field Q(q).
+
+    Fraction-free Bareiss elimination: exact, no rational-function blowup.
+    An entry that is zero while its cross term vanishes stays zero, so only
+    structurally nonzero updates are computed.
+    """
+    m = [list(r) for r in rows]
+    if not m or not m[0]:
+        return 0
+    nrows, ncols = len(m), len(m[0])
+    rank = 0
+    prev = Poly.ONE
+    r = 0
+    for c in range(ncols):
+        piv = next((i for i in range(r, nrows) if not m[i][c].is_zero()), None)
+        if piv is None:
+            continue
+        m[r], m[piv] = m[piv], m[r]
+        top, p = m[r], m[r][c]
+        for i in range(r + 1, nrows):
+            row, x = m[i], m[i][c]
+            cross = not x.is_zero()
+            for j in range(c + 1, ncols):
+                if cross and not top[j].is_zero():
+                    row[j] = (p * row[j] - x * top[j]).exact_div(prev)
+                elif not row[j].is_zero():
+                    row[j] = (p * row[j]).exact_div(prev)
+            row[c] = Poly.ZERO
+        prev = p
+        rank += 1
+        r += 1
+        if r == nrows:
+            break
+    return rank
+
+
+def dense_smith_normal_form(rows):
+    """Invariant factors of a Poly matrix over the Euclidean domain Q[q].
+
+    Returns the nonzero diagonal entries, made monic, sorted by degree;
+    divisibility d_1 | d_2 | ... holds by construction.
+    """
+    m = [list(r) for r in rows]
+    if not m or not m[0]:
+        return []
+    nrows, ncols = len(m), len(m[0])
+    factors = []
+    top = 0
+    while top < min(nrows, ncols):
+        # Find a nonzero entry of minimal degree in the remaining block.
+        best = None
+        for i in range(top, nrows):
+            for j in range(top, ncols):
+                if not m[i][j].is_zero():
+                    if best is None or m[i][j].degree() < m[best[0]][best[1]].degree():
+                        best = (i, j)
+        if best is None:
+            break
+        bi, bj = best
+        m[top], m[bi] = m[bi], m[top]
+        for row in m:
+            row[top], row[bj] = row[bj], row[top]
+        # Reduce the pivot row and column until the pivot divides everything
+        # it meets; each pass strictly drops some degree, so this terminates.
+        # Entries facing a zero in the pivot row or column are left alone.
+        while True:
+            piv = m[top][top]
+            dirty = False
+            for i in range(top + 1, nrows):
+                if not m[i][top].is_zero():
+                    q = m[i][top] // piv
+                    for j in range(top, ncols):
+                        if not m[top][j].is_zero():
+                            m[i][j] = m[i][j] - q * m[top][j]
+                    if not m[i][top].is_zero():
+                        m[top], m[i] = m[i], m[top]
+                        dirty = True
+                        break
+            if dirty:
+                continue
+            for j in range(top + 1, ncols):
+                if not m[top][j].is_zero():
+                    q = m[top][j] // piv
+                    for i in range(top, nrows):
+                        if not m[i][top].is_zero():
+                            m[i][j] = m[i][j] - q * m[i][top]
+                    if not m[top][j].is_zero():
+                        for row in m:
+                            row[top], row[j] = row[j], row[top]
+                        dirty = True
+                        break
+            if dirty:
+                continue
+            # Pivot clears its row and column; enforce divisibility into the
+            # remaining block by folding any non-multiple onto the pivot row.
+            offender = None
+            for i in range(top + 1, nrows):
+                for j in range(top + 1, ncols):
+                    if not m[i][j].is_zero() and not (m[i][j] % piv).is_zero():
+                        offender = i
+                        break
+                if offender is not None:
+                    break
+            if offender is None:
+                break
+            for j in range(top, ncols):
+                m[top][j] = m[top][j] + m[offender][j]
+        piv = m[top][top]
+        factors.append(piv * (1 / piv.lead()))
+        top += 1
+    return factors
+
+
 def sympy_rank(rows):
     q = sympy.Symbol("q")
     mat = sympy.Matrix([[sum((sympy.Rational(c.numerator, c.denominator) * q**i
@@ -311,10 +426,46 @@ def test_sparse_product_matches_dense_over_polys(pair):
 
 # -- Bareiss and Smith form --------------------------------------------------
 
+@st.composite
+def scrambled_diagonals(draw):
+    """A rows x cols matrix U * D * V: D has diagonal entries drawn from
+    small products of q, q + 1 and 2q - 1 in any order (so the invariant
+    factors must be regrouped by gcd and lcm), and U, V are a few elementary
+    row and column operations with polynomial multipliers."""
+    nrows, ncols = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    q = Poly.T
+    atoms = [Poly.ONE, q, q + Poly.ONE, q * 2 - Poly.ONE, Poly.const(3)]
+    m = [[Poly.ZERO] * ncols for _ in range(nrows)]
+    for i in range(min(nrows, ncols)):
+        factors = draw(st.lists(st.sampled_from(atoms), max_size=3))
+        if draw(st.integers(0, 4)):
+            m[i][i] = Poly.ONE
+            for f in factors:
+                m[i][i] = m[i][i] * f
+    multipliers = st.sampled_from([Poly.ONE, -Poly.ONE, q, q + Poly.ONE,
+                                   Poly.const(Fraction(1, 2))])
+    for _ in range(draw(st.integers(0, 4))):
+        f = draw(multipliers)
+        if draw(st.booleans()) and nrows > 1:
+            i, j = draw(st.permutations(range(nrows)))[:2]
+            m[i] = [a + f * b for a, b in zip(m[i], m[j])]
+        elif ncols > 1:
+            i, j = draw(st.permutations(range(ncols)))[:2]
+            for row in m:
+                row[i] = row[i] + f * row[j]
+    return m
+
+
+def zero_curvature_matrix(alg):
+    mat, _ = deformed_differential_matrix(alg, AlgElement({}, alg.truncation))
+    return mat
+
+
 @settings(max_examples=40, deadline=None)
 @given(square_matrices(polys, Poly.ZERO))
 def test_bareiss_rank_matches_sympy_on_sparse(rows):
-    assert matrix_rank_fraction_field(rows) == sympy_rank(rows)
+    assert matrix_rank_fraction_field(rows) == sympy_rank(rows) == \
+        dense_matrix_rank_fraction_field(rows)
 
 
 @settings(max_examples=40, deadline=None)
@@ -322,8 +473,30 @@ def test_bareiss_rank_matches_sympy_on_sparse(rows):
 def test_smith_factors_match_sympy_rank_on_sparse(rows):
     factors = smith_normal_form(rows)
     assert len(factors) == sympy_rank(rows)
+    assert factors == dense_smith_normal_form(rows)
     for a, b in zip(factors, factors[1:]):
         assert (b % a).is_zero()
+
+
+@settings(max_examples=40, deadline=None)
+@given(scrambled_diagonals())
+@example([[Poly.T * Poly.T, Poly.ZERO], [Poly.ZERO, Poly.T + Poly.ONE]])
+@example([[Poly.T + Poly.ONE, Poly.ZERO, Poly.ZERO],
+          [Poly.ZERO, Poly.T, Poly.ZERO]])
+def test_bareiss_and_smith_match_dense_on_scrambled_diagonals(rows):
+    factors = smith_normal_form(rows)
+    assert factors == dense_smith_normal_form(rows)
+    assert matrix_rank_fraction_field(rows) == len(factors) == \
+        dense_matrix_rank_fraction_field(rows) == sympy_rank(rows)
+
+
+def test_bareiss_and_smith_match_dense_on_torus_models():
+    for w in (1, 2, 4, 8):
+        mat = zero_curvature_matrix(derham_model(1, w))
+        rank = matrix_rank_fraction_field(mat)
+        assert rank == dense_matrix_rank_fraction_field(mat)
+        assert smith_normal_form(mat) == dense_smith_normal_form(mat)
+        assert len(mat) - 2 * rank == 2
 
 
 # -- rank and kernel over Q --------------------------------------------------
