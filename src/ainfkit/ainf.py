@@ -223,14 +223,6 @@ class AlgElement:
     def __setattr__(self, *a):
         raise AttributeError("AlgElement is immutable")
 
-    @staticmethod
-    def zero(truncation=None) -> "AlgElement":
-        return AlgElement({}, truncation)
-
-    @staticmethod
-    def basis(name, truncation=None) -> "AlgElement":
-        return AlgElement({name: NovikovElement.scalar(1, truncation)}, truncation)
-
     def is_zero(self) -> bool:
         return not self.coeffs
 
@@ -244,24 +236,6 @@ class AlgElement:
 
     def __neg__(self) -> "AlgElement":
         return AlgElement({n: -v for n, v in self.coeffs.items()}, self.truncation)
-
-    def __sub__(self, other: "AlgElement") -> "AlgElement":
-        return self + (-other)
-
-    def scale(self, factor) -> "AlgElement":
-        """Multiply by a Fraction or a NovikovElement."""
-        if isinstance(factor, NovikovElement):
-            if factor.truncation != self.truncation:
-                factor = factor.retruncate(self.truncation)
-            return AlgElement(
-                {n: v * factor for n, v in self.coeffs.items()}, self.truncation
-            )
-        return AlgElement(
-            {n: v * frac(factor) for n, v in self.coeffs.items()}, self.truncation
-        )
-
-    def coefficient(self, name) -> NovikovElement:
-        return self.coeffs.get(name, NovikovElement.zero(self.truncation))
 
     def __eq__(self, other):
         return (

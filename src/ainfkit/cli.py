@@ -10,6 +10,7 @@ running, which is how sign conventions are stress-tested from the shell.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from fractions import Fraction
 
@@ -204,6 +205,7 @@ _SPEC_COMMANDS = {
 }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ainfctl",

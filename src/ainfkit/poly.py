@@ -9,6 +9,7 @@ fraction-free rank, and Smith normal form over the PID Q[q]).
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import combinations
 
 from ainfkit.scalars import frac, frac_str
 
@@ -167,41 +168,69 @@ Poly.ONE = Poly([1])
 Poly.T = Poly([0, 1])
 
 
+def _entries(vec):
+    """(index, entry) pairs of a dense list or a sparse {index: entry} dict."""
+    return vec.items() if isinstance(vec, dict) else enumerate(vec)
+
+
+def _sparse_rows(rows) -> dict:
+    """{row index: {column: entry}} of the nonzero entries of each nonzero
+    row, each row a dense list or a sparse {column: entry} dict."""
+    out = {}
+    for i, r in enumerate(rows):
+        row = {j: x for j, x in _entries(r) if x}
+        if row:
+            out[i] = row
+    return out
+
+
+def _pivot(active, lag):
+    """(row, column) of an entry of lowest q-degree, a row's degrees raised
+    by lag.get(row, 0); ties go to the row with the fewest nonzeros."""
+    best = key = None
+    for i, row in active.items():
+        shift, size = lag.get(i, 0), len(row)
+        for j, x in row.items():
+            k = (len(x.coeffs) + shift, size)
+            if key is None or k < key:
+                best, key = (i, j), k
+    return best
+
+
 def matrix_rank_fraction_field(rows) -> int:
     """Rank of a matrix of Poly entries over the fraction field Q(q).
 
-    Fraction-free Bareiss elimination: exact, no rational-function blowup.
-    An entry that is zero while its cross term vanishes stays zero, so only
-    structurally nonzero updates are computed.
+    Fraction-free Bareiss elimination on sparse rows: exact, no
+    rational-function blowup, and only entries facing a nonzero are formed.
+    Rows are dense lists or {column: Poly} dicts.  Each pivot is an entry of
+    lowest q-degree, ties going to the row with the fewest nonzeros.  A row
+    the pivot column misses would only be scaled by p_k / p_{k-1}; that
+    scaling is deferred, so a row keeps the step `stamp` its entries belong
+    to, and catching up from step s to step k multiplies by p_k / p_s.
     """
-    m = [list(r) for r in rows]
-    if not m or not m[0]:
-        return 0
-    nrows, ncols = len(m), len(m[0])
-    rank = 0
-    prev = Poly.ONE
-    r = 0
-    for c in range(ncols):
-        piv = next((i for i in range(r, nrows) if not m[i][c].is_zero()), None)
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        top, p = m[r], m[r][c]
-        for i in range(r + 1, nrows):
-            row, x = m[i], m[i][c]
-            cross = not x.is_zero()
-            for j in range(c + 1, ncols):
-                if cross and not top[j].is_zero():
-                    row[j] = (p * row[j] - x * top[j]).exact_div(prev)
-                elif not row[j].is_zero():
-                    row[j] = (p * row[j]).exact_div(prev)
-            row[c] = Poly.ZERO
-        prev = p
-        rank += 1
-        r += 1
-        if r == nrows:
-            break
-    return rank
+    active = _sparse_rows(rows)
+    pivots = [Poly.ONE]
+    stamp = dict.fromkeys(active, 0)
+    while active:
+        prev = pivots[-1]
+        lag = {i: prev.degree() - pivots[s].degree() for i, s in stamp.items()}
+        r, c = _pivot(active, lag)
+        top, s = active.pop(r), stamp.pop(r)
+        if s != len(pivots) - 1:
+            top = {j: (x * prev).exact_div(pivots[s]) for j, x in top.items()}
+        p = top.pop(c)
+        for i in [i for i, row in active.items() if c in row]:
+            row, den = active[i], pivots[stamp[i]]
+            x = row.pop(c)
+            new = {j: p * y for j, y in row.items()}
+            _subtract(new, x, top)
+            new = {j: y.exact_div(den) for j, y in new.items()}
+            if new:
+                active[i], stamp[i] = new, len(pivots)
+            else:
+                del active[i], stamp[i]
+        pivots.append(p)
+    return len(pivots) - 1
 
 
 def sparse_product(a, b, zero) -> dict:
@@ -232,7 +261,7 @@ def squares_to_zero(mat, zero) -> bool:
 def _subtract(v, f, row) -> None:
     """v -= f * row on sparse {index: entry} vectors, dropping zeros."""
     for i, x in row.items():
-        y = v.get(i, 0) - f * x
+        y = v[i] - f * x if i in v else -(f * x)
         if y:
             v[i] = y
         else:
@@ -263,8 +292,7 @@ class EchelonSpan:
         A vector raises the rank exactly when its reduction against the
         basis is nonzero; the reduced vector then joins the basis.
         """
-        entries = vec.items() if isinstance(vec, dict) else enumerate(vec)
-        v = {i: y for i, x in entries if x and (y := frac(x))}
+        v = {i: y for i, x in _entries(vec) if x and (y := frac(x))}
         while v:
             lead = min(v)
             row = self.rows.get(lead)
@@ -319,78 +347,49 @@ def graded_dims(names, degrees, diff):
     return {d: dims[d] for d in sorted(dims)}
 
 
+def _gcd(a: Poly, b: Poly) -> Poly:
+    while b:
+        a, b = b, a % b
+    return a
+
+
 def smith_normal_form(rows):
     """Invariant factors of a Poly matrix over the Euclidean domain Q[q].
 
     Returns the nonzero diagonal entries, made monic, sorted by degree;
-    divisibility d_1 | d_2 | ... holds by construction.
+    divisibility d_1 | d_2 | ... holds.  Rows are dense lists or
+    {column: Poly} dicts.  Each pivot is an entry of lowest q-degree, ties
+    going to the row with the fewest nonzeros.  Row operations reduce the
+    pivot column modulo the pivot p; once that column is clear, column
+    operations, which then touch only the pivot row, reduce that row modulo
+    p.  A remainder has a lower degree than p and is the next pivot; when
+    none is left, p is a diagonal entry.  The diagonal is then brought to
+    divisibility by replacing each pair (a, b) with (gcd, lcm).
     """
-    m = [list(r) for r in rows]
-    if not m or not m[0]:
-        return []
-    nrows, ncols = len(m), len(m[0])
-    factors = []
-    top = 0
-    while top < min(nrows, ncols):
-        # Find a nonzero entry of minimal degree in the remaining block.
-        best = None
-        for i in range(top, nrows):
-            for j in range(top, ncols):
-                if not m[i][j].is_zero():
-                    if best is None or m[i][j].degree() < m[best[0]][best[1]].degree():
-                        best = (i, j)
-        if best is None:
-            break
-        bi, bj = best
-        m[top], m[bi] = m[bi], m[top]
-        for row in m:
-            row[top], row[bj] = row[bj], row[top]
-        # Reduce the pivot row and column until the pivot divides everything
-        # it meets; each pass strictly drops some degree, so this terminates.
-        # Entries facing a zero in the pivot row or column are left alone.
-        while True:
-            piv = m[top][top]
-            dirty = False
-            for i in range(top + 1, nrows):
-                if not m[i][top].is_zero():
-                    q = m[i][top] // piv
-                    for j in range(top, ncols):
-                        if not m[top][j].is_zero():
-                            m[i][j] = m[i][j] - q * m[top][j]
-                    if not m[i][top].is_zero():
-                        m[top], m[i] = m[i], m[top]
-                        dirty = True
-                        break
-            if dirty:
+    active = _sparse_rows(rows)
+    diagonal = []
+    while active:
+        r, c = _pivot(active, {})
+        top = active.pop(r)
+        p = top[c]
+        for i in [i for i, row in active.items() if c in row]:
+            _subtract(active[i], active[i][c] // p, top)
+            if not active[i]:
+                del active[i]
+        if p.degree():
+            if any(c in row for row in active.values()):
+                active[r] = top
                 continue
-            for j in range(top + 1, ncols):
-                if not m[top][j].is_zero():
-                    q = m[top][j] // piv
-                    for i in range(top, nrows):
-                        if not m[i][top].is_zero():
-                            m[i][j] = m[i][j] - q * m[i][top]
-                    if not m[top][j].is_zero():
-                        for row in m:
-                            row[top], row[j] = row[j], row[top]
-                        dirty = True
-                        break
-            if dirty:
+            reduced = {j: y for j, x in top.items() if (y := x % p)}
+            if reduced:
+                active[r] = {**reduced, c: p}
                 continue
-            # Pivot clears its row and column; enforce divisibility into the
-            # remaining block by folding any non-multiple onto the pivot row.
-            offender = None
-            for i in range(top + 1, nrows):
-                for j in range(top + 1, ncols):
-                    if not m[i][j].is_zero() and not (m[i][j] % piv).is_zero():
-                        offender = i
-                        break
-                if offender is not None:
-                    break
-            if offender is None:
-                break
-            for j in range(top, ncols):
-                m[top][j] = m[top][j] + m[offender][j]
-        piv = m[top][top]
-        factors.append(piv * (1 / piv.lead()))
-        top += 1
-    return factors
+        diagonal.append(p)
+    diagonal.sort(key=Poly.degree)
+    units = sum(not d.degree() for d in diagonal)
+    for i, j in combinations(range(units, len(diagonal)), 2):
+        a, b = diagonal[i], diagonal[j]
+        g = _gcd(a, b)
+        if g.degree() < a.degree():
+            diagonal[i], diagonal[j] = g, (a * b) // g
+    return [d * (1 / d.lead()) for d in diagonal]

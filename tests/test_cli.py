@@ -1,11 +1,39 @@
+import contextlib
+import io
 import json
 import time
 from fractions import Fraction
 
 import pytest
 
+from ainfkit import cli
 from ainfkit.cli import main
 from test_golden_reports import curved_line
+
+
+def _parsed(parser, argv):
+    """vars() of the namespace, or the exit code and stderr of a refusal."""
+    err = io.StringIO()
+    try:
+        with contextlib.redirect_stderr(err):
+            return vars(parser.parse_args(argv))
+    except SystemExit as exc:
+        return exc.code, err.getvalue()
+
+
+@pytest.fixture(autouse=True)
+def parses_as_a_fresh_parser(monkeypatch):
+    """Every argv that a test of this module passes to main parses the same
+    with the process's one parser as with a newly built one."""
+    shared, build = cli.build_parser(), cli.build_parser.__wrapped__
+
+    class Checked:
+        @staticmethod
+        def parse_args(argv):
+            assert _parsed(shared, argv) == _parsed(build(), argv)
+            return shared.parse_args(argv)
+
+    monkeypatch.setattr(cli, "build_parser", lambda: Checked)
 
 
 def run(capsys, *argv):
@@ -156,6 +184,43 @@ def test_report_flag_writes_identical_bytes(fixture_path, tmp_path, capsys):
         assert code == 0
         outs.append(dest.read_bytes())
     assert outs[0] == outs[1]
+
+
+def test_parser_is_built_once_per_process(monkeypatch):
+    monkeypatch.undo()
+    assert cli.build_parser() is cli.build_parser()
+
+
+def _alone(capsys, argv):
+    """(exit code, stdout, stderr) of main(argv)."""
+    code = main(argv)
+    return (code, *capsys.readouterr())
+
+
+def test_a_refused_argv_leaves_the_next_call_as_it_is_alone(fixture_path,
+                                                             capsys):
+    valid = ["hf", fixture_path("gapped_product.json"), "--bounding", "b"]
+    expected = _alone(capsys, valid)
+    for bad in (["hf"], ["hf", "x.json", "--bounding"], ["no-such-command"],
+                ["torus-suite", "--trials", "many"]):
+        with pytest.raises(SystemExit) as exc:
+            main(bad)
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.startswith("usage: ainfctl")
+        assert _alone(capsys, valid) == expected
+
+
+def test_report_path_does_not_carry_over_to_the_next_call(fixture_path,
+                                                          tmp_path, capsys):
+    dest = tmp_path / "report.json"
+    code, report = run(capsys, "check-unit", fixture_path("derham_t1.json"),
+                       "--report", str(dest))
+    assert code == 0 and json.loads(dest.read_text()) == report
+    dest.unlink()
+    for argv in (["check-unit", fixture_path("derham_t1.json")],
+                 ["torus-suite", "--trials", "1"]):
+        assert run(capsys, *argv)[0] == 0
+        assert not dest.exists()
 
 
 def test_cutoff_flag(fixture_path, capsys):

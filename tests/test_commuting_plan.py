@@ -43,6 +43,7 @@ from ainfkit.poly import Poly
 from ainfkit.scalars import BETA_ZERO, EnergyMonoid, NovikovElement, monoid_sum
 from ainfkit.signs import shifted, sign_pow
 from ainfkit.specio import load_spec
+from elements import basis_element, scale, zero_element
 from test_golden_reports import stray_product
 
 FIXTURES = Path(__file__).resolve().parent.parent / "src" / "ainfkit" / "fixtures"
@@ -67,7 +68,7 @@ def eval_op(alg: AInfAlgebra, k: int, beta, inputs) -> AlgElement:
     trunc = alg.truncation
     table = alg.op_table(k, beta)
     if not table:
-        return AlgElement.zero(trunc)
+        return zero_element(trunc)
     acc = {}
     for combo in product(*[list(inp.coeffs.items()) for inp in inputs]):
         names = tuple(nm for nm, _ in combo)
@@ -107,9 +108,9 @@ def check_subalgebra(emb: SubalgebraEmbedding) -> dict:
                 if in_ga:
                     rhs = emb.apply(eval_op(
                         a, k, beta,
-                        tuple(AlgElement.basis(nm, a.truncation) for nm in names)))
+                        tuple(basis_element(nm, a.truncation) for nm in names)))
                 else:
-                    rhs = AlgElement.zero(c.truncation)
+                    rhs = zero_element(c.truncation)
                 if lhs != rhs:
                     violations.append({
                         "beta": beta_json(beta), "k": k, "inputs": list(names),
@@ -136,18 +137,18 @@ def kunneth_K(embA: SubalgebraEmbedding, embB: SubalgebraEmbedding):
     on_basis = {}
 
     def K(a: AlgElement, b: AlgElement) -> AlgElement:
-        out = AlgElement.zero(c.truncation)
+        out = zero_element(c.truncation)
         for na, nova in a.coeffs.items():
             for nb, novb in b.coeffs.items():
                 val = on_basis.get((na, nb))
                 if val is None:
-                    val = on_basis[(na, nb)] = eval_op(
+                    val = on_basis[(na, nb)] = scale(eval_op(
                         c, 2, BETA_ZERO,
                         (embA.apply_name(na), embB.apply_name(nb)),
-                    ).scale(sign_pow(embA.source.degree(na)))
+                    ), sign_pow(embA.source.degree(na)))
                 if not val.is_zero():
-                    out = out + val.scale(nova.retruncate(c.truncation) *
-                                          novb.retruncate(c.truncation))
+                    out = out + scale(val, nova.retruncate(c.truncation) *
+                                      novb.retruncate(c.truncation))
         return out
 
     return K
@@ -213,9 +214,9 @@ def check_commuting(embA: SubalgebraEmbedding, embB: SubalgebraEmbedding) -> dic
                     if (k, beta) == (2, BETA_ZERO):
                         d1 = _tag_degree(embA, embB, tup[0])
                         d2 = _tag_degree(embA, embB, tup[1])
-                        val = eval_op(c, 2, BETA_ZERO, elems) + eval_op(
+                        val = eval_op(c, 2, BETA_ZERO, elems) + scale(eval_op(
                             c, 2, BETA_ZERO, (elems[1], elems[0])
-                        ).scale(sign_pow(shifted(d1) * shifted(d2)))
+                        ), sign_pow(shifted(d1) * shifted(d2)))
                         if not val.is_zero():
                             record("a-anticommutator", beta,
                                    {"inputs": [list(t) for t in tup],
@@ -243,7 +244,7 @@ def check_commuting(embA: SubalgebraEmbedding, embB: SubalgebraEmbedding) -> dic
         if beta == BETA_ZERO:
             continue
         lhs = eval_op(c, 0, beta, ())
-        rhs = AlgElement.zero(c.truncation)
+        rhs = zero_element(c.truncation)
         if beta in a_alg.monoid:
             rhs = rhs + embA.apply(eval_op(a_alg, 0, beta, ()))
         if beta in b_alg.monoid:
@@ -256,8 +257,8 @@ def check_commuting(embA: SubalgebraEmbedding, embB: SubalgebraEmbedding) -> dic
     a_window = list(a_alg.window)
     b_window = list(b_alg.window)
     window_tags = [("A", nm) for nm in a_window] + [("B", nm) for nm in b_window]
-    mids = {(na, nb): K(AlgElement.basis(na, a_alg.truncation),
-                        AlgElement.basis(nb, b_alg.truncation))
+    mids = {(na, nb): K(basis_element(na, a_alg.truncation),
+                        basis_element(nb, b_alg.truncation))
             for na in a_window for nb in b_window}
     for beta in betas:
         in_ga, in_gb = beta in a_alg.monoid, beta in b_alg.monoid
@@ -275,35 +276,35 @@ def check_commuting(embA: SubalgebraEmbedding, embB: SubalgebraEmbedding) -> dic
                             args = tuple(plain_elems[:i]) + (mid,) + \
                                 tuple(plain_elems[i:])
                             lhs = eval_op(c, k + 1, beta, args)
-                            rhs = AlgElement.zero(c.truncation)
+                            rhs = zero_element(c.truncation)
                             if all_a and in_ga:
                                 inner_args = tuple(
-                                    AlgElement.basis(t[1], a_alg.truncation)
+                                    basis_element(t[1], a_alg.truncation)
                                     for t in plain[:i]
-                                ) + (AlgElement.basis(na, a_alg.truncation),) + tuple(
-                                    AlgElement.basis(t[1], a_alg.truncation)
+                                ) + (basis_element(na, a_alg.truncation),) + tuple(
+                                    basis_element(t[1], a_alg.truncation)
                                     for t in plain[i:]
                                 )
                                 inner = eval_op(a_alg, k + 1, beta, inner_args)
                                 s = sign_pow(db * sum(shifted(d)
                                                       for d in plain_degs[i:]))
-                                rhs = rhs + K(
-                                    inner, AlgElement.basis(nb, b_alg.truncation)
-                                ).scale(Fraction(s))
+                                rhs = rhs + scale(K(
+                                    inner, basis_element(nb, b_alg.truncation)
+                                ), Fraction(s))
                             if all_b and in_gb:
                                 inner_args = tuple(
-                                    AlgElement.basis(t[1], b_alg.truncation)
+                                    basis_element(t[1], b_alg.truncation)
                                     for t in plain[:i]
-                                ) + (AlgElement.basis(nb, b_alg.truncation),) + tuple(
-                                    AlgElement.basis(t[1], b_alg.truncation)
+                                ) + (basis_element(nb, b_alg.truncation),) + tuple(
+                                    basis_element(t[1], b_alg.truncation)
                                     for t in plain[i:]
                                 )
                                 inner = eval_op(b_alg, k + 1, beta, inner_args)
                                 s = sign_pow(da * (1 + sum(shifted(d)
                                                            for d in plain_degs[:i])))
-                                rhs = rhs + K(
-                                    AlgElement.basis(na, a_alg.truncation), inner
-                                ).scale(Fraction(s))
+                                rhs = rhs + scale(K(
+                                    basis_element(na, a_alg.truncation), inner
+                                ), Fraction(s))
                             if lhs != rhs:
                                 record("c-insertion", beta, {
                                     "k": k, "slot": i,
@@ -740,17 +741,18 @@ def test_kunneth_K_matches_oracle(derham_pair):
     trunc = embA.target.truncation
     assert len(table) == len(embA.source.names) * len(embB.source.names)
     for na, nb in table:
-        a = AlgElement.basis(na, embA.source.truncation)
-        b = AlgElement.basis(nb, embB.source.truncation)
+        a = basis_element(na, embA.source.truncation)
+        b = basis_element(nb, embB.source.truncation)
         assert old(a, b) == AlgElement(table[(na, nb)], trunc)
     a = AlgElement({nm: NovikovElement.monomial(i + 1, Fraction(i, 3))
                     for i, nm in enumerate(embA.source.names[:4])})
     b = AlgElement({nm: NovikovElement.scalar(Fraction(-1, i + 2))
                     for i, nm in enumerate(embB.source.names[3:8])})
-    bilinear = AlgElement.zero(trunc)
+    bilinear = zero_element(trunc)
     for na, nova in a.coeffs.items():
         for nb, novb in b.coeffs.items():
-            bilinear = bilinear + AlgElement(table[(na, nb)], trunc).scale(
+            bilinear = bilinear + scale(
+                AlgElement(table[(na, nb)], trunc),
                 nova.retruncate(trunc) * novb.retruncate(trunc))
     assert old(a, b) == bilinear
 

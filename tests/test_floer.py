@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from ainfkit import ainf, floer, kunneth
 from ainfkit.ainf import AlgElement
 from ainfkit.floer import (
     algebra_cohomology,
@@ -11,8 +12,11 @@ from ainfkit.floer import (
     hf_dimension,
     scalar_cohomology,
 )
+from ainfkit.kunneth import box_product
 from ainfkit.models import barcode_fixture, derham_model, two_factor_gapped
 from ainfkit.poly import matrix_rank_fraction_field
+from ainfkit.scalars import NovikovElement
+from elements import scale
 
 
 def test_scalar_cohomology_validation():
@@ -83,3 +87,66 @@ def test_barcode_fractional_energy():
     report = barcode(two["B"], two["b2"])
     assert report["N"] == 2
     assert report["free_rank"] == hf_dimension(two["B"], two["b2"])
+
+
+def oracle_check_hf_kunneth(embA, embB, b1, b2):
+    """check_hf_kunneth as it was, each hf_dimension recomputing the
+    curvature that box_product has already computed."""
+    box = box_product(embA, embB, b1, b2)
+    dim_a = hf_dimension(embA.source, b1)
+    dim_b = hf_dimension(embB.source, b2)
+    dim_c = hf_dimension(embA.target, box["element"])
+    ok = box["status"] == "PASS" and dim_c == dim_a * dim_b
+    return {
+        "check": "hf-kunneth",
+        "status": "PASS" if ok else "FAIL",
+        "box_status": box["status"],
+        "dim_A": dim_a,
+        "dim_B": dim_b,
+        "dim_C": dim_c,
+        "multiplicative": dim_c == dim_a * dim_b,
+    }
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        return ("ValueError", str(exc))
+
+
+def _hf_kunneth_cases():
+    """(embA, embB, b1, b2): the exact cochains, then cochains that fail the
+    curvature or the validation on one factor or on both."""
+    two = two_factor_gapped()
+    ok1, ok2 = two["b1"], two["b2"]
+    doubled = NovikovElement.scalar(2)
+    unit_energy = AlgElement({"xA": NovikovElement.scalar(1)})
+    even = AlgElement({"zA": NovikovElement.monomial(1, 1)})
+    for b1, b2 in ((ok1, ok2), (scale(ok1, doubled), ok2),
+                   (ok1, scale(ok2, doubled)), (AlgElement({}), ok2),
+                   (scale(ok1, doubled), scale(ok2, doubled)),
+                   (unit_energy, ok2), (ok1, AlgElement({})),
+                   (even, ok2)):
+        yield two["embA"], two["embB"], b1, b2
+
+
+def test_hf_kunneth_matches_the_recomputing_oracle():
+    for case in _hf_kunneth_cases():
+        assert _outcome(check_hf_kunneth, *case) == \
+            _outcome(oracle_check_hf_kunneth, *case)
+
+
+def test_hf_kunneth_computes_each_curvature_once(monkeypatch):
+    calls = []
+
+    def counted(alg, b):
+        calls.append(alg)
+        return ainf.mc_defect(alg, b)
+
+    for module in (floer, kunneth):
+        monkeypatch.setattr(module, "mc_defect", counted)
+    two = two_factor_gapped()
+    report = check_hf_kunneth(two["embA"], two["embB"], two["b1"], two["b2"])
+    assert report["status"] == "PASS"
+    assert calls == [two["A"], two["B"], two["C"]]

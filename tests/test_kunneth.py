@@ -19,6 +19,7 @@ from ainfkit.models import (
 )
 from ainfkit.scalars import BETA_ZERO, NovikovElement
 from ainfkit.signs import sign_pow
+from elements import scale
 from test_sparse_linalg import dense_rank
 
 
@@ -155,9 +156,9 @@ def test_kunneth_K_values():
         img = AlgElement(table[(na, nb)], trunc)
         assert not img.is_zero()
         # K(a (x) b) = (-1)^{|a|} m_{2,0}(iota_A a, iota_B b)
-        assert img == eval_op(target, 2, BETA_ZERO, (
-            emb_a.apply_name(na), emb_b.apply_name(nb))).scale(
-                sign_pow(emb_a.source.degree(na)))
+        assert img == scale(eval_op(target, 2, BETA_ZERO, (
+            emb_a.apply_name(na), emb_b.apply_name(nb))),
+            sign_pow(emb_a.source.degree(na)))
     assert {emb_a.source.degree(na) % 2 for na in emb_a.source.names[:3]} \
         == {0, 1}
 
@@ -192,6 +193,6 @@ def test_box_product_exactness():
 
 def test_box_product_wrong_candidate_fails():
     two = two_factor_gapped()
-    bad = two["b1"].scale(NovikovElement.scalar(2))
+    bad = scale(two["b1"], NovikovElement.scalar(2))
     report = box_product(two["embA"], two["embB"], bad, two["b2"])
     assert report["status"] == "FAIL"

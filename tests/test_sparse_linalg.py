@@ -490,6 +490,17 @@ def test_bareiss_and_smith_match_dense_on_scrambled_diagonals(rows):
         dense_matrix_rank_fraction_field(rows) == sympy_rank(rows)
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.one_of(square_matrices(polys, Poly.ZERO), scrambled_diagonals()))
+def test_bareiss_and_smith_take_sparse_rows(rows):
+    sparse_rows = [{j: x for j, x in enumerate(r) if x} for r in rows]
+    copy = [dict(r) for r in sparse_rows]
+    assert matrix_rank_fraction_field(sparse_rows) == \
+        dense_matrix_rank_fraction_field(rows)
+    assert smith_normal_form(sparse_rows) == dense_smith_normal_form(rows)
+    assert sparse_rows == copy
+
+
 def test_bareiss_and_smith_match_dense_on_torus_models():
     for w in (1, 2, 4, 8):
         mat = zero_curvature_matrix(derham_model(1, w))
