@@ -26,7 +26,7 @@ from itertools import product
 from hypothesis import given, settings, strategies as st
 
 from ainfkit.ainf import AInfAlgebra, add_into, beta_json, insertion_plan, \
-    insertion_sum, relation_violations
+    insertion_sum, joined_sums, relation_violations
 from ainfkit.isotopy import (
     Pseudoisotopy,
     check_pseudoisotopy,
@@ -40,6 +40,7 @@ from ainfkit.models import chain_fixture, extension_fixture
 from ainfkit.poly import Poly
 from ainfkit.scalars import BETA_ZERO, EnergyMonoid
 from ainfkit.signs import koszul_prefix_sign, shifted_parities, sign_pow
+from ainfkit.specio import load_spec
 from test_relation_plan import oracle_relation_violations
 
 
@@ -358,6 +359,68 @@ def planned_extend_one_level(m0, m1, P):
     return m_ext, p_ext
 
 
+# The joined check over Q[t]: the body of check_pseudoisotopy as it was
+# before it evaluated the families at one integer point, copied verbatim but
+# for its name and `planned_isotopy_sums`, the copy of `isotopy_sums`.
+
+def joined_check_pseudoisotopy(P: Pseudoisotopy, m0=None, m1=None,
+                               _parity_factor=None) -> dict:
+    """All pseudoisotopy axioms as exact polynomial identities in t."""
+    violations = []
+    pf = sign_pow(P.n + 1) if _parity_factor is None else _parity_factor
+    betas = P.monoid.enumerate(P.cutoff)
+    max_m = max((k for k, _ in P.mT), default=0)
+    max_c = max((k for k, _ in P.cT), default=0)
+
+    # Quadratic relations of m^t: the A-infinity relation over Q[t].  Both
+    # identities are scanned as check_ainf scans an algebra: every name at
+    # arity 1, the window beyond.
+    def scope(n):
+        return P.names if n == 1 else P.window
+
+    n_bound = max(2 * max_m - 1, 0)
+    for beta, n, names, defect in relation_violations(
+            P.mT, P._parity, betas, n_bound, scope):
+        violations.append({
+            "clause": "ainf-family", "beta": beta_json(beta),
+            "n": n, "inputs": list(names),
+            "defect": {o: p.to_json() for o, p in sorted(defect.items())},
+        })
+
+    # The differential equation: pf d/dt m^t - S1 + S2 = 0.
+    k_bound = max(max_m, max_m + max_c - 1, 0)
+    index = {}
+    for beta in betas:
+        for k in range(k_bound + 1):
+            (s1, unsigned), (s2, parity) = planned_isotopy_sums(P, k, beta)
+            derivative = {names: {out: poly.derivative() * pf
+                                  for out, poly in combo.items()}
+                          for names, combo in P.mT.get((k, beta), {}).items()}
+            for names, acc in joined_sums(
+                    k, [(s1, unsigned, -1), (s2, parity, 1)], scope(k),
+                    index, derivative):
+                violations.append({
+                    "clause": "differential-equation",
+                    "beta": beta_json(beta), "k": k, "inputs": list(names),
+                    "defect": {o: p.to_json() for o, p in sorted(acc.items())},
+                })
+
+    # Endpoint comparisons.
+    for label, target, t in (("endpoint-0", m0, 0), ("endpoint-1", m1, 1)):
+        if target is None:
+            continue
+        got = P.endpoint(t)
+        if got.ops != target.ops:
+            violations.append({"clause": label,
+                               "detail": "evaluated family differs from the "
+                                         "given algebra"})
+    return {
+        "check": "pseudoisotopy",
+        "status": "PASS" if not violations else "FAIL",
+        "violations": violations,
+    }
+
+
 def assert_same_extension(m0, m1, P, *oracles):
     m_ext, p_ext = extend_one_level(m0, m1, P)
     for oracle in oracles:
@@ -428,12 +491,14 @@ def sparse_families(draw, windowed=False):
 @settings(max_examples=60, deadline=None)
 @given(sparse_families(), st.data())
 def test_planned_isotopy_check_matches_per_tuple_check(P, data):
-    assert check_pseudoisotopy(P) == oracle_check_pseudoisotopy(P)
+    families = [P]
     ids = isotopy_constant_ids(P)
     if ids:
-        flipped = flip_isotopy_constant(P, data.draw(st.sampled_from(ids)))
-        assert check_pseudoisotopy(flipped) == \
-            oracle_check_pseudoisotopy(flipped)
+        families.append(flip_isotopy_constant(P, data.draw(st.sampled_from(ids))))
+    for fam in families:
+        report = check_pseudoisotopy(fam)
+        assert report == oracle_check_pseudoisotopy(fam)
+        assert report == joined_check_pseudoisotopy(fam)
 
 
 @settings(max_examples=80, deadline=None)
@@ -545,6 +610,37 @@ def test_extension_matches_per_tuple_transport():
                 for names in product(P.names, repeat=k):
                     assert planned_sums(P, k, beta, names) == \
                         oracle_isotopy_sums(P, k, beta, names)
+
+
+# -- every single flip of the bundled isotopies ----------------------------------------
+
+ISOTOPY_SWEEP = {"isotopy_extend": 10, "commuting_isotopy": 34}
+
+
+def test_every_single_isotopy_flip_matches_the_oracles(fixture_path, capsys):
+    """Every im/ic constant of both bundled isotopies, flipped: the report of
+    check_pseudoisotopy, in-process and through `check-isotopy --mutate`, is
+    the per-tuple oracle's and the joined Q[t] check's."""
+    for name, count in ISOTOPY_SWEEP.items():
+        path = fixture_path(f"{name}.json")
+        doc = load_spec(path)
+        P = doc.isotopy
+        m0 = doc.algebra if doc.algebra.cutoff == P.cutoff else None
+        ids = isotopy_constant_ids(P)
+        assert len(ids) == count
+        statuses = set()
+        for cid in [None] + ids:
+            fam = P if cid is None else flip_isotopy_constant(P, cid)
+            expected = oracle_check_pseudoisotopy(fam, m0=m0)
+            assert check_pseudoisotopy(fam, m0=m0) == expected, (name, cid)
+            assert joined_check_pseudoisotopy(fam, m0=m0) == expected
+            argv = ["check-isotopy", path] + (
+                [] if cid is None else ["--mutate", f"flip:{cid}"])
+            code = main(argv)
+            assert json.loads(capsys.readouterr().out) == expected
+            assert code == (1 if expected["status"] == "FAIL" else 0)
+            statuses.add((cid is None, expected["status"]))
+        assert statuses == {(True, "PASS"), (False, "FAIL")}
 
 
 # -- the work of the isotopy sums is bounded by their terms --------------------------
