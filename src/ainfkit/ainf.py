@@ -794,11 +794,13 @@ def deform(alg: AInfAlgebra, b: AlgElement) -> AInfAlgebra:
                        new_ops, alg.window)
 
 
-def mc_defect(alg: AInfAlgebra, b: AlgElement):
-    """(P, remainder) with sum_k m_k(b,..,b) = P * e + remainder."""
+def mc_defect(alg: AInfAlgebra, b: AlgElement, validated=False):
+    """(P, remainder) with sum_k m_k(b,..,b) = P * e + remainder; validated
+    says that b has passed validate_bounding_candidate already."""
     if alg.unit is None:
         raise ValueError("mc_defect needs a unit")
-    validate_bounding_candidate(alg, b)
+    if not validated:
+        validate_bounding_candidate(alg, b)
     total = deformed_table(alg, b, 0).get((), {})
     p = total.pop(alg.unit, NovikovElement.zero(alg.truncation))
     return p, AlgElement(total, alg.truncation)

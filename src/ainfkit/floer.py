@@ -108,8 +108,10 @@ def _deformed_matrix(alg: AInfAlgebra, b: AlgElement, flat=None):
         raise ValueError("exact cohomology needs a gapped algebra; "
                          "truncated data only determines it up to the cutoff")
     if flat is None:
+        # b is validated before mc_defect asks for a unit, so its message
+        # comes first.
         validate_bounding_candidate(alg, b)
-        flat = mc_defect(alg, b)[1].is_zero()
+        flat = mc_defect(alg, b, validated=True)[1].is_zero()
     if not flat:
         raise ValueError("b does not satisfy the weak Maurer-Cartan equation")
     n_den = _energy_denominator(alg, b)

@@ -30,27 +30,42 @@ with c^tau_{k,beta} = 0 at the new level.  Terms that would involve the
 unknown new-level families vanish: they pair with c^t_{j,0} = 0 or with the
 new-level c, which is declared zero.
 
-Every quadratic sum here is ainf.joined_sums over Q[t], a join of the stored
-tables that forms only the tuples with a term: the m^t relation is the
-A-infinity relation scan (ainf.relation_violations on mT), and the two mixed
-sums are the insertion plans of m^t over c^t (no sign) and of c^t over m^t
-(Koszul sign), built once per (beta, k) by isotopy_sums.  The differential
-equation joins them with signs -1 and +1 and the table (-1)^{n+1} d/dt m^t;
-the extension joins them with signs (-1)^n and (-1)^{n+1} and integrates
-each sum.  Both identities hold on the scope of check_ainf, every name at
-arity 1 and the window beyond.  Product compatibility is
-kunneth.pullback_scan over Q[t].
+Every quadratic sum here is ainf.joined_sums, a join of the stored tables
+that forms only the tuples with a term: the m^t relation is the A-infinity
+relation scan (ainf.relation_violations on mT), and the two mixed sums are
+the insertion plans of m^t over c^t (no sign) and of c^t over m^t (Koszul
+sign), built once per (beta, k) by isotopy_sums.  The differential equation
+joins them with signs -1 and +1 and the table (-1)^{n+1} d/dt m^t; the
+extension joins them with signs (-1)^n and (-1)^{n+1} over Q[t] and
+integrates each sum.  Both identities hold on the scope of check_ainf, every
+name at arity 1 and the window beyond.
+
+check_pseudoisotopy runs both identities on integers, as check_ainf runs
+the A-infinity relation on integer_ops.  Each stored p becomes D*p(2^W),
+with D the lcm of the coefficient denominators (Kronecker substitution), so
+a tuple's sum is F(2^W) for F = D^2 times its polynomial sum.  F has integer
+coefficients at most B = L*S^2 + D*delta*S in absolute value (S sums the
+absolute coefficients of every D*p, delta is the largest t-degree and L
+bounds the terms of a plan), and a nonzero
+such polynomial has no root beyond B + 1: with 2^W > B + 1 the integer sum
+vanishes exactly when the polynomial one does (check_pseudoisotopy has the
+proof).  Failing tuples are replayed over Q[t] for the report.
+
+Product compatibility is kunneth.pullback_scanner over Q[t], set up once per
+check.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 from ainfkit.ainf import (AInfAlgebra, add_into, basis_pairs, beta_json,
                           clean_tables, entry_tables, flip_stored,
-                          insertion_plan, joined_sums, relation_violations,
-                          replaced, stored_entries, window_names)
-from ainfkit.kunneth import kunneth_K_table, pullback_scan, scan_report
+                          insertion_plan, insertion_sum, joined_sums,
+                          relation_violations, replaced, stored_entries,
+                          window_names)
+from ainfkit.kunneth import kunneth_K_table, pullback_scanner, scan_report
 from ainfkit.poly import Poly
 from ainfkit.scalars import (BETA_ZERO, EnergyMonoid, frac, frac_str, json_int,
                               monoid_sum)
@@ -178,24 +193,77 @@ def isotopy_sums(P: Pseudoisotopy, k, beta):
             (insertion_plan(P.mT, P.cT, beta, k), P._parity))
 
 
+def evaluation_width(bound: int) -> int:
+    """The least W with 2^W > bound + 1: at x = 2^W no nonzero integer
+    polynomial whose coefficients are at most bound in absolute value
+    vanishes."""
+    return (bound + 1).bit_length()
+
+
 def check_pseudoisotopy(P: Pseudoisotopy, m0: AInfAlgebra = None,
                         m1: AInfAlgebra = None, _parity_factor=None) -> dict:
-    """All pseudoisotopy axioms as exact polynomial identities in t."""
+    """All pseudoisotopy axioms as exact polynomial identities in t.
+
+    Both identities are scanned over the integers: each stored p becomes
+    D*p(2^W), with D the lcm of the coefficient denominators of m^t and
+    c^t, and the table D^2*pf*p'(2^W) is the linear one of the differential
+    equation.  A tuple's integer sum is then F(2^W), where F = D^2 times
+    its Q[t] defect has integer coefficients of absolute value at most
+    B = L*S^2 + D*|pf|*delta*S: S is the sum of the absolute coefficients of
+    every D*p, delta the largest t-degree and L a bound on the number of
+    terms of a plan, sum of n - j + 1 over the stored (j, beta) with j <= n,
+    both plans of the differential equation together.  Each plan term sums
+    products of two D*p, one of them over distinct stored p, and a product
+    of two polynomials has coefficients at most the product of their sums
+    of absolute coefficients.  For x = 2^W > B + 1 and F of degree d with a
+    nonzero leading coefficient, |F(x)| >= x^d - B (x^d - 1)/(x - 1) > 0, so
+    F(2^W) = 0 exactly when F = 0: the test is exact, not a sample.  Each
+    failing tuple's defect is replayed over Q[t] by insertion_sum, so the
+    report is the polynomial one.
+    """
     violations = []
     pf = sign_pow(P.n + 1) if _parity_factor is None else _parity_factor
     betas = P.monoid.enumerate(P.cutoff)
     max_m = max((k for k, _ in P.mT), default=0)
     max_c = max((k for k, _ in P.cT), default=0)
+    n_bound = max(2 * max_m - 1, 0)
+    k_bound = max(max_m, max_m + max_c - 1, 0)
 
-    # Quadratic relations of m^t: the A-infinity relation over Q[t].  Both
-    # identities are scanned as check_ainf scans an algebra: every name at
-    # arity 1, the window beyond.
+    # The evaluation point.
+    polys = [p for tables in (P.mT, P.cT) for table in tables.values()
+             for combo in table.values() for p in combo.values()]
+    scale = lcm(*(c.denominator for p in polys for c in p.coeffs))
+    total = sum(abs(c.numerator) * (scale // c.denominator)
+                for p in polys for c in p.coeffs)
+
+    def slots(tables, n):
+        return sum(n - j + 1 for j, _ in tables if j <= n)
+
+    terms = max(slots(P.mT, n_bound), slots(P.mT, k_bound) + slots(P.cT, k_bound))
+    top = max((p.degree() for p in polys), default=0)
+    width = evaluation_width(terms * total ** 2 + scale * abs(pf) * top * total)
+
+    def at_point(p):
+        return sum(c.numerator * (scale // c.denominator) << width * i
+                   for i, c in enumerate(p.coeffs))
+
+    def evaluated(tables):
+        return {key: {names: {out: at_point(p) for out, p in combo.items()}
+                      for names, combo in table.items()}
+                for key, table in tables.items()}
+
+    at = replaced(P, mT=evaluated(P.mT), cT=evaluated(P.cT))
+
+    # Quadratic relations of m^t: the A-infinity relation.  Both identities
+    # are scanned as check_ainf scans an algebra: every name at arity 1, the
+    # window beyond.
     def scope(n):
         return P.names if n == 1 else P.window
 
-    n_bound = max(2 * max_m - 1, 0)
-    for beta, n, names, defect in relation_violations(
-            P.mT, P._parity, betas, n_bound, scope):
+    for beta, n, names, _ in relation_violations(
+            at.mT, P._parity, betas, n_bound, scope):
+        defect = insertion_sum(insertion_plan(P.mT, P.mT, beta, n),
+                               P._parity, names)
         violations.append({
             "clause": "ainf-family", "beta": beta_json(beta),
             "n": n, "inputs": list(names),
@@ -203,21 +271,30 @@ def check_pseudoisotopy(P: Pseudoisotopy, m0: AInfAlgebra = None,
         })
 
     # The differential equation: pf d/dt m^t - S1 + S2 = 0.
-    k_bound = max(max_m, max_m + max_c - 1, 0)
     index = {}
     for beta in betas:
         for k in range(k_bound + 1):
-            (s1, unsigned), (s2, parity) = isotopy_sums(P, k, beta)
-            derivative = {names: {out: poly.derivative() * pf
-                                  for out, poly in combo.items()}
+            (s1, unsigned), (s2, parity) = isotopy_sums(at, k, beta)
+            derivative = {names: {out: scale * pf * at_point(p.derivative())
+                                  for out, p in combo.items()}
                           for names, combo in P.mT.get((k, beta), {}).items()}
-            for names, acc in joined_sums(
-                    k, [(s1, unsigned, -1), (s2, parity, 1)], scope(k),
-                    index, derivative):
+            failing = [names for names, _ in joined_sums(
+                k, [(s1, unsigned, -1), (s2, parity, 1)], scope(k),
+                index, derivative)]
+            if not failing:
+                continue
+            (s1, unsigned), (s2, parity) = isotopy_sums(P, k, beta)
+            m_table = P.mT.get((k, beta), {})
+            for names in failing:
+                acc = {out: p.derivative() * pf
+                       for out, p in m_table.get(names, {}).items()}
+                add_into(acc, insertion_sum(s1, unsigned, names), -1)
+                add_into(acc, insertion_sum(s2, parity, names), 1)
                 violations.append({
                     "clause": "differential-equation",
                     "beta": beta_json(beta), "k": k, "inputs": list(names),
-                    "defect": {o: p.to_json() for o, p in sorted(acc.items())},
+                    "defect": {o: p.to_json() for o, p in sorted(acc.items())
+                               if p},
                 })
 
     # Endpoint comparisons.
@@ -356,7 +433,9 @@ def check_commuting_isotopy(PC: Pseudoisotopy, PA: Pseudoisotopy,
     scanned = (PA.names, [nm for nm in PB.names if nm != b_unit])
     windows = (embA.source.window,
                [nm for nm in embB.source.window if nm != b_unit])
-    kt = kunneth_K_table(embA, embB)
+    plain = pullback_scanner(embs, scanned, units)
+    inserted = pullback_scanner(embs, windows, units,
+                                kunneth_K_table(embA, embB))
     violations = []
 
     def record(clause, beta, detail, row):
@@ -369,7 +448,7 @@ def check_commuting_isotopy(PC: Pseudoisotopy, PA: Pseudoisotopy,
              (sign_pow(PB.n), sign_pow(PA.n)))]
     for beta in PC.monoid.enumerate(PC.cutoff):
         for k in range(PC.max_arity() + 1):
-            for row in pullback_scan(fams, beta, k, embs, scanned, units):
+            for row in plain(fams, beta, k):
                 detail = {"k": k, "inputs": [list(t) for t in row.tags]}
                 if row.owners:
                     record(f"{row.family}-restriction", beta, detail, row)
@@ -380,7 +459,7 @@ def check_commuting_isotopy(PC: Pseudoisotopy, PA: Pseudoisotopy,
                     violations.append({"clause": f"{row.family}-mixed-tuple",
                                        "beta": beta_json(beta), **detail})
         for k in range(PC.max_arity()):
-            for row in pullback_scan(fams, beta, k, embs, windows, units, kt):
+            for row in inserted(fams, beta, k):
                 record(f"{row.family}-k-insertion", beta, {
                     "k": k, "slot": row.slot, "pair": list(row.pair),
                     "plain": [list(t) for t in row.tags]}, row)

@@ -17,10 +17,13 @@ identities on stated scan sets:
     listed).
 
 The subalgebra, commuting-pair and commuting-isotopy checks are one scan
-over Q or Q[t], pullback_scan: a stored target table is pulled back to
-factor tags in one pass through an inverse index of the iota-supports (and
-of the K-images for an inserted slot), compared with the factor tables
-pushed forward, and the differences are reported in product order.
+over Q or Q[t], made by pullback_scanner: a stored target table is pulled
+back to factor tags in one pass through an inverse index of the
+iota-supports (and of the K-images for an inserted slot), compared with the
+factor tables pushed forward, and the differences are reported in product
+order.  Each check builds its scanners once: the tag positions, readings,
+parities and inverse indexes serve every (beta, k), and a (beta, k) whose
+tables are all empty is skipped as structurally zero.
 """
 
 from __future__ import annotations
@@ -157,13 +160,15 @@ class Mismatch(NamedTuple):
     rhs: dict
 
 
-def pullback_scan(fams, beta, k, embs, names, units=(), kt=None):
-    """Where stored families differ from their factors' at one (beta, k).
+def pullback_scanner(embs, names, units=(), kt=None):
+    """The pull-back scan of fixed factor embeddings, set up once per check:
+    returns scan(fams, beta, k), the rows where stored families differ from
+    their factors' at one (beta, k).
 
-    fams lists (name, target ops, (ops, monoid) per factor, sign per
-    factor), over Q or Q[t]; embs are the factor embeddings and names the
-    scanned names of each, as tags ("A", name), ("B", name).  The left side
-    is the target table pulled back along iota.  A tag tuple belongs to each
+    embs are the factor embeddings and names the scanned names of each, as
+    tags ("A", name), ("B", name).  fams lists (name, target ops, (ops,
+    monoid) per factor, sign per factor), over Q or Q[t].  The left side is
+    the target table pulled back along iota.  A tag tuple belongs to each
     factor whose reading covers it: a factor reads its own tags, and each
     tag of units as its unit.  The right side is the first owner's table
     (every owner's, on the empty tuple) read along the reading, pushed
@@ -175,82 +180,99 @@ def pullback_scan(fams, beta, k, embs, names, units=(), kt=None):
     K(a (x) m^B(.., b, ..)), with that of moving a past the slot and the
     inputs before it.
 
-    Returns a Mismatch wherever the two sides differ, in product order:
-    tags by position, then slot, pair, family.
+    What does not depend on (beta, k) is built here, once: tag positions,
+    readings and their inverse indexes, parities, the inverse index of the
+    K-images, the owners of each tag tuple.  scan returns a Mismatch
+    wherever the two sides differ, in product order: tags by position, then
+    slot, pair, family; nothing where every table is empty, which is
+    structurally zero.
     """
     positions = {t: i for i, t in enumerate(
         (side, nm) for side, scanned in zip("AB", names) for nm in scanned)}
-    sides = []  # (reading {tag: factor name}, iota, degrees) per factor
+    sides = []  # (reading {tag: factor name}, its inverse, iota, degrees)
     for side, emb in zip("AB", embs):
         reading = {t: t[1] for t in positions if t[0] == side}
         reading.update((t, emb.source.unit) for t in units
                        if t[0] != side and t in positions)
-        sides.append((reading, emb.iota, dict(emb.source.basis)))
+        sides.append((reading,
+                      inverse_index({t: {nm: 1} for t, nm in reading.items()}),
+                      emb.iota, dict(emb.source.basis)))
     own = {t: sides["AB".index(t[0])] for t in positions}
-    inverse = inverse_index({t: own[t][1][t[1]] for t in positions})
-    parity = {t: shifted(own[t][2][t[1]]) for t in positions}
-    n, slots, windows, slot_inverse = k, [None], [{}, {}], {}
+    inverse = inverse_index({t: own[t][2][t[1]] for t in positions})
+    parity = {t: shifted(own[t][3][t[1]]) for t in positions}
+    extra, windows, slot_inverse = 0, [{}, {}], {}
     pair_positions = {None: None}
     if kt is not None:
         # The slot of a factor table keeps its window name a (or b).
         windows = [{nm: [(nm, None)] for nm in emb.source.window} for emb in embs]
         pair_positions = {p: i for i, p in enumerate(product(*windows))}
         slot_inverse = inverse_index({p: kt[p] for p in pair_positions})
-        n, slots = k + 1, range(k + 1)
+        extra = 1
 
     @cache
     def owners(tup):
-        return [s for s, (reading, _, _) in enumerate(sides)
+        return [s for s, (reading, _, _, _) in enumerate(sides)
                 if all(t in reading for t in tup)]
 
-    def pulled(table, column, slot_column):
+    def pulled(table, n, column, slot_column):
         """{(plain tags, slot, slot label): value}; None, None without kt."""
-        for i in slots:
+        for i in range(n) if extra else [None]:
             for labels, vec in pull_back(table, [
                     slot_column if j == i else column for j in range(n)]).items():
                 yield ((labels, None, None) if i is None else
                        (labels[:i] + labels[i + 1:], i, labels[i])), vec
 
-    rows = []
-    for f, (name, target, factors, signs) in enumerate(fams):
-        lhs = dict(pulled(target.get((n, beta), {}), inverse, slot_inverse))
-        rhs = {}
-        for s, (ops, monoid) in enumerate(factors):
-            if beta not in monoid:
-                continue
-            reading, iota, _ = sides[s]
-            for (plain, i, mid), vec in pulled(
-                    ops.get((n, beta), {}),
-                    inverse_index({t: {nm: 1} for t, nm in reading.items()}),
-                    windows[s]):
-                # The first owner gives the right side; on the empty tuple
-                # every owner does, and the sides add up.
-                if s not in owners(plain) or plain and owners(plain)[0] != s:
+    def scan(fams, beta, k):
+        n = k + extra
+        if not any(target.get((n, beta)) or
+                   any(ops.get((n, beta)) for ops, _ in factors)
+                   for _, target, factors, _ in fams):
+            return []
+        rows = []
+        for f, (name, target, factors, signs) in enumerate(fams):
+            lhs = dict(pulled(target.get((n, beta), {}), n, inverse,
+                              slot_inverse))
+            rhs = {}
+            for s, (ops, monoid) in enumerate(factors):
+                table = ops.get((n, beta))
+                if not table or beta not in monoid:
                     continue
-                if i is None:
-                    add_into(rhs.setdefault((plain, i, mid), {}),
-                             linear_image(iota, vec), signs[s])
+                _, reading_inverse, iota, _ = sides[s]
+                for (plain, i, mid), vec in pulled(table, n, reading_inverse,
+                                                   windows[s]):
+                    # The first owner gives the right side; on the empty
+                    # tuple every owner does, and the sides add up.
+                    if s not in owners(plain) or plain and owners(plain)[0] != s:
+                        continue
+                    if i is None:
+                        add_into(rhs.setdefault((plain, i, mid), {}),
+                                 linear_image(iota, vec), signs[s])
+                        continue
+                    moved = s + sum(parity[t] for t in
+                                    (plain[:i] if s else plain[i:]))
+                    for other in windows[1 - s]:
+                        pair = (other, mid) if s else (mid, other)
+                        acc = rhs.setdefault((plain, i, pair), {})
+                        odd = signs[s] * sign_pow(
+                            sides[1 - s][3][other] * moved) < 0
+                        for nm, c in vec.items():
+                            add_into(acc, kt[(other, nm) if s else (nm, other)],
+                                     -c if odd else c)
+            for key in lhs.keys() | rhs.keys():
+                left, right = lhs.get(key, {}), rhs.get(key, {})
+                if left != right:  # then again without cancelled outputs
+                    left, right = ({o: c for o, c in side.items() if c}
+                                   for side in (left, right))
+                if left == right:
                     continue
-                moved = s + sum(parity[t] for t in (plain[:i] if s else plain[i:]))
-                for other in windows[1 - s]:
-                    pair = (other, mid) if s else (mid, other)
-                    acc = rhs.setdefault((plain, i, pair), {})
-                    odd = signs[s] * sign_pow(sides[1 - s][2][other] * moved) < 0
-                    for nm, c in vec.items():
-                        add_into(acc, kt[(other, nm) if s else (nm, other)],
-                                 -c if odd else c)
-        for key in lhs.keys() | rhs.keys():
-            left, right = lhs.get(key, {}), rhs.get(key, {})
-            if left != right:  # then again without cancelled outputs
-                left, right = ({o: c for o, c in side.items() if c}
-                               for side in (left, right))
-            if left == right:
-                continue
-            plain, i, pair = key
-            rows.append(((tuple(map(positions.get, plain)), i,
-                          pair_positions[pair], f),
-                         Mismatch(plain, i, pair, name, owners(plain), left, right)))
-    return [row for _, row in sorted(rows, key=lambda row: row[0])]
+                plain, i, pair = key
+                rows.append(((tuple(map(positions.get, plain)), i,
+                              pair_positions[pair], f),
+                             Mismatch(plain, i, pair, name, owners(plain),
+                                      left, right)))
+        return [row for _, row in sorted(rows, key=lambda row: row[0])]
+
+    return scan
 
 
 def check_subalgebra(emb: SubalgebraEmbedding) -> dict:
@@ -261,12 +283,13 @@ def check_subalgebra(emb: SubalgebraEmbedding) -> dict:
     a, c = emb.source, emb.target
     k_max = max(a.max_arity(), c.max_arity())
     fams = [("m", c.ops, ((a.ops, a.monoid),), (1,))]
+    scan = pullback_scanner((emb,), (a.names,))
     found = ({"beta": beta_json(beta), "k": k,
               "inputs": [t[1] for t in row.tags],
               "lhs": AlgElement(row.lhs, c.truncation).to_json(),
               "rhs": AlgElement(row.rhs, c.truncation).to_json()}
              for beta in _scan_betas(emb) for k in range(1, k_max + 1)
-             for row in pullback_scan(fams, beta, k, (emb,), (a.names,))[:1])
+             for row in scan(fams, beta, k)[:1])
     return scan_report("subalgebra", list(islice(found, 1)))
 
 
@@ -316,8 +339,8 @@ def check_commuting(embA: SubalgebraEmbedding, embB: SubalgebraEmbedding) -> dic
     factors = ((a_alg.ops, a_alg.monoid), (b_alg.ops, b_alg.monoid))
     fams = [("m", c.ops, factors, (1, 1))]
     embs = (embA, embB)
-    tagged = (embs, (a_alg.names, b_alg.names),
-              [("A", a_alg.unit), ("B", b_alg.unit)])
+    tagged = pullback_scanner(embs, (a_alg.names, b_alg.names),
+                              [("A", a_alg.unit), ("B", b_alg.unit)])
 
     def record(clause, beta, detail, **elements):
         violations.append({"clause": clause, "beta": beta_json(beta), **detail,
@@ -344,8 +367,8 @@ def check_commuting(embA: SubalgebraEmbedding, embB: SubalgebraEmbedding) -> dic
                 if all(not foreign[s].isdisjoint(key) for s in inside)}
             if (k, beta) == (2, BETA_ZERO):
                 table = _anticommutator(table, c)
-            for row in pullback_scan([("m", {(k, beta): table}, vanishing,
-                                       (1, 1))], beta, k, *tagged):
+            for row in tagged([("m", {(k, beta): table}, vanishing, (1, 1))],
+                              beta, k):
                 if any(s in inside for s in row.owners):
                     continue
                 inputs = [list(t) for t in row.tags]
@@ -361,13 +384,13 @@ def check_commuting(embA: SubalgebraEmbedding, embB: SubalgebraEmbedding) -> dic
 
     # -- clause (b) ----------------------------------------------------------
     for beta in [b for b in betas if b != BETA_ZERO]:
-        for row in pullback_scan(fams, beta, 0, *tagged):
+        for row in tagged(fams, beta, 0):
             record("b-curvature", beta, {}, lhs=row.lhs, rhs=row.rhs)
 
     # -- clause (c) ----------------------------------------------------------
+    inserted = pullback_scanner(embs, (a_alg.window, b_alg.window), kt=kt)
     for beta, k in product(betas, range(k_max)):
-        for row in pullback_scan(fams, beta, k, embs,
-                                 (a_alg.window, b_alg.window), kt=kt):
+        for row in inserted(fams, beta, k):
             record("c-insertion", beta, {
                 "k": k, "slot": row.slot,
                 "plain": [list(t) for t in row.tags],

@@ -1,6 +1,6 @@
 """The commuting-isotopy check against the per-tuple scan it replaced.
 
-`isotopy.check_commuting_isotopy` runs `kunneth.pullback_scan` with the two
+`isotopy.check_commuting_isotopy` runs `kunneth.pullback_scanner` with the two
 families m^t and c^t of each isotopy. The code below is the previous
 version, verbatim: every tuple of `product(tags, repeat=k)` pushed through
 `eval_table` over Q[t], once plain and once per K-inserted slot and window

@@ -1,7 +1,7 @@
 """The commuting-pair and subalgebra scans against the code they replaced.
 
-`kunneth.check_commuting` and `kunneth.check_subalgebra` run
-`kunneth.pullback_scan`: one pass over the stored entries of the target
+`kunneth.check_commuting` and `kunneth.check_subalgebra` run the scans of
+`kunneth.pullback_scanner`: one pass over the stored entries of the target
 table, through an inverse index of the iota-supports (and of the K-images of
 `kunneth_K_table` for the inserted slot), compared with the factor tables
 pushed forward. Two earlier versions stay here, verbatim, as differential
@@ -694,10 +694,10 @@ def test_clause_c_cut_before_the_last_k():
         ("c-insertion", ["3/2", 0], 0)
     beta = (Fraction(3, 2), 0)
     factors = tuple((emb.source.ops, emb.source.monoid) for emb in (embA, embB))
-    assert kunneth.pullback_scan(
-        [("m", embA.target.ops, factors, (1, 1))], beta, 1, (embA, embB),
-        (embA.source.window, embB.source.window),
-        kt=kunneth.kunneth_K_table(embA, embB))
+    assert kunneth.pullback_scanner(
+        (embA, embB), (embA.source.window, embB.source.window),
+        kt=kunneth.kunneth_K_table(embA, embB))(
+        [("m", embA.target.ops, factors, (1, 1))], beta, 1)
     assert_same_reports(embA, embB)
 
 

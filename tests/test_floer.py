@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from ainfkit import ainf, floer, kunneth
-from ainfkit.ainf import AlgElement
+from ainfkit.ainf import AInfAlgebra, AlgElement, assemble
 from ainfkit.floer import (
     algebra_cohomology,
     barcode,
@@ -55,13 +55,39 @@ def test_deformed_matrix_squares_to_zero():
 
 
 def test_deformed_matrix_refuses_truncated_input():
-    from ainfkit.ainf import assemble
     two = two_factor_gapped()
     trunc = assemble(two["A"], 2)
     b1 = AlgElement({nm: nov.retruncate(2)
                      for nm, nov in two["b1"].coeffs.items()}, 2)
     with pytest.raises(ValueError):
         deformed_differential_matrix(trunc, b1)
+
+
+def test_deformed_matrix_checks_mode_then_b_then_unit(monkeypatch):
+    """On an algebra without a unit, the mode is refused first, then b, then
+    the missing unit; b is validated once."""
+    alg, flat = barcode_fixture()
+    no_unit = AInfAlgebra(alg.basis, alg.monoid, "gapped", None, None, alg.ops)
+    even = AlgElement({"x": NovikovElement.monomial(1, 1)})
+    even_truncated = AlgElement({"x": NovikovElement.monomial(1, 1, 2)}, 2)
+    for algebra, b, message in (
+            (assemble(no_unit, 2), even_truncated,
+             "exact cohomology needs a gapped algebra"),
+            (no_unit, even, "bounding cochain must have odd degree"),
+            (no_unit, flat, "mc_defect needs a unit")):
+        with pytest.raises(ValueError, match=f"^{message}"):
+            deformed_differential_matrix(algebra, b)
+    calls = []
+
+    def counted(alg, b):
+        calls.append(alg)
+        return validate(alg, b)
+
+    validate = ainf.validate_bounding_candidate
+    for module in (floer, ainf):
+        monkeypatch.setattr(module, "validate_bounding_candidate", counted)
+    deformed_differential_matrix(alg, flat)
+    assert calls == [alg]
 
 
 def test_hf_dimensions_multiplicative():

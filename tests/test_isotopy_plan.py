@@ -22,11 +22,13 @@ import json
 import time
 from fractions import Fraction
 from itertools import product
+from unittest.mock import patch
 
 from hypothesis import given, settings, strategies as st
 
 from ainfkit.ainf import AInfAlgebra, add_into, beta_json, insertion_plan, \
     insertion_sum, joined_sums, relation_violations
+from ainfkit import isotopy
 from ainfkit.isotopy import (
     Pseudoisotopy,
     check_pseudoisotopy,
@@ -445,11 +447,12 @@ COEFFS = [-2, -1, 0, 1, 2]
 
 
 @st.composite
-def sparse_families(draw, windowed=False):
+def sparse_families(draw, windowed=False, coeffs=COEFFS):
     """Degree-consistent sparse m^t and c^t families (arity <= 3, t-degree
-    <= 2) over a gapped monoid with one or two generators, with no promise
-    that the pseudoisotopy axioms hold.  When windowed, the window is drawn
-    too: a proper subset of the names in any order, or none."""
+    <= 2, coefficients from coeffs) over a gapped monoid with one or two
+    generators, with no promise that the pseudoisotopy axioms hold.  When
+    windowed, the window is drawn too: a proper subset of the names in any
+    order, or none."""
     # Both parities are present, so most drawn inputs meet some output.
     degrees = [0, 1] + draw(st.lists(st.integers(-1, 2), max_size=1))
     basis = [(f"a{i}", d) for i, d in enumerate(degrees)]
@@ -473,7 +476,7 @@ def sparse_families(draw, windowed=False):
                 continue
             beta, out = draw(st.sampled_from(keys))
             t_degree = 0 if beta == BETA_ZERO else draw(st.integers(0, 2))
-            poly = Poly([draw(st.sampled_from(COEFFS))
+            poly = Poly([draw(st.sampled_from(coeffs))
                          for _ in range(t_degree + 1)])
             tables.setdefault((k, beta), {}).setdefault(inputs, {})[out] = poly
         return tables
@@ -610,6 +613,93 @@ def test_extension_matches_per_tuple_transport():
                 for names in product(P.names, repeat=k):
                     assert planned_sums(P, k, beta, names) == \
                         oracle_isotopy_sums(P, k, beta, names)
+
+
+# -- the evaluation point is wide enough, and must be ----------------------------------
+
+def checked_with_widths(P):
+    """check_pseudoisotopy(P) and the widths W it evaluated at."""
+    with patch.object(isotopy, "evaluation_width",
+                      wraps=isotopy.evaluation_width) as spy:
+        report = check_pseudoisotopy(P)
+    return report, [isotopy.evaluation_width(*call.args)
+                    for call in spy.call_args_list]
+
+
+def vanishing_at_two(n):
+    """m_{1,0}(x) = y, m^t_{0,(1,0)} = (t - 2) x and m^t_{1,(1,0)}(x) =
+    (t^2/2 - 2t) y: the m^t relation at ((1, 0), ()) is (t - 2) y, and the
+    differential equation is (-1)^{n+1} x at k = 0 and (-1)^{n+1} (t - 2) y
+    at k = 1.  Two of the three defects vanish at t = 2."""
+    beta = (Fraction(1), 0)
+    mT = {(1, BETA_ZERO): {("x",): {"y": Poly([1])}},
+          (0, beta): {(): {"x": Poly([-2, 1])}},
+          (1, beta): {("x",): {"y": Poly([0, -2, Fraction(1, 2)])}}}
+    return Pseudoisotopy(n, [("x", 2), ("y", 3)], EnergyMonoid([(1, 0)]), 1,
+                         None, mT, {})
+
+
+def test_a_narrower_point_passes_defects_that_vanish_there(monkeypatch):
+    for n in (0, 1):
+        P = vanishing_at_two(n)
+        pf = str(sign_pow(n + 1))
+        report, widths = checked_with_widths(P)
+        assert report == oracle_check_pseudoisotopy(P)
+        assert [(v["clause"], v["defect"]) for v in report["violations"]] == [
+            ("ainf-family", {"y": ["-2", "1"]}),
+            ("differential-equation", {"x": [pf]}),
+            ("differential-equation", {"y": [str(-2 * int(pf)), pf]})]
+        assert widths[0] > 1
+        # At 2^1 the scaled defects (t - 2) y and 4 (t - 2) y read zero, so
+        # only the constant one is left.
+        monkeypatch.setattr(isotopy, "evaluation_width", lambda bound: 1)
+        assert [(v["clause"], v["defect"]) for v in
+                check_pseudoisotopy(P)["violations"]] == \
+            [("differential-equation", {"x": [pf]})]
+        monkeypatch.undo()
+
+
+HUGE = 10 ** 30
+
+
+def test_the_point_widens_with_huge_coefficients():
+    """The extension fixture with parameters near 10^30, its extended
+    isotopy and every single flip: the verdicts and defects are the per-tuple
+    oracle's, and the width has grown by the squared size of the
+    coefficients."""
+    found, statuses = {}, set()
+    for label, params in (("small", {}), ("huge", dict(
+            lam=HUGE + 1, sig=-HUGE, zeta=HUGE - 1, rho=Fraction(HUGE, 7),
+            nu=HUGE, kappa=-HUGE - 3))):
+        fix = extension_fixture(**params)
+        _, p_ext = extend_one_level(fix["m0"], fix["m1"], fix["P"])
+        for P in (fix["P"], p_ext):
+            report, widths = checked_with_widths(P)
+            assert report["status"] == "PASS"
+            assert report == oracle_check_pseudoisotopy(P)
+            found.setdefault(label, []).extend(widths)
+            for cid in isotopy_constant_ids(P):
+                flipped = flip_isotopy_constant(P, cid)
+                report, widths = checked_with_widths(flipped)
+                assert report == oracle_check_pseudoisotopy(flipped), cid
+                statuses.add((label, report["status"]))
+    assert statuses == {(label, status) for label in ("small", "huge")
+                        for status in ("PASS", "FAIL")}
+    assert min(found["huge"]) > max(found["small"]) + 190
+
+
+@settings(max_examples=40, deadline=None)
+@given(sparse_families(coeffs=[HUGE, -HUGE, HUGE + 1, -HUGE + 1,
+                               Fraction(HUGE, 3)]), st.data())
+def test_huge_random_families_match_the_oracle(P, data):
+    """Random families whose coefficients are near 10^30, where terms cancel
+    down to a few units or to zero: the reports are the per-tuple oracle's."""
+    families = [P]
+    ids = isotopy_constant_ids(P)
+    if ids:
+        families.append(flip_isotopy_constant(P, data.draw(st.sampled_from(ids))))
+    for fam in families:
+        assert check_pseudoisotopy(fam) == oracle_check_pseudoisotopy(fam)
 
 
 # -- every single flip of the bundled isotopies ----------------------------------------

@@ -108,11 +108,12 @@ def oracle_splits(alg, beta):
             if (beta[0] - b1[0], beta[1] - b1[1]) in members]
 
 
-def oracle_defect(alg, beta, names):
-    n = len(names)
-    degs = [alg.degree(nm) for nm in names]
-    acc = {}
-    for b_inner, b_outer in oracle_splits(alg, beta):
+def oracle_terms(alg, splits, n):
+    """(j, inner table, outer table) for every beta-split and inner arity j
+    with both tables stored: the terms of the relation on n inputs, the same
+    for every input tuple.  None stored means the relation is zero."""
+    terms = []
+    for b_inner, b_outer in splits:
         for j in range(n + 1):
             inner_table = alg.ops.get((j, b_inner))
             if not inner_table:
@@ -120,19 +121,32 @@ def oracle_defect(alg, beta, names):
             outer_table = alg.ops.get((n - j + 1, b_outer))
             if not outer_table:
                 continue
-            for i in range(1, n - j + 2):
-                inner = inner_table.get(names[i - 1:i - 1 + j])
-                if not inner:
+            terms.append((j, inner_table, outer_table))
+    return terms
+
+
+def oracle_defect(alg, beta, names, terms=None):
+    """The relation at (beta, names), one tuple at a time; the terms of
+    (beta, len(names)) are found here unless the caller has them."""
+    n = len(names)
+    if terms is None:
+        terms = oracle_terms(alg, oracle_splits(alg, beta), n)
+    degs = [alg.degree(nm) for nm in names]
+    acc = {}
+    for j, inner_table, outer_table in terms:
+        for i in range(1, n - j + 2):
+            inner = inner_table.get(names[i - 1:i - 1 + j])
+            if not inner:
+                continue
+            sign = koszul_prefix_sign(degs, i)
+            prefix = names[:i - 1]
+            suffix = names[i - 1 + j:]
+            for mid, c_in in inner.items():
+                outer = outer_table.get(prefix + (mid,) + suffix)
+                if not outer:
                     continue
-                sign = koszul_prefix_sign(degs, i)
-                prefix = names[:i - 1]
-                suffix = names[i - 1 + j:]
-                for mid, c_in in inner.items():
-                    outer = outer_table.get(prefix + (mid,) + suffix)
-                    if not outer:
-                        continue
-                    for out, c_out in outer.items():
-                        acc[out] = acc.get(out, Fraction(0)) + sign * c_in * c_out
+                for out, c_out in outer.items():
+                    acc[out] = acc.get(out, Fraction(0)) + sign * c_in * c_out
     trunc = alg.truncation
     return AlgElement(
         {o: NovikovElement.scalar(c, trunc) for o, c in acc.items() if c != 0},
@@ -152,12 +166,10 @@ def oracle_check_ainf(alg, max_counterexamples=None):
     for beta in betas:
         splits = oracle_splits(alg, beta)
         for n in range(n_bound + 1):
-            feasible = any(
-                (j, b1) in alg.ops and (n - j + 1, b2) in alg.ops
-                for b1, b2 in splits
-                for j in range(n + 1)
-            )
-            if not feasible:
+            # The splits and the stored terms are found once per (beta, n);
+            # each tuple is still summed on its own.
+            terms = oracle_terms(alg, splits, n)
+            if not terms:
                 continue
             if n == 0:
                 tuples = [()]
@@ -166,7 +178,7 @@ def oracle_check_ainf(alg, max_counterexamples=None):
             else:
                 tuples = product(alg.window, repeat=n)
             for names in tuples:
-                defect = oracle_defect(alg, beta, names)
+                defect = oracle_defect(alg, beta, names, terms)
                 if not defect.is_zero():
                     counterexamples.append({
                         "beta": beta_json(beta), "n": n,
