@@ -185,9 +185,10 @@ def isotopy_sums(P: Pseudoisotopy, k, beta):
     S2 = sum (-1)^{prefix} c^t_{k-j+1,beta1}(xi_1, ..., m^t_{j,beta2}(...), ...)
 
     With a sign each, they are terms of ainf.joined_sums, which sums them on
-    every tuple that has a term, as dicts out -> Poly.  Lookups at levels
-    absent from the stored families contribute zero, which is exactly the
-    convention under which the extension formula is well defined.
+    every tuple that has a term, as dicts out -> coefficient: a Poly, or an
+    integer on the evaluated tables of check_pseudoisotopy.  Lookups at
+    levels absent from the stored families contribute zero, which is exactly
+    the convention under which the extension formula is well defined.
     """
     return ((insertion_plan(P.cT, P.mT, beta, k), dict.fromkeys(P.names, 0)),
             (insertion_plan(P.mT, P.cT, beta, k), P._parity))
@@ -406,8 +407,8 @@ def extend_to(m0: AInfAlgebra, chain):
 def check_commuting_isotopy(PC: Pseudoisotopy, PA: Pseudoisotopy,
                             PB: Pseudoisotopy, embA, embB) -> dict:
     """Product-compatibility of an isotopy with two factor isotopies: the
-    clauses of kunneth.check_commuting for both families, as
-    kunneth.pullback_scan over Q[t].  With G_A, G_B the factor monoids: at
+    clauses of kunneth.check_commuting for both families, as the scans of
+    kunneth.pullback_scanner over Q[t].  With G_A, G_B the factor monoids: at
     beta outside both, both families of PC vanish on embedded and K-inserted
     tuples; at nonzero beta in G_A, tuples with a strict second-factor input
     kill both, and on first-factor tuples

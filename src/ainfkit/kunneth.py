@@ -147,7 +147,7 @@ def scan_report(check, violations) -> dict:
 
 
 class Mismatch(NamedTuple):
-    """A key where pullback_scan finds the two sides different: the plain
+    """A key where a pull-back scan finds the two sides different: the plain
     tags, the K-inserted slot and window pair (None without a K table), the
     family name, the factors owning the tags, and both sides."""
 
@@ -278,8 +278,8 @@ def pullback_scanner(embs, names, units=(), kt=None):
 def check_subalgebra(emb: SubalgebraEmbedding) -> dict:
     """Operations of C restrict along iota to those of A, and vanish at
     beta outside A's monoid, on every source-basis tuple; the first
-    violation is reported: the restriction clause of pullback_scan with a
-    single factor."""
+    violation is reported: the restriction clause of the pull-back scan
+    with a single factor."""
     a, c = emb.source, emb.target
     k_max = max(a.max_arity(), c.max_arity())
     fams = [("m", c.ops, ((a.ops, a.monoid),), (1,))]
@@ -325,7 +325,7 @@ def check_commuting(embA: SubalgebraEmbedding, embB: SubalgebraEmbedding) -> dic
     pure tuples vanish at beta outside their factor monoid.  Clause (b):
     curvature splits as iota_A(m^A_0) + iota_B(m^B_0).  Clause (c): one
     K-inserted argument reduces to a single factor operation (to both, and
-    their sum, when the plain inputs are empty).  Each is a pullback_scan;
+    their sum, when the plain inputs are empty).  Each is a pull-back scan;
     in (a) and (b) both units are tags, each read by the other factor as
     its unit.
     """
