@@ -46,10 +46,10 @@ with D the lcm of the coefficient denominators (Kronecker substitution), so
 a tuple's sum is F(2^W) for F = D^2 times its polynomial sum.  F has integer
 coefficients at most B = L*S^2 + D*delta*S in absolute value (S sums the
 absolute coefficients of every D*p, delta is the largest t-degree and L
-bounds the terms of a plan), and a nonzero
-such polynomial has no root beyond B + 1: with 2^W > B + 1 the integer sum
-vanishes exactly when the polynomial one does (check_pseudoisotopy has the
-proof).  Failing tuples are replayed over Q[t] for the report.
+bounds the terms of a plan), and a nonzero such polynomial has no root
+beyond B + 1: with 2^W > B + 1 the integer sum vanishes exactly when the
+polynomial one does (check_pseudoisotopy has the proof).  Failing tuples
+are replayed over Q[t] for the report.
 
 Product compatibility is kunneth.pullback_scanner over Q[t], set up once per
 check.
@@ -255,6 +255,16 @@ def check_pseudoisotopy(P: Pseudoisotopy, m0: AInfAlgebra = None,
 
     at = replaced(P, mT=evaluated(P.mT), cT=evaluated(P.cT))
 
+    # The linear table of the differential equation: D^2*pf*p'(2^W) for each
+    # p of m^t that moves; a constant p adds nothing.
+    slopes = {}
+    for key, table in P.mT.items():
+        for names, combo in table.items():
+            for out, p in combo.items():
+                if p.degree() > 0:
+                    slopes.setdefault(key, {}).setdefault(names, {})[out] = \
+                        scale * pf * at_point(p.derivative())
+
     # Quadratic relations of m^t: the A-infinity relation.  Both identities
     # are scanned as check_ainf scans an algebra: every name at arity 1, the
     # window beyond.
@@ -276,12 +286,9 @@ def check_pseudoisotopy(P: Pseudoisotopy, m0: AInfAlgebra = None,
     for beta in betas:
         for k in range(k_bound + 1):
             (s1, unsigned), (s2, parity) = isotopy_sums(at, k, beta)
-            derivative = {names: {out: scale * pf * at_point(p.derivative())
-                                  for out, p in combo.items()}
-                          for names, combo in P.mT.get((k, beta), {}).items()}
             failing = [names for names, _ in joined_sums(
                 k, [(s1, unsigned, -1), (s2, parity, 1)], scope(k),
-                index, derivative)]
+                index, slopes.get((k, beta)))]
             if not failing:
                 continue
             (s1, unsigned), (s2, parity) = isotopy_sums(P, k, beta)

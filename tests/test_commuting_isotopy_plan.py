@@ -16,7 +16,7 @@ from pathlib import Path
 
 import pytest
 
-from ainfkit.ainf import add_into, beta_json, linear_image
+from ainfkit.ainf import add_into, beta_json, linear_image, replaced
 from ainfkit.isotopy import (
     Pseudoisotopy,
     check_commuting_isotopy,
@@ -265,6 +265,21 @@ def test_every_flip_of_commuting_isotopy(isotopies):
             PC, PA, flip_isotopy_constant(PB, cid), embA, embB))
     assert (len(target_ids), len(factor_ids)) == (34, 15)
     assert found == {"m-restriction", "c-restriction", "m-k-insertion"}
+
+
+def test_every_target_table_dropped(isotopies):
+    """PC without one of its (k, beta) tables, where a factor family may
+    still store one: the scan must read the factors' side there too."""
+    PC, PA, PB, embA, embB = isotopies
+    statuses = []
+    for family in ("mT", "cT"):
+        for key in sorted(getattr(PC, family)):
+            tables = {k: v for k, v in getattr(PC, family).items() if k != key}
+            statuses.append(assert_same_report(
+                replaced(PC, **{family: tables}), PA, PB, embA, embB)["status"])
+    # Without m^t_{2,0} the arity bound of PC drops to 1, where the scan
+    # stops.
+    assert statuses == ["FAIL", "FAIL", "FAIL", "PASS", "FAIL"]
 
 
 # Entries no flip reaches: a mixed tuple of either family, and a correction

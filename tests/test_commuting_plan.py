@@ -612,6 +612,20 @@ def test_every_factor_flip_of_kunneth_minimal(minimal_pair):
         assert_same_reports(embA, flipped_factor(embB, cid))
 
 
+def test_every_target_table_of_gapped_product_dropped():
+    """The target without one of its (k, beta) tables, which a factor may
+    still store: the scans must read the factors' side there too."""
+    embA, embB = load_spec(str(FIXTURES / "gapped_product.json")).embedding_pair()
+    target = embA.target
+    assert assert_same_reports(embA, embB) == "PASS"
+    statuses = [assert_same_reports(*with_target(embA, embB, replaced(
+        target, ops={k: v for k, v in target.ops.items() if k != key})),
+        every_oracle=False) for key in sorted(target.ops)]
+    # Without m_{2,0} the target's arity bound drops to 1, where the
+    # commuting check stops; the subalgebra checks still fail.
+    assert statuses == ["FAIL"] * 5 + ["PASS"]
+
+
 def test_spaced_target_flips_of_kunneth_derham(derham_pair):
     embA, embB = derham_pair
     target = embA.target

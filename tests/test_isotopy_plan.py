@@ -4,18 +4,23 @@ code they replaced.
 `check_pseudoisotopy` and `extend_one_level` sum every quadratic sum with
 `ainf.joined_sums`, the join over the stored tables: the A-infinity relation
 of m^t (through `ainf.relation_violations`) and the two insertion plans of
-`isotopy_sums`, all over Q[t]. Three older versions stay here as
-differential oracles:
+`isotopy_sums`. The extension sums over Q[t]; the check sums integers, each
+stored polynomial p read as D*p(2^W) at a point beyond every root of a
+scaled defect, and replays its failures over Q[t]. Four older versions stay
+here as differential oracles:
 
 - the per-tuple sums, which re-enumerate the beta-splits and the Koszul
   signs on every tuple, as the isotopy code did before it shared the kernel;
 - the planned per-tuple loops, which ran every tuple of the scope through
   `insertion_sum`, as the differential equation and the extension did before
   they became joins;
-- the planned per-tuple relation scan of `test_relation_plan`.
+- the planned per-tuple relation scan of `test_relation_plan`;
+- the joined check over Q[t], as `check_pseudoisotopy` was before it
+  evaluated the families at one integer point.
 
 Reports, sums and extensions must agree exactly, down to which violation
-comes first.
+comes first. Families whose defects vanish at a point too close to zero
+show that the width of the point is load-bearing.
 """
 
 import json
@@ -657,6 +662,30 @@ def test_a_narrower_point_passes_defects_that_vanish_there(monkeypatch):
                 check_pseudoisotopy(P)["violations"]] == \
             [("differential-equation", {"x": [pf]})]
         monkeypatch.undo()
+
+
+def product_root_at_sixteen():
+    """m^t_{0,(1,0)} = 4 x + u, m^t_{1,(1,0)}(x) = 4 y and m^t_{1,(1,0)}(u) =
+    -t y: the m^t relation at ((2, 0), ()) is (16 - t) y.  Its root 16 = 2^4
+    is a product of two stored coefficients: the sum of every absolute
+    coefficient, S = 10, fits in 4 bits, and so does the root."""
+    beta = (Fraction(1), 0)
+    mT = {(0, beta): {(): {"x": Poly([4]), "u": Poly([1])}},
+          (1, beta): {("x",): {"y": Poly([4])}, ("u",): {"y": Poly([0, -1])}}}
+    return Pseudoisotopy(0, [("x", 2), ("u", 2), ("y", 3)],
+                         EnergyMonoid([(1, 0)]), 2, None, mT, {})
+
+
+def test_a_point_sized_by_the_coefficients_alone_misses_a_product(monkeypatch):
+    P = product_root_at_sixteen()
+    report, widths = checked_with_widths(P)
+    assert report == oracle_check_pseudoisotopy(P)
+    assert ("ainf-family", ["2", 0], {"y": ["16", "-1"]}) in \
+        [(v["clause"], v["beta"], v["defect"]) for v in report["violations"]]
+    assert widths[0] > 4
+    monkeypatch.setattr(isotopy, "evaluation_width", lambda bound: 4)
+    assert "ainf-family" not in \
+        [v["clause"] for v in check_pseudoisotopy(P)["violations"]]
 
 
 HUGE = 10 ** 30
