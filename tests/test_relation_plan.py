@@ -10,9 +10,9 @@ first:
 
 - the planned per-tuple scan, which ran every tuple of window^n through
   `insertion_sum` (`oracle_relation_violations`);
-- the per-tuple scan before that, which rebuilt the beta-splits from a fresh
-  enumeration, the Koszul signs and the defect element on every tuple
-  (`oracle_check_ainf`).
+- the per-tuple scan before that, which builds the beta-splits from a fresh
+  enumeration and the stored terms once per (beta, n), and the Koszul signs
+  and the defect element on every tuple (`oracle_check_ainf`).
 
 The scan itself runs over the integer table `integer_ops`; the same scan over
 the Fraction table is its oracle.
