@@ -8,7 +8,9 @@ and box-product, recorded before the torus calculus and the relation scan
 moved onto integers and K was kept per basis pair, more check-commuting
 and check-subalgebra reports, recorded before those scans became lookups into
 the stored tables, and of check-kunneth and check-hf-kunneth, recorded before
-the rank and kernel over Q became one echelon elimination.
+the rank and kernel over Q became one echelon elimination, and of
+check-kunneth, cohomology, hf and barcode on larger generated models,
+recorded before every matrix became sparse rows from builder to kernel.
 
 Report determinism (criterion 10) compares two runs of the same code; these
 digests pin the bytes across code changes, so a different choice of
@@ -273,6 +275,17 @@ COMMANDS = {
         (1, "e90ba7e24d3d543c18aa20f25b842057d166702cef96ac4c1de95593f79980b2"),
     ("check-hf-kunneth", "gapped_product", ()):
         (0, "75c090e567b2ed5a4ccd65f417c3d5a27b8aab57670f54daa48a3189d5cd15bf"),
+    # Recorded at 1365be8, before every matrix became {row: {col: entry}}:
+    # the 260-pair scope of derham_factor_embeddings(1, 1, 2) and the
+    # 100-name torus derham_model(2, 1).
+    ("check-kunneth", "kunneth_derham_1_1_2", ()):
+        (0, "ddc0af38419e927929750d5ae03ffd4653d7facc2fe7ce1aa784235c0391992c"),
+    ("cohomology", "derham_2_1", ()):
+        (0, "bad3080e1a5dba02c649ecee1c943af84229cd12a09e31de1b2e59ac39920578"),
+    ("hf", "derham_2_1", ()):
+        (0, "d6c18bdd1c5c2ffa786f449c9122bcf589ec1fa08d1bf8927cf0f1b57316620e"),
+    ("barcode", "derham_2_1", ()):
+        (0, "814f8625b9ebc9dfe1d64980be7cb6e9805d37901d12839becf07ede01a3159a"),
 }
 
 
@@ -313,6 +326,7 @@ def write_documents(root):
     two = models.two_factor_gapped()
     generated = {
         "derham_1_4": (models.derham_model(1, 4), {}),
+        "derham_2_1": (models.derham_model(2, 1), {}),
         "two_factor_A": (two["A"], two["b1"].to_json()),
         "two_factor_B": (two["B"], two["b2"].to_json()),
     }
@@ -330,6 +344,12 @@ def write_documents(root):
         paths[path.stem] = str(path)
     path = root / "stray_product.json"
     path.write_text(json.dumps(stray_product()))
+    paths[path.stem] = str(path)
+    emb_a, emb_b = models.derham_factor_embeddings(1, 1, 2)
+    path = root / "kunneth_derham_1_1_2.json"
+    path.write_text(json.dumps({
+        "format": FORMAT, "algebra": emb_a.target.to_json(),
+        "embeddings": {"A": emb_a.to_json(), "B": emb_b.to_json()}}))
     paths[path.stem] = str(path)
     return paths
 
