@@ -1,9 +1,17 @@
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ainfkit.ainf import AlgElement, eval_op, flip_constant, mc_defect, replaced
+from ainfkit.ainf import (
+    AlgElement,
+    constant_ids,
+    eval_op,
+    flip_constant,
+    mc_defect,
+    replaced,
+)
 from ainfkit.kunneth import (
     SubalgebraEmbedding,
     box_product,
@@ -19,8 +27,17 @@ from ainfkit.models import (
 )
 from ainfkit.scalars import BETA_ZERO, NovikovElement
 from ainfkit.signs import sign_pow
+from ainfkit.specio import load_spec
 from elements import scale
-from test_sparse_linalg import dense_rank
+from test_golden_reports import CHECK_AINF, COMMANDS
+from test_sparse_linalg import (
+    dense_graded_dims,
+    dense_kernel_basis,
+    dense_rank,
+    identity,
+)
+
+FIXTURES = Path(__file__).resolve().parent.parent / "src" / "ainfkit" / "fixtures"
 
 
 def test_embedding_validation():
@@ -196,3 +213,164 @@ def test_box_product_wrong_candidate_fails():
     bad = scale(two["b1"], NovikovElement.scalar(2))
     report = box_product(two["embA"], two["embB"], bad, two["b2"])
     assert report["status"] == "FAIL"
+
+
+# -- dense oracle ------------------------------------------------------------------
+
+def dense_differential_matrix(alg):
+    """mu_{1,0} as columns over the basis, entries Fractions, in dense lists."""
+    idx = {nm: i for i, nm in enumerate(alg.names)}
+    n = len(alg.names)
+    mat = [[Fraction(0)] * n for _ in range(n)]
+    for nm in alg.names:
+        for out, cf in alg.op_on_names(1, BETA_ZERO, (nm,)).items():
+            mat[idx[out]][idx[nm]] = cf
+    return mat
+
+
+def dense_product(a, b, zero):
+    """The nonzero entries {(row, column): x} of the product of two dense
+    matrices, row by row, skipping the zero entries of a."""
+    out = {}
+    for i, row in enumerate(a):
+        acc = [zero] * (len(b[0]) if b else 0)
+        for k, x in enumerate(row):
+            if x != zero:
+                for j, y in enumerate(b[k]):
+                    if y != zero:
+                        acc[j] += x * y
+        out.update(((i, j), v) for j, v in enumerate(acc) if v != zero)
+    return out
+
+
+def dense_squares_to_zero(mat, zero):
+    return not dense_product(mat, mat, zero)
+
+
+def dense_kernel(rows, ncols):
+    return dense_kernel_basis(rows) if rows else identity(ncols)
+
+
+def dense_check_kunneth_hypothesis(embA, embB) -> dict:
+    """check_kunneth_hypothesis as it was, on dense n x n lists, with the
+    rank, kernel, product and graded dimensions of the dense oracles."""
+    a_alg, b_alg, c_alg = embA.source, embB.source, embA.target
+    kt = kunneth_K_table(embA, embB)
+    a_win, b_win = set(a_alg.window), set(b_alg.window)
+    pairs = [p for p in kt if p[0] in a_win or p[1] in b_win]
+    pair_idx = {p: i for i, p in enumerate(pairs)}
+    names_c = c_alg.names
+    np_, nc = len(pairs), len(names_c)
+    c_idx = {nm: i for i, nm in enumerate(names_c)}
+
+    errors = []
+    D = [[Fraction(0)] * np_ for _ in range(np_)]
+    for (na, nb), j in pair_idx.items():
+        s = sign_pow(a_alg.degree(na))
+        images = [((out, nb), cf) for out, cf in
+                  a_alg.op_on_names(1, BETA_ZERO, (na,)).items()]
+        images += [((na, out), s * cf) for out, cf in
+                   b_alg.op_on_names(1, BETA_ZERO, (nb,)).items()]
+        for p, cf in images:
+            if p not in pair_idx:
+                errors.append(f"D({na} (x) {nb}) leaves the window scope "
+                              f"at {p[0]} (x) {p[1]}")
+                continue
+            D[pair_idx[p]][j] += cf
+    mu = dense_differential_matrix(c_alg)
+
+    kmat = [[Fraction(0)] * np_ for _ in range(nc)]
+    for (na, nb), j in pair_idx.items():
+        for out, v in kt[(na, nb)].items():
+            kmat[c_idx[out]][j] = v
+
+    if not dense_squares_to_zero(D, 0):
+        errors.append("tensor differential does not square to zero")
+    if not dense_squares_to_zero(mu, 0):
+        errors.append("target differential does not square to zero")
+    k_rank = dense_rank(kmat)
+    injective = k_rank == np_
+    chain_map = dense_product(mu, kmat, 0) == dense_product(kmat, D, 0)
+
+    rank_d = dense_rank(D)
+    rank_mu = dense_rank(mu)
+    dim_h_source = np_ - 2 * rank_d
+    dim_h_target = nc - 2 * rank_mu
+
+    # Induced map on cohomology: classes of K(ker D) modulo im(mu).
+    ker_vectors = dense_kernel(D, np_)
+    k_of_ker = dense_product(
+        kmat, [[vec[j] for vec in ker_vectors] for j in range(np_)], 0)
+    stacked = [mu[i] + [k_of_ker.get((i, c), Fraction(0))
+                        for c in range(len(ker_vectors))] for i in range(nc)]
+    induced_rank = dense_rank(stacked) - rank_mu
+    bijective = induced_rank == dim_h_source == dim_h_target
+
+    tensor_degrees = {p: a_alg.degree(p[0]) + b_alg.degree(p[1]) for p in pairs}
+    dims_source = dense_graded_dims(pairs, tensor_degrees, D)
+    dims_target = dense_graded_dims(names_c, dict(c_alg.basis), mu)
+
+    ok = injective and chain_map and bijective and not errors
+    return {
+        "check": "kunneth-hypothesis",
+        "status": "PASS" if ok else "FAIL",
+        "errors": errors,
+        "K_rank": k_rank,
+        "tensor_dim": np_,
+        "excluded_pairs": [list(p) for p in kt if p not in pair_idx],
+        "injective": injective,
+        "chain_map": chain_map,
+        "dim_H_source": dim_h_source,
+        "dim_H_target": dim_h_target,
+        "dims_by_degree_source": {str(d): v for d, v in dims_source.items()},
+        "dims_by_degree_target": {str(d): v for d, v in dims_target.items()},
+        "cohomology_bijective": bijective,
+    }
+
+
+def assert_matches_dense(embA, embB) -> dict:
+    report = check_kunneth_hypothesis(embA, embB)
+    assert report == dense_check_kunneth_hypothesis(embA, embB)
+    return report
+
+
+def with_target(embA, embB, target):
+    return replaced(embA, target=target), replaced(embB, target=target)
+
+
+def test_kunneth_hypothesis_matches_dense_on_bundled_pairs():
+    statuses = [assert_matches_dense(*load_spec(
+        str(FIXTURES / f"{name}.json")).embedding_pair())["status"]
+        for name in ("kunneth_derham", "kunneth_minimal")]
+    two = two_factor_gapped()
+    statuses.append(assert_matches_dense(two["embA"], two["embB"])["status"])
+    for shape in ((1, 1, 1), (1, 1, 2)):
+        statuses.append(assert_matches_dense(
+            *derham_factor_embeddings(*shape))["status"])
+    assert statuses == ["PASS"] * 5
+
+
+def test_kunneth_hypothesis_matches_dense_on_target_flips():
+    """Every golden flip of kunneth_derham and an evenly spaced panel of its
+    constants: flips of m_1 break the chain map or d^2, flips of m_2 break K."""
+    embA, embB = load_spec(str(FIXTURES / "kunneth_derham.json")).embedding_pair()
+    target = embA.target
+    ids = constant_ids(target)
+    golden = [extra[extra.index("--mutate") + 1][len("flip:"):]
+              for key in (*CHECK_AINF, *COMMANDS)
+              if "kunneth_derham" in key
+              for extra in [key[-1]] if "--mutate" in extra]
+    panel = list(dict.fromkeys(golden + ids[::len(ids) // 24][:24]))
+    assert len(golden) >= 12 and len(panel) >= 34
+    statuses = [assert_matches_dense(*with_target(
+        embA, embB, flip_constant(target, cid)))["status"] for cid in panel]
+    assert "FAIL" in statuses and "PASS" in statuses
+
+
+def test_kunneth_hypothesis_matches_dense_on_a_leaking_window():
+    emb_a, emb_b = derham_factor_embeddings(1, 1, 1)
+    src = emb_a.source
+    narrowed = replaced(src, window=tuple(nm for nm in src.window
+                                          if nm != "f1;d1"))
+    report = assert_matches_dense(replaced(emb_a, source=narrowed), emb_b)
+    assert report["errors"] and report["status"] == "FAIL"
