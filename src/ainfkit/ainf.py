@@ -462,14 +462,14 @@ def linear_image(images: dict, elem: dict) -> dict:
     return {out: v for out, v in acc.items() if v}
 
 
-def differential_matrix(alg: AInfAlgebra):
-    """mu_{1,0} as columns over the basis, entries Fractions."""
+def differential_matrix(alg: AInfAlgebra) -> dict:
+    """mu_{1,0} over the basis as {row: {column: Fraction}}, zeros absent:
+    column j holds the image of basis name j."""
     idx = {nm: i for i, nm in enumerate(alg.names)}
-    n = len(alg.names)
-    mat = [[Fraction(0)] * n for _ in range(n)]
-    for nm in alg.names:
+    mat = {}
+    for j, nm in enumerate(alg.names):
         for out, cf in alg.op_on_names(1, BETA_ZERO, (nm,)).items():
-            mat[idx[out]][idx[nm]] = cf
+            mat.setdefault(idx[out], {})[j] = cf
     return mat
 
 

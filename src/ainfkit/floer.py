@@ -24,9 +24,11 @@ from ainfkit.kunneth import SubalgebraEmbedding, box_product
 from ainfkit.poly import (
     EchelonSpan,
     Poly,
+    graded_spans,
     matrix_rank_fraction_field,
     smith_normal_form,
     squares_to_zero,
+    transpose,
 )
 from ainfkit.scalars import frac_str
 
@@ -34,41 +36,32 @@ from ainfkit.scalars import frac_str
 def scalar_cohomology(matrix, grading) -> dict:
     """Cohomology of a degree +1 differential on a finite graded Q-space.
 
-    matrix: square, columns are images of basis vectors, Fraction entries;
-    grading: list of integer degrees, one per basis vector.  Returns the
-    per-degree dimensions and a representative basis of each degree's
-    cohomology (kernel vectors reduced against the incoming image).
+    matrix: {row: {column: Fraction}}, zeros absent, column j the image of
+    basis vector j; grading: list of integer degrees, one per basis vector.
+    Returns the per-degree dimensions and a representative basis of each
+    degree's cohomology (kernel vectors reduced against the incoming image).
     """
-    n = len(grading)
-    if len(matrix) != n or any(len(row) != n for row in matrix):
+    indices = range(len(grading))
+    if any(i not in indices or any(j not in indices for j in row)
+           for i, row in matrix.items()):
         raise ValueError("matrix shape does not match the grading")
-    if not squares_to_zero(matrix, 0):
+    if not squares_to_zero(matrix):
         raise ValueError("differential does not square to zero")
-    for i in range(n):
-        for j in range(n):
-            if matrix[i][j] != 0 and grading[i] != grading[j] + 1:
-                raise ValueError("differential does not have degree +1")
-    # Per degree, one echelon basis of the outgoing block's rows gives its
-    # rank and its kernel.  Representatives are the kernel vectors that are
-    # independent modulo the incoming image: one echelon basis of the image
-    # grows by each chosen vector, and a kernel vector is chosen exactly
-    # when it does not reduce to zero against it.
-    by_deg = {}
-    for i in range(n):
-        by_deg.setdefault(grading[i], []).append(i)
-    ranks, dims, reps = {}, {}, {}
-    for d, idxs in sorted(by_deg.items()):
-        outgoing = EchelonSpan([[matrix[i][j] for j in idxs]
-                                for i in by_deg.get(d + 1, [])])
-        ranks[d] = len(outgoing.rows)
-        dims[d] = len(idxs) - ranks[d] - ranks.get(d - 1, 0)
-        image = EchelonSpan([[matrix[i][j] for i in idxs]
-                             for j in by_deg.get(d - 1, [])])
-        chosen = [v for v in outgoing.kernel(len(idxs)) if image.add(v)]
-        reps[d] = [
-            {str(idxs[i]): frac_str(v[i]) for i in range(len(idxs)) if v[i] != 0}
-            for v in chosen
-        ]
+    if any(x and grading[i] != grading[j] + 1
+           for i, row in matrix.items() for j, x in row.items()):
+        raise ValueError("differential does not have degree +1")
+    # Per degree, the representatives are the kernel vectors of the outgoing
+    # block that are independent modulo the incoming image (the columns of
+    # degree d - 1): an echelon basis of the image grows by each chosen
+    # vector, and a kernel vector is chosen when it does not reduce to zero.
+    spans, dims, _ = graded_spans(matrix, grading)
+    columns = transpose(matrix)
+    reps = {}
+    for d, (idxs, outgoing) in spans.items():
+        incoming = spans[d - 1][0] if d - 1 in spans else ()
+        image = EchelonSpan(columns[j] for j in incoming if j in columns)
+        reps[d] = [{str(i): frac_str(x) for i, x in sorted(v.items())}
+                   for v in outgoing.kernel(idxs) if image.add(v)]
     return {
         "dims": {str(d): v for d, v in sorted(dims.items())},
         "total": sum(dims.values()),
@@ -91,11 +84,9 @@ def _energy_denominator(alg: AInfAlgebra, b: AlgElement) -> int:
 
 
 def deformed_differential_matrix(alg: AInfAlgebra, b: AlgElement):
-    """(matrix of m^b_1 over Q[q], N) with q = T^{1/N}.
-
-    Requires a gapped algebra with a genuine bounding cochain (zero
-    curvature remainder).  Checks (m^b_1)^2 = 0 exactly before returning,
-    composing only nonzero entries, and raises ValueError when it fails.
+    """(matrix of m^b_1 over Q[q] as {row: {column: Poly}}, N), q = T^{1/N},
+    of a gapped algebra and a genuine bounding cochain (zero curvature
+    remainder).  Raises ValueError unless (m^b_1)^2 = 0 exactly.
     """
     return _deformed_matrix(alg, b)
 
@@ -115,9 +106,8 @@ def _deformed_matrix(alg: AInfAlgebra, b: AlgElement, flat=None):
     if not flat:
         raise ValueError("b does not satisfy the weak Maurer-Cartan equation")
     n_den = _energy_denominator(alg, b)
-    names = alg.names
-    idx = {nm: i for i, nm in enumerate(names)}
-    mat = [[Poly.ZERO] * len(names) for _ in names]
+    idx = {nm: i for i, nm in enumerate(alg.names)}
+    mat = {}
     for (nm,), column in deformed_table(alg, b, 1).items():
         for out, nov in column.items():
             coeffs = {}
@@ -126,9 +116,9 @@ def _deformed_matrix(alg: AInfAlgebra, b: AlgElement, flat=None):
                 if power.denominator != 1:
                     raise ValueError("energy outside (1/N)Z lattice")
                 coeffs[power.numerator] = cf
-            mat[idx[out]][idx[nm]] = Poly([coeffs.get(p, Fraction(0))
-                                           for p in range(max(coeffs) + 1)])
-    if not squares_to_zero(mat, Poly.ZERO):
+            mat.setdefault(idx[out], {})[idx[nm]] = Poly(
+                [coeffs.get(p, Fraction(0)) for p in range(max(coeffs) + 1)])
+    if not squares_to_zero(mat):
         raise ValueError("deformed differential does not square to zero")
     return mat, n_den
 
@@ -148,21 +138,14 @@ def barcode(alg: AInfAlgebra, b: AlgElement) -> dict:
     """
     mat, n_den = deformed_differential_matrix(alg, b)
     factors = smith_normal_form(mat)
-    bars = []
-    nonmonomial = []
-    for f in factors:
-        if f.is_monomial():
-            bars.append(Fraction(f.degree(), n_den))
-        else:
-            nonmonomial.append(f.to_json())
-    bars = [x for x in bars if x != 0]
-    rank = len(factors)
-    free_rank = len(alg.names) - 2 * rank
+    bars = sorted(Fraction(f.degree(), n_den) for f in factors
+                  if f.is_monomial() and f.degree())
+    nonmonomial = [f.to_json() for f in factors if not f.is_monomial()]
     return {
         "check": "barcode",
         "N": n_den,
-        "bars": [frac_str(x) for x in sorted(bars)],
-        "free_rank": free_rank,
+        "bars": [frac_str(x) for x in bars],
+        "free_rank": len(alg.names) - 2 * len(factors),
         "nonmonomial_factors": nonmonomial,
         "status": "PASS" if not nonmonomial else "FAIL",
     }

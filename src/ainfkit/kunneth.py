@@ -46,12 +46,13 @@ from ainfkit.ainf import (
 )
 from ainfkit.poly import (
     EchelonSpan,
-    graded_dims,
+    graded_spans,
     rational_matrix_rank,
     sparse_product,
     squares_to_zero,
+    transpose,
 )
-from ainfkit.scalars import BETA_ZERO, NovikovElement, frac, frac_str, monoid_sum
+from ainfkit.scalars import BETA_ZERO, frac, frac_str, monoid_sum
 from ainfkit.signs import shifted, sign_pow
 
 
@@ -102,14 +103,6 @@ class SubalgebraEmbedding:
 
     def __setattr__(self, *a):
         raise AttributeError("SubalgebraEmbedding is immutable")
-
-    def apply_name(self, name) -> AlgElement:
-        trunc = self.target.truncation
-        return AlgElement(
-            {tgt: NovikovElement.scalar(c, trunc)
-             for tgt, c in self.iota[name].items()},
-            trunc,
-        )
 
     def apply(self, elem: AlgElement) -> AlgElement:
         trunc = self.target.truncation
@@ -439,6 +432,10 @@ def check_kunneth_hypothesis(embA: SubalgebraEmbedding,
     where the models store m_2 and hence K; the other pairs are reported as
     excluded.  The scope must be a subcomplex (on the de Rham models d keeps
     the frequency, so it is); a D-image outside it is reported as an error.
+
+    D, mu and K are {row: {column: Fraction}} matrices; D and mu have degree
+    +1 (the algebras enforce the degree rule on m_1), so graded_spans
+    reduces each once, giving its rank, its dimensions and the kernel of D.
     """
     a_alg, b_alg, c_alg = embA.source, embB.source, embA.target
     kt = kunneth_K_table(embA, embB)
@@ -449,8 +446,10 @@ def check_kunneth_hypothesis(embA: SubalgebraEmbedding,
     np_, nc = len(pairs), len(names_c)
     c_idx = {nm: i for i, nm in enumerate(names_c)}
 
+    # The two images of a pair never share an entry: their first factors
+    # differ in degree.
     errors = []
-    D = [[Fraction(0)] * np_ for _ in range(np_)]
+    D = {}
     for (na, nb), j in pair_idx.items():
         s = sign_pow(a_alg.degree(na))
         images = [((out, nb), cf) for out, cf in
@@ -462,39 +461,35 @@ def check_kunneth_hypothesis(embA: SubalgebraEmbedding,
                 errors.append(f"D({na} (x) {nb}) leaves the window scope "
                               f"at {p[0]} (x) {p[1]}")
                 continue
-            D[pair_idx[p]][j] += cf
+            D.setdefault(pair_idx[p], {})[j] = cf
     mu = differential_matrix(c_alg)
 
-    kmat = [[Fraction(0)] * np_ for _ in range(nc)]
-    for (na, nb), j in pair_idx.items():
-        for out, v in kt[(na, nb)].items():
-            kmat[c_idx[out]][j] = v
+    k_columns = {j: {c_idx[out]: v for out, v in kt[p].items()}
+                 for p, j in pair_idx.items()}
+    kmat = transpose(k_columns)
 
-    if not squares_to_zero(D, 0):
+    if not squares_to_zero(D):
         errors.append("tensor differential does not square to zero")
-    if not squares_to_zero(mu, 0):
+    if not squares_to_zero(mu):
         errors.append("target differential does not square to zero")
     k_rank = rational_matrix_rank(kmat)
     injective = k_rank == np_
-    chain_map = sparse_product(mu, kmat, 0) == sparse_product(kmat, D, 0)
+    chain_map = sparse_product(mu, kmat) == sparse_product(kmat, D)
 
-    rank_d = rational_matrix_rank(D)
-    rank_mu = rational_matrix_rank(mu)
+    spans_d, dims_source, rank_d = graded_spans(
+        D, [a_alg.degree(na) + b_alg.degree(nb) for na, nb in pairs])
+    _, dims_target, rank_mu = graded_spans(
+        mu, [c_alg.degree(nm) for nm in names_c])
     dim_h_source = np_ - 2 * rank_d
     dim_h_target = nc - 2 * rank_mu
 
-    # Induced map on cohomology: classes of K(ker D) modulo im(mu).
-    ker_vectors = EchelonSpan(D).kernel(np_)
-    k_of_ker = sparse_product(
-        kmat, [[vec[j] for vec in ker_vectors] for j in range(np_)], 0)
-    stacked = [mu[i] + [k_of_ker.get((i, c), Fraction(0))
-                        for c in range(len(ker_vectors))] for i in range(nc)]
-    induced_rank = rational_matrix_rank(stacked) - rank_mu
+    # Induced map on cohomology: classes of K(ker D) modulo im(mu), counted
+    # as the images K(v), v in ker D, that raise the rank of im(mu).
+    kernel = [v for idxs, span in spans_d.values() for v in span.kernel(idxs)]
+    image = EchelonSpan(transpose(mu).values())
+    induced_rank = sum(image.add(kv) for kv in sparse_product(
+        dict(enumerate(kernel)), k_columns).values())
     bijective = induced_rank == dim_h_source == dim_h_target
-
-    tensor_degrees = {p: a_alg.degree(p[0]) + b_alg.degree(p[1]) for p in pairs}
-    dims_source = graded_dims(pairs, tensor_degrees, D)
-    dims_target = graded_dims(names_c, dict(c_alg.basis), mu)
 
     ok = injective and chain_map and bijective and not errors
     return {

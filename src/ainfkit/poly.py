@@ -4,6 +4,9 @@ One polynomial class serves two roles: t-polynomials for isotopy families
 (needing d/dt and definite integrals with a symbolic lower endpoint) and
 q-polynomials for Novikov-field linear algebra (needing exact division,
 fraction-free rank, and Smith normal form over the PID Q[q]).
+
+Every matrix here is {row: {column: entry}} with zeros absent, and every
+vector {index: entry}: only nonzero entries are stored, read or formed.
 """
 
 from __future__ import annotations
@@ -168,22 +171,6 @@ Poly.ONE = Poly([1])
 Poly.T = Poly([0, 1])
 
 
-def _entries(vec):
-    """(index, entry) pairs of a dense list or a sparse {index: entry} dict."""
-    return vec.items() if isinstance(vec, dict) else enumerate(vec)
-
-
-def _sparse_rows(rows) -> dict:
-    """{row index: {column: entry}} of the nonzero entries of each nonzero
-    row, each row a dense list or a sparse {column: entry} dict."""
-    out = {}
-    for i, r in enumerate(rows):
-        row = {j: x for j, x in _entries(r) if x}
-        if row:
-            out[i] = row
-    return out
-
-
 def _pivot(active, lag):
     """(row, column) of an entry of lowest q-degree, a row's degrees raised
     by lag.get(row, 0); ties go to the row with the fewest nonzeros."""
@@ -197,18 +184,18 @@ def _pivot(active, lag):
     return best
 
 
-def matrix_rank_fraction_field(rows) -> int:
+def matrix_rank_fraction_field(matrix) -> int:
     """Rank of a matrix of Poly entries over the fraction field Q(q).
 
-    Fraction-free Bareiss elimination on sparse rows: exact, no
-    rational-function blowup, and only entries facing a nonzero are formed.
-    Rows are dense lists or {column: Poly} dicts.  Each pivot is an entry of
+    Fraction-free Bareiss elimination on the rows of a {row: {column:
+    Poly}} matrix: exact, no rational-function blowup, and only entries
+    facing a nonzero are formed.  Each pivot is an entry of
     lowest q-degree, ties going to the row with the fewest nonzeros.  A row
     the pivot column misses would only be scaled by p_k / p_{k-1}; that
     scaling is deferred, so a row keeps the step `stamp` its entries belong
     to, and catching up from step s to step k multiplies by p_k / p_s.
     """
-    active = _sparse_rows(rows)
+    active = {i: dict(row) for i, row in matrix.items() if row}
     pivots = [Poly.ONE]
     stamp = dict.fromkeys(active, 0)
     while active:
@@ -233,29 +220,26 @@ def matrix_rank_fraction_field(rows) -> int:
     return len(pivots) - 1
 
 
-def sparse_product(a, b, zero) -> dict:
-    """The exact product a*b as {(row, column): nonzero entry}, over any ring
-    whose zero is `zero`.  Column j is the sum over nonzero b[k][j] of b[k][j]
-    times column k of a: only products of two nonzero entries are formed."""
-    a_cols = [[(i, row[k]) for i, row in enumerate(a) if row[k] != zero]
-              for k in range(len(b))]
+def sparse_product(a, b) -> dict:
+    """The exact product ab of two {row: {column: entry}} matrices over any
+    ring, in the same form.  Row i is the sum over a[i][k] of a[i][k] times
+    row k of b: only products of two nonzero entries are formed."""
     out = {}
-    for j in range(len(b[0]) if b else 0):
+    for i, row in a.items():
         acc = {}
-        for k, row in enumerate(b):
-            y = row[j]
-            if y == zero:
-                continue
-            for i, x in a_cols[k]:
-                acc[i] = acc[i] + x * y if i in acc else x * y
-        out.update(((i, j), v) for i, v in acc.items() if v != zero)
+        for k, x in row.items():
+            for j, y in b.get(k, {}).items():
+                acc[j] = acc[j] + x * y if j in acc else x * y
+        acc = {j: v for j, v in acc.items() if v}
+        if acc:
+            out[i] = acc
     return out
 
 
-def squares_to_zero(mat, zero) -> bool:
-    """Whether the square matrix mat composes with itself to zero (exactly,
-    forming only products of nonzero entries)."""
-    return not sparse_product(mat, mat, zero)
+def squares_to_zero(mat) -> bool:
+    """Whether the square {row: {column: entry}} matrix mat composes with
+    itself to zero (exactly, forming only products of nonzero entries)."""
+    return not sparse_product(mat, mat)
 
 
 def _subtract(v, f, row) -> None:
@@ -287,12 +271,12 @@ class EchelonSpan:
     def add(self, vec) -> bool:
         """Add vec to the span; True exactly when it was not already in it.
 
-        vec is a dense list or a sparse {index: entry} dict; sparse indices
-        need only be comparable with each other, so basis names will do.
-        A vector raises the rank exactly when its reduction against the
-        basis is nonzero; the reduced vector then joins the basis.
+        vec is an {index: entry} dict; its indices need only be comparable
+        with each other, so basis names will do.  A vector raises the rank
+        exactly when its reduction against the basis is nonzero; the reduced
+        vector then joins the basis.
         """
-        v = {i: y for i, x in _entries(vec) if x and (y := frac(x))}
+        v = {i: frac(x) for i, x in vec.items() if x}
         while v:
             lead = min(v)
             row = self.rows.get(lead)
@@ -303,10 +287,11 @@ class EchelonSpan:
             _subtract(v, v[lead], row)
         return False
 
-    def kernel(self, ncols) -> list:
-        """A basis of the vectors of length ncols orthogonal to every row:
-        one dense Fraction vector per free column (no row leads there), in
-        ascending order, 1 there and 0 at the other free columns.
+    def kernel(self, columns) -> list:
+        """A basis of the vectors on `columns` (which hold every row's
+        entries) orthogonal to every row: one {index: Fraction} vector per
+        free column (no row leads there), in the order of columns, 1 there
+        and 0 at the other free columns.
 
         The rows are first back-substituted to the (unique) reduced echelon
         form of the same span, each 0 at every other row's lead.
@@ -315,10 +300,7 @@ class EchelonSpan:
             row = self.rows[lead]
             for other in [i for i in row if i != lead and i in self.rows]:
                 _subtract(row, row[other], self.rows[other])
-        basis = {j: [Fraction(0)] * ncols
-                 for j in range(ncols) if j not in self.rows}
-        for j, vec in basis.items():
-            vec[j] = Fraction(1)
+        basis = {j: {j: Fraction(1)} for j in columns if j not in self.rows}
         for lead, row in self.rows.items():
             for j, x in row.items():
                 if j != lead:
@@ -326,25 +308,38 @@ class EchelonSpan:
         return list(basis.values())
 
 
-def rational_matrix_rank(rows) -> int:
-    """Rank of a matrix of Fractions: the size of its echelon basis."""
-    return len(EchelonSpan(rows).rows)
+def rational_matrix_rank(matrix) -> int:
+    """Rank of a {row: {column: Fraction}} matrix: the size of its echelon
+    basis."""
+    return len(EchelonSpan(matrix.values()).rows)
 
 
-def graded_dims(names, degrees, diff):
-    """Per-degree cohomology dimensions of a degree-respecting differential."""
+def transpose(matrix) -> dict:
+    """The transpose of a {row: {column: entry}} matrix, in the same form."""
+    out = {}
+    for i, row in matrix.items():
+        for j, x in row.items():
+            out.setdefault(j, {})[i] = x
+    return out
+
+
+def graded_spans(matrix, grading):
+    """A degree +1 {row: {column: Fraction}} matrix on a basis with integer
+    degrees `grading`, reduced once: its rows of degree d + 1 are the block
+    from degree d to d + 1.  Returns ({d: (indices of degree d, echelon span
+    of that block)}, {d: cohomology dimension}, rank), in ascending degree;
+    a block's kernel is its span's kernel on the indices of degree d.
+    """
     by_deg = {}
-    for i, nm in enumerate(names):
-        by_deg.setdefault(degrees[nm], []).append(i)
-    ranks = {}
-    for d, idxs in by_deg.items():
-        tgt = by_deg.get(d + 1, [])
-        block = [[diff[i][j] for j in idxs] for i in tgt]
-        ranks[d] = rational_matrix_rank(block) if tgt else 0
-    dims = {}
-    for d, idxs in by_deg.items():
-        dims[d] = len(idxs) - ranks.get(d, 0) - ranks.get(d - 1, 0)
-    return {d: dims[d] for d in sorted(dims)}
+    for i, d in enumerate(grading):
+        by_deg.setdefault(d, []).append(i)
+    spans = {d: (idxs, EchelonSpan(matrix[i] for i in by_deg.get(d + 1, ())
+                                   if i in matrix))
+             for d, idxs in sorted(by_deg.items())}
+    ranks = {d: len(span.rows) for d, (_, span) in spans.items()}
+    dims = {d: len(idxs) - ranks[d] - ranks.get(d - 1, 0)
+            for d, (idxs, _) in spans.items()}
+    return spans, dims, sum(ranks.values())
 
 
 def _gcd(a: Poly, b: Poly) -> Poly:
@@ -353,12 +348,12 @@ def _gcd(a: Poly, b: Poly) -> Poly:
     return a
 
 
-def smith_normal_form(rows):
+def smith_normal_form(matrix):
     """Invariant factors of a Poly matrix over the Euclidean domain Q[q].
 
     Returns the nonzero diagonal entries, made monic, sorted by degree;
-    divisibility d_1 | d_2 | ... holds.  Rows are dense lists or
-    {column: Poly} dicts.  Each pivot is an entry of lowest q-degree, ties
+    divisibility d_1 | d_2 | ... holds.  The matrix is {row: {column:
+    Poly}}.  Each pivot is an entry of lowest q-degree, ties
     going to the row with the fewest nonzeros.  Row operations reduce the
     pivot column modulo the pivot p; once that column is clear, column
     operations, which then touch only the pivot row, reduce that row modulo
@@ -366,7 +361,7 @@ def smith_normal_form(rows):
     none is left, p is a diagonal entry.  The diagonal is then brought to
     divisibility by replacing each pair (a, b) with (gcd, lcm).
     """
-    active = _sparse_rows(rows)
+    active = {i: dict(row) for i, row in matrix.items() if row}
     diagonal = []
     while active:
         r, c = _pivot(active, {})

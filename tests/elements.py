@@ -1,5 +1,6 @@
 """AlgElement helpers that only tests and the oracles use: the zero and
-basis elements, scaling, coefficient lookup and subtraction."""
+basis elements, scaling, coefficient lookup, subtraction and the image of
+a basis name under a subalgebra embedding."""
 
 from ainfkit.ainf import AlgElement
 from ainfkit.scalars import NovikovElement, frac
@@ -22,6 +23,13 @@ def scale(element: AlgElement, factor) -> AlgElement:
                           element.truncation)
     return AlgElement({n: v * frac(factor) for n, v in element.coeffs.items()},
                       element.truncation)
+
+
+def apply_name(emb, name) -> AlgElement:
+    """iota(name) of a subalgebra embedding, read off its iota table."""
+    trunc = emb.target.truncation
+    return AlgElement({tgt: NovikovElement.scalar(c, trunc)
+                       for tgt, c in emb.iota[name].items()}, trunc)
 
 
 def coefficient(element: AlgElement, name) -> NovikovElement:

@@ -43,7 +43,7 @@ from ainfkit.poly import Poly
 from ainfkit.scalars import BETA_ZERO, EnergyMonoid, NovikovElement, monoid_sum
 from ainfkit.signs import shifted, sign_pow
 from ainfkit.specio import load_spec
-from elements import basis_element, scale, zero_element
+from elements import apply_name, basis_element, scale, zero_element
 from test_golden_reports import stray_product
 
 FIXTURES = Path(__file__).resolve().parent.parent / "src" / "ainfkit" / "fixtures"
@@ -104,7 +104,7 @@ def check_subalgebra(emb: SubalgebraEmbedding) -> dict:
         in_ga = beta in a.monoid
         for k in range(1, k_max + 1):
             for names in product(a.names, repeat=k):
-                lhs = eval_op(c, k, beta, tuple(emb.apply_name(nm) for nm in names))
+                lhs = eval_op(c, k, beta, tuple(apply_name(emb, nm) for nm in names))
                 if in_ga:
                     rhs = emb.apply(eval_op(
                         a, k, beta,
@@ -144,7 +144,7 @@ def kunneth_K(embA: SubalgebraEmbedding, embB: SubalgebraEmbedding):
                 if val is None:
                     val = on_basis[(na, nb)] = scale(eval_op(
                         c, 2, BETA_ZERO,
-                        (embA.apply_name(na), embB.apply_name(nb)),
+                        (apply_name(embA, na), apply_name(embB, nb)),
                     ), sign_pow(embA.source.degree(na)))
                 if not val.is_zero():
                     out = out + scale(val, nova.retruncate(c.truncation) *
@@ -165,7 +165,7 @@ def _tagged_generators(embA, embB):
 
 def _tag_elem(embA, embB, tag) -> AlgElement:
     side, nm = tag
-    return (embA if side == "A" else embB).apply_name(nm)
+    return apply_name(embA if side == "A" else embB, nm)
 
 
 def _tag_degree(embA, embB, tag) -> int:

@@ -35,6 +35,7 @@ from ainfkit.scalars import BETA_ZERO, EnergyMonoid, NovikovElement
 from ainfkit.specio import load_spec
 from elements import basis_element, coefficient, scale, zero_element
 from test_relation_plan import ENERGIES, generators
+from test_sparse_linalg import sparse_matrix
 
 
 # -- the replaced code, kept as the oracle ---------------------------------------
@@ -158,20 +159,24 @@ def oracle_deformed_differential_matrix(alg: AInfAlgebra, b: AlgElement):
                 coeffs[power.numerator] = cf
             mat[idx[out]][j] = Poly([coeffs.get(p, Fraction(0))
                                      for p in range(max(coeffs) + 1)])
-    if not squares_to_zero(mat, Poly.ZERO):
+    if not squares_to_zero(sparse_matrix(mat)):
         raise ValueError("deformed differential does not square to zero")
     return mat, n_den
 
 
 def oracle_hf_dimension(alg: AInfAlgebra, b: AlgElement) -> int:
     mat, _ = oracle_deformed_differential_matrix(alg, b)
-    return len(alg.names) - 2 * matrix_rank_fraction_field(mat)
+    return len(alg.names) - 2 * matrix_rank_fraction_field(sparse_matrix(mat))
 
 
 def oracle_barcode(alg: AInfAlgebra, b: AlgElement) -> dict:
-    """`floer.barcode` read off the oracle's matrix."""
+    """`floer.barcode` read off the oracle's matrix, in the sparse form."""
+    def sparse_oracle(alg, b):
+        mat, n_den = oracle_deformed_differential_matrix(alg, b)
+        return sparse_matrix(mat), n_den
+
     with mock.patch.object(floer, "deformed_differential_matrix",
-                           oracle_deformed_differential_matrix):
+                           sparse_oracle):
         return floer.barcode(alg, b)
 
 

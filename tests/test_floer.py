@@ -14,24 +14,32 @@ from ainfkit.floer import (
 )
 from ainfkit.kunneth import box_product
 from ainfkit.models import barcode_fixture, derham_model, two_factor_gapped
-from ainfkit.poly import matrix_rank_fraction_field
+from ainfkit.poly import Poly, matrix_rank_fraction_field
 from ainfkit.scalars import NovikovElement
 from elements import scale
+from test_sparse_linalg import dense_matrix, sparse_matrix
 
 
 def test_scalar_cohomology_validation():
-    with pytest.raises(ValueError):
-        scalar_cohomology([[Fraction(1)]], [0])  # d^2 != 0
-    with pytest.raises(ValueError):
-        scalar_cohomology([[Fraction(0), Fraction(1)],
-                           [Fraction(0), Fraction(0)]], [0, 0])  # not deg +1
+    with pytest.raises(ValueError, match="^differential does not square"):
+        scalar_cohomology(sparse_matrix([[Fraction(1)]]), [0])  # d^2 != 0
+    with pytest.raises(ValueError, match="^differential does not have degree"):
+        scalar_cohomology(sparse_matrix([[Fraction(0), Fraction(1)],
+                                         [Fraction(0), Fraction(0)]]),
+                          [0, 0])  # not deg +1
+    # A row or a column outside the graded basis.
+    for mat in ({0: {2: Fraction(1)}}, {2: {0: Fraction(1)}},
+                {-1: {0: Fraction(1)}}, {0: {"1": Fraction(1)}}):
+        with pytest.raises(ValueError,
+                           match="^matrix shape does not match the grading$"):
+            scalar_cohomology(mat, [0, 1])
 
 
 def test_scalar_cohomology_two_term_complex():
     # d(x) = y kills both classes; e survives
     mat = [[Fraction(0)] * 3 for _ in range(3)]
     mat[2][1] = Fraction(1)
-    out = scalar_cohomology(mat, [0, 0, 1])
+    out = scalar_cohomology(sparse_matrix(mat), [0, 0, 1])
     assert out["dims"] == {"0": 1, "1": 0}
     assert out["total"] == 1
 
@@ -47,10 +55,12 @@ def test_deformed_matrix_squares_to_zero():
     two = two_factor_gapped()
     mat, n_den = deformed_differential_matrix(two["A"], two["b1"])
     assert n_den == 1
-    square_rank = matrix_rank_fraction_field(
+    n = len(two["A"].names)
+    mat = dense_matrix(mat, n, n, Poly.ZERO)
+    square_rank = matrix_rank_fraction_field(sparse_matrix(
         [[sum((mat[i][k] * mat[k][j] for k in range(len(mat))),
               mat[0][0] - mat[0][0]) for j in range(len(mat))]
-         for i in range(len(mat))])
+         for i in range(len(mat))]))
     assert square_rank == 0
 
 

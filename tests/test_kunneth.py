@@ -28,7 +28,7 @@ from ainfkit.models import (
 from ainfkit.scalars import BETA_ZERO, NovikovElement
 from ainfkit.signs import sign_pow
 from ainfkit.specio import load_spec
-from elements import scale
+from elements import apply_name, scale
 from test_golden_reports import CHECK_AINF, COMMANDS
 from test_sparse_linalg import (
     dense_graded_dims,
@@ -174,7 +174,7 @@ def test_kunneth_K_values():
         assert not img.is_zero()
         # K(a (x) b) = (-1)^{|a|} m_{2,0}(iota_A a, iota_B b)
         assert img == scale(eval_op(target, 2, BETA_ZERO, (
-            emb_a.apply_name(na), emb_b.apply_name(nb))),
+            apply_name(emb_a, na), apply_name(emb_b, nb))),
             sign_pow(emb_a.source.degree(na)))
     assert {emb_a.source.degree(na) % 2 for na in emb_a.source.names[:3]} \
         == {0, 1}

@@ -10,6 +10,7 @@ from ainfkit.poly import (
     rational_matrix_rank,
     smith_normal_form,
 )
+from test_sparse_linalg import sparse_matrix
 
 coeffs = st.fractions(min_value=-5, max_value=5, max_denominator=4)
 polys = st.lists(coeffs, max_size=4).map(Poly)
@@ -86,13 +87,13 @@ def _to_sympy(rows):
 @settings(max_examples=40, deadline=None)
 @given(st.lists(st.lists(polys, min_size=3, max_size=3), min_size=3, max_size=3))
 def test_poly_rank_matches_sympy(rows):
-    ours = matrix_rank_fraction_field(rows)
+    ours = matrix_rank_fraction_field(sparse_matrix(rows))
     assert ours == _to_sympy(rows).rank()
 
 
 @given(st.lists(st.lists(coeffs, min_size=3, max_size=3), min_size=3, max_size=3))
 def test_rational_rank_matches_sympy(rows):
-    assert rational_matrix_rank(rows) == \
+    assert rational_matrix_rank(sparse_matrix(rows)) == \
         sympy.Matrix([[sympy.Rational(x) for x in r] for r in rows]).rank()
 
 
@@ -101,7 +102,7 @@ def test_smith_normal_form_divisibility():
     rows = [[q * q, Poly.ZERO, Poly.ZERO],
             [Poly.ZERO, q, Poly.ZERO],
             [Poly.ZERO, Poly.ZERO, Poly.ONE]]
-    factors = smith_normal_form(rows)
+    factors = smith_normal_form(sparse_matrix(rows))
     assert [f.coeffs for f in factors] == [(1,), (0, 1), (0, 0, 1)]
     for a, b in zip(factors, factors[1:]):
         assert (b % a).is_zero()
@@ -111,7 +112,7 @@ def test_smith_normal_form_coupling():
     # a matrix whose invariant factors need actual row/column reduction
     q = Poly.T
     rows = [[q, q], [q, q * q]]
-    factors = smith_normal_form(rows)
+    factors = smith_normal_form(sparse_matrix(rows))
     # det = q^3 - q^2, gcd of entries = q, so factors are q and q(q - 1)
     assert [f.coeffs for f in factors] == [(0, 1), (0, -1, 1)]
     assert sum(f.degree() for f in factors) == 3
@@ -120,7 +121,7 @@ def test_smith_normal_form_coupling():
 @settings(max_examples=25, deadline=None)
 @given(st.lists(st.lists(polys, min_size=2, max_size=2), min_size=2, max_size=2))
 def test_snf_rank_consistency(rows):
-    factors = smith_normal_form(rows)
-    assert len(factors) == matrix_rank_fraction_field(rows)
+    factors = smith_normal_form(sparse_matrix(rows))
+    assert len(factors) == matrix_rank_fraction_field(sparse_matrix(rows))
     for a, b in zip(factors, factors[1:]):
         assert (b % a).is_zero()

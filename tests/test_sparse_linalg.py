@@ -4,9 +4,11 @@ matrix product of the chain-map test, the dense Gauss-Jordan rank and kernel,
 the repeated-rank picker, the old scalar_cohomology, and the dense Bareiss
 rank and Smith normal form over Q[q]).
 
-The strategies draw sparse matrices (each entry zero with probability 0.7),
-so the zero-skipping branches of Bareiss, Smith form and the d^2 check are
-actually taken; dense random entries almost never reach them.
+The strategies draw dense lists with sparse entries (each entry zero with
+probability 0.7), so the zero-skipping branches of Bareiss, Smith form and
+the d^2 check are actually taken; dense random entries almost never reach
+them.  The oracles read the lists; the kernels read the same matrices in
+their one form, {row: {column: entry}} with zeros absent (sparse_matrix).
 """
 
 from fractions import Fraction
@@ -31,6 +33,26 @@ from ainfkit.scalars import frac, frac_str
 
 coeffs = st.fractions(min_value=-5, max_value=5, max_denominator=4)
 polys = st.lists(coeffs, max_size=3).map(Poly)
+
+
+def sparse_vector(vec) -> dict:
+    """{index: entry} of the nonzero entries of a dense list."""
+    return {j: x for j, x in enumerate(vec) if x}
+
+
+def sparse_matrix(mat) -> dict:
+    """{row: {column: entry}} of the nonzero entries of a dense matrix."""
+    return {i: row for i, r in enumerate(mat) if (row := sparse_vector(r))}
+
+
+def dense_matrix(mat, nrows, ncols, zero) -> list:
+    """The dense nrows x ncols lists of a {row: {column: entry}} matrix."""
+    return [[mat.get(i, {}).get(j, zero) for j in range(ncols)]
+            for i in range(nrows)]
+
+
+def dense_vectors(vectors, size) -> list:
+    return [[v.get(j, Fraction(0)) for j in range(size)] for v in vectors]
 
 
 def sparse(entries, zero):
@@ -361,7 +383,7 @@ def cancelling(zero, one):
 @example([[Fraction(1), Fraction(0)], [Fraction(0), Fraction(0)]])
 @example(cancelling(Fraction(0), Fraction(1)))
 def test_squares_to_zero_matches_dense_over_fractions(mat):
-    assert squares_to_zero(mat, Fraction(0)) == \
+    assert squares_to_zero(sparse_matrix(mat)) == \
         dense_squares_to_zero(mat, Fraction(0))
 
 
@@ -372,7 +394,7 @@ def test_squares_to_zero_matches_dense_over_fractions(mat):
 @example([[Poly.T, Poly.ZERO], [Poly.ZERO, Poly.ZERO]])
 @example(cancelling(Poly.ZERO, Poly.T))
 def test_squares_to_zero_matches_dense_over_polys(mat):
-    assert squares_to_zero(mat, Poly.ZERO) == \
+    assert squares_to_zero(sparse_matrix(mat)) == \
         dense_squares_to_zero(mat, Poly.ZERO)
 
 
@@ -380,11 +402,11 @@ def test_squares_to_zero_matches_dense_over_polys(mat):
 @given(graded_complexes(), st.integers(0, 48), coeffs)
 def test_squares_to_zero_on_perturbed_complexes(complex_, where, c):
     mat, _ = complex_
-    assert squares_to_zero(mat, Fraction(0))
+    assert squares_to_zero(sparse_matrix(mat))
     # One changed entry of a complex whose d^2 vanishes by cancellation.
     n = len(mat)
     mat[where // 7 % n][where % n] += c
-    assert squares_to_zero(mat, Fraction(0)) == \
+    assert squares_to_zero(sparse_matrix(mat)) == \
         dense_squares_to_zero(mat, Fraction(0))
 
 
@@ -400,19 +422,13 @@ def factor_pairs(draw, entries, zero):
     return matrix(m, k), matrix(k, n)
 
 
-def nonzero_entries(mat, zero):
-    return {(i, j): x for i, row in enumerate(mat) for j, x in enumerate(row)
-            if x != zero}
-
-
 @settings(max_examples=60, deadline=None)
 @given(factor_pairs(coeffs, Fraction(0)))
 @example(([[Fraction(1), Fraction(1)]], [[Fraction(1)], [Fraction(-1)]]))
 def test_sparse_product_matches_dense_over_fractions(pair):
     a, b = pair
-    zero = Fraction(0)
-    assert sparse_product(a, b, zero) == \
-        nonzero_entries(_mat_mul(a, b), zero)
+    assert sparse_product(sparse_matrix(a), sparse_matrix(b)) == \
+        sparse_matrix(_mat_mul(a, b))
 
 
 @settings(max_examples=40, deadline=None)
@@ -420,8 +436,8 @@ def test_sparse_product_matches_dense_over_fractions(pair):
 @example(([[Poly.T, Poly.T]], [[Poly.T], [-Poly.T]]))
 def test_sparse_product_matches_dense_over_polys(pair):
     a, b = pair
-    assert sparse_product(a, b, Poly.ZERO) == \
-        nonzero_entries(_mat_mul(a, b, Poly.ZERO), Poly.ZERO)
+    assert sparse_product(sparse_matrix(a), sparse_matrix(b)) == \
+        sparse_matrix(_mat_mul(a, b, Poly.ZERO))
 
 
 # -- Bareiss and Smith form --------------------------------------------------
@@ -464,14 +480,14 @@ def zero_curvature_matrix(alg):
 @settings(max_examples=40, deadline=None)
 @given(square_matrices(polys, Poly.ZERO))
 def test_bareiss_rank_matches_sympy_on_sparse(rows):
-    assert matrix_rank_fraction_field(rows) == sympy_rank(rows) == \
-        dense_matrix_rank_fraction_field(rows)
+    assert matrix_rank_fraction_field(sparse_matrix(rows)) == \
+        sympy_rank(rows) == dense_matrix_rank_fraction_field(rows)
 
 
 @settings(max_examples=40, deadline=None)
 @given(square_matrices(polys, Poly.ZERO))
 def test_smith_factors_match_sympy_rank_on_sparse(rows):
-    factors = smith_normal_form(rows)
+    factors = smith_normal_form(sparse_matrix(rows))
     assert len(factors) == sympy_rank(rows)
     assert factors == dense_smith_normal_form(rows)
     for a, b in zip(factors, factors[1:]):
@@ -484,17 +500,17 @@ def test_smith_factors_match_sympy_rank_on_sparse(rows):
 @example([[Poly.T + Poly.ONE, Poly.ZERO, Poly.ZERO],
           [Poly.ZERO, Poly.T, Poly.ZERO]])
 def test_bareiss_and_smith_match_dense_on_scrambled_diagonals(rows):
-    factors = smith_normal_form(rows)
+    factors = smith_normal_form(sparse_matrix(rows))
     assert factors == dense_smith_normal_form(rows)
-    assert matrix_rank_fraction_field(rows) == len(factors) == \
+    assert matrix_rank_fraction_field(sparse_matrix(rows)) == len(factors) == \
         dense_matrix_rank_fraction_field(rows) == sympy_rank(rows)
 
 
 @settings(max_examples=40, deadline=None)
 @given(st.one_of(square_matrices(polys, Poly.ZERO), scrambled_diagonals()))
 def test_bareiss_and_smith_take_sparse_rows(rows):
-    sparse_rows = [{j: x for j, x in enumerate(r) if x} for r in rows]
-    copy = [dict(r) for r in sparse_rows]
+    sparse_rows = sparse_matrix(rows)
+    copy = {i: dict(r) for i, r in sparse_rows.items()}
     assert matrix_rank_fraction_field(sparse_rows) == \
         dense_matrix_rank_fraction_field(rows)
     assert smith_normal_form(sparse_rows) == dense_smith_normal_form(rows)
@@ -503,11 +519,14 @@ def test_bareiss_and_smith_take_sparse_rows(rows):
 
 def test_bareiss_and_smith_match_dense_on_torus_models():
     for w in (1, 2, 4, 8):
-        mat = zero_curvature_matrix(derham_model(1, w))
+        alg = derham_model(1, w)
+        mat = zero_curvature_matrix(alg)
+        n = len(alg.names)
+        dense = dense_matrix(mat, n, n, Poly.ZERO)
         rank = matrix_rank_fraction_field(mat)
-        assert rank == dense_matrix_rank_fraction_field(mat)
-        assert smith_normal_form(mat) == dense_smith_normal_form(mat)
-        assert len(mat) - 2 * rank == 2
+        assert rank == dense_matrix_rank_fraction_field(dense)
+        assert smith_normal_form(mat) == dense_smith_normal_form(dense)
+        assert n - 2 * rank == 2
 
 
 # -- rank and kernel over Q --------------------------------------------------
@@ -541,26 +560,29 @@ def identity(n):
               [Fraction(1), Fraction(0), Fraction(-1), Fraction(2)]]))
 def test_echelon_rank_and_kernel_match_dense(matrix):
     ncols, rows = matrix
-    span = EchelonSpan(rows)
-    kernel = span.kernel(ncols)
-    assert kernel == (dense_kernel_basis(rows) if rows else identity(ncols))
-    assert all(type(x) is Fraction for vec in kernel for x in vec)
-    assert rational_matrix_rank(rows) == dense_rank(rows) == \
+    span = EchelonSpan(map(sparse_vector, rows))
+    kernel = span.kernel(range(ncols))
+    assert dense_vectors(kernel, ncols) == \
+        (dense_kernel_basis(rows) if rows else identity(ncols))
+    assert all(type(x) is Fraction and x for vec in kernel
+               for x in vec.values())
+    assert rational_matrix_rank(sparse_matrix(rows)) == dense_rank(rows) == \
         len(span.rows) == ncols - len(kernel)
     # Back-substitution leaves a reduced echelon basis of the same span.
     for lead, row in span.rows.items():
         assert min(row) == lead and row[lead] == 1
         assert not (set(row) - {lead}) & set(span.rows)
-    assert not any(span.add(r) for r in rows)
+    assert not any(span.add(sparse_vector(r)) for r in rows)
 
 
 @settings(max_examples=60, deadline=None)
 @given(rectangular_matrices())
 def test_echelon_span_takes_sparse_rows(matrix):
     ncols, rows = matrix
-    sparse_rows = [{j: x for j, x in enumerate(r) if x} for r in rows]
-    assert EchelonSpan(sparse_rows).kernel(ncols) == \
-        EchelonSpan(rows).kernel(ncols)
+    sparse_rows = [sparse_vector(r) for r in rows]
+    assert dense_vectors(EchelonSpan(sparse_rows).kernel(range(ncols)),
+                         ncols) == \
+        (dense_kernel_basis(rows) if rows else identity(ncols))
 
 
 # -- representative picking --------------------------------------------------
@@ -575,8 +597,8 @@ def test_echelon_pick_matches_repeated_rank(vectors):
     image, candidates = vectors
     span = EchelonSpan()
     for vec in image:
-        span.add(vec)
-    assert [v for v in candidates if span.add(v)] == \
+        span.add(sparse_vector(vec))
+    assert [v for v in candidates if span.add(sparse_vector(v))] == \
         repeated_rank_pick(image, candidates)
 
 
@@ -584,7 +606,7 @@ def test_echelon_pick_matches_repeated_rank(vectors):
 @given(graded_complexes())
 def test_scalar_cohomology_matches_dense_on_random_complexes(complex_):
     mat, grading = complex_
-    assert scalar_cohomology(mat, grading) == \
+    assert scalar_cohomology(sparse_matrix(mat), grading) == \
         dense_scalar_cohomology(mat, grading)
 
 
@@ -594,5 +616,7 @@ def test_scalar_cohomology_matches_dense_on_torus_models():
         mat = differential_matrix(alg)
         grading = [alg.degree(nm) for nm in alg.names]
         out = scalar_cohomology(mat, grading)
-        assert out == dense_scalar_cohomology(mat, grading)
+        n = len(grading)
+        assert out == dense_scalar_cohomology(
+            dense_matrix(mat, n, n, Fraction(0)), grading)
         assert out["dims"] == {"0": 1, "1": 1}
