@@ -74,35 +74,58 @@ def entry_tables(entries, field, parse, where, add=True):
     share an entry.  Entries that repeat (k, beta, inputs, output) are
     summed when add is set; otherwise the last one counts.  `k` must be a
     JSON integer and `inputs` an array, so that 1.9 is not truncated and a
-    string is not read letter by letter.
+    string is not read letter by letter.  An entry that is no object, lacks
+    a field or has a name that cannot be a key is refused where it fails;
+    the try blocks cost a valid entry nothing.
     """
+    if not isinstance(entries, (list, tuple)):
+        raise ValueError(f"{where} must be an array of entries, "
+                         f"got {entries!r}")
     tables, betas, values = {}, {}, {}
     by_raw = {}  # {(k, raw beta key): table}, so no Fraction is hashed
-    for i, entry in enumerate(entries):
-        k = entry["k"]
-        if type(k) is not int:  # json_int, without a message per entry
-            raise ValueError(f"{where}[{i}]: k must be an integer, got {k!r}")
-        raw = entry["beta"]
-        raw_key = (type(raw[0]), raw[0], type(raw[1]), raw[1]) \
-            if type(raw) is list and len(raw) == 2 else (type(raw), raw)
-        try:
-            table = by_raw.get((k, raw_key))
-        except TypeError:  # a part that cannot be a key is no scalar either
-            table = None
-        if table is None:
-            beta = _parse_once(betas, raw_key, beta_from_json, raw)
-            table = by_raw[(k, raw_key)] = tables.setdefault((k, beta), {})
-        inputs = entry["inputs"]
-        if not isinstance(inputs, (list, tuple)):
-            raise ValueError(f"{where}[{i}]: inputs must be an array of "
-                             f"names, got {inputs!r}")
-        inputs = tuple(inputs)
-        combo = table.get(inputs)
-        if combo is None:
-            combo = table[inputs] = {}
-        out, raw = entry["output"], entry[field]
-        value = _parse_once(values, (type(raw), raw), parse, raw)
-        combo[out] = combo[out] + value if add and out in combo else value
+    try:
+        for i, entry in enumerate(entries):
+            try:
+                k = entry["k"]
+            except TypeError:
+                raise ValueError(f"{where}[{i}]: entry must be an object with "
+                                 f"fields k, beta, inputs, output and {field}, "
+                                 f"got {entry!r}") from None
+            if type(k) is not int:  # json_int, without a message per entry
+                raise ValueError(
+                    f"{where}[{i}]: k must be an integer, got {k!r}")
+            raw = entry["beta"]
+            raw_key = (type(raw[0]), raw[0], type(raw[1]), raw[1]) \
+                if type(raw) is list and len(raw) == 2 else (type(raw), raw)
+            try:
+                table = by_raw.get((k, raw_key))
+            except TypeError:  # a part that cannot be a key is no scalar
+                table = None
+            if table is None:
+                beta = _parse_once(betas, raw_key, beta_from_json, raw)
+                table = by_raw[(k, raw_key)] = tables.setdefault((k, beta), {})
+            inputs = entry["inputs"]
+            if not isinstance(inputs, (list, tuple)):
+                raise ValueError(f"{where}[{i}]: inputs must be an array of "
+                                 f"names, got {inputs!r}")
+            inputs = tuple(inputs)
+            try:
+                combo = table.get(inputs)
+            except TypeError:
+                raise ValueError(f"{where}[{i}]: inputs must be an array of "
+                                 f"names, got {entry['inputs']!r}") from None
+            if combo is None:
+                combo = table[inputs] = {}
+            out, raw = entry["output"], entry[field]
+            value = _parse_once(values, (type(raw), raw), parse, raw)
+            try:
+                combo[out] = combo[out] + value if add and out in combo \
+                    else value
+            except TypeError:
+                raise ValueError(f"{where}[{i}]: output must be a name, "
+                                 f"got {out!r}") from None
+    except KeyError as exc:  # only a missing field raises it
+        raise ValueError(f"{where}[{i}]: missing field {exc}") from None
     return tables
 
 

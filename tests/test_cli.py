@@ -526,6 +526,60 @@ def test_non_integer_number_is_input_error(edit, message, tmp_path, capsys):
     assert f"curved.json: {message.format(i=first_m1)}" in err
 
 
+def _drop(key):
+    return lambda ops: ops[3].pop(key)
+
+
+@pytest.mark.parametrize("edit,message", [
+    *((_drop(key), f"ops[3]: missing field {key!r}")
+      for key in ("k", "beta", "inputs", "output", "coeff")),
+    (lambda ops: ops[3].__setitem__("output", {}),
+     "ops[3]: output must be a name, got {}"),
+    (lambda ops: ops[3].__setitem__("inputs", [{}]),
+     "ops[3]: inputs must be an array of names, got [{}]"),
+    (lambda ops: ops.__setitem__(3, [1]),
+     "ops[3]: entry must be an object with fields k, beta, inputs, output "
+     "and coeff, got [1]"),
+])
+def test_malformed_op_entry_is_located_input_error(edit, message, fixture_path,
+                                                   tmp_path, capsys):
+    raw = json.load(open(fixture_path("derham_t1.json")))
+    edit(raw["algebra"]["ops"])
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(raw))
+    err = _input_error(capsys, "check-ainf", str(path))
+    assert err.rstrip().endswith(f"bad.json: algebra: {message}")
+
+
+@pytest.mark.parametrize("ops", ["ab", {}, None])
+def test_ops_that_are_no_array_are_input_error(ops, fixture_path, tmp_path,
+                                               capsys):
+    raw = json.load(open(fixture_path("derham_t1.json")))
+    raw["algebra"]["ops"] = ops
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(raw))
+    err = _input_error(capsys, "check-ainf", str(path))
+    assert err.rstrip().endswith(
+        f"bad.json: algebra: ops must be an array of entries, got {ops!r}")
+
+
+@pytest.mark.parametrize("edit,message", [
+    (lambda iso: iso["mt"][0].pop("poly"), "mt[0]: missing field 'poly'"),
+    (lambda iso: iso["mt"][1].__setitem__("output", []),
+     "mt[1]: output must be a name, got []"),
+    (lambda iso: iso.__setitem__("ct", {}),
+     "ct must be an array of entries, got {}"),
+])
+def test_malformed_isotopy_entry_is_located_input_error(
+        edit, message, fixture_path, tmp_path, capsys):
+    raw = json.load(open(fixture_path("isotopy_extend.json")))
+    edit(raw["isotopy"])
+    path = tmp_path / "iso.json"
+    path.write_text(json.dumps(raw))
+    err = _input_error(capsys, "check-isotopy", str(path))
+    assert err.rstrip().endswith(f"iso.json: isotopy: {message}")
+
+
 def test_non_integer_isotopy_n_is_input_error(fixture_path, tmp_path, capsys):
     raw = json.load(open(fixture_path("isotopy_extend.json")))
     raw["isotopy"]["n"] = 1.5

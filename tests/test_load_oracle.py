@@ -20,7 +20,12 @@ The inputs on which they differ on purpose:
   integer arities;
 - a zero coefficient whose output is not a basis name: the old load dropped
   it unseen; the new one refuses the name. The algebra fuzz skips the
-  documents whose entries for an unknown output sum to zero.
+  documents whose entries for an unknown output sum to zero;
+- an entry without one of its five fields, or whose output or an input is
+  an array or an object: the old load raised a bare KeyError or TypeError;
+  the new one raises a ValueError naming the list, the entry and the field
+  (`located` turns the old outcome into that one, and `shape_fault` finds
+  the entry independently of the live parser).
 
 The isotopy family validator before `ainf.clean_tables` is kept as
 `oracle_clean_family`, run after the live parser. It and the live load must
@@ -293,15 +298,53 @@ def failed(got):
     return isinstance(got[0], type)
 
 
+def shape_fault(doc, families):
+    """The located message of the first fault of doc's op lists, read in
+    the live parser's order, when it is a missing field or a name that
+    cannot be a key; None when there is none or the first fault is a
+    scalar's that its parser refuses."""
+    for family, field in families:
+        parsers = {"beta": beta_from_json,
+                   field: frac if field == "coeff" else Poly.from_json}
+        for i, e in enumerate(doc.get(family, [])):
+            for key in ("k", "beta", "inputs", "output", field):
+                if key not in e:
+                    return f"{family}[{i}]: missing field {key!r}"
+                if key == "inputs" and any(isinstance(nm, (list, dict))
+                                           for nm in e["inputs"]):
+                    return (f"{family}[{i}]: inputs must be an array of "
+                            f"names, got {e['inputs']!r}")
+                try:
+                    parsers.get(key, str)(e[key])
+                except Exception:  # noqa: BLE001 - a scalar's own fault
+                    return None
+            if isinstance(e["output"], (list, dict)):
+                return (f"{family}[{i}]: output must be a name, "
+                        f"got {e['output']!r}")
+    return None
+
+
+def located(expected, doc, families):
+    """The oracle's outcome, its bare KeyError or TypeError of a malformed
+    entry replaced by the located ValueError that the live load raises."""
+    if failed(expected) and expected[0] in (KeyError, TypeError):
+        fault = shape_fault(doc, families)
+        if fault is not None:
+            return ValueError, fault
+    return expected
+
+
 def assert_algebra_loads_agree(doc):
     got = outcome(AInfAlgebra.from_json, doc)
-    assert got == outcome(oracle_algebra, doc)
+    assert got == located(outcome(oracle_algebra, doc), doc,
+                          [("ops", "coeff")])
     return got
 
 
 def assert_isotopy_loads_agree(doc):
     got = outcome(Pseudoisotopy.from_json, doc)
-    assert got == outcome(oracle_isotopy, doc)
+    assert got == located(outcome(oracle_isotopy, doc), doc,
+                          [("mt", "poly"), ("ct", "poly")])
     return got
 
 
