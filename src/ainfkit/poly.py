@@ -189,8 +189,8 @@ def matrix_rank_fraction_field(matrix) -> int:
 
     Fraction-free Bareiss elimination on the rows of a {row: {column:
     Poly}} matrix: exact, no rational-function blowup, and only entries
-    facing a nonzero are formed.  Each pivot is an entry of
-    lowest q-degree, ties going to the row with the fewest nonzeros.  A row
+    facing a nonzero are formed.  Each pivot is an entry of lowest
+    q-degree, ties going to the row with the fewest nonzeros.  A row
     the pivot column misses would only be scaled by p_k / p_{k-1}; that
     scaling is deferred, so a row keeps the step `stamp` its entries belong
     to, and catching up from step s to step k multiplies by p_k / p_s.
