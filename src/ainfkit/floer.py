@@ -39,7 +39,7 @@ def scalar_cohomology(matrix, grading) -> dict:
     matrix: {row: {column: Fraction}}, zeros absent, column j the image of
     basis vector j; grading: list of integer degrees, one per basis vector.
     Returns the per-degree dimensions and a representative basis of each
-    degree's cohomology (kernel vectors reduced against the incoming image).
+    degree's cohomology (kernel vectors independent modulo the image).
     """
     indices = range(len(grading))
     if any(i not in indices or any(j not in indices for j in row)
