@@ -10,7 +10,8 @@ and check-subalgebra reports, recorded before those scans became lookups into
 the stored tables, and of check-kunneth and check-hf-kunneth, recorded before
 the rank and kernel over Q became one echelon elimination, and of
 check-kunneth, cohomology, hf and barcode on larger generated models,
-recorded before every matrix became sparse rows from builder to kernel.
+recorded before every matrix became sparse rows, where it is made and
+wherever it is read.
 
 Report determinism (criterion 10) compares two runs of the same code; these
 digests pin the bytes across code changes, so a different choice of
