@@ -19,6 +19,7 @@ vanishes identically (structural fact, not a checked approximation).
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from fractions import Fraction
 from itertools import combinations, islice, product
 from math import lcm, prod
@@ -75,7 +76,8 @@ def entry_tables(entries, field, parse, where, add=True):
     summed when add is set; otherwise the last one counts.  `k` must be a
     JSON integer and `inputs` an array, so that 1.9 is not truncated and a
     string is not read letter by letter.  An entry that is no object, lacks
-    a field or has a name that cannot be a key is refused where it fails;
+    a field, has a name that cannot be a key or a beta or value that its
+    parser refuses is refused where it fails, the entry and the field named;
     the try blocks cost a valid entry nothing.
     """
     if not isinstance(entries, (list, tuple)):
@@ -102,7 +104,10 @@ def entry_tables(entries, field, parse, where, add=True):
             except TypeError:  # a part that cannot be a key is no scalar
                 table = None
             if table is None:
-                beta = _parse_once(betas, raw_key, beta_from_json, raw)
+                try:
+                    beta = _parse_once(betas, raw_key, beta_from_json, raw)
+                except (ValueError, TypeError, ZeroDivisionError) as exc:
+                    raise ValueError(f"{where}[{i}]: beta: {exc}") from None
                 table = by_raw[(k, raw_key)] = tables.setdefault((k, beta), {})
             inputs = entry["inputs"]
             if not isinstance(inputs, (list, tuple)):
@@ -117,7 +122,10 @@ def entry_tables(entries, field, parse, where, add=True):
             if combo is None:
                 combo = table[inputs] = {}
             out, raw = entry["output"], entry[field]
-            value = _parse_once(values, (type(raw), raw), parse, raw)
+            try:
+                value = _parse_once(values, (type(raw), raw), parse, raw)
+            except (ValueError, TypeError, ZeroDivisionError) as exc:
+                raise ValueError(f"{where}[{i}]: {field}: {exc}") from None
             try:
                 combo[out] = combo[out] + value if add and out in combo \
                     else value
@@ -496,26 +504,33 @@ def differential_matrix(alg: AInfAlgebra) -> dict:
     return mat
 
 
-def insertion_plan(inner_ops, outer_ops, beta, n: int):
-    """The insertion terms of a quadratic sum at one (beta, n), for any
-    inputs: one (i - 1, i - 1 + j, inner_{j,beta1}, outer_{n-j+1,beta2})
-    per beta1 + beta2 = beta, inner arity j and slot i with both tables
-    stored.  Empty when structurally zero.
+def insertion_plans(inner_ops, outer_ops, n_bound: int) -> dict:
+    """The insertion terms of a quadratic sum at every (beta, n) with
+    n <= n_bound, for any inputs, as {(beta, n): plan}: one term
+    (i - 1, i - 1 + j, inner_{j,beta1}, outer_{k,beta2}) per pair of stored
+    tables with beta1 + beta2 = beta and j + k - 1 = n, and slot i.  Each pair
+    is visited once; a plan lists its terms in the inner tables' order, then
+    by slot.  A (beta, n) without a plan is structurally zero.
 
     inner_ops and outer_ops are op tables {(k, beta): {inputs: {output:
-    coefficient}}}; the coefficients may be Fractions or t-polynomials.  With
-    both the same table this is the A-infinity relation of that table.
+    coefficient}}}; the coefficients may be integers, Fractions or
+    t-polynomials.  With both the same table this is the A-infinity relation
+    of that table.
     """
-    plan = []
+    outers = [(k, b_outer, table) for (k, b_outer), table in outer_ops.items()
+              if k and table]
+    plans = {}
     for (j, b_inner), inner_table in inner_ops.items():
-        if j > n:
-            continue
-        b_outer = (beta[0] - b_inner[0], beta[1] - b_inner[1])
-        outer_table = outer_ops.get((n - j + 1, b_outer))
-        if outer_table:
-            plan.extend((start, start + j, inner_table, outer_table)
-                        for start in range(n - j + 1))
-    return plan
+        for k, b_outer, outer_table in outers:
+            n = j + k - 1
+            if n > n_bound:
+                continue
+            beta = (b_inner[0] + b_outer[0] if b_inner[0] and b_outer[0]
+                    else b_inner[0] or b_outer[0], b_inner[1] + b_outer[1])
+            plans.setdefault((beta, n), []).extend(
+                (start, start + j, inner_table, outer_table)
+                for start in range(k))
+    return plans
 
 
 def insertion_sum(plan, parity, names) -> dict:
@@ -633,19 +648,22 @@ def joined_sums(n, terms, names, index, linear=None):
 
 def relation_violations(ops, parity, betas, n_bound, order):
     """The A-infinity relation of an op table, scanned in order: for each
-    beta and n <= n_bound, the first tuple of order(n)^n, in product order,
-    on which it fails, as (beta, n, names, {output: coefficient}): the first
-    joined sum of its plan.  Each (beta, n) is planned once; an empty plan
-    is structurally zero."""
+    beta of the sorted list betas and n <= n_bound, the first tuple of
+    order(n)^n, in product order, on which it fails, as (beta, n, names,
+    {output: coefficient}): the first joined sum of its plan.  Every plan is
+    built at once from the pairs of stored tables (insertion_plans); a
+    (beta, n) without one is structurally zero, and a plan at a beta not in
+    betas is out of range."""
     index = {}
-    for beta in betas:
-        for n in range(n_bound + 1):
-            plan = insertion_plan(ops, ops, beta, n)
-            if plan:
-                for names, terms in joined_sums(n, [(plan, parity, 1)],
-                                                order(n), index):
-                    yield beta, n, names, terms
-                    break
+    plans = insertion_plans(ops, ops, n_bound)
+    for beta, n in sorted(plans):
+        at = bisect_left(betas, beta)
+        if at == len(betas) or betas[at] != beta:
+            continue
+        for names, terms in joined_sums(n, [(plans[beta, n], parity, 1)],
+                                        order(n), index):
+            yield beta, n, names, terms
+            break
 
 
 def integer_ops(ops) -> dict:
@@ -667,7 +685,8 @@ def ainf_defect(alg: AInfAlgebra, beta, names) -> AlgElement:
     if beta not in alg.monoid:
         raise ValueError(f"beta {beta} outside the energy monoid")
     names = tuple(names)
-    plan = insertion_plan(alg.ops, alg.ops, beta, len(names))
+    plan = insertion_plans(alg.ops, alg.ops, len(names)).get(
+        (beta, len(names)), ())
     trunc = alg.truncation
     return AlgElement({o: NovikovElement.scalar(c, trunc) for o, c in
                        insertion_sum(plan, alg._parity, names).items()}, trunc)

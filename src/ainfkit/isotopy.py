@@ -34,11 +34,13 @@ Every quadratic sum here is ainf.joined_sums, a join of the stored tables
 that forms only the tuples with a term: the m^t relation is the A-infinity
 relation scan (ainf.relation_violations on mT), and the two mixed sums are
 the insertion plans of m^t over c^t (no sign) and of c^t over m^t (Koszul
-sign), built once per (beta, k) by isotopy_sums.  The differential equation
-joins them with signs -1 and +1 and the table (-1)^{n+1} d/dt m^t; the
-extension joins them with signs (-1)^n and (-1)^{n+1} over Q[t] and
-integrates each sum.  Both identities hold on the scope of check_ainf, every
-name at arity 1 and the window beyond.
+sign), built for every (beta, k) at once, from the pairs of stored tables,
+by isotopy_sums: once per check and once per extension.  The differential
+equation joins them with signs -1 and +1 and the table (-1)^{n+1} d/dt
+m^t, also at a (beta, k) with that table but no plan; the extension joins
+them with signs (-1)^n and (-1)^{n+1} over Q[t] and integrates each sum.
+Both identities hold on the scope of check_ainf, every name at arity 1 and
+the window beyond.
 
 check_pseudoisotopy runs both identities on integers, as check_ainf runs
 the A-infinity relation on integer_ops.  Each stored p becomes D*p(2^W),
@@ -62,7 +64,7 @@ from math import lcm
 
 from ainfkit.ainf import (AInfAlgebra, add_into, basis_pairs, beta_json,
                           clean_tables, entry_tables, flip_stored,
-                          insertion_plan, insertion_sum, joined_sums,
+                          insertion_plans, insertion_sum, joined_sums,
                           relation_violations, replaced, stored_entries,
                           window_names)
 from ainfkit.kunneth import kunneth_K_table, pullback_scanner, scan_report
@@ -70,6 +72,9 @@ from ainfkit.poly import Poly
 from ainfkit.scalars import (BETA_ZERO, EnergyMonoid, frac, frac_str, json_int,
                               monoid_sum)
 from ainfkit.signs import shifted_parities, sign_pow
+
+# The isotopy_sums entry of a (beta, k) where neither mixed sum has a term.
+NO_SUMS = (([], None), ([], None))
 
 
 class Pseudoisotopy:
@@ -177,21 +182,27 @@ class Pseudoisotopy:
         )
 
 
-def isotopy_sums(P: Pseudoisotopy, k, beta):
-    """The two mixed sums of the differential equation at (beta, k), as
-    insertion plans, each paired with the parity map of its sign:
+def isotopy_sums(P: Pseudoisotopy, k_bound):
+    """The two mixed sums of the differential equation at every (beta, k)
+    with k <= k_bound, as insertion plans, each paired with the parity map of
+    its sign:
 
     S1 = sum m^t_{k-j+1,beta1}(xi_1, ..., c^t_{j,beta2}(...), ...)  (no sign)
     S2 = sum (-1)^{prefix} c^t_{k-j+1,beta1}(xi_1, ..., m^t_{j,beta2}(...), ...)
 
-    With a sign each, they are terms of ainf.joined_sums, which sums them on
-    every tuple that has a term, as dicts out -> coefficient: a Poly, or an
-    integer on the evaluated tables of check_pseudoisotopy.  Lookups at
+    Returns {(beta, k): ((S1 plan, parity), (S2 plan, parity))}, sorted, over
+    every (beta, k) where either plan has a term; the other plan may be
+    empty.  With a sign each, they are terms of ainf.joined_sums, which sums
+    them on every tuple that has a term, as dicts out -> coefficient: a Poly,
+    or an integer on the evaluated tables of check_pseudoisotopy.  Lookups at
     levels absent from the stored families contribute zero, which is exactly
     the convention under which the extension formula is well defined.
     """
-    return ((insertion_plan(P.cT, P.mT, beta, k), dict.fromkeys(P.names, 0)),
-            (insertion_plan(P.mT, P.cT, beta, k), P._parity))
+    s1 = insertion_plans(P.cT, P.mT, k_bound)
+    s2 = insertion_plans(P.mT, P.cT, k_bound)
+    unsigned = dict.fromkeys(P.names, 0)
+    return {key: ((s1.get(key, []), unsigned), (s2.get(key, []), P._parity))
+            for key in sorted(s1.keys() | s2.keys())}
 
 
 def evaluation_width(bound: int) -> int:
@@ -258,52 +269,61 @@ def check_pseudoisotopy(P: Pseudoisotopy, m0: AInfAlgebra = None,
     # The linear table of the differential equation: D^2*pf*p'(2^W) for each
     # p of m^t that moves; a constant p adds nothing.
     slopes = {}
-    for key, table in P.mT.items():
+    for (k, beta), table in P.mT.items():
         for names, combo in table.items():
             for out, p in combo.items():
                 if p.degree() > 0:
-                    slopes.setdefault(key, {}).setdefault(names, {})[out] = \
+                    slope = slopes.setdefault((beta, k), {})
+                    slope.setdefault(names, {})[out] = \
                         scale * pf * at_point(p.derivative())
 
     # Quadratic relations of m^t: the A-infinity relation.  Both identities
     # are scanned as check_ainf scans an algebra: every name at arity 1, the
-    # window beyond.
+    # window beyond.  Failures are replayed on plans of the Q[t] tables,
+    # built at the first one.
     def scope(n):
         return P.names if n == 1 else P.window
 
+    mt_plans = poly_sums = None
     for beta, n, names, _ in relation_violations(
             at.mT, P._parity, betas, n_bound, scope):
-        defect = insertion_sum(insertion_plan(P.mT, P.mT, beta, n),
-                               P._parity, names)
+        if mt_plans is None:
+            mt_plans = insertion_plans(P.mT, P.mT, n_bound)
+        defect = insertion_sum(mt_plans[beta, n], P._parity, names)
         violations.append({
             "clause": "ainf-family", "beta": beta_json(beta),
             "n": n, "inputs": list(names),
             "defect": {o: p.to_json() for o, p in sorted(defect.items())},
         })
 
-    # The differential equation: pf d/dt m^t - S1 + S2 = 0.
+    # The differential equation: pf d/dt m^t - S1 + S2 = 0, at every (beta, k)
+    # with a plan or a slope; plans above the cutoff are out of range.
+    sums = isotopy_sums(at, k_bound)
     index = {}
-    for beta in betas:
-        for k in range(k_bound + 1):
-            (s1, unsigned), (s2, parity) = isotopy_sums(at, k, beta)
-            failing = [names for names, _ in joined_sums(
-                k, [(s1, unsigned, -1), (s2, parity, 1)], scope(k),
-                index, slopes.get((k, beta)))]
-            if not failing:
-                continue
-            (s1, unsigned), (s2, parity) = isotopy_sums(P, k, beta)
-            m_table = P.mT.get((k, beta), {})
-            for names in failing:
-                acc = {out: p.derivative() * pf
-                       for out, p in m_table.get(names, {}).items()}
-                add_into(acc, insertion_sum(s1, unsigned, names), -1)
-                add_into(acc, insertion_sum(s2, parity, names), 1)
-                violations.append({
-                    "clause": "differential-equation",
-                    "beta": beta_json(beta), "k": k, "inputs": list(names),
-                    "defect": {o: p.to_json() for o, p in sorted(acc.items())
-                               if p},
-                })
+    for beta, k in sorted(sums.keys() | slopes.keys()):
+        if beta[0] > P.cutoff:
+            continue
+        (s1, unsigned), (s2, parity) = sums.get((beta, k), NO_SUMS)
+        failing = [names for names, _ in joined_sums(
+            k, [(s1, unsigned, -1), (s2, parity, 1)], scope(k),
+            index, slopes.get((beta, k)))]
+        if not failing:
+            continue
+        if poly_sums is None:
+            poly_sums = isotopy_sums(P, k_bound)
+        (s1, unsigned), (s2, parity) = poly_sums.get((beta, k), NO_SUMS)
+        m_table = P.mT.get((k, beta), {})
+        for names in failing:
+            acc = {out: p.derivative() * pf
+                   for out, p in m_table.get(names, {}).items()}
+            add_into(acc, insertion_sum(s1, unsigned, names), -1)
+            add_into(acc, insertion_sum(s2, parity, names), 1)
+            violations.append({
+                "clause": "differential-equation",
+                "beta": beta_json(beta), "k": k, "inputs": list(names),
+                "defect": {o: p.to_json() for o, p in sorted(acc.items())
+                           if p},
+            })
 
     # Endpoint comparisons.
     for label, target, t in (("endpoint-0", m0, 0), ("endpoint-1", m1, 1)):
@@ -360,9 +380,10 @@ def extend_one_level(m0: AInfAlgebra, m1: AInfAlgebra, P: Pseudoisotopy):
 
     new_tau_tables = {}
     index = {}
+    sums = isotopy_sums(P, k_bound)
     for beta in new_betas:
         for k in range(k_bound + 1):
-            (s1, unsigned), (s2, parity) = isotopy_sums(P, k, beta)
+            (s1, unsigned), (s2, parity) = sums.get((beta, k), NO_SUMS)
             tau = {names: {out: poly.integral_from_to_one()
                            for out, poly in vec.items()}
                    for names, vec in joined_sums(

@@ -11,8 +11,9 @@ zero after truncation.
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Optional
 
 
@@ -200,12 +201,19 @@ class EnergyMonoid:
     even integer.  Discreteness requires that no generator has E = 0 with
     mu != 0 (otherwise enumeration below a cutoff would be infinite).
 
-    The largest enumeration so far is kept (sorted list and set) and answers
-    every smaller request: every generator has E > 0, so the elements of
-    energy <= E are exactly the sums that never pass above E.
+    The monoid is enumerated on integers: with L the lcm of the generator
+    denominators, every element has an integer E*L, and the generators are
+    kept as integer pairs (E*L, mu).  One enumeration is kept (the integer
+    pairs, their set, and the same elements as sorted (Fraction, int) pairs,
+    each converted once) and answers every smaller request.  A larger request
+    extends it: every generator has E > 0, so each element above the kept
+    energy is a generator plus an element either kept or itself new, and the
+    new ones are the sums that start from a kept element and never pass above
+    the requested energy.
     """
 
-    __slots__ = ("generators", "_cutoff", "_elements", "_members", "_splits")
+    __slots__ = ("generators", "_scale", "_steps", "_top", "_pairs",
+                 "_members", "_elements", "_splits")
 
     def __init__(self, generators: Iterable = ()):
         gens = []
@@ -219,8 +227,17 @@ class EnergyMonoid:
                 raise ValueError("generator with E=0, mu!=0 breaks discreteness")
             if (e, mu) != (0, 0):
                 gens.append((e, mu))
-        object.__setattr__(self, "generators", tuple(sorted(set(gens))))
-        object.__setattr__(self, "_cutoff", None)
+        gens = tuple(sorted(set(gens)))
+        scale = lcm(*(e.denominator for e, _ in gens))
+        object.__setattr__(self, "generators", gens)
+        object.__setattr__(self, "_scale", scale)
+        object.__setattr__(self, "_steps", tuple(
+            (e.numerator * (scale // e.denominator), mu) for e, mu in gens))
+        # The kept enumeration: every element of integer energy <= _top.
+        object.__setattr__(self, "_top", 0)
+        object.__setattr__(self, "_pairs", [(0, 0)])
+        object.__setattr__(self, "_members", {(0, 0)})
+        object.__setattr__(self, "_elements", [BETA_ZERO])
         object.__setattr__(self, "_splits", {})
 
     def __setattr__(self, *a):
@@ -235,45 +252,54 @@ class EnergyMonoid:
     def __repr__(self):
         return f"EnergyMonoid({list(self.generators)})"
 
-    def _reach(self, cutoff: Fraction):
-        """Make the kept enumeration cover every element of energy <= cutoff."""
-        if self._cutoff is not None and cutoff <= self._cutoff:
-            return
-        seen = {BETA_ZERO}
-        frontier = [BETA_ZERO]
+    def _reach(self, cutoff: Fraction) -> int:
+        """Extend the kept enumeration to every element of energy <= cutoff;
+        returns floor(cutoff * L), the integer energy reached."""
+        top = cutoff.numerator * self._scale // cutoff.denominator
+        old = self._top
+        if top <= old:
+            return top
+        pairs, members, steps = self._pairs, self._members, self._steps
+        # A kept element that one generator lifts above the kept energy.
+        reach = max((step for step, _ in steps), default=0)
+        frontier = pairs[bisect_left(pairs, (old - reach + 1,)):]
+        fresh = set()
         while frontier:
             nxt = []
             for e, mu in frontier:
-                for ge, gmu in self.generators:
-                    cand = (e + ge, mu + gmu)
-                    if cand[0] <= cutoff and cand not in seen:
-                        seen.add(cand)
+                for step, shift in steps:
+                    cand = (e + step, mu + shift)
+                    if cand[0] <= top and cand not in fresh \
+                            and cand not in members:
+                        fresh.add(cand)
                         nxt.append(cand)
-                if len(seen) > ENUMERATION_BUDGET:
+                if len(members) + len(fresh) > ENUMERATION_BUDGET:
                     raise ValueError(
                         f"energy monoid has more than {ENUMERATION_BUDGET} "
                         f"elements of energy <= {frac_str(cutoff)}")
             frontier = nxt
-        elements = sorted(seen)
-        object.__setattr__(self, "_cutoff", cutoff)
-        object.__setattr__(self, "_elements", elements)
-        object.__setattr__(self, "_members", seen)
+        fresh = sorted(fresh)
+        scale = self._scale
+        pairs.extend(fresh)
+        members.update(fresh)
+        self._elements.extend((Fraction(e, scale), mu) for e, mu in fresh)
+        object.__setattr__(self, "_top", top)
+        return top
 
     def enumerate(self, cutoff) -> list:
         """All distinct generator sums with total energy <= cutoff, sorted."""
         cutoff = frac(cutoff)
         if cutoff < 0:
             raise ValueError("cutoff must be >= 0")
-        self._reach(cutoff)
-        return self._elements[:bisect_right(self._elements, cutoff,
-                                            key=lambda b: b[0])]
+        top = self._reach(cutoff)
+        return self._elements[:bisect_left(self._pairs, (top + 1,))]
 
     def __contains__(self, beta) -> bool:
         e, mu = frac(beta[0]), int(beta[1])
         if e < 0:
             return False
-        self._reach(e)
-        return (e, mu) in self._members
+        top = self._reach(e)
+        return self._scale % e.denominator == 0 and (top, mu) in self._members
 
     def splits(self, beta) -> list:
         """All (beta1, beta2) in the monoid with beta1 + beta2 = beta, sorted
@@ -283,11 +309,11 @@ class EnergyMonoid:
         if cached is None:
             cached = []
             if beta in self:
+                top = int(beta[0] * self._scale)
                 members = self._members
-                for b1 in self.enumerate(beta[0]):
-                    b2 = (beta[0] - b1[0], beta[1] - b1[1])
-                    if b2 in members:
-                        cached.append((b1, b2))
+                for b1, (e1, mu1) in zip(self.enumerate(beta[0]), self._pairs):
+                    if (top - e1, beta[1] - mu1) in members:
+                        cached.append((b1, (beta[0] - b1[0], beta[1] - b1[1])))
             self._splits[beta] = cached
         return cached
 

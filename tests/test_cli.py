@@ -285,14 +285,14 @@ def test_malformed_beta_is_input_error(fixture_path, tmp_path, capsys):
     path = _barcode_simple_with(fixture_path, tmp_path,
                                 lambda op: op.update(beta=["0"]))
     err = _input_error(capsys, "check-ainf", path)
-    assert "algebra: beta must be a pair" in err
+    assert "algebra: ops[0]: beta: beta must be a pair" in err
 
 
 def test_zero_denominator_is_input_error(fixture_path, tmp_path, capsys):
     path = _barcode_simple_with(fixture_path, tmp_path,
                                 lambda op: op.update(coeff="1/0"))
     err = _input_error(capsys, "check-ainf", path)
-    assert ": algebra: zero denominator in '1/0'" in err
+    assert ": algebra: ops[0]: coeff: zero denominator in '1/0'" in err
     err = _input_error(capsys, "check-ainf", fixture_path("derham_t1.json"),
                        "--cutoff", "1/0")
     assert "--cutoff 1/0" in err
@@ -333,7 +333,7 @@ def test_malformed_isotopy_beta_is_input_error(command, name, section, locate,
                                                fixture_path, tmp_path, capsys):
     path = _isotopy_fixture_with(fixture_path, tmp_path, name, locate)
     err = _input_error(capsys, command, path)
-    assert f": {section}: beta must be a pair" in err
+    assert f": {section}: mt[0]: beta: beta must be a pair" in err
 
 
 def _fixture_with(fixture_path, tmp_path, name, edit):
@@ -372,7 +372,8 @@ def test_section_of_wrong_json_type_is_input_error(command, name, edit, message,
 @pytest.mark.parametrize("command,name,edit,message", [
     ("check-isotopy", "isotopy_extend.json",
      lambda doc: doc["isotopy"]["mt"][0].update(poly="7"),
-     "isotopy: polynomial must be an array of coefficients, got '7'"),
+     "isotopy: mt[0]: poly: polynomial must be an array of coefficients, "
+     "got '7'"),
     ("mc-defect", "gapped_product.json",
      lambda doc: doc["bounding"]["b"].update({"eA|xB": ["12"]}),
      "bounding.b: Novikov term '12' is not an [energy, coefficient] pair"),
@@ -512,7 +513,7 @@ def _m1_entries(doc):
     (lambda doc: [e.update(k="1") for e in _m1_entries(doc)],
      "algebra: ops[{i}]: k must be an integer, got '1'"),
     (lambda doc: [e.update(beta=["0", 0.5]) for e in _m1_entries(doc)],
-     "algebra: Maslov index must be an integer, got 0.5"),
+     "algebra: ops[{i}]: beta: Maslov index must be an integer, got 0.5"),
     (lambda doc: doc["space"]["basis"][1].__setitem__(1, True),
      "algebra: degree of basis name 'x' must be an integer, got True"),
     (lambda doc: doc["monoid"][2].__setitem__(1, 2.0),
@@ -540,6 +541,12 @@ def _drop(key):
     (lambda ops: ops.__setitem__(3, [1]),
      "ops[3]: entry must be an object with fields k, beta, inputs, output "
      "and coeff, got [1]"),
+    (lambda ops: ops[3].__setitem__("coeff", "x"),
+     "ops[3]: coeff: Invalid literal for Fraction: 'x'"),
+    (lambda ops: ops[3].__setitem__("coeff", 1.5),
+     "ops[3]: coeff: cannot coerce 1.5 to an exact rational"),
+    (lambda ops: ops[3].__setitem__("beta", ["0"]),
+     "ops[3]: beta: beta must be a pair [energy, maslov], got ['0']"),
 ])
 def test_malformed_op_entry_is_located_input_error(edit, message, fixture_path,
                                                    tmp_path, capsys):
@@ -569,6 +576,8 @@ def test_ops_that_are_no_array_are_input_error(ops, fixture_path, tmp_path,
      "mt[1]: output must be a name, got []"),
     (lambda iso: iso.__setitem__("ct", {}),
      "ct must be an array of entries, got {}"),
+    (lambda iso: iso["mt"][0].__setitem__("poly", {}),
+     "mt[0]: poly: polynomial must be an array of coefficients, got {}"),
 ])
 def test_malformed_isotopy_entry_is_located_input_error(
         edit, message, fixture_path, tmp_path, capsys):
@@ -635,9 +644,11 @@ def test_flip_of_a_missing_constant_is_one_plain_line(name, cid, fixture_path,
 
 @pytest.mark.parametrize("command,name,edit,where", [
     ("check-ainf", "derham_t1.json",
-     lambda doc: doc["algebra"]["ops"][0].update(coeff=True), "algebra"),
+     lambda doc: doc["algebra"]["ops"][0].update(coeff=True),
+     "algebra: ops[0]: coeff"),
     ("check-ainf", "derham_t1.json",
-     lambda doc: doc["algebra"]["ops"][0].update(coeff=False), "algebra"),
+     lambda doc: doc["algebra"]["ops"][0].update(coeff=False),
+     "algebra: ops[0]: coeff"),
     ("box-product", "gapped_product.json",
      lambda doc: doc["bounding"].update(b1={"xA": [[True, "-3"]]}),
      "bounding.b1"),

@@ -18,8 +18,10 @@ here as differential oracles:
 - the joined check over Q[t], as `check_pseudoisotopy` was before it
   evaluated the families at one integer point.
 
-Reports, sums and extensions must agree exactly, down to which violation
-comes first. Families whose defects vanish at a point too close to zero
+The plans of `isotopy_sums`, built for every (beta, k) at once from the
+pairs of stored tables, are checked against the per-(beta, k) planner
+`insertion_plan` of `test_relation_plan`. Reports, sums and extensions must
+agree exactly, down to which violation comes first. Families whose defects vanish at a point too close to zero
 show that the width of the point is load-bearing.
 """
 
@@ -31,10 +33,11 @@ from unittest.mock import patch
 
 from hypothesis import given, settings, strategies as st
 
-from ainfkit.ainf import AInfAlgebra, add_into, beta_json, insertion_plan, \
+from ainfkit.ainf import AInfAlgebra, add_into, beta_json, insertion_plans, \
     insertion_sum, joined_sums, relation_violations
 from ainfkit import isotopy
 from ainfkit.isotopy import (
+    NO_SUMS,
     Pseudoisotopy,
     check_pseudoisotopy,
     extend_one_level,
@@ -48,7 +51,8 @@ from ainfkit.poly import Poly
 from ainfkit.scalars import BETA_ZERO, EnergyMonoid
 from ainfkit.signs import koszul_prefix_sign, shifted_parities, sign_pow
 from ainfkit.specio import load_spec
-from test_relation_plan import oracle_relation_violations
+from test_relation_plan import by_identity, insertion_plan, oracle_plans, \
+    oracle_relation_violations
 
 
 # -- the replaced code, kept as the oracle ---------------------------------------
@@ -441,8 +445,9 @@ def assert_same_extension(m0, m1, P, *oracles):
 # -- the planned sums on one tuple ---------------------------------------------------
 
 def planned_sums(P, k, beta, names):
+    plans = isotopy_sums(P, k).get((beta, k), NO_SUMS)
     return tuple(insertion_sum(plan, parity, tuple(names))
-                 for plan, parity in isotopy_sums(P, k, beta))
+                 for plan, parity in plans)
 
 
 # -- random sparse polynomial families ------------------------------------------------
@@ -537,6 +542,32 @@ def test_planned_sums_match_per_tuple_sums(P, data):
                                max_size=k))
     assert planned_sums(P, k, beta, names) == \
         oracle_isotopy_sums(P, k, beta, names)
+
+
+@settings(max_examples=60, deadline=None)
+@given(sparse_families(), st.integers(0, 5))
+def test_isotopy_sums_match_per_beta_plans(P, k_bound):
+    """The plans of c^t into m^t and of m^t into c^t, built at once from the
+    pairs of stored tables, at every (beta, k <= k_bound) up to twice the
+    cutoff (extend_one_level reads them above it) against the per-(beta, k)
+    planner, and isotopy_sums against its copy."""
+    betas = P.monoid.enumerate(2 * P.cutoff)
+    for inner, outer in ((P.cT, P.mT), (P.mT, P.cT)):
+        assert by_identity(insertion_plans(inner, outer, k_bound)) == \
+            oracle_plans(inner, outer, betas, k_bound)
+    expected = {}
+    for beta in betas:
+        for k in range(k_bound + 1):
+            (s1, unsigned), (s2, parity) = planned_isotopy_sums(P, k, beta)
+            if s1 or s2:
+                expected[(beta, k)] = ((by_identity({0: s1})[0], unsigned),
+                                       (by_identity({0: s2})[0], parity))
+    got = {key: ((by_identity({0: s1})[0], unsigned),
+                 (by_identity({0: s2})[0], parity))
+           for key, ((s1, unsigned), (s2, parity)) in
+           isotopy_sums(P, k_bound).items()}
+    assert got == expected
+    assert list(got) == sorted(got)
 
 
 def new_level(data, P):

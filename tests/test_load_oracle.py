@@ -23,9 +23,12 @@ The inputs on which they differ on purpose:
   documents whose entries for an unknown output sum to zero;
 - an entry without one of its five fields, or whose output or an input is
   an array or an object: the old load raised a bare KeyError or TypeError;
-  the new one raises a ValueError naming the list, the entry and the field
-  (`located` turns the old outcome into that one, and `shape_fault` finds
-  the entry independently of the live parser).
+  the new one raises a ValueError naming the list, the entry and the field;
+- an entry whose beta or value its parser refuses: the old load raised the
+  parser's error; the new one raises a ValueError with the same text after
+  the list, the entry and the field (`located` turns the old outcome into
+  the new one in both cases, and `shape_fault` finds the entry and the text
+  independently of the live parser).
 
 The isotopy family validator before `ainf.clean_tables` is kept as
 `oracle_clean_family`, run after the live parser. It and the live load must
@@ -300,9 +303,8 @@ def failed(got):
 
 def shape_fault(doc, families):
     """The located message of the first fault of doc's op lists, read in
-    the live parser's order, when it is a missing field or a name that
-    cannot be a key; None when there is none or the first fault is a
-    scalar's that its parser refuses."""
+    the live parser's order: a missing field, a name that cannot be a key,
+    or a beta or value that its parser refuses; None when there is none."""
     for family, field in families:
         parsers = {"beta": beta_from_json,
                    field: frac if field == "coeff" else Poly.from_json}
@@ -316,8 +318,8 @@ def shape_fault(doc, families):
                             f"names, got {e['inputs']!r}")
                 try:
                     parsers.get(key, str)(e[key])
-                except Exception:  # noqa: BLE001 - a scalar's own fault
-                    return None
+                except Exception as exc:  # noqa: BLE001 - a scalar's fault
+                    return f"{family}[{i}]: {key}: {exc}"
             if isinstance(e["output"], (list, dict)):
                 return (f"{family}[{i}]: output must be a name, "
                         f"got {e['output']!r}")
@@ -325,9 +327,11 @@ def shape_fault(doc, families):
 
 
 def located(expected, doc, families):
-    """The oracle's outcome, its bare KeyError or TypeError of a malformed
-    entry replaced by the located ValueError that the live load raises."""
-    if failed(expected) and expected[0] in (KeyError, TypeError):
+    """The oracle's outcome, its error at a malformed entry (a bare KeyError
+    or TypeError, or a scalar parser's own error) replaced by the located
+    ValueError that the live load raises."""
+    if failed(expected) and expected[0] in (KeyError, TypeError, ValueError,
+                                            ZeroDivisionError):
         fault = shape_fault(doc, families)
         if fault is not None:
             return ValueError, fault
@@ -640,7 +644,7 @@ def test_non_integer_numbers_are_refused(value):
     def refused(edit, load, message):
         doc = curved_line(Fraction(1, 2)).to_json()
         edit(doc)
-        with pytest.raises(ValueError, match=f"^{message} must be an integer"):
+        with pytest.raises(ValueError, match=rf"^{message} must be an integer"):
             load(doc)
 
     def beta(doc):
@@ -648,7 +652,7 @@ def test_non_integer_numbers_are_refused(value):
             if e["beta"] == ["0", 0]:
                 e["beta"] = ["0", value]
 
-    refused(beta, AInfAlgebra.from_json, "Maslov index")
+    refused(beta, AInfAlgebra.from_json, r"ops\[\d+\]: beta: Maslov index")
     refused(lambda doc: doc["space"]["basis"][0].__setitem__(1, value),
             AInfAlgebra.from_json, "degree of basis name 'e'")
     refused(lambda doc: doc["monoid"][0].__setitem__(1, value),

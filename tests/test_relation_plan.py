@@ -1,10 +1,14 @@
 """The joined relation scan and the kept monoid enumeration, against the
 code they replaced.
 
-`check_ainf` plans each (beta, n) once and joins the stored tables on the
-name at each insertion slot, so only tuples that have a term are formed, and
-`EnergyMonoid` answers every enumeration, split and membership query from
-its largest enumeration so far. Two older scans stay here as differential
+`check_ainf` plans every (beta, n) at once from the pairs of stored tables
+(`insertion_plans`) and joins the stored tables on the name at each
+insertion slot, so only tuples that have a term are formed, and
+`EnergyMonoid` enumerates on integer energies and answers every
+enumeration, split and membership query from one kept enumeration, which
+it extends. The per-(beta, n) planner `insertion_plan` and the breadth-first
+search over Fraction energies (`FractionMonoid`) stay here as the oracles of
+the planner and of the monoid. Two older scans stay here as differential
 oracles, and reports must agree exactly, down to which counterexample comes
 first:
 
@@ -20,6 +24,7 @@ the Fraction table is its oracle.
 
 import json
 import time
+from bisect import bisect_right
 from fractions import Fraction
 from itertools import product
 
@@ -35,7 +40,7 @@ from ainfkit.ainf import (
     check_ainf,
     constant_ids,
     flip_constant,
-    insertion_plan,
+    insertion_plans,
     insertion_sum,
     integer_ops,
     relation_violations,
@@ -55,6 +60,31 @@ from ainfkit.specio import load_spec
 
 
 # -- the replaced code, kept as the oracle ---------------------------------------
+# The per-(beta, n) planner, copied verbatim: `insertion_plans` builds every
+# plan at once from the pairs of stored tables.
+
+def insertion_plan(inner_ops, outer_ops, beta, n: int):
+    """The insertion terms of a quadratic sum at one (beta, n), for any
+    inputs: one (i - 1, i - 1 + j, inner_{j,beta1}, outer_{n-j+1,beta2})
+    per beta1 + beta2 = beta, inner arity j and slot i with both tables
+    stored.  Empty when structurally zero.
+
+    inner_ops and outer_ops are op tables {(k, beta): {inputs: {output:
+    coefficient}}}; the coefficients may be Fractions or t-polynomials.  With
+    both the same table this is the A-infinity relation of that table.
+    """
+    plan = []
+    for (j, b_inner), inner_table in inner_ops.items():
+        if j > n:
+            continue
+        b_outer = (beta[0] - b_inner[0], beta[1] - b_inner[1])
+        outer_table = outer_ops.get((n - j + 1, b_outer))
+        if outer_table:
+            plan.extend((start, start + j, inner_table, outer_table)
+                        for start in range(n - j + 1))
+    return plan
+
+
 # The planned per-tuple scan, copied verbatim but for its name.
 
 def oracle_relation_violations(ops, parity, betas, n_bound, tuples):
@@ -98,6 +128,57 @@ def oracle_enumerate(generators, cutoff):
                     nxt.append(cand)
         frontier = nxt
     return sorted(seen)
+
+
+class FractionMonoid:
+    """The enumeration of `EnergyMonoid` before it ran on integers: a
+    breadth-first search over Fraction energies that starts again from zero
+    whenever a larger energy is asked for, copied verbatim but for the class
+    around `_reach`, `enumerate` and `__contains__`."""
+
+    def __init__(self, generators):
+        self.generators = EnergyMonoid(generators).generators
+        self._cutoff = None
+
+    def _reach(self, cutoff: Fraction):
+        """Make the kept enumeration cover every element of energy <= cutoff."""
+        if self._cutoff is not None and cutoff <= self._cutoff:
+            return
+        seen = {BETA_ZERO}
+        frontier = [BETA_ZERO]
+        while frontier:
+            nxt = []
+            for e, mu in frontier:
+                for ge, gmu in self.generators:
+                    cand = (e + ge, mu + gmu)
+                    if cand[0] <= cutoff and cand not in seen:
+                        seen.add(cand)
+                        nxt.append(cand)
+                if len(seen) > scalars.ENUMERATION_BUDGET:
+                    raise ValueError(
+                        f"energy monoid has more than {scalars.ENUMERATION_BUDGET} "
+                        f"elements of energy <= {scalars.frac_str(cutoff)}")
+            frontier = nxt
+        elements = sorted(seen)
+        self._cutoff = cutoff
+        self._elements = elements
+        self._members = seen
+
+    def enumerate(self, cutoff) -> list:
+        """All distinct generator sums with total energy <= cutoff, sorted."""
+        cutoff = scalars.frac(cutoff)
+        if cutoff < 0:
+            raise ValueError("cutoff must be >= 0")
+        self._reach(cutoff)
+        return self._elements[:bisect_right(self._elements, cutoff,
+                                            key=lambda b: b[0])]
+
+    def __contains__(self, beta) -> bool:
+        e, mu = scalars.frac(beta[0]), int(beta[1])
+        if e < 0:
+            return False
+        self._reach(e)
+        return (e, mu) in self._members
 
 
 def oracle_splits(alg, beta):
@@ -441,6 +522,152 @@ def test_enumeration_stops_at_budget(monkeypatch):
     assert line.enumerate(9) == oracle_enumerate(line.generators, 9)
     assert (Fraction(9), 0) in line
     assert line.splits((Fraction(1), 2)) == []
+
+
+# Generators and probes whose energies share no denominator with the drawn
+# cutoffs: 1/20 and 1/19 make L = 380, and no multiple of 1/7 is a multiple
+# of 1/380 but 0.
+RICH = [(Fraction(1, 20), 0), (Fraction(1, 19), 0), (Fraction(1, 20), 2),
+        (Fraction(1, 7), -2)]
+rich_generators = st.lists(st.one_of(st.sampled_from(RICH),
+                                     st.tuples(st.sampled_from(ENERGIES),
+                                               st.sampled_from([-2, 0, 2]))),
+                           max_size=4)
+
+
+def outcomes(monoid, queries):
+    """What each query gives on one monoid, kept across the queries: the
+    enumeration or the membership answer, or the refusal's message."""
+    got = []
+    for kind, value in queries:
+        try:
+            got.append(monoid.enumerate(value) if kind == "enumerate"
+                       else value in monoid)
+        except ValueError as exc:
+            got.append(str(exc))
+    return got
+
+
+@settings(max_examples=80, deadline=None)
+@given(rich_generators, st.lists(st.one_of(
+    st.tuples(st.just("enumerate"),
+              st.fractions(min_value=0, max_value=Fraction(1, 2),
+                           max_denominator=14)),
+    st.tuples(st.just("contains"),
+              st.tuples(st.fractions(min_value=-1, max_value=Fraction(3, 4),
+                                     max_denominator=40),
+                        st.integers(-4, 4)))), min_size=1, max_size=8),
+    st.sampled_from([None, 30, 200]))
+def test_integer_enumeration_matches_fraction_search(gens, queries, budget):
+    """Enumerations, memberships and refusals, query by query, on one kept
+    monoid of each kind; with a small budget some queries are refused."""
+    with pytest.MonkeyPatch.context() as patch:
+        if budget is not None:
+            patch.setattr(scalars, "ENUMERATION_BUDGET", budget)
+        assert outcomes(EnergyMonoid(gens), queries) == \
+            outcomes(FractionMonoid(gens), queries)
+
+
+def test_integer_enumeration_of_a_rich_monoid():
+    gens = RICH[:3]
+    kept, fresh = EnergyMonoid(gens), FractionMonoid(gens)
+    # 1/7 and 13/37 are no multiple of 1/380.
+    for cutoff in (Fraction(1, 7), Fraction(1, 2), Fraction(13, 37)):
+        assert kept.enumerate(cutoff) == fresh.enumerate(cutoff)
+    assert len(kept.enumerate(Fraction(1, 2))) == 231
+    assert (Fraction(1, 7), 0) not in kept
+    assert (Fraction(2, 19), 0) in kept and (Fraction(1, 10), 4) in kept
+    assert (Fraction(1, 10), 6) not in kept
+    assert all(type(e) is Fraction and type(mu) is int
+               for e, mu in kept.enumerate(Fraction(1, 2)))
+
+
+def test_integer_enumeration_refuses_as_before(monkeypatch):
+    monkeypatch.setattr(scalars, "ENUMERATION_BUDGET", 50)
+    for probe in (Fraction(1, 2), Fraction(3, 7)):
+        messages = []
+        for monoid in (EnergyMonoid(RICH[:3]), FractionMonoid(RICH[:3])):
+            with pytest.raises(ValueError) as refused:
+                monoid.enumerate(probe)
+            messages.append(str(refused.value))
+        assert messages[0] == messages[1] == (
+            f"energy monoid has more than 50 elements of energy <= {probe}")
+
+
+def test_ascending_queries_extend_one_enumeration():
+    """Each larger request extends the kept enumeration, which a fresh one
+    agrees with; the elements kept so far are the same objects."""
+    kept = EnergyMonoid(RICH)
+    earlier = []
+    for cutoff in (Fraction(0), Fraction(1, 20), Fraction(1, 12),
+                   Fraction(1, 7), Fraction(3, 10), Fraction(1, 2)):
+        assert ((cutoff, 0) in kept) == ((cutoff, 0) in FractionMonoid(RICH))
+        got = kept.enumerate(cutoff)
+        assert got == EnergyMonoid(RICH).enumerate(cutoff)
+        assert got == FractionMonoid(RICH).enumerate(cutoff)
+        assert all(a is b for a, b in zip(earlier, got))
+        assert len(got) >= len(earlier)
+        earlier = got
+
+
+# -- every (beta, n) planned at once ---------------------------------------------------
+
+def oracle_plans(inner_ops, outer_ops, betas, n_bound):
+    """{(beta, n): plan} of the per-(beta, n) planner over betas, nonempty
+    plans only, the tables named by identity."""
+    return {(beta, n): [(start, stop, id(inner), id(outer))
+                        for start, stop, inner, outer in plan]
+            for beta in betas for n in range(n_bound + 1)
+            if (plan := insertion_plan(inner_ops, outer_ops, beta, n))}
+
+
+def by_identity(plans):
+    return {key: [(start, stop, id(inner), id(outer))
+                  for start, stop, inner, outer in plan]
+            for key, plan in plans.items()}
+
+
+def pair_range(alg):
+    """Every element of the monoid up to twice the largest stored energy:
+    each sum of two stored betas lies in it."""
+    top = 2 * max((beta[0] for _, beta in alg.ops), default=Fraction(0))
+    return alg.monoid.enumerate(top)
+
+
+@settings(max_examples=100, deadline=None)
+@given(sparse_algebras(), st.integers(0, 7))
+def test_insertion_plans_match_per_beta_plans(alg, n_bound):
+    """Curvature entries, gapped and truncated algebras; in modulo mode the
+    pair sums above the cutoff are planned here and dropped by the scan."""
+    plans = insertion_plans(alg.ops, alg.ops, n_bound)
+    assert by_identity(plans) == oracle_plans(alg.ops, alg.ops,
+                                              pair_range(alg), n_bound)
+    in_range = set(alg.beta_range())
+    assert all(beta in in_range or beta[0] > alg.cutoff
+               for beta, _ in plans)
+
+
+def test_pair_sums_above_the_cutoff_are_planned_and_dropped():
+    """m_1 and m_0 at energy 1/2 and cutoff 3/4: m_1 m_1 and m_1 m_0 sum to
+    energy 1, outside the checked range, where the pairs are planned but not
+    scanned; without the cutoff both relations fail."""
+    half = (Fraction(1, 2), 0)
+    basis = [("x", 1), ("y", 2), ("z", 3)]
+    ops = {(1, half): {("x",): {"y": Fraction(1)}, ("y",): {"z": Fraction(1)}},
+           (0, half): {(): {"y": Fraction(1)}}}
+    alg = AInfAlgebra(basis, EnergyMonoid([half]), "modulo", Fraction(3, 4),
+                      None, ops)
+    plans = insertion_plans(alg.ops, alg.ops, 1)
+    assert sorted(plans) == [((Fraction(1), 0), 0), ((Fraction(1), 0), 1)]
+    assert alg.beta_range() == [BETA_ZERO, half]
+    report = check_ainf(alg)
+    assert report == oracle_check_ainf(alg)
+    assert report["status"] == "PASS"
+    gapped = AInfAlgebra(basis, alg.monoid, ops=ops)
+    report = check_ainf(gapped)
+    assert [(c["beta"], c["n"]) for c in report["counterexamples"]] == \
+        [(["1", 0], 0), (["1", 0], 1)]
+    assert report == oracle_check_ainf(gapped)
 
 
 # -- every single flip of the small fixtures -----------------------------------------
