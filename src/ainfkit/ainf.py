@@ -21,8 +21,9 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from fractions import Fraction
-from itertools import combinations, islice, product
+from itertools import combinations, groupby, islice, product
 from math import lcm, prod
+from operator import mul
 
 from ainfkit.scalars import (
     BETA_ZERO,
@@ -557,103 +558,131 @@ def insertion_sum(plan, parity, names) -> dict:
     return {out: c for out, c in acc.items() if c}
 
 
-def joined_sums(n, terms, names, index, linear=None):
+def joined_sums(n, terms, names, index, linear=None, scale=None):
     """Quadratic sums on the tuples xi of names^n: the sum over the (plan,
-    parity, sign) of terms of sign (+1 or -1) times insertion_sum(plan,
-    parity, xi), plus linear[xi] when a linear table is given.  Yields, for
-    each leading name in scan order, every tuple with a nonzero sum in
-    product order, as (xi, {output: coefficient}), zeros dropped.  The
-    plans' tables are joined on the name at the insertion slot, so only
-    tuples with a term are formed.  index, a dict the caller keeps across
-    calls on the same tables, holds each table grouped once per scanned
-    name set.  Coefficients may be integers, Fractions or t-polynomials."""
-    if not (linear or any(plan for plan, _, _ in terms)):
-        return
-    if n == 0:
+    parity, sign) of terms of sign (+1 or -1) times insertion_sum(plan, parity,
+    xi), plus linear[xi] if a linear table is given, each c of the plans'
+    tables read as scale(c) if a scale is given.  Yields, for each leading name
+    in scan order, every tuple with a nonzero sum in product order, as (xi,
+    {output: coefficient}), zeros dropped.  The tables are joined on the name
+    at the insertion slot, so only tuples with a term are formed; a tuple's
+    code has its names' positions in names as base-|names| digits, so product
+    order is integer order, and a (tuple, output) sum is one key of a flat
+    dict.  index, kept by the caller for its calls on the same tables and scale
+    (one check, one extension), holds per scan order a number for each name met
+    and, built at first use, a row (key, code, position of its one name outside
+    the scan or -1, [(output number, scale(c))], code of key[1:]) per key with
+    at most one name outside the scan, and the groupings of these rows."""
+    f = (lambda c: c) if scale is None else scale
+    if n == 0:  # m_1(m_0) on the empty tuple, with no Koszul sign
         acc = dict(linear.get((), {})) if linear else {}
-        for plan, parity, sign in terms:
-            add_into(acc, insertion_sum(plan, parity, ()), sign)
-        acc = {o: c for o, c in acc.items() if c}
-        if acc:
-            yield (), acc
+        for plan, _, sign in terms:
+            for _, _, inner_table, outer_table in plan:
+                for mid, c_in in inner_table.get((), {}).items():
+                    add_into(acc, {o: f(c) for o, c in outer_table.get(
+                        (mid,), {}).items()}, sign * f(c_in))
+        if any(acc.values()):
+            yield (), {o: c for o, c in acc.items() if c}
         return
-    inside = frozenset(names)
-    index = index.setdefault(inside, {})
+    width, scan = len(names), index.setdefault(names, {})
+    if not scan:  # ids numbers the scanned names by their digits
+        scan[None] = (dict(zip(names, range(width))), dict(zip(names, range(width))))
+    digit, ids = scan[None]
 
-    def grouped(table, p):
-        """The keys of a table with at most one name outside the scan as
-        {key[p]: [(key, combo, position of that name or -1)]}, or for
-        p = None the keys inside it as {output: [(key, coefficient)]}."""
-        got = index.get((id(table), p))
+    def grouped(table, p, slot=None):
+        """By the number of key[p], the rows whose one name outside the scan,
+        if any, sits at slot; for p None, by output, the rows inside it."""
+        got = scan.get((id(table), p, slot))
         if got is None:
-            if id(table) not in index:
-                index[id(table)] = rows = []
+            rows = scan.get(id(table))
+            if rows is None:
+                rows = scan[id(table)] = []
+                k = len(next(iter(table), ()))
+                powers = [width ** e for e in range(k - 1, -1, -1)]
                 for key, combo in table.items():
-                    strays = () if inside.issuperset(key) else [
-                        i for i, nm in enumerate(key) if nm not in inside]
-                    if len(strays) < 2:
-                        rows.append((key, combo, strays[0] if strays else -1))
-            got = index[(id(table), p)] = {}
-            for key, combo, stray in index[id(table)]:
-                if p is not None:
-                    got.setdefault(key[p], []).append((key, combo, stray))
-                elif stray < 0:
-                    for out, c in combo.items():
-                        got.setdefault(out, []).append((key, c))
+                    digits, stray = [*map(digit.get, key)], -1
+                    if None in digits:
+                        stray = digits.index(None)
+                        if None in digits[stray + 1:]:
+                            continue
+                        digits[stray] = 0
+                        ids.setdefault(key[stray], len(ids))
+                    code = sum(map(mul, digits, powers))
+                    rows.append((key, code, stray, [
+                        (ids.setdefault(out, len(ids)), f(c))
+                        for out, c in combo.items()], code % powers[0] if k else 0))
+            got = scan[id(table), p, slot] = {}
+            for row in rows:
+                if p is None:
+                    for out, c in row[3] if row[2] < 0 else ():
+                        got.setdefault(out, []).append((row[1], c))
+                elif row[2] < 0 or row[2] == slot:
+                    got.setdefault(ids[row[0][p]], []).append(row)
         return got
 
-    position = {nm: i for i, nm in enumerate(names)}
-    leading = {}
-    for key, vec in (linear or {}).items():
-        if inside.issuperset(key):
-            leading.setdefault(key[0], []).append((key, vec))
-    for lead in names:
-        sums = {key: dict(vec) for key, vec in leading.get(lead, ())}
-        for plan, parity, sign in terms:
-            flip = sign < 0
-            for start, stop, inner_table, outer_table in plan:
-                if start == 0 < stop:  # the inner key leads the tuple
-                    outer_first = grouped(outer_table, 0)
-                    for inner_key, inner, stray in grouped(
-                            inner_table, 0).get(lead, ()):
-                        for mid, c_in in () if stray >= 0 else inner.items():
-                            c_in = -c_in if flip else c_in
-                            for outer_key, outer, stray in outer_first.get(mid, ()):
-                                if stray > 0:
-                                    continue
-                                acc = sums.setdefault(inner_key + outer_key[1:], {})
-                                for out, c_out in outer.items():
-                                    acc[out] = acc[out] + c_in * c_out \
-                                        if out in acc else c_in * c_out
+    joins = []  # per insertion term, the groupings it reads
+    for plan, parity, sign in terms:
+        for start, stop, inner_table, outer_table in plan:
+            leads = start == 0 < stop  # else the outer key, from key[1] after m_0
+            tail = width ** (n - stop)  # the codes of the names after the inner key
+            joins.append((sign < 0, parity, start, leads,
+                          grouped(inner_table, 0 if leads else None, 0),
+                          grouped(outer_table, int(start == stop == 0), start),
+                          tail, width ** (stop - start) * tail))
+    leading, powers = {}, [width ** e for e in range(n - 1, -1, -1)]
+    for key, vec in (linear or {}).items():  # added as given
+        digits = [*map(digit.get, key)]
+        if None not in digits:
+            leading.setdefault(digits[0], []).append((sum(map(mul, digits, powers)), [
+                (ids.setdefault(out, len(ids)), c) for out, c in vec.items()]))
+    numbered = [*ids]  # the names by number; a sum's key is code*size+number
+    size = len(numbered)
+    for lead in range(width):
+        sums = {}
+        for code, vec in leading.get(lead, ()):
+            for out, c in vec:
+                sums[code * size + out] = c
+        for flip, parity, start, leads, inner, outer, tail, widen in joins:
+            if leads:
+                for _, code, _, outs, _ in inner.get(lead, ()):
+                    head = code * tail
+                    for mid, c_in in outs:
+                        c_in = -c_in if flip else c_in
+                        for _, _, _, outs_out, rest in outer.get(mid, ()):
+                            at = (head + rest) * size
+                            for out, c_out in outs_out:
+                                cell = at + out
+                                sums[cell] = sums[cell] + c_in * c_out \
+                                    if cell in sums else c_in * c_out
+                continue
+            step = tail * size
+            for key, code, _, outs_out, _ in outer.get(lead, ()):
+                mids = inner.get(ids[key[start]])
+                if mids is None:
                     continue
-                # The outer key leads; after a slot-0 curvature, its second name.
-                inner_out = grouped(inner_table, None)
-                for outer_key, outer, stray in grouped(
-                        outer_table, 0 if start else 1).get(lead, ()):
-                    if stray >= 0 and stray != start or \
-                            outer_key[start] not in inner_out:
-                        continue
-                    prefix, suffix = outer_key[:start], outer_key[start + 1:]
-                    odd = sum(parity[nm] for nm in prefix) & 1 != flip
-                    for inner_key, c_in in inner_out[outer_key[start]]:
-                        c_in = -c_in if odd else c_in
-                        acc = sums.setdefault(prefix + inner_key + suffix, {})
-                        for out, c_out in outer.items():
-                            acc[out] = acc[out] + c_in * c_out \
-                                if out in acc else c_in * c_out
-        for key in sorted((key for key, acc in sums.items() if any(acc.values())),
-                          key=lambda h: [position[nm] for nm in h]):
-            yield key, {o: c for o, c in sums[key].items() if c}
+                odd = sum(map(parity.__getitem__, key[:start])) & 1 != flip
+                base = (code // (tail * width) * widen + code % tail) * size
+                for inner_code, c_in in mids:
+                    c_in = -c_in if odd else c_in
+                    at = base + inner_code * step
+                    for out, c_out in outs_out:
+                        cell = at + out
+                        sums[cell] = sums[cell] + c_in * c_out \
+                            if cell in sums else c_in * c_out
+        live = sorted(cell for cell, c in sums.items() if c)
+        for code, cells in groupby(live, lambda cell: cell // size):
+            yield tuple(names[code // w % width] for w in powers), \
+                {numbered[cell % size]: sums[cell] for cell in cells}
 
 
-def relation_violations(ops, parity, betas, n_bound, order):
+def relation_violations(ops, parity, betas, n_bound, order, scale=None):
     """The A-infinity relation of an op table, scanned in order: for each
     beta of the sorted list betas and n <= n_bound, the first tuple of
     order(n)^n, in product order, on which it fails, as (beta, n, names,
-    {output: coefficient}): the first joined sum of its plan.  Every plan is
-    built at once from the pairs of stored tables (insertion_plans); a
-    (beta, n) without one is structurally zero, and a plan at a beta not in
-    betas is out of range."""
+    {output: coefficient}): the first joined sum of its plan, each c read as
+    scale(c) when a scale is given.  Every plan is built at once from the
+    pairs of stored tables (insertion_plans); a (beta, n) without one is
+    structurally zero, and a plan at a beta not in betas is out of range."""
     index = {}
     plans = insertion_plans(ops, ops, n_bound)
     for beta, n in sorted(plans):
@@ -661,21 +690,9 @@ def relation_violations(ops, parity, betas, n_bound, order):
         if at == len(betas) or betas[at] != beta:
             continue
         for names, terms in joined_sums(n, [(plans[beta, n], parity, 1)],
-                                        order(n), index):
+                                        order(n), index, scale=scale):
             yield beta, n, names, terms
             break
-
-
-def integer_ops(ops) -> dict:
-    """The op table D*m, with D the lcm of every coefficient's denominator:
-    the same keys, integer coefficients.  A quadratic sum over it is D^2
-    times the rational one, so it vanishes exactly when that does."""
-    scale = lcm(*(c.denominator for table in ops.values()
-                  for combo in table.values() for c in combo.values()))
-    return {key: {inputs: {out: c.numerator * (scale // c.denominator)
-                           for out, c in combo.items()}
-                  for inputs, combo in table.items()}
-            for key, table in ops.items()}
 
 
 def ainf_defect(alg: AInfAlgebra, beta, names) -> AlgElement:
@@ -695,14 +712,18 @@ def ainf_defect(alg: AInfAlgebra, beta, names) -> AlgElement:
 def check_ainf(alg: AInfAlgebra, max_counterexamples=None) -> dict:
     """Scan all relation instances; report the first counterexample per
     (beta, n), at most max_counterexamples of them.  The scan joins the
-    integer table `integer_ops(alg.ops)` with itself; each counterexample's
+    stored table with itself, each c read as the integer D*c (D the lcm of
+    the denominators) as joined_sums indexes it; each counterexample's
     defect is replayed over the rational table by `ainf_defect`."""
     max_a = alg.max_arity()
     n_bound = max(2 * max_a - 1, 0)
     betas = alg.beta_range()
+    d = lcm(*{c.denominator for table in alg.ops.values()
+              for combo in table.values() for c in combo.values()})
     found = relation_violations(
-        integer_ops(alg.ops), alg._parity, betas, n_bound,
-        lambda n: alg.names if n == 1 else alg.window)
+        alg.ops, alg._parity, betas, n_bound,
+        lambda n: alg.names if n == 1 else alg.window,
+        lambda c: c.numerator * (d // c.denominator))
     counterexamples = [{
         "beta": beta_json(beta),
         "n": n,

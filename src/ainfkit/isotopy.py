@@ -43,15 +43,11 @@ Both identities hold on the scope of check_ainf, every name at arity 1 and
 the window beyond.
 
 check_pseudoisotopy runs both identities on integers, as check_ainf runs
-the A-infinity relation on integer_ops.  Each stored p becomes D*p(2^W),
-with D the lcm of the coefficient denominators (Kronecker substitution), so
-a tuple's sum is F(2^W) for F = D^2 times its polynomial sum.  F has integer
-coefficients at most B = L*S^2 + D*delta*S in absolute value (S sums the
-absolute coefficients of every D*p, delta is the largest t-degree and L
-bounds the terms of a plan), and a nonzero such polynomial has no root
-beyond B + 1: with 2^W > B + 1 the integer sum vanishes exactly when the
-polynomial one does (check_pseudoisotopy has the proof).  Failing tuples
-are replayed over Q[t] for the report.
+the A-infinity relation on the integers D*c: the join reads each stored p
+as D*p(2^W) (Kronecker substitution) as it indexes the tables, with 2^W
+beyond every root of a tuple's scaled sum, so the integer sum vanishes
+exactly when the polynomial one does (check_pseudoisotopy has the bound
+and the proof).  Failing tuples are replayed over Q[t] for the report.
 
 Product compatibility is kunneth.pullback_scanner over Q[t], set up once per
 check.
@@ -193,10 +189,10 @@ def isotopy_sums(P: Pseudoisotopy, k_bound):
     Returns {(beta, k): ((S1 plan, parity), (S2 plan, parity))}, sorted, over
     every (beta, k) where either plan has a term; the other plan may be
     empty.  With a sign each, they are terms of ainf.joined_sums, which sums
-    them on every tuple that has a term, as dicts out -> coefficient: a Poly,
-    or an integer on the evaluated tables of check_pseudoisotopy.  Lookups at
-    levels absent from the stored families contribute zero, which is exactly
-    the convention under which the extension formula is well defined.
+    them on every tuple that has a term: over Q[t], or over the integers
+    when check_pseudoisotopy reads each p at its point.  Lookups at levels
+    absent from the stored families contribute zero, which is exactly the
+    convention under which the extension formula is well defined.
     """
     s1 = insertion_plans(P.cT, P.mT, k_bound)
     s2 = insertion_plans(P.mT, P.cT, k_bound)
@@ -259,13 +255,6 @@ def check_pseudoisotopy(P: Pseudoisotopy, m0: AInfAlgebra = None,
         return sum(c.numerator * (scale // c.denominator) << width * i
                    for i, c in enumerate(p.coeffs))
 
-    def evaluated(tables):
-        return {key: {names: {out: at_point(p) for out, p in combo.items()}
-                      for names, combo in table.items()}
-                for key, table in tables.items()}
-
-    at = replaced(P, mT=evaluated(P.mT), cT=evaluated(P.cT))
-
     # The linear table of the differential equation: D^2*pf*p'(2^W) for each
     # p of m^t that moves; a constant p adds nothing.
     slopes = {}
@@ -278,17 +267,15 @@ def check_pseudoisotopy(P: Pseudoisotopy, m0: AInfAlgebra = None,
                         scale * pf * at_point(p.derivative())
 
     # Quadratic relations of m^t: the A-infinity relation.  Both identities
-    # are scanned as check_ainf scans an algebra: every name at arity 1, the
-    # window beyond.  Failures are replayed on plans of the Q[t] tables,
-    # built at the first one.
+    # are scanned as check_ainf scans an algebra, each p read as D*p(2^W):
+    # every name at arity 1, the window beyond.  Failures are replayed over
+    # Q[t] on the same plans.
     def scope(n):
         return P.names if n == 1 else P.window
 
-    mt_plans = poly_sums = None
+    mt_plans = insertion_plans(P.mT, P.mT, n_bound)
     for beta, n, names, _ in relation_violations(
-            at.mT, P._parity, betas, n_bound, scope):
-        if mt_plans is None:
-            mt_plans = insertion_plans(P.mT, P.mT, n_bound)
+            P.mT, P._parity, betas, n_bound, scope, at_point):
         defect = insertion_sum(mt_plans[beta, n], P._parity, names)
         violations.append({
             "clause": "ainf-family", "beta": beta_json(beta),
@@ -298,24 +285,16 @@ def check_pseudoisotopy(P: Pseudoisotopy, m0: AInfAlgebra = None,
 
     # The differential equation: pf d/dt m^t - S1 + S2 = 0, at every (beta, k)
     # with a plan or a slope; plans above the cutoff are out of range.
-    sums = isotopy_sums(at, k_bound)
+    sums = isotopy_sums(P, k_bound)
     index = {}
     for beta, k in sorted(sums.keys() | slopes.keys()):
         if beta[0] > P.cutoff:
             continue
         (s1, unsigned), (s2, parity) = sums.get((beta, k), NO_SUMS)
-        failing = [names for names, _ in joined_sums(
-            k, [(s1, unsigned, -1), (s2, parity, 1)], scope(k),
-            index, slopes.get((beta, k)))]
-        if not failing:
-            continue
-        if poly_sums is None:
-            poly_sums = isotopy_sums(P, k_bound)
-        (s1, unsigned), (s2, parity) = poly_sums.get((beta, k), NO_SUMS)
-        m_table = P.mT.get((k, beta), {})
-        for names in failing:
+        for names, _ in joined_sums(k, [(s1, unsigned, -1), (s2, parity, 1)], scope(k),
+                                    index, slopes.get((beta, k)), at_point):
             acc = {out: p.derivative() * pf
-                   for out, p in m_table.get(names, {}).items()}
+                   for out, p in P.mT.get((k, beta), {}).get(names, {}).items()}
             add_into(acc, insertion_sum(s1, unsigned, names), -1)
             add_into(acc, insertion_sum(s2, parity, names), 1)
             violations.append({

@@ -55,10 +55,10 @@ def _is_decimal(s: str) -> bool:
     return s.isdigit() and s.isascii()
 
 
-def frac_str(x: Fraction) -> str:
-    """Serialize a Fraction as 'p/q' (or 'p' when q == 1)."""
-    x = Fraction(x)
-    return f"{x.numerator}/{x.denominator}" if x.denominator != 1 else str(x.numerator)
+def frac_str(x) -> str:
+    """Serialize a Fraction or an int as 'p/q' (or 'p' when q == 1)."""
+    p, q = x.numerator, x.denominator
+    return f"{p}/{q}" if q != 1 else str(p)
 
 
 class NovikovElement:

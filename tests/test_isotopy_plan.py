@@ -6,7 +6,7 @@ code they replaced.
 of m^t (through `ainf.relation_violations`) and the two insertion plans of
 `isotopy_sums`. The extension sums over Q[t]; the check sums integers, each
 stored polynomial p read as D*p(2^W) at a point beyond every root of a
-scaled defect, and replays its failures over Q[t]. Four older versions stay
+scaled defect, and replays its failures over Q[t]. Five older versions stay
 here as differential oracles:
 
 - the per-tuple sums, which re-enumerate the beta-splits and the Koszul
@@ -15,6 +15,9 @@ here as differential oracles:
   `insertion_sum`, as the differential equation and the extension did before
   they became joins;
 - the planned per-tuple relation scan of `test_relation_plan`;
+- the join on name tuples of `test_relation_plan`, checked call by call on
+  each call's tables, read at the evaluation point where the call reads them
+  there;
 - the joined check over Q[t], as `check_pseudoisotopy` was before it
   evaluated the families at one integer point.
 
@@ -27,6 +30,7 @@ show that the width of the point is load-bearing.
 
 import json
 import time
+from contextlib import contextmanager
 from fractions import Fraction
 from itertools import product
 from unittest.mock import patch
@@ -35,7 +39,7 @@ from hypothesis import given, settings, strategies as st
 
 from ainfkit.ainf import AInfAlgebra, add_into, beta_json, insertion_plans, \
     insertion_sum, joined_sums, relation_violations
-from ainfkit import isotopy
+from ainfkit import ainf, isotopy
 from ainfkit.isotopy import (
     NO_SUMS,
     Pseudoisotopy,
@@ -52,7 +56,7 @@ from ainfkit.scalars import BETA_ZERO, EnergyMonoid
 from ainfkit.signs import koszul_prefix_sign, shifted_parities, sign_pow
 from ainfkit.specio import load_spec
 from test_relation_plan import by_identity, insertion_plan, oracle_plans, \
-    oracle_relation_violations
+    oracle_relation_violations, tuple_joined_sums
 
 
 # -- the replaced code, kept as the oracle ---------------------------------------
@@ -791,6 +795,73 @@ def test_every_single_isotopy_flip_matches_the_oracles(fixture_path, capsys):
             assert code == (1 if expected["status"] == "FAIL" else 0)
             statuses.add((cid is None, expected["status"]))
         assert statuses == {(True, "PASS"), (False, "FAIL")}
+
+
+# -- the coded join against the name-tuple join, call by call --------------------
+
+def scaled_terms(terms, scale):
+    """terms over copies of their plans' tables, each c read as scale(c)."""
+    copies = {}
+
+    def copy(table):
+        if id(table) not in copies:
+            copies[id(table)] = {key: {out: scale(c) for out, c in combo.items()}
+                                 for key, combo in table.items()}
+        return copies[id(table)]
+    return [([(start, stop, copy(inner), copy(outer))
+              for start, stop, inner, outer in plan], parity, sign)
+            for plan, parity, sign in terms]
+
+
+@contextmanager
+def joins_checked_by_the_name_tuple_join():
+    """joined_sums, where ainf and isotopy call it, checks each call's whole
+    list of sums against the name-tuple join on a fresh index, over copies
+    of the tables scaled as the call scales them; yields the list of every
+    call's sums."""
+    calls = []
+
+    def both(n, terms, names, index, linear=None, scale=None):
+        coded = list(joined_sums(n, terms, names, index, linear, scale))
+        assert coded == list(tuple_joined_sums(
+            n, terms if scale is None else scaled_terms(terms, scale), names,
+            {}, linear))
+        calls.append(coded)
+        yield from coded
+
+    with patch.object(ainf, "joined_sums", both), \
+            patch.object(isotopy, "joined_sums", both):
+        yield calls
+
+
+def test_isotopy_joins_match_the_name_tuple_join(fixture_path):
+    """Every join of check_pseudoisotopy, over the Kronecker-evaluated
+    integer tables, on both bundled isotopies and each of their single
+    flips, and of extend_one_level, over the Q[t] tables, on the extension
+    steps."""
+    with joins_checked_by_the_name_tuple_join() as calls:
+        for name in ISOTOPY_SWEEP:
+            P = load_spec(fixture_path(f"{name}.json")).isotopy
+            for cid in [None] + isotopy_constant_ids(P):
+                check_pseudoisotopy(
+                    P if cid is None else flip_isotopy_constant(P, cid))
+        checked = len(calls)
+        for m0, m1, P in _extension_steps():
+            extend_one_level(m0, m1, P)
+    assert any(calls[:checked]) and any(calls[checked:])
+
+
+@settings(max_examples=40, deadline=None)
+@given(sparse_families(windowed=True), st.data())
+def test_random_isotopy_joins_match_the_name_tuple_join(P, data):
+    level = new_level(data, P)
+    ids = isotopy_constant_ids(P)
+    families = [P] + ([flip_isotopy_constant(P, data.draw(st.sampled_from(ids)))]
+                      if ids else [])
+    with joins_checked_by_the_name_tuple_join():
+        for fam in families:
+            check_pseudoisotopy(fam)
+            extend_one_level(*one_level_up(fam, level), fam)
 
 
 # -- the work of the isotopy sums is bounded by their terms --------------------------

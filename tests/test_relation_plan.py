@@ -8,25 +8,30 @@ insertion slot, so only tuples that have a term are formed, and
 enumeration, split and membership query from one kept enumeration, which
 it extends. The per-(beta, n) planner `insertion_plan` and the breadth-first
 search over Fraction energies (`FractionMonoid`) stay here as the oracles of
-the planner and of the monoid. Two older scans stay here as differential
+the planner and of the monoid. Three older scans stay here as differential
 oracles, and reports must agree exactly, down to which counterexample comes
 first:
 
+- the join on name tuples over the integer copy `integer_ops` of the
+  stored table (`tuple_relation_violations`), which the join on integer
+  tuple codes replaced;
 - the planned per-tuple scan, which ran every tuple of window^n through
   `insertion_sum` (`oracle_relation_violations`);
 - the per-tuple scan before that, which builds the beta-splits from a fresh
   enumeration and the stored terms once per (beta, n), and the Koszul signs
   and the defect element on every tuple (`oracle_check_ainf`).
 
-The scan itself runs over the integer table `integer_ops`; the same scan over
-the Fraction table is its oracle.
+The scan itself reads the stored Fraction table and scales each constant to
+an integer as it indexes the table; the same scan without the scaling is its
+oracle.
 """
 
 import json
 import time
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from itertools import product
+from math import lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -35,6 +40,7 @@ from ainfkit import scalars
 from ainfkit.ainf import (
     AInfAlgebra,
     AlgElement,
+    add_into,
     ainf_defect,
     beta_json,
     check_ainf,
@@ -42,7 +48,7 @@ from ainfkit.ainf import (
     flip_constant,
     insertion_plans,
     insertion_sum,
-    integer_ops,
+    joined_sums,
     relation_violations,
 )
 from ainfkit.cli import main
@@ -110,6 +116,131 @@ def _relation_tuples(alg: AInfAlgebra, n: int):
     if n == 1:
         return [(nm,) for nm in alg.names]
     return product(alg.window, repeat=n)
+
+
+# The join on name tuples and the integer copy it scanned, copied verbatim
+# but for their names: `joined_sums` now codes each tuple as an integer and
+# scales the stored constants to integers while it indexes the tables.
+
+def tuple_joined_sums(n, terms, names, index, linear=None):
+    """Quadratic sums on the tuples xi of names^n: the sum over the (plan,
+    parity, sign) of terms of sign (+1 or -1) times insertion_sum(plan,
+    parity, xi), plus linear[xi] when a linear table is given.  Yields, for
+    each leading name in scan order, every tuple with a nonzero sum in
+    product order, as (xi, {output: coefficient}), zeros dropped.  The
+    plans' tables are joined on the name at the insertion slot, so only
+    tuples with a term are formed.  index, a dict the caller keeps across
+    calls on the same tables, holds each table grouped once per scanned
+    name set.  Coefficients may be integers, Fractions or t-polynomials."""
+    if not (linear or any(plan for plan, _, _ in terms)):
+        return
+    if n == 0:
+        acc = dict(linear.get((), {})) if linear else {}
+        for plan, parity, sign in terms:
+            add_into(acc, insertion_sum(plan, parity, ()), sign)
+        acc = {o: c for o, c in acc.items() if c}
+        if acc:
+            yield (), acc
+        return
+    inside = frozenset(names)
+    index = index.setdefault(inside, {})
+
+    def grouped(table, p):
+        """The keys of a table with at most one name outside the scan as
+        {key[p]: [(key, combo, position of that name or -1)]}, or for
+        p = None the keys inside it as {output: [(key, coefficient)]}."""
+        got = index.get((id(table), p))
+        if got is None:
+            if id(table) not in index:
+                index[id(table)] = rows = []
+                for key, combo in table.items():
+                    strays = () if inside.issuperset(key) else [
+                        i for i, nm in enumerate(key) if nm not in inside]
+                    if len(strays) < 2:
+                        rows.append((key, combo, strays[0] if strays else -1))
+            got = index[(id(table), p)] = {}
+            for key, combo, stray in index[id(table)]:
+                if p is not None:
+                    got.setdefault(key[p], []).append((key, combo, stray))
+                elif stray < 0:
+                    for out, c in combo.items():
+                        got.setdefault(out, []).append((key, c))
+        return got
+
+    position = {nm: i for i, nm in enumerate(names)}
+    leading = {}
+    for key, vec in (linear or {}).items():
+        if inside.issuperset(key):
+            leading.setdefault(key[0], []).append((key, vec))
+    for lead in names:
+        sums = {key: dict(vec) for key, vec in leading.get(lead, ())}
+        for plan, parity, sign in terms:
+            flip = sign < 0
+            for start, stop, inner_table, outer_table in plan:
+                if start == 0 < stop:  # the inner key leads the tuple
+                    outer_first = grouped(outer_table, 0)
+                    for inner_key, inner, stray in grouped(
+                            inner_table, 0).get(lead, ()):
+                        for mid, c_in in () if stray >= 0 else inner.items():
+                            c_in = -c_in if flip else c_in
+                            for outer_key, outer, stray in outer_first.get(mid, ()):
+                                if stray > 0:
+                                    continue
+                                acc = sums.setdefault(inner_key + outer_key[1:], {})
+                                for out, c_out in outer.items():
+                                    acc[out] = acc[out] + c_in * c_out \
+                                        if out in acc else c_in * c_out
+                    continue
+                # The outer key leads; after a slot-0 curvature, its second name.
+                inner_out = grouped(inner_table, None)
+                for outer_key, outer, stray in grouped(
+                        outer_table, 0 if start else 1).get(lead, ()):
+                    if stray >= 0 and stray != start or \
+                            outer_key[start] not in inner_out:
+                        continue
+                    prefix, suffix = outer_key[:start], outer_key[start + 1:]
+                    odd = sum(parity[nm] for nm in prefix) & 1 != flip
+                    for inner_key, c_in in inner_out[outer_key[start]]:
+                        c_in = -c_in if odd else c_in
+                        acc = sums.setdefault(prefix + inner_key + suffix, {})
+                        for out, c_out in outer.items():
+                            acc[out] = acc[out] + c_in * c_out \
+                                if out in acc else c_in * c_out
+        for key in sorted((key for key, acc in sums.items() if any(acc.values())),
+                          key=lambda h: [position[nm] for nm in h]):
+            yield key, {o: c for o, c in sums[key].items() if c}
+
+
+def tuple_relation_violations(ops, parity, betas, n_bound, order):
+    """The A-infinity relation of an op table, scanned in order: for each
+    beta of the sorted list betas and n <= n_bound, the first tuple of
+    order(n)^n, in product order, on which it fails, as (beta, n, names,
+    {output: coefficient}): the first joined sum of its plan.  Every plan is
+    built at once from the pairs of stored tables (insertion_plans); a
+    (beta, n) without one is structurally zero, and a plan at a beta not in
+    betas is out of range."""
+    index = {}
+    plans = insertion_plans(ops, ops, n_bound)
+    for beta, n in sorted(plans):
+        at = bisect_left(betas, beta)
+        if at == len(betas) or betas[at] != beta:
+            continue
+        for names, terms in tuple_joined_sums(
+                n, [(plans[beta, n], parity, 1)], order(n), index):
+            yield beta, n, names, terms
+            break
+
+
+def integer_ops(ops) -> dict:
+    """The op table D*m, with D the lcm of every coefficient's denominator:
+    the same keys, integer coefficients.  A quadratic sum over it is D^2
+    times the rational one, so it vanishes exactly when that does."""
+    scale = lcm(*(c.denominator for table in ops.values()
+                  for combo in table.values() for c in combo.values()))
+    return {key: {inputs: {out: c.numerator * (scale // c.denominator)
+                           for out, c in combo.items()}
+                  for inputs, combo in table.items()}
+            for key, table in ops.items()}
 
 
 # The per-tuple scan before it was planned.
@@ -386,22 +517,47 @@ def scan_order(alg):
     return lambda n: alg.names if n == 1 else alg.window
 
 
-def first_violations(alg, ops):
+def scaled(ops):
+    """c -> D*c, with D the common denominator of ops, as check_ainf scales."""
+    d = lcm(*(c.denominator for table in ops.values()
+              for combo in table.values() for c in combo.values()))
+    return lambda c: c.numerator * (d // c.denominator)
+
+
+def scan_args(alg, ops):
+    return (ops, shifted_parities(dict(alg.basis)), alg.beta_range(),
+            max(2 * alg.max_arity() - 1, 0))
+
+
+def first_violations(alg, ops, scale=None):
     """(beta, n, names) of each first violation of the scan over ops."""
-    n_bound = max(2 * alg.max_arity() - 1, 0)
     return [(beta, n, names) for beta, n, names, _ in relation_violations(
-        ops, shifted_parities(dict(alg.basis)), alg.beta_range(), n_bound,
-        scan_order(alg))]
+        *scan_args(alg, ops), scan_order(alg), scale)]
 
 
 def both_scans(alg, ops):
     """Every first violation, with its terms, of the joined scan and of the
     per-tuple scan over ops."""
-    args = (ops, shifted_parities(dict(alg.basis)), alg.beta_range(),
-            max(2 * alg.max_arity() - 1, 0))
+    args = scan_args(alg, ops)
     return (list(relation_violations(*args, scan_order(alg))),
             list(oracle_relation_violations(
                 *args, lambda n: _relation_tuples(alg, n))))
+
+
+def assert_scans_agree(alg, per_tuple=True):
+    """Every first violation, with its terms, is the same for the coded
+    scan, which scales the stored table while it indexes it, the name-tuple
+    join over the integer copy and, unless per_tuple is off, the per-tuple
+    scan over that copy.  Returns the first violations."""
+    ops = integer_ops(alg.ops)
+    coded = list(relation_violations(*scan_args(alg, alg.ops), scan_order(alg),
+                                     scaled(alg.ops)))
+    assert coded == list(tuple_relation_violations(*scan_args(alg, ops),
+                                                   scan_order(alg)))
+    if per_tuple:
+        assert coded == list(oracle_relation_violations(
+            *scan_args(alg, ops), lambda n: _relation_tuples(alg, n)))
+    return coded
 
 
 @settings(max_examples=100, deadline=None)
@@ -417,6 +573,7 @@ def test_joined_scan_matches_per_tuple_scan(alg, data):
         for ops in (integer_ops(a.ops), a.ops):
             joined, per_tuple = both_scans(a, ops)
             assert joined == per_tuple
+        assert_scans_agree(a)
 
 
 @settings(max_examples=60, deadline=None)
@@ -424,13 +581,15 @@ def test_joined_scan_matches_per_tuple_scan(alg, data):
 def test_integer_scan_matches_fraction_scan(alg, data):
     """The bundled fixtures hold integer constants only, so the scaling to
     integers is checked on random denominators: the Fraction scan stays as
-    the oracle of the integer one, before and after one flip."""
+    the oracle of the scan that scales while it indexes, and of the scan
+    over the integer copy, before and after one flip."""
     algebras = [alg]
     ids = constant_ids(alg)
     if ids:
         algebras.append(flip_constant(alg, data.draw(st.sampled_from(ids))))
     for a in algebras:
-        assert first_violations(a, integer_ops(a.ops)) == \
+        assert first_violations(a, a.ops, scaled(a.ops)) == \
+            first_violations(a, integer_ops(a.ops)) == \
             first_violations(a, a.ops)
         assert check_ainf(a) == oracle_check_ainf(a)
 
@@ -441,6 +600,84 @@ def test_integer_ops_scales_by_the_common_denominator():
     assert integer_ops(ops) == {(1, BETA_ZERO): {("x",): {"y": 3}},
                                 (2, BETA_ZERO): {("x", "y"): {"y": -10, "x": 36}}}
     assert integer_ops({}) == {}
+
+
+def rewindowed(alg, window):
+    return AInfAlgebra(alg.basis, alg.monoid, alg.mode, alg.cutoff, alg.unit,
+                       alg.ops, window)
+
+
+@settings(max_examples=60, deadline=None)
+@given(sparse_algebras(st.integers(2, 12)), st.data())
+def test_permuted_window_matches_the_oracles(alg, data):
+    """A window that lists the whole basis in another order: the arity-1 scan
+    and the longer ones share one name set in two orders, and each codes
+    tuples by its own order."""
+    windows = [tuple(reversed(alg.names)),
+               tuple(data.draw(st.permutations(alg.names)))]
+    for window in windows:
+        a = rewindowed(alg, window)
+        assert_scans_agree(a)
+        assert check_ainf(a) == oracle_check_ainf(a)
+        ids = constant_ids(a)
+        if ids:
+            flipped = flip_constant(a, data.draw(st.sampled_from(ids)))
+            assert_scans_agree(flipped)
+            assert check_ainf(flipped) == oracle_check_ainf(flipped)
+
+
+@settings(max_examples=40, deadline=None)
+@given(sparse_algebras(st.integers(2, 12)))
+def test_empty_window_matches_the_oracles(alg):
+    """An empty window scans the arity-1 relations on every name and no
+    longer tuple at all."""
+    a = rewindowed(alg, [])
+    found = assert_scans_agree(a)
+    assert all(n < 2 for _, n, _, _ in found)
+    assert check_ainf(a) == oracle_check_ainf(a)
+
+
+def every_sum(ops, parity, n, names, scale):
+    """Every nonzero sum of the A-infinity relation of ops on names^n, from
+    the coded join, which scales while it indexes, the name-tuple join over
+    the integer copy and the per-tuple sum over that copy, which must
+    agree."""
+    integer = integer_ops(ops)
+    coded = list(joined_sums(
+        n, [(insertion_plans(ops, ops, n).get((BETA_ZERO, n), []), parity, 1)],
+        names, {}, scale=scale))
+    plan = insertion_plans(integer, integer, n).get((BETA_ZERO, n), [])
+    assert coded == list(tuple_joined_sums(n, [(plan, parity, 1)], names, {}))
+    per_tuple = [(xi, acc) for xi in product(names, repeat=n)
+                 if (acc := insertion_sum(plan, parity, xi))]
+    assert coded == per_tuple
+    return coded
+
+
+def test_outer_key_with_a_name_outside_the_window():
+    """z lies outside the window, so a key that holds z joins only where z
+    is the output of the inserted operation.  (z, q) and (q, z) hold it at
+    the slot of m_1(y) = z; m_1(p) = q at the other slot of either key
+    would make a tuple with z in it, which the scan does not form."""
+    basis = [("x", 0), ("y", 0), ("p", 0), ("z", 1), ("q", 1), ("w", 1),
+             ("r", 2)]
+    ops = {(1, BETA_ZERO): {("y",): {"z": Fraction(1, 2)},
+                           ("p",): {"q": Fraction(3)}},
+           (2, BETA_ZERO): {("x", "z"): {"w": Fraction(1)},
+                           ("z", "q"): {"r": Fraction(2, 3)},
+                           ("q", "z"): {"r": Fraction(-1)}}}
+    alg = AInfAlgebra(basis, EnergyMonoid([]), ops=ops,
+                      window=["x", "y", "p", "q", "w", "r"])
+    parity = shifted_parities(dict(basis))
+    sums = every_sum(alg.ops, parity, 2, alg.window, scaled(alg.ops))
+    assert [xi for xi, _ in sums] == [("x", "y"), ("y", "q"), ("q", "y")]
+    assert sums[0][1] == {"w": -18}  # D^2 * (-1)^{||x||} * 1/2 * 1, D = 6
+    assert [(n, names) for _, n, names in first_violations(alg, alg.ops, scaled(alg.ops))] \
+        == [(2, ("x", "y"))]
+    for order in (alg.window, tuple(reversed(alg.window))):
+        every_sum(alg.ops, parity, 2, order, scaled(alg.ops))
+        every_sum(alg.ops, parity, 3, order, scaled(alg.ops))
+    assert check_ainf(alg) == oracle_check_ainf(alg)
 
 
 def test_ainf_defect_rejects_beta_outside_monoid():
@@ -738,3 +975,37 @@ def test_high_arity_failure_matches_the_oracle():
     for cid in constant_ids(alg):
         flipped = flip_constant(alg, cid)
         assert check_ainf(flipped) == oracle_check_ainf(flipped)
+
+
+def test_codes_beyond_64_bits_match_the_old_join():
+    """Arity bound 11 over 62 names: window^11 has more than 2^63 tuples, so
+    the codes of the failing tuple, made of the last names, exceed 64 bits.
+    m_6(a0, ..., a5) = z feeds m_6(z, a0, ..., a4) = w, which fails on the
+    tuple (a0, ..., a5, a0, ..., a4) alone."""
+    fillers = [(f"b{i}", 0) for i in range(54)]
+    basis = fillers + [(f"a{i}", 1) for i in range(6)] + [("z", 2), ("w", 3)]
+    a = tuple(f"a{i}" for i in range(6))
+    alg = AInfAlgebra(basis, EnergyMonoid([]), ops={(6, BETA_ZERO): {
+        a: {"z": Fraction(2)}, ("z",) + a[:5]: {"w": Fraction(3, 5)}}})
+    assert len(alg.window) ** 11 > 2 ** 63
+    found = assert_scans_agree(alg, per_tuple=False)
+    assert found == [(BETA_ZERO, 11, a + a[:5], {"w": 30})]
+    report = check_ainf(alg)
+    assert report["counterexamples"] == [{
+        "beta": ["0", 0], "n": 11, "inputs": list(a + a[:5]),
+        "defect": {"w": [["0", "6/5"]]}}]
+
+
+def test_every_single_flip_scans_as_the_old_join(fixture_path):
+    """First violations and their terms of every single flip of the small
+    fixtures and of a spaced panel of derham_t2, against the name-tuple
+    join and the per-tuple scan."""
+    for name in ("derham_t1", "gapped_product"):
+        alg = load_spec(fixture_path(f"{name}.json")).algebra
+        assert_scans_agree(alg)
+        for cid in constant_ids(alg):
+            assert_scans_agree(flip_constant(alg, cid))
+    alg = load_spec(fixture_path("derham_t2.json")).algebra
+    ids = constant_ids(alg)
+    for cid in ids[len(ids) // 24::len(ids) // 12]:
+        assert_scans_agree(flip_constant(alg, cid))
