@@ -21,9 +21,9 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from fractions import Fraction
-from itertools import combinations, groupby, islice, product
+from itertools import combinations, compress, groupby, islice, product, repeat
 from math import lcm, prod
-from operator import mul
+from operator import add, is_, itemgetter, mul
 
 from ainfkit.scalars import (
     BETA_ZERO,
@@ -595,22 +595,20 @@ def joined_sums(n, terms, names, index, linear=None, scale=None):
         got = scan.get((id(table), p, slot))
         if got is None:
             rows = scan.get(id(table))
-            if rows is None:
-                rows = scan[id(table)] = []
-                k = len(next(iter(table), ()))
-                powers = [width ** e for e in range(k - 1, -1, -1)]
-                for key, combo in table.items():
-                    digits, stray = [*map(digit.get, key)], -1
-                    if None in digits:
-                        stray = digits.index(None)
-                        if None in digits[stray + 1:]:
-                            continue
-                        digits[stray] = 0
-                        ids.setdefault(key[stray], len(ids))
-                    code = sum(map(mul, digits, powers))
-                    rows.append((key, code, stray, [
-                        (ids.setdefault(out, len(ids)), f(c))
-                        for out, c in combo.items()], code % powers[0] if k else 0))
+            if rows is None:  # the codes digit by digit, over all keys at once
+                keys, k = [*table], len(next(iter(table), ()))
+                codes, strays = [0] * len(keys), [-1] * len(keys)
+                for j in range(k):
+                    col = [*map(digit.get, map(itemgetter(j), keys))]
+                    for i in compress(range(len(keys)), map(is_, col, repeat(None))):
+                        strays[i], col[i] = j if strays[i] < 0 else k, 0
+                        ids.setdefault(keys[i][j], len(ids))
+                    codes = [*map(add, map(mul, codes, repeat(width)), col)]
+                last = width ** (k - 1) if k else 1
+                rows = scan[id(table)] = [(key, code, stray, [
+                    (ids.setdefault(out, len(ids)), f(c)) for out, c in combo.items()],
+                    code % last) for key, code, stray, combo in zip(
+                    keys, codes, strays, table.values()) if stray < k]
             got = scan[id(table), p, slot] = {}
             for row in rows:
                 if p is None:
@@ -655,13 +653,15 @@ def joined_sums(n, terms, names, index, linear=None, scale=None):
                                 sums[cell] = sums[cell] + c_in * c_out \
                                     if cell in sums else c_in * c_out
                 continue
-            step = tail * size
+            step, odds = tail * size, {}  # the sign of each prefix met
             for key, code, _, outs_out, _ in outer.get(lead, ()):
                 mids = inner.get(ids[key[start]])
                 if mids is None:
                     continue
-                odd = sum(map(parity.__getitem__, key[:start])) & 1 != flip
-                base = (code // (tail * width) * widen + code % tail) * size
+                prefix = code // (tail * width)
+                if prefix not in odds:
+                    odds[prefix] = sum(map(parity.__getitem__, key[:start])) & 1 != flip
+                odd, base = odds[prefix], (prefix * widen + code % tail) * size
                 for inner_code, c_in in mids:
                     c_in = -c_in if odd else c_in
                     at = base + inner_code * step
