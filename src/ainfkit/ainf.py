@@ -165,7 +165,7 @@ def window_names(window, names) -> tuple:
         raise ValueError("window must be an array of names")
     unseen = set(names)
     for name in window:
-        if name not in unseen:
+        if type(name) is not str or name not in unseen:
             raise ValueError(f"window name {name!r} " + (
                 "listed twice" if name in names else "not in basis"))
         unseen.remove(name)
@@ -222,6 +222,21 @@ def clean_tables(tables, degrees, monoid, cutoff, drop, kind, coerce, where):
                 raise ValueError(f"{where}m_{{0,0}} must vanish")
             clean[(k, beta)] = clean_table
     return clean
+
+
+def map_tables(tables, f):
+    """Op tables with each stored value v read as f(v); a falsy f(v) is
+    dropped, and so is an inputs row or a table left empty."""
+    mapped = {}
+    for key, table in tables.items():
+        rows = {}
+        for inputs, combo in table.items():
+            row = {out: w for out, v in combo.items() if (w := f(v))}
+            if row:
+                rows[inputs] = row
+        if rows:
+            mapped[key] = rows
+    return mapped
 
 
 def stored_entries(tables):
@@ -325,7 +340,7 @@ class AInfAlgebra:
         names = [n for n, _ in basis]
         degrees = dict(basis)
         if unit is not None:
-            if unit not in degrees:
+            if unit not in names:  # not degrees: an array is unhashable
                 raise ValueError(f"unit {unit!r} not in basis")
             if degrees[unit] != 0:
                 raise ValueError("unit must have degree 0")
@@ -387,7 +402,8 @@ class AInfAlgebra:
         beta = beta_norm(beta)
         if beta not in self.monoid:
             raise ValueError(f"beta {beta} outside the energy monoid")
-        return self.monoid.splits(beta)
+        return [(b1, rest) for b1 in self.monoid.enumerate(beta[0])
+                if (rest := (beta[0] - b1[0], beta[1] - b1[1])) in self.monoid]
 
     # -- serialization ---------------------------------------------------------
     def to_json(self):

@@ -55,14 +55,13 @@ check.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import lcm
 
 from ainfkit.ainf import (AInfAlgebra, add_into, basis_pairs, beta_json,
                           clean_tables, entry_tables, flip_stored,
                           insertion_plans, insertion_sum, joined_sums,
-                          relation_violations, replaced, stored_entries,
-                          window_names)
+                          map_tables, relation_violations, replaced,
+                          stored_entries, window_names)
 from ainfkit.kunneth import kunneth_K_table, pullback_scanner, scan_report
 from ainfkit.poly import Poly
 from ainfkit.scalars import (BETA_ZERO, EnergyMonoid, frac, frac_str, json_int,
@@ -87,7 +86,7 @@ class Pseudoisotopy:
         basis = basis_pairs(basis)
         names = tuple(nm for nm, _ in basis)
         degrees = dict(basis)
-        if unit is not None and degrees.get(unit) != 0:
+        if unit is not None and (unit not in names or degrees[unit] != 0):
             raise ValueError("unit must exist and have degree 0")
         mT = clean_tables(mT or {}, degrees, monoid, cutoff, 2, Poly,
                           Poly.const, "m^t: ")
@@ -131,16 +130,9 @@ class Pseudoisotopy:
     def endpoint(self, t) -> AInfAlgebra:
         """Evaluate m^t at a rational parameter value; modulo-mode algebra."""
         t = frac(t)
-        ops = {}
-        for (k, beta), table in self.mT.items():
-            for inputs, combo in table.items():
-                for out, poly in combo.items():
-                    val = poly(t)
-                    if val != 0:
-                        ops.setdefault((k, beta), {}).setdefault(
-                            inputs, {})[out] = val
         return AInfAlgebra(self.basis, self.monoid, "modulo", self.cutoff,
-                           self.unit, ops, self.window)
+                           self.unit, map_tables(self.mT, lambda p: p(t)),
+                           self.window)
 
     # -- serialization -------------------------------------------------------
     def to_json(self):
@@ -256,15 +248,9 @@ def check_pseudoisotopy(P: Pseudoisotopy, m0: AInfAlgebra = None,
                    for i, c in enumerate(p.coeffs))
 
     # The linear table of the differential equation: D^2*pf*p'(2^W) for each
-    # p of m^t that moves; a constant p adds nothing.
-    slopes = {}
-    for (k, beta), table in P.mT.items():
-        for names, combo in table.items():
-            for out, p in combo.items():
-                if p.degree() > 0:
-                    slope = slopes.setdefault((beta, k), {})
-                    slope.setdefault(names, {})[out] = \
-                        scale * pf * at_point(p.derivative())
+    # p of m^t that moves; a constant p reads 0 and is dropped.
+    slopes = {(beta, k): table for (k, beta), table in map_tables(
+        P.mT, lambda p: scale * pf * at_point(p.derivative())).items()}
 
     # Quadratic relations of m^t: the A-infinity relation.  Both identities
     # are scanned as check_ainf scans an algebra, each p read as D*p(2^W):
@@ -376,26 +362,12 @@ def extend_one_level(m0: AInfAlgebra, m1: AInfAlgebra, P: Pseudoisotopy):
             if tau:
                 new_tau_tables[(k, beta)] = tau
 
-    ext_ops = {key: {ins: dict(cmb) for ins, cmb in tbl.items()}
-               for key, tbl in m0.ops.items()}
-    for key, tbl in new_tau_tables.items():
-        for inputs, combo in tbl.items():
-            for out, poly in combo.items():
-                val = poly(Fraction(0))
-                if val != 0:
-                    ext_ops.setdefault(key, {}).setdefault(inputs, {})[out] = val
+    # The new-level keys lie above e0, so they never meet the old ones.
     m_ext = AInfAlgebra(m0.basis, m0.monoid, "modulo", e1, m0.unit,
-                        ext_ops, m0.window)
-
-    ext_mt = {key: {ins: dict(cmb) for ins, cmb in tbl.items()}
-              for key, tbl in P.mT.items()}
-    for key, tbl in new_tau_tables.items():
-        for inputs, combo in tbl.items():
-            ext_mt.setdefault(key, {})[inputs] = dict(combo)
-    p_ext = Pseudoisotopy(P.n, P.basis, P.monoid, e1, P.unit, ext_mt,
-                          {key: {ins: dict(cmb) for ins, cmb in tbl.items()}
-                           for key, tbl in P.cT.items()},
-                          P.window)
+                        {**m0.ops, **map_tables(new_tau_tables, lambda p: p(0))},
+                        m0.window)
+    p_ext = Pseudoisotopy(P.n, P.basis, P.monoid, e1, P.unit,
+                          {**P.mT, **new_tau_tables}, P.cT, P.window)
     return m_ext, p_ext
 
 

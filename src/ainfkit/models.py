@@ -27,12 +27,12 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations, product
 
-from ainfkit.ainf import AInfAlgebra, AlgElement
+from ainfkit.ainf import AInfAlgebra, AlgElement, map_tables
 from ainfkit.isotopy import Pseudoisotopy, extend_one_level
 from ainfkit.kunneth import SubalgebraEmbedding
 from ainfkit.poly import Poly
 from ainfkit.scalars import EnergyMonoid, NovikovElement, frac, monoid_sum
-from ainfkit.signs import sign_pow
+from ainfkit.signs import merge_wedge, sign_pow
 
 
 # -- torus form models ----------------------------------------------------------
@@ -40,14 +40,6 @@ from ainfkit.signs import sign_pow
 def _form_name(freq, idx) -> str:
     return "f" + "_".join(str(f) for f in freq) + ";d" + "".join(
         str(i) for i in idx)
-
-
-def _wedge_sign(idx1, idx2):
-    """Merge two strictly increasing index tuples; None if they intersect."""
-    if set(idx1) & set(idx2):
-        return None, None
-    inversions = sum(1 for i in idx1 for j in idx2 if i > j)
-    return sign_pow(inversions), tuple(sorted(idx1 + idx2))
 
 
 def _sup(freq) -> int:
@@ -89,16 +81,17 @@ def derham_model(n: int, w: int) -> AInfAlgebra:
         for j in range(1, n + 1):
             if f[j - 1] == 0 or j in idx:
                 continue
-            ws, merged = _wedge_sign((j,), idx)
+            ws, merged = merge_wedge((j,), idx)
             put(1, beta0, (name,), _form_name(f, merged), s_d * ws * f[j - 1])
     for f1, idx1 in elements:
         for f2, idx2 in elements:
             total = tuple(a + b for a, b in zip(f1, f2))
             if _sup(total) > 2 * w or min(_sup(f1), _sup(f2)) > w:
                 continue
-            ws, merged = _wedge_sign(idx1, idx2)
-            if ws is None:
+            wedge = merge_wedge(idx1, idx2)
+            if wedge is None:
                 continue
+            ws, merged = wedge
             put(2, beta0, (_form_name(f1, idx1), _form_name(f2, idx2)),
                 _form_name(total, merged), sign_pow(len(idx1)) * ws)
     return AInfAlgebra(basis, EnergyMonoid([]), "gapped", None, unit, ops,
@@ -114,23 +107,20 @@ def derham_factor_embeddings(n1: int, n2: int, w: int, target=None,
     b_model = derham_model(n2, factor_w)
     c_model = target if target is not None else derham_model(n1 + n2, w)
 
-    iota_a = {}
-    for f in sorted(product(range(-2 * factor_w, 2 * factor_w + 1), repeat=n1)):
-        for r in range(n1 + 1):
-            for idx in combinations(range(1, n1 + 1), r):
-                src = _form_name(f, tuple(idx))
-                tgt = _form_name(tuple(f) + (0,) * n2, tuple(idx))
-                iota_a[src] = {tgt: Fraction(sign_pow(len(idx) * n2))}
-    iota_b = {}
-    for f in sorted(product(range(-2 * factor_w, 2 * factor_w + 1), repeat=n2)):
-        for r in range(n2 + 1):
-            for idx in combinations(range(1, n2 + 1), r):
-                src = _form_name(f, tuple(idx))
-                tgt = _form_name((0,) * n1 + tuple(f),
-                                 tuple(i + n1 for i in idx))
-                iota_b[src] = {tgt: Fraction(sign_pow(len(idx) * n1))}
-    emb_a = SubalgebraEmbedding(a_model, c_model, iota_a)
-    emb_b = SubalgebraEmbedding(b_model, c_model, iota_b)
+    def iota(n, before, after):
+        """The forms of the T^n factor, whose coordinates sit after `before`
+        and before `after` others, as product forms with their twist."""
+        return {_form_name(f, idx): {
+                    _form_name((0,) * before + f + (0,) * after,
+                               tuple(i + before for i in idx)):
+                    Fraction(sign_pow(len(idx) * (before + after)))}
+                for f in sorted(product(range(-2 * factor_w, 2 * factor_w + 1),
+                                        repeat=n))
+                for r in range(n + 1)
+                for idx in combinations(range(1, n + 1), r)}
+
+    emb_a = SubalgebraEmbedding(a_model, c_model, iota(n1, 0, n2))
+    emb_b = SubalgebraEmbedding(b_model, c_model, iota(n2, n1, 0))
     return emb_a, emb_b
 
 
@@ -289,10 +279,7 @@ def extension_fixture(n=0, lam=3, sig=2, zeta=5, rho=7, kappa=11, nu=13,
     m0 = AInfAlgebra(basis, monoid, "modulo", 1, "e",
                      _curved_line_ops(lam, zeta, rho))
 
-    mt = {}
-    for key, tbl in m0.ops.items():
-        mt[key] = {ins: {o: Poly.const(c) for o, c in cmb.items()}
-                   for ins, cmb in tbl.items()}
+    mt = map_tables(m0.ops, Poly.const)
     mt[(0, (Fraction(1), 0))] = {(): {"z": Poly([frac(lam), frac(sig)])}}
     ct = {(0, (Fraction(1), 0)): {(): {"x": Poly.const(
         sign_pow(n + 1) * frac(sig))}}}
@@ -317,14 +304,9 @@ def chain_fixture(theta=23, **kw):
     fix = extension_fixture(**kw)
     m0, p1, m1 = fix["m0"], fix["P"], fix["m1"]
     m_ext1, _ = extend_one_level(m0, m1, p1)
-    mt2 = {key: {ins: {o: Poly.const(c) for o, c in cmb.items()}
-                 for ins, cmb in tbl.items()}
-           for key, tbl in m_ext1.ops.items()}
     p2 = Pseudoisotopy(fix["params"]["n"], m0.basis, m0.monoid, 2, "e",
-                       mt2, {})
-    m2_ops = {key: {ins: dict(cmb) for ins, cmb in tbl.items()}
-              for key, tbl in m_ext1.ops.items()}
-    m2_ops[(0, (Fraction(3), 0))] = {(): {"z": frac(theta)}}
+                       map_tables(m_ext1.ops, Poly.const), {})
+    m2_ops = {**m_ext1.ops, (0, (Fraction(3), 0)): {(): {"z": frac(theta)}}}
     m2 = AInfAlgebra(m0.basis, m0.monoid, "modulo", 3, "e", m2_ops)
     return {"m0": m0, "chain": [(m1, p1), (m2, p2)], "theta": frac(theta)}
 
@@ -351,8 +333,7 @@ def commuting_isotopy_fixture(lam_a=3, sig_a=2, lam_b=5, rho_b=7):
     basis_a, mon_a, ops_a = line("A", [(1, 0)])
     ops_a[(0, (Fraction(1), 0))] = {(): {"zA": frac(lam_a)}}
     m0a = AInfAlgebra(basis_a, mon_a, "modulo", e0, "eA", ops_a)
-    mta = {key: {ins: {o: Poly.const(c) for o, c in cmb.items()}
-                 for ins, cmb in tbl.items()} for key, tbl in m0a.ops.items()}
+    mta = map_tables(m0a.ops, Poly.const)
     mta[(0, (Fraction(1), 0))] = {(): {"zA": Poly([frac(lam_a), frac(sig_a)])}}
     cta = {(0, (Fraction(1), 0)): {(): {"xA": Poly.const(
         sign_pow(n1 + 1) * frac(sig_a))}}}
@@ -362,9 +343,8 @@ def commuting_isotopy_fixture(lam_a=3, sig_a=2, lam_b=5, rho_b=7):
                                        (Fraction(3, 2), 2)])
     ops_b[(0, (Fraction(1, 2), 2))] = {(): {"eB": frac(lam_b)}}
     m0b = AInfAlgebra(basis_b, mon_b, "modulo", e0, "eB", ops_b)
-    mtb = {key: {ins: {o: Poly.const(c) for o, c in cmb.items()}
-                 for ins, cmb in tbl.items()} for key, tbl in m0b.ops.items()}
-    pb = Pseudoisotopy(n2, basis_b, mon_b, e0, "eB", mtb, {})
+    pb = Pseudoisotopy(n2, basis_b, mon_b, e0, "eB",
+                       map_tables(m0b.ops, Poly.const), {})
 
     mon_c = monoid_sum(mon_a, mon_b)
     a_end0 = pa.endpoint(0)
@@ -373,8 +353,7 @@ def commuting_isotopy_fixture(lam_a=3, sig_a=2, lam_b=5, rho_b=7):
         (Fraction(1, 2), 2): {"eA|eB": frac(lam_b)},
     }
     m0c = tensor_dga(a_end0, m0b, mon_c, "modulo", e0, curvature)
-    mtc = {key: {ins: {o: Poly.const(c) for o, c in cmb.items()}
-                 for ins, cmb in tbl.items()} for key, tbl in m0c.ops.items()}
+    mtc = map_tables(m0c.ops, Poly.const)
     mtc[(0, (Fraction(1), 0))] = {(): {"zA|eB": Poly([frac(lam_a),
                                                       frac(sig_a)])}}
     ctc = {(0, (Fraction(1), 0)): {(): {"xA|eB": Poly.const(
@@ -384,12 +363,8 @@ def commuting_isotopy_fixture(lam_a=3, sig_a=2, lam_b=5, rho_b=7):
     emb_a, emb_b = _tensor_embeddings(a_end0, m0b, m0c)
 
     def recut(alg, extra_ops, cutoff):
-        ops = {key: {ins: dict(cmb) for ins, cmb in tbl.items()}
-               for key, tbl in alg.ops.items()}
-        for key, tbl in extra_ops.items():
-            ops[key] = tbl
         return AInfAlgebra(alg.basis, alg.monoid, "modulo", cutoff, alg.unit,
-                           ops, alg.window)
+                           {**alg.ops, **extra_ops}, alg.window)
 
     m1a = recut(pa.endpoint(1), {}, e1)
     m1b = recut(pb.endpoint(1),

@@ -213,7 +213,7 @@ class EnergyMonoid:
     """
 
     __slots__ = ("generators", "_scale", "_steps", "_top", "_pairs",
-                 "_members", "_elements", "_splits")
+                 "_members", "_elements")
 
     def __init__(self, generators: Iterable = ()):
         gens = []
@@ -238,7 +238,6 @@ class EnergyMonoid:
         object.__setattr__(self, "_pairs", [(0, 0)])
         object.__setattr__(self, "_members", {(0, 0)})
         object.__setattr__(self, "_elements", [BETA_ZERO])
-        object.__setattr__(self, "_splits", {})
 
     def __setattr__(self, *a):
         raise AttributeError("EnergyMonoid is immutable")
@@ -301,27 +300,15 @@ class EnergyMonoid:
         top = self._reach(e)
         return self._scale % e.denominator == 0 and (top, mu) in self._members
 
-    def splits(self, beta) -> list:
-        """All (beta1, beta2) in the monoid with beta1 + beta2 = beta, sorted
-        by beta1; empty when beta is not in the monoid.  Kept per beta."""
-        beta = (frac(beta[0]), int(beta[1]))
-        cached = self._splits.get(beta)
-        if cached is None:
-            cached = []
-            if beta in self:
-                top = int(beta[0] * self._scale)
-                members = self._members
-                for b1, (e1, mu1) in zip(self.enumerate(beta[0]), self._pairs):
-                    if (top - e1, beta[1] - mu1) in members:
-                        cached.append((b1, (beta[0] - b1[0], beta[1] - b1[1])))
-            self._splits[beta] = cached
-        return cached
-
     def to_json(self):
         return [[frac_str(e), mu] for e, mu in self.generators]
 
     @staticmethod
     def from_json(data) -> "EnergyMonoid":
+        if not isinstance(data, list) or not all(
+                isinstance(g, list) and len(g) == 2 for g in data):
+            raise ValueError(f"monoid must be an array of [energy, maslov] "
+                             f"generators, got {data!r}")
         return EnergyMonoid([(frac(e), json_int(mu, "monoid Maslov index"))
                              for e, mu in data])
 

@@ -7,6 +7,8 @@ insertion sign in the quadratic relations.
 
 from __future__ import annotations
 
+from functools import cache
+
 
 def shifted(degree: int) -> int:
     """Shifted degree ||a|| = |a| - 1."""
@@ -57,6 +59,18 @@ def reorder_sign(degrees, perm) -> int:
             work[pos - 1], work[pos] = b, a
             pos -= 1
     return sign_pow(exp)
+
+
+@cache
+def merge_wedge(I, J):
+    """Merge two ascending index tuples of odd symbols (the dx_i of a form):
+    (sign, merged) with merged ascending and sign the Koszul sign of sorting
+    I + J, one (-1) per pair (i in I, j in J) with j < i; None when they
+    share an index.  Kept per (I, J): the index sets in use are few."""
+    if set(I) & set(J):
+        return None
+    inversions = sum(1 for a in I for b in J if b < a)
+    return sign_pow(inversions), tuple(sorted(I + J))
 
 
 def gamma_ledger(degs_b, deg_a: int, deg_b: int, n1: int, n2: int, k: int, i: int):

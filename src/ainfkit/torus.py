@@ -31,12 +31,11 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from functools import cache
 from math import gcd
 from operator import add, mul
 
 from ainfkit.scalars import frac, frac_str
-from ainfkit.signs import reorder_sign
+from ainfkit.signs import merge_wedge
 
 
 class QI:
@@ -144,18 +143,6 @@ def _qi(a: int, b: int, d: int) -> QI:
 
 QI_ZERO = QI(0)
 QI_ONE = QI(1)
-
-
-@cache
-def _merge_wedge(I, J):
-    """Merge two sorted index tuples; returns (sign, merged) or None on clash.
-    Kept per (I, J): the index sets of forms on small tori are few."""
-    if set(I) & set(J):
-        return None
-    merged = tuple(sorted(I + J))
-    # Koszul sign of the merge: one (-1) per pair (i in I, j in J) with j < i.
-    inversions = sum(1 for a in I for b in J if b < a)
-    return (-1 if inversions % 2 else 1), merged
 
 
 class TorusForm:
@@ -294,7 +281,7 @@ def form_wedge(alpha: TorusForm, beta: TorusForm) -> TorusForm:
     out = {}
     for (f1, I), c1 in alpha.terms.items():
         for (f2, J), c2 in beta.terms.items():
-            merged = _merge_wedge(I, J)
+            merged = merge_wedge(I, J)
             if merged is None:
                 continue
             sign, idx = merged
@@ -311,7 +298,7 @@ def form_d(alpha: TorusForm) -> TorusForm:
         for j, fj in enumerate(freq, start=1):
             if fj == 0 or j in I:
                 continue
-            sign, idx = _merge_wedge((j,), I)
+            sign, idx = merge_wedge((j,), I)
             k = (freq, idx)
             v = c * (fj * sign)
             out[k] = out[k] + v if k in out else v
@@ -437,7 +424,7 @@ def _pullback_dx(rows, I) -> dict:
         nxt = {}
         for J, m in acc.items():
             for j, r in enumerate(rows[i - 1], start=1):
-                merged = _merge_wedge(J, (j,))
+                merged = merge_wedge(J, (j,))
                 if r and merged is not None:
                     sign, K = merged
                     nxt[K] = nxt.get(K, 0) + sign * r * m
@@ -467,11 +454,10 @@ def fiber_integrate(pi: TorusMap, alpha: TorusForm) -> TorusForm:
             continue
         if not fiber_set <= set(I):
             continue
-        fiber_part = [i for i in I if i in fiber_set]
-        base_part = [i for i in I if i not in fiber_set]
-        reordered = fiber_part + base_part
-        # Sign of rearranging dx_I into fiber-first order; every dx is odd.
-        sign = reorder_sign([1] * len(I), [list(I).index(x) for x in reordered])
+        base_part = tuple(i for i in I if i not in fiber_set)
+        # Sign of rearranging dx_I into fiber-first order: I holds every
+        # fiber coordinate, so its fiber part is the ascending fiber.
+        sign = merge_wedge(fiber, base_part)[0]
         new_freq = tuple(freq[c0 - 1] for c0 in pi.proj_coords)
         new_idx = tuple(target_pos[i] for i in base_part)
         k = (new_freq, new_idx)
@@ -488,14 +474,7 @@ def projection_orientation_sign(pi: TorusMap) -> int:
     and also between the fiber-product orientation of M x_N N1 and its (t, y)
     coordinate model, which lists the fiber coordinates of pi first.
     """
-    fiber = list(pi.fiber_coords())
-    base = list(pi.proj_coords)
-    order = fiber + base
-    inversions = sum(
-        1 for a in range(len(order)) for b in range(a + 1, len(order))
-        if order[a] > order[b]
-    )
-    return -1 if inversions % 2 else 1
+    return merge_wedge(pi.fiber_coords(), pi.proj_coords)[0]
 
 
 def fiber_pushforward(pi: TorusMap, alpha: TorusForm) -> TorusForm:

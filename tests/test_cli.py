@@ -1,13 +1,17 @@
 import contextlib
+import copy
 import io
 import json
+import os
 import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ainfkit import cli
 from ainfkit.cli import main
+from conftest import FIXTURES
 from test_golden_reports import curved_line
 
 
@@ -662,3 +666,97 @@ def test_json_boolean_scalar_is_input_error(command, name, edit, where,
     err = _input_error(capsys, command, path)
     assert f"{name}: {where}: cannot coerce " in err
     assert err.rstrip().endswith("to an exact rational")
+
+
+# A header value of the wrong JSON shape is named as its well-typed
+# counterpart is, not by the Python error it would raise.
+@pytest.mark.parametrize("command,name,edit,message", [
+    ("check-ainf", "derham_t1.json",
+     lambda doc: doc["algebra"].update(window=[[]]),
+     "algebra: window name [] not in basis"),
+    ("check-ainf", "derham_t1.json",
+     lambda doc: doc["algebra"].update(unit={}),
+     "algebra: unit {} not in basis"),
+    ("check-isotopy", "isotopy_extend.json",
+     lambda doc: doc["isotopy"].update(unit=["e"]),
+     "isotopy: unit must exist and have degree 0"),
+    ("check-ainf", "derham_t1.json",
+     lambda doc: doc["algebra"].update(monoid=1.5),
+     "algebra: monoid must be an array of [energy, maslov] generators, "
+     "got 1.5"),
+    ("check-isotopy", "isotopy_extend.json",
+     lambda doc: doc["isotopy"]["monoid"].append(2),
+     "isotopy: monoid must be an array of [energy, maslov] generators, "
+     "got [['1', 0], ['1', 2], 2]"),
+])
+def test_header_of_the_wrong_shape_is_located_input_error(
+        command, name, edit, message, fixture_path, tmp_path, capsys):
+    path = _fixture_with(fixture_path, tmp_path, name, edit)
+    err = _input_error(capsys, command, path)
+    assert err == f"ainfctl: error: {path}: {message}\n"
+
+
+# -- structural fuzz ---------------------------------------------------------------
+# Replace or drop one value of a bundled fixture and run one command on it:
+# the exit-code contract holds for every input.  Derandomized, so that every
+# run checks the same 200 edits.
+
+FUZZ_COMMANDS = {
+    "derham_t1.json": ["check-ainf", "check-unit"],
+    "kunneth_minimal.json": ["check-commuting", "check-subalgebra"],
+    "gapped_product.json": ["mc-defect", "box-product"],
+    "isotopy_extend.json": ["check-isotopy", "extend"],
+    "commuting_isotopy.json": ["check-commuting-isotopy"],
+}
+FUZZ_VALUES = [None, [], {}, "x", 1.5, True, -1, 0, "1/0", {"a": 1}, [[1]],
+               "-3", 10 ** 6]
+
+
+@pytest.fixture(scope="module")
+def fuzz_docs():
+    docs = {}
+    for name in FUZZ_COMMANDS:
+        with open(os.path.join(FIXTURES, name), encoding="utf-8") as fh:
+            docs[name] = json.load(fh)
+    return docs
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(st.data())
+def test_structural_edit_keeps_the_exit_code_contract(fuzz_docs, fuzz_dir,
+                                                      data):
+    name = data.draw(st.sampled_from(sorted(FUZZ_COMMANDS)))
+    command = data.draw(st.sampled_from(FUZZ_COMMANDS[name]))
+    doc = copy.deepcopy(fuzz_docs[name])
+    # Walk down from the top, one level at least, stopping at a drawn depth.
+    parent, node = None, doc
+    while isinstance(node, (dict, list)) and node and (
+            parent is None or data.draw(st.booleans())):
+        parent = node
+        key = data.draw(st.sampled_from(
+            list(node) if isinstance(node, dict) else range(len(node))))
+        node = parent[key]
+    if data.draw(st.booleans()):
+        del parent[key]
+    else:
+        parent[key] = copy.deepcopy(data.draw(st.sampled_from(FUZZ_VALUES)))
+    path = fuzz_dir / name
+    path.write_text(json.dumps(doc))
+
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main([command, str(path)])
+    assert code in (0, 1, 2)
+    if code == 2:
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("ainfctl: error: ")
+        assert out.getvalue() == ""
+    else:
+        assert err.getvalue() == ""
+    assert "unhashable type" not in err.getvalue()
+    assert "cannot unpack" not in err.getvalue()

@@ -167,3 +167,20 @@ def test_isotopy_window_survives_a_round_trip():
     assert check_pseudoisotopy(back)["status"] == "PASS"
     whole = Pseudoisotopy.from_json(dict(P.to_json(), window=list(P.names)))
     assert whole.window == P.names and "window" not in whole.to_json()
+
+
+def test_endpoint_drops_the_entries_that_vanish_there():
+    fix = extension_fixture()
+    p, lam, sig = fix["P"], fix["params"]["lam"], fix["params"]["sig"]
+    lvl1 = (Fraction(1), 0)
+    # m^t_{0,(1,0)}() = (lam + sig t) z is the only entry of its table.
+    assert p.mT[(0, lvl1)] == {(): {"z": Poly([lam, sig])}}
+    mt = {**p.mT, (1, lvl1): {("x",): {"z": Poly([1, 1])},
+                              ("e",): {"x": Poly([2])}}}
+    q = Pseudoisotopy(p.n, p.basis, p.monoid, p.cutoff, p.unit, mt, p.cT)
+    at_root = q.endpoint(-lam / sig).ops
+    assert (0, lvl1) not in at_root
+    assert at_root[(1, lvl1)] == {("x",): {"z": 1 - lam / sig},
+                                  ("e",): {"x": 2}}
+    assert q.endpoint(-1).ops[(1, lvl1)] == {("e",): {"x": 2}}
+    assert q.endpoint(-1).ops[(0, lvl1)] == {(): {"z": lam - sig}}

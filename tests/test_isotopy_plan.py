@@ -55,16 +55,17 @@ from ainfkit.poly import Poly
 from ainfkit.scalars import BETA_ZERO, EnergyMonoid
 from ainfkit.signs import koszul_prefix_sign, shifted_parities, sign_pow
 from ainfkit.specio import load_spec
-from test_relation_plan import by_identity, insertion_plan, oracle_plans, \
-    oracle_relation_violations, tuple_joined_sums
+from test_relation_plan import by_identity, insertion_plan, kept_splits, \
+    oracle_plans, oracle_relation_violations, tuple_joined_sums
 
 
 # -- the replaced code, kept as the oracle ---------------------------------------
 # Copied from the per-tuple isotopy code; `P.beta_splits(beta)`, a method that
-# only delegated to the monoid, reads `beta_splits(P, beta)`.
+# only delegated to the monoid's split query, reads `beta_splits(P, beta)`,
+# and that query is the test copy `kept_splits`.
 
 def beta_splits(P, beta):
-    return P.monoid.splits(beta)
+    return kept_splits(P.monoid, beta)
 
 
 def _add_into(acc, contrib, scale=1):

@@ -5,8 +5,9 @@ code they replaced.
 (`insertion_plans`) and joins the stored tables on the name at each
 insertion slot, so only tuples that have a term are formed, and
 `EnergyMonoid` enumerates on integer energies and answers every
-enumeration, split and membership query from one kept enumeration, which
-it extends. The per-(beta, n) planner `insertion_plan` and the breadth-first
+enumeration and membership query from one kept enumeration, which it
+extends; the split query it answered from the same enumeration
+(`kept_splits`) is now the oracle of `AInfAlgebra.beta_splits`. The per-(beta, n) planner `insertion_plan` and the breadth-first
 search over Fraction energies (`FractionMonoid`) stay here as the oracles of
 the planner and of the monoid. Three older scans stay here as differential
 oracles, and reports must agree exactly, down to which counterexample comes
@@ -310,6 +311,23 @@ class FractionMonoid:
             return False
         self._reach(e)
         return (e, mu) in self._members
+
+
+def kept_splits(monoid, beta):
+    """`EnergyMonoid.splits` as it was, but for its cache: every
+    (beta1, beta2) in the monoid with beta1 + beta2 = beta, sorted by beta1,
+    read off the kept enumeration; empty when beta is not in the monoid.
+    `AInfAlgebra.beta_splits` computes them from `enumerate` and membership
+    alone."""
+    beta = (scalars.frac(beta[0]), int(beta[1]))
+    splits = []
+    if beta in monoid:
+        top = int(beta[0] * monoid._scale)
+        members = monoid._members
+        for b1, (e1, mu1) in zip(monoid.enumerate(beta[0]), monoid._pairs):
+            if (top - e1, beta[1] - mu1) in members:
+                splits.append((b1, (beta[0] - b1[0], beta[1] - b1[1])))
+    return splits
 
 
 def oracle_splits(alg, beta):
@@ -744,7 +762,8 @@ def test_kept_enumeration_matches_fresh(gens, seq, order, probes):
         for beta in expected:
             splits = [(b1, (beta[0] - b1[0], beta[1] - b1[1])) for b1 in expected
                       if (beta[0] - b1[0], beta[1] - b1[1]) in members]
-            assert kept.splits(beta) == splits
+            assert kept_splits(kept, beta) == splits
+            assert AInfAlgebra([], kept).beta_splits(beta) == splits
 
 
 def test_enumeration_stops_at_budget(monkeypatch):
@@ -758,7 +777,7 @@ def test_enumeration_stops_at_budget(monkeypatch):
     # A refused enumeration leaves the kept one as it was.
     assert line.enumerate(9) == oracle_enumerate(line.generators, 9)
     assert (Fraction(9), 0) in line
-    assert line.splits((Fraction(1), 2)) == []
+    assert kept_splits(line, (Fraction(1), 2)) == []
 
 
 # Generators and probes whose energies share no denominator with the drawn

@@ -7,6 +7,7 @@ from ainfkit.signs import (
     gamma_ledger,
     gamma_ledger_check,
     koszul_prefix_sign,
+    merge_wedge,
     reorder_sign,
     shifted,
     sign_pow,
@@ -77,3 +78,20 @@ def test_gamma_ledger_exhaustive_k2():
             for i in range(3):
                 _, holds = gamma_ledger_check(list(degs), a, b, n1, n2, 2, i)
                 assert holds
+
+
+def test_merge_wedge_is_the_reorder_sign_of_odd_symbols():
+    """On every pair of ascending index tuples on T^1 to T^5: None when they
+    share an index, else the sorted union with the Koszul sign of sorting
+    I + J, every dx being odd."""
+    for n in range(1, 6):
+        subsets = [c for r in range(n + 1)
+                   for c in itertools.combinations(range(1, n + 1), r)]
+        for I, J in itertools.product(subsets, repeat=2):
+            if set(I) & set(J):
+                assert merge_wedge(I, J) is None
+                continue
+            merged = tuple(sorted(I + J))
+            sign = reorder_sign([1] * len(merged),
+                                [(I + J).index(x) for x in merged])
+            assert merge_wedge(I, J) == (sign, merged)

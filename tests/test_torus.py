@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -12,6 +13,7 @@ from ainfkit.torus import (
     fiber_pushforward,
     form_d,
     form_wedge,
+    projection_orientation_sign,
     pullback,
     random_form,
     total_integral,
@@ -94,3 +96,25 @@ def test_appendix_suite_deterministic():
     assert len(r1["groups"]) == 8
     assert all(g["failures"] == [] or g["failures"] == 0 or not g["failures"]
                for g in r1["groups"])
+
+
+def inversion_orientation_sign(pi):
+    """`projection_orientation_sign` before it read `signs.merge_wedge`: the
+    parity of the inversions of (fiber coords, base coords)."""
+    fiber = list(pi.fiber_coords())
+    base = list(pi.proj_coords)
+    order = fiber + base
+    inversions = sum(
+        1 for a in range(len(order)) for b in range(a + 1, len(order))
+        if order[a] > order[b]
+    )
+    return -1 if inversions % 2 else 1
+
+
+def test_orientation_sign_matches_the_inversion_count():
+    for m in range(1, 6):
+        for r in range(m + 1):
+            for coords in itertools.combinations(range(1, m + 1), r):
+                pi = TorusMap.projection(m, coords)
+                assert projection_orientation_sign(pi) == \
+                    inversion_orientation_sign(pi)
