@@ -21,9 +21,10 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from fractions import Fraction
-from itertools import combinations, compress, groupby, islice, product, repeat
+from itertools import (chain, combinations, compress, groupby, islice,
+                       product, repeat)
 from math import lcm, prod
-from operator import add, is_, itemgetter, mul
+from operator import add, gt, is_, itemgetter, mod, mul
 
 from ainfkit.scalars import (
     BETA_ZERO,
@@ -66,26 +67,46 @@ def _parse_once(memo, key, parse, raw):
     return hit
 
 
-def entry_tables(entries, field, parse, where, add=True):
+def entry_tables(entries, field, parse, where, rules, add=True):
     """The op tables {(k, beta): {inputs: {output: value}}} of a document's
-    list of stored entries, value = parse(entry[field]), keys in the stored
-    form, nothing validated beyond the parse.
+    list of stored entries, value = parse(entry[field]), validated and in the
+    stored form as they are read, in one pass.
 
-    Each distinct raw beta and raw value is parsed once.  The memo keys hold
-    the type of each raw part next to its value, so 1, 1.0 and True never
-    share an entry.  Entries that repeat (k, beta, inputs, output) are
-    summed when add is set; otherwise the last one counts.  `k` must be a
-    JSON integer and `inputs` an array, so that 1.9 is not truncated and a
-    string is not read letter by letter.  An entry that is no object, lacks
-    a field, has a name that cannot be a key or a beta or value that its
-    parser refuses is refused where it fails, the entry and the field named;
-    the try blocks cost a valid entry nothing.
+    rules = (degrees, monoid, cutoff, drop, prefix) are the rules of
+    clean_tables, and each entry is checked as it is inserted: each new
+    (k, beta) by check_key, each new inputs row by row_target, each output
+    by name and degree.  Rules are checked once the entry has been read, so
+    a malformed entry is named by its own fault first.  An output of the
+    wrong degree is refused after the pass, and only if its sum is nonzero;
+    zeros and the rows and tables they leave empty are dropped then, if a
+    zero was met, and m_{0,0} must vanish.
+
+    Each distinct raw beta and raw value is parsed once, a list-valued one
+    (a t-polynomial) too.  The memo keys hold the type of each raw part next
+    to its value, so 1, 1.0 and True never share an entry.  Entries that
+    repeat (k, beta, inputs, output) are summed when add is set; otherwise
+    the last one counts.  `k` must be a JSON integer and `inputs` an array,
+    so that 1.9 is not truncated and a string is not read letter by letter.
+    An entry that is no object, lacks a field, has a name that cannot be a
+    key or a beta or value that its parser refuses is refused where it
+    fails, the entry and the field named; the try blocks cost a valid entry
+    nothing.
     """
     if not isinstance(entries, (list, tuple)):
         raise ValueError(f"{where} must be an array of entries, "
                          f"got {entries!r}")
+    degrees, monoid, cutoff, drop, prefix = rules
     tables, betas, values = {}, {}, {}
-    by_raw = {}  # {(k, raw beta key): table}, so no Fraction is hashed
+    by_raw = {}  # {(k, raw beta key): (table, beta)}, so no Fraction is hashed
+    last = None  # the row of the last entry
+    faults, zero = [], False  # (row, output, message) of wrong degrees
+
+    def parsed(raw):  # a zero is seen where a value is parsed or summed
+        nonlocal zero
+        value = parse(raw)
+        if not value:
+            zero = True
+        return value
     try:
         for i, entry in enumerate(entries):
             try:
@@ -101,47 +122,90 @@ def entry_tables(entries, field, parse, where, add=True):
             raw_key = (type(raw[0]), raw[0], type(raw[1]), raw[1]) \
                 if type(raw) is list and len(raw) == 2 else (type(raw), raw)
             try:
-                table = by_raw.get((k, raw_key))
+                hit = by_raw.get((k, raw_key))
             except TypeError:  # a part that cannot be a key is no scalar
-                table = None
-            if table is None:
+                hit = None
+            new_key = False
+            if hit is None:
                 try:
                     beta = _parse_once(betas, raw_key, beta_from_json, raw)
                 except (ValueError, TypeError, ZeroDivisionError) as exc:
                     raise ValueError(f"{where}[{i}]: beta: {exc}") from None
-                table = by_raw[(k, raw_key)] = tables.setdefault((k, beta), {})
+                table = tables.get((k, beta))
+                if table is None:
+                    table, new_key = tables.setdefault((k, beta), {}), True
+                hit = by_raw[(k, raw_key)] = table, beta
+            table, beta = hit
             inputs = entry["inputs"]
             if not isinstance(inputs, (list, tuple)):
                 raise ValueError(f"{where}[{i}]: inputs must be an array of "
                                  f"names, got {inputs!r}")
             inputs = tuple(inputs)
             try:
-                combo = table.get(inputs)
+                row = table.get(inputs)
             except TypeError:
                 raise ValueError(f"{where}[{i}]: inputs must be an array of "
                                  f"names, got {entry['inputs']!r}") from None
-            if combo is None:
-                combo = table[inputs] = {}
+            if row is None:
+                row = table[inputs] = {}
             out, raw = entry["output"], entry[field]
             try:
-                value = _parse_once(values, (type(raw), raw), parse, raw)
+                value = _parse_once(values, (tuple(map(type, raw)), tuple(raw))
+                                    if type(raw) is list else (type(raw), raw),
+                                    parsed, raw)
             except (ValueError, TypeError, ZeroDivisionError) as exc:
                 raise ValueError(f"{where}[{i}]: {field}: {exc}") from None
             try:
-                combo[out] = combo[out] + value if add and out in combo \
-                    else value
+                if add and out in row:
+                    value = row[out] + value
+                    if not value:
+                        zero = True
+                row[out] = value
             except TypeError:
                 raise ValueError(f"{where}[{i}]: output must be a name, "
                                  f"got {out!r}") from None
+            if new_key:
+                check_key(k, beta, monoid, cutoff, prefix)
+            if row is not last:  # an entry of a new row, or of an earlier one
+                target = row_target(k, beta, inputs, degrees, drop, prefix)
+                last = row
+            if degrees.get(out) != target:
+                faults.append((row, out, degree_fault(
+                    k, beta, inputs, out, target, degrees, prefix)))
     except KeyError as exc:  # only a missing field raises it
         raise ValueError(f"{where}[{i}]: missing field {exc}") from None
+    for row, out, fault in faults:
+        if row[out]:
+            raise ValueError(fault)
+    if zero:
+        tables = map_tables(tables, lambda v: v)
+    no_m00(tables, prefix)
     return tables
 
 
+def required(doc, key, where=None):
+    """doc[key] of a document object; a missing key is refused by name."""
+    try:
+        return doc[key]
+    except KeyError:
+        raise ValueError(f"missing field {where or key!r}") from None
+
+
+def space_basis(doc):
+    """The raw basis of a document's space section."""
+    space = required(doc, "space")
+    if not isinstance(space, dict):
+        raise ValueError(f"space must be an object with a basis, got {space!r}")
+    return required(space, "basis", "space.basis")
+
+
 def basis_pairs(basis) -> tuple:
-    """The basis as ((name, degree), ...); every entry must be a
-    [name, degree] pair, so that a string is not read letter by letter, and
+    """The basis as ((name, degree), ...); the basis must be an array of
+    [name, degree] pairs, so that a string is not read letter by letter, and
     no name may repeat."""
+    if not isinstance(basis, (list, tuple)):
+        raise ValueError(
+            f"basis must be an array of [name, degree] pairs, got {basis!r}")
     pairs = []
     for entry in basis:
         if not isinstance(entry, (list, tuple)) or len(entry) != 2:
@@ -172,55 +236,84 @@ def window_names(window, names) -> tuple:
     return tuple(window)
 
 
-def clean_tables(tables, degrees, monoid, cutoff, drop, kind, coerce, where):
-    """Op tables {(k, beta): {inputs: {output: value}}} validated and in the
-    stored form: beta in the monoid and not above the cutoff (None: no
-    cutoff), known names, arity k inputs, every output of degree
-    sum(input degrees) + drop - k - mu, values of type kind (else coerce
-    them), zero values and empty tables dropped, nothing at (0, 0).  Each
-    message starts with where."""
+# The rules of stored op tables, shared by clean_tables and entry_tables.
+# Each message starts with a prefix that names the family.
+
+def check_key(k, beta, monoid, cutoff, prefix):
+    """A stored (k, beta): k >= 0, beta in the monoid and not above the
+    cutoff (None: no cutoff)."""
+    if k < 0:
+        raise ValueError(f"{prefix}negative arity")
+    if beta not in monoid:
+        raise ValueError(f"{prefix}beta {beta} outside the energy monoid")
+    if cutoff is not None and beta[0] > cutoff:
+        raise ValueError(f"{prefix}stored beta {beta} above cutoff {cutoff}")
+
+
+def row_target(k, beta, inputs, degrees, drop, prefix) -> int:
+    """The degree sum(input degrees) + drop - k - mu of every output of a
+    stored inputs row of m_{k,beta}, whose k inputs must be basis names."""
+    if len(inputs) != k:
+        raise ValueError(f"{prefix}arity mismatch in inputs {inputs}")
+    target = drop - k - beta[1]
+    for nm in inputs:
+        degree = degrees.get(nm)
+        if degree is None:
+            raise ValueError(f"{prefix}unknown basis name {nm!r}")
+        target += degree
+    return target
+
+
+def degree_fault(k, beta, inputs, out, target, degrees, prefix) -> str:
+    """The message for an output not of the target degree; an output that
+    is no basis name is refused at once, whatever its value."""
+    if out not in degrees:
+        raise ValueError(f"{prefix}unknown output name {out!r}")
+    return (f"{prefix}degree violation at m_{k},{beta}{inputs} -> {out}: "
+            f"expected degree {target}, got {degrees[out]}")
+
+
+def no_m00(tables, prefix):
+    """m_{0,0} of clean tables must vanish."""
+    if tables.get((0, BETA_ZERO)):
+        raise ValueError(f"{prefix}m_{{0,0}} must vanish")
+
+
+def clean_tables(tables, rules, kind, coerce):
+    """Op tables {(k, beta): {inputs: {output: value}}} built in Python,
+    validated and copied into the stored form under rules = (degrees,
+    monoid, cutoff, drop, prefix): beta in the monoid and not above the
+    cutoff (None: no cutoff), known names, arity k inputs, every output of
+    degree sum(input degrees) + drop - k - mu, values of type kind (else
+    coerce them), zero values and empty tables dropped, nothing at (0, 0).
+    Each message starts with prefix.  A document's entries are validated as
+    they are read, by entry_tables."""
+    degrees, monoid, cutoff, drop, prefix = rules
     clean = {}
     for (k, beta), table in tables.items():
         k = int(k)
         beta = beta_norm(beta)
-        if k < 0:
-            raise ValueError(f"{where}negative arity")
-        if beta not in monoid:
-            raise ValueError(f"{where}beta {beta} outside the energy monoid")
-        if cutoff is not None and beta[0] > cutoff:
-            raise ValueError(f"{where}stored beta {beta} above cutoff {cutoff}")
+        check_key(k, beta, monoid, cutoff, prefix)
         clean_table = {}
         for inputs, combo in table.items():
             inputs = tuple(inputs)
-            if len(inputs) != k:
-                raise ValueError(f"{where}arity mismatch in inputs {inputs}")
-            target = drop - k - beta[1]
-            for nm in inputs:
-                degree = degrees.get(nm)
-                if degree is None:
-                    raise ValueError(f"{where}unknown basis name {nm!r}")
-                target += degree
+            target = row_target(k, beta, inputs, degrees, drop, prefix)
             clean_combo = {}
             for out, value in combo.items():
                 if type(value) is not kind:
                     value = coerce(value)
-                if not value:
-                    if out not in degrees:
-                        raise ValueError(f"{where}unknown output name {out!r}")
-                    continue
                 if degrees.get(out) != target:
-                    if out not in degrees:
-                        raise ValueError(f"{where}unknown output name {out!r}")
-                    raise ValueError(
-                        f"{where}degree violation at m_{k},{beta}{inputs} -> "
-                        f"{out}: expected degree {target}, got {degrees[out]}")
-                clean_combo[out] = value
+                    fault = degree_fault(k, beta, inputs, out, target,
+                                         degrees, prefix)
+                    if value:
+                        raise ValueError(fault)
+                elif value:
+                    clean_combo[out] = value
             if clean_combo:
                 clean_table[inputs] = clean_combo
         if clean_table:
-            if (k, beta) == (0, BETA_ZERO):
-                raise ValueError(f"{where}m_{{0,0}} must vanish")
             clean[(k, beta)] = clean_table
+    no_m00(clean, prefix)
     return clean
 
 
@@ -237,6 +330,12 @@ def map_tables(tables, f):
         if rows:
             mapped[key] = rows
     return mapped
+
+
+def stored_values(tables):
+    """Every stored value of op tables, in their order."""
+    return chain.from_iterable(map(dict.values, chain.from_iterable(
+        map(dict.values, tables.values()))))
 
 
 def stored_entries(tables):
@@ -328,6 +427,12 @@ class AInfAlgebra:
 
     def __init__(self, basis, monoid, mode="gapped", cutoff=None, unit=None,
                  ops=None, window=None):
+        self._load(basis, monoid, mode, cutoff, unit, window,
+                   lambda rules: clean_tables(ops or {}, rules, Fraction, frac))
+
+    def _load(self, basis, monoid, mode, cutoff, unit, window, tables):
+        """Validate and set the header, then the ops as tables(rules) reads
+        them under the header's rules."""
         if mode not in ("gapped", "modulo"):
             raise ValueError(f"unknown mode {mode!r}")
         if mode == "modulo":
@@ -345,14 +450,13 @@ class AInfAlgebra:
             if degrees[unit] != 0:
                 raise ValueError("unit must have degree 0")
         window = window_names(window, names)
-        clean_ops = clean_tables(ops or {}, degrees, monoid, cutoff, 2,
-                                 Fraction, frac, "")
+        ops = tables((degrees, monoid, cutoff, 2, ""))
         object.__setattr__(self, "basis", basis)
         object.__setattr__(self, "monoid", monoid)
         object.__setattr__(self, "mode", mode)
         object.__setattr__(self, "cutoff", cutoff)
         object.__setattr__(self, "unit", unit)
-        object.__setattr__(self, "ops", clean_ops)
+        object.__setattr__(self, "ops", ops)
         object.__setattr__(self, "window", window)
         object.__setattr__(self, "_degrees", degrees)
         object.__setattr__(self, "_names", tuple(names))
@@ -426,16 +530,17 @@ class AInfAlgebra:
 
     @staticmethod
     def from_json(doc) -> "AInfAlgebra":
-        # The entries are read before the header: a bad entry is named first.
-        return AInfAlgebra(
-            ops=entry_tables(doc.get("ops", []), "coeff", frac, "ops"),
-            basis=doc["space"]["basis"],
-            monoid=EnergyMonoid.from_json(doc["monoid"]),
-            mode=doc.get("mode", "gapped"),
-            cutoff=frac(doc["cutoff"]) if "cutoff" in doc else None,
-            unit=doc.get("unit"),
-            window=doc.get("window"),
-        )
+        """The algebra of a document: the header is read and checked first,
+        then every entry is validated as it is read (entry_tables)."""
+        alg = object.__new__(AInfAlgebra)
+        alg._load(space_basis(doc),
+                  EnergyMonoid.from_json(required(doc, "monoid")),
+                  doc.get("mode", "gapped"),
+                  frac(doc["cutoff"]) if "cutoff" in doc else None,
+                  doc.get("unit"), doc.get("window"),
+                  lambda rules: entry_tables(doc.get("ops", []), "coeff", frac,
+                                             "ops", rules))
+        return alg
 
 
 # -- evaluation ----------------------------------------------------------------
@@ -587,8 +692,10 @@ def joined_sums(n, terms, names, index, linear=None, scale=None):
     dict.  index, kept by the caller for its calls on the same tables and scale
     (one check, one extension), holds per scan order a number for each name met
     and, built at first use, a row (key, code, position of its one name outside
-    the scan or -1, [(output number, scale(c))], code of key[1:]) per key with
-    at most one name outside the scan, and the groupings of these rows."""
+    the scan or -1, output number, scale(c), code of key[1:]) per stored entry
+    whose key has at most one name outside the scan, and the groupings of these
+    rows.  The rows are built column by column, and each distinct value object
+    is scaled once."""
     f = (lambda c: c) if scale is None else scale
     if n == 0:  # m_1(m_0) on the empty tuple, with no Koszul sign
         acc = dict(linear.get((), {})) if linear else {}
@@ -607,7 +714,8 @@ def joined_sums(n, terms, names, index, linear=None, scale=None):
 
     def grouped(table, p, slot=None):
         """By the number of key[p], the rows whose one name outside the scan,
-        if any, sits at slot; for p None, by output, the rows inside it."""
+        if any, sits at slot; for p None, by output, the (code, value) of the
+        rows inside it."""
         got = scan.get((id(table), p, slot))
         if got is None:
             rows = scan.get(id(table))
@@ -620,18 +728,36 @@ def joined_sums(n, terms, names, index, linear=None, scale=None):
                         strays[i], col[i] = j if strays[i] < 0 else k, 0
                         ids.setdefault(keys[i][j], len(ids))
                     codes = [*map(add, map(mul, codes, repeat(width)), col)]
-                last = width ** (k - 1) if k else 1
-                rows = scan[id(table)] = [(key, code, stray, [
-                    (ids.setdefault(out, len(ids)), f(c)) for out, c in combo.items()],
-                    code % last) for key, code, stray, combo in zip(
-                    keys, codes, strays, table.values()) if stray < k]
+                combos = [*table.values()]
+                if k in strays:  # a key with two names outside has no row
+                    keep = [*map(gt, repeat(k), strays)]
+                    keys, codes, strays, combos = ([*compress(col, keep)] for col
+                                                   in (keys, codes, strays, combos))
+                outs = [*chain.from_iterable(combos)]
+                values = [*chain.from_iterable(map(dict.values, combos))]
+                if len(outs) > len(keys):  # each key's columns once per entry
+                    at = [*chain.from_iterable(map(repeat, range(len(keys)),
+                                                   map(len, combos)))]
+                    keys, codes, strays = ([*map(col.__getitem__, at)]
+                                           for col in (keys, codes, strays))
+                for out in dict.fromkeys(outs):
+                    ids.setdefault(out, len(ids))
+                if scale is not None:  # once per distinct value object
+                    at = [*map(id, values)]
+                    scaled = {i: f(c) for i, c in dict(zip(at, values)).items()}
+                    values = [*map(scaled.__getitem__, at)]
+                rows = scan[id(table)] = [*zip(
+                    keys, codes, strays, map(ids.__getitem__, outs), values,
+                    map(mod, codes, repeat(width ** (k - 1) if k else 1)))]
             got = scan[id(table), p, slot] = {}
-            for row in rows:
-                if p is None:
-                    for out, c in row[3] if row[2] < 0 else ():
-                        got.setdefault(out, []).append((row[1], c))
-                elif row[2] < 0 or row[2] == slot:
-                    got.setdefault(ids[row[0][p]], []).append(row)
+            if p is None:
+                for _, code, stray, out, c, _ in rows:
+                    if stray < 0:
+                        got.setdefault(out, []).append((code, c))
+            else:
+                for row in rows:
+                    if row[2] < 0 or row[2] == slot:
+                        got.setdefault(ids[row[0][p]], []).append(row)
         return got
 
     joins = []  # per insertion term, the groupings it reads
@@ -658,33 +784,27 @@ def joined_sums(n, terms, names, index, linear=None, scale=None):
                 sums[code * size + out] = c
         for flip, parity, start, leads, inner, outer, tail, widen in joins:
             if leads:
-                for _, code, _, outs, _ in inner.get(lead, ()):
+                for _, code, _, mid, c_in, _ in inner.get(lead, ()):
                     head = code * tail
-                    for mid, c_in in outs:
-                        c_in = -c_in if flip else c_in
-                        for _, _, _, outs_out, rest in outer.get(mid, ()):
-                            at = (head + rest) * size
-                            for out, c_out in outs_out:
-                                cell = at + out
-                                sums[cell] = sums[cell] + c_in * c_out \
-                                    if cell in sums else c_in * c_out
+                    c_in = -c_in if flip else c_in
+                    for _, _, _, out, c_out, rest in outer.get(mid, ()):
+                        cell = (head + rest) * size + out
+                        sums[cell] = sums[cell] + c_in * c_out \
+                            if cell in sums else c_in * c_out
                 continue
             step, odds = tail * size, {}  # the sign of each prefix met
-            for key, code, _, outs_out, _ in outer.get(lead, ()):
+            for key, code, _, out, c_out, _ in outer.get(lead, ()):
                 mids = inner.get(ids[key[start]])
                 if mids is None:
                     continue
                 prefix = code // (tail * width)
                 if prefix not in odds:
                     odds[prefix] = sum(map(parity.__getitem__, key[:start])) & 1 != flip
-                odd, base = odds[prefix], (prefix * widen + code % tail) * size
+                odd, at = odds[prefix], (prefix * widen + code % tail) * size + out
                 for inner_code, c_in in mids:
-                    c_in = -c_in if odd else c_in
-                    at = base + inner_code * step
-                    for out, c_out in outs_out:
-                        cell = at + out
-                        sums[cell] = sums[cell] + c_in * c_out \
-                            if cell in sums else c_in * c_out
+                    cell = at + inner_code * step
+                    c = -c_in * c_out if odd else c_in * c_out
+                    sums[cell] = sums[cell] + c if cell in sums else c
         live = sorted(cell for cell, c in sums.items() if c)
         for code, cells in groupby(live, lambda cell: cell // size):
             yield tuple(names[code // w % width] for w in powers), \
@@ -734,8 +854,8 @@ def check_ainf(alg: AInfAlgebra, max_counterexamples=None) -> dict:
     max_a = alg.max_arity()
     n_bound = max(2 * max_a - 1, 0)
     betas = alg.beta_range()
-    d = lcm(*{c.denominator for table in alg.ops.values()
-              for combo in table.values() for c in combo.values()})
+    values = [*stored_values(alg.ops)]  # each distinct object read once
+    d = lcm(*{c.denominator for c in dict(zip(map(id, values), values)).values()})
     found = relation_violations(
         alg.ops, alg._parity, betas, n_bound,
         lambda n: alg.names if n == 1 else alg.window,

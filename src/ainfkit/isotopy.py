@@ -60,8 +60,9 @@ from math import lcm
 from ainfkit.ainf import (AInfAlgebra, add_into, basis_pairs, beta_json,
                           clean_tables, entry_tables, flip_stored,
                           insertion_plans, insertion_sum, joined_sums,
-                          map_tables, relation_violations, replaced,
-                          stored_entries, window_names)
+                          map_tables, relation_violations, replaced, required,
+                          space_basis, stored_entries, stored_values,
+                          window_names)
 from ainfkit.kunneth import kunneth_K_table, pullback_scanner, scan_report
 from ainfkit.poly import Poly
 from ainfkit.scalars import (BETA_ZERO, EnergyMonoid, frac, frac_str, json_int,
@@ -79,7 +80,13 @@ class Pseudoisotopy:
                  "_degrees", "_names", "_parity", "window")
 
     def __init__(self, n, basis, monoid, cutoff, unit, mT, cT, window=None):
-        n = int(n)
+        self._load(int(n), basis, monoid, cutoff, unit, window,
+                   lambda rules: clean_tables(mT or {}, rules, Poly, Poly.const),
+                   lambda rules: clean_tables(cT or {}, rules, Poly, Poly.const))
+
+    def _load(self, n, basis, monoid, cutoff, unit, window, m_tables, c_tables):
+        """Validate and set the header, then both families as m_tables and
+        c_tables read them under the header's rules, then the family rules."""
         cutoff = frac(cutoff)
         if cutoff <= 0:
             raise ValueError("cutoff must be positive")
@@ -88,20 +95,18 @@ class Pseudoisotopy:
         degrees = dict(basis)
         if unit is not None and (unit not in names or degrees[unit] != 0):
             raise ValueError("unit must exist and have degree 0")
-        mT = clean_tables(mT or {}, degrees, monoid, cutoff, 2, Poly,
-                          Poly.const, "m^t: ")
+        window = window_names(window, names)
+        mT = m_tables((degrees, monoid, cutoff, 2, "m^t: "))
         for (_, beta), table in mT.items():
             if beta == BETA_ZERO and any(poly.degree() > 0 for combo in
                                          table.values() for poly in combo.values()):
                 raise ValueError("m^t: must be t-independent at beta = 0")
-        cT = clean_tables(cT or {}, degrees, monoid, cutoff, 1, Poly,
-                          Poly.const, "c^t: ")
+        cT = c_tables((degrees, monoid, cutoff, 1, "c^t: "))
         if any(beta == BETA_ZERO for _, beta in cT):
             raise ValueError("c^t: must vanish at beta = 0")
         if unit is not None and any(unit in inputs for table in cT.values()
                                     for inputs in table):
             raise ValueError("c^t: may not take the unit as input")
-        window = window_names(window, names)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "basis", basis)
         object.__setattr__(self, "monoid", monoid)
@@ -156,18 +161,21 @@ class Pseudoisotopy:
 
     @staticmethod
     def from_json(doc) -> "Pseudoisotopy":
-        return Pseudoisotopy(
-            n=json_int(doc["n"], "n"),
-            basis=doc["space"]["basis"],
-            monoid=EnergyMonoid.from_json(doc["monoid"]),
-            cutoff=frac(doc["cutoff"]),
-            unit=doc.get("unit"),
-            mT=entry_tables(doc.get("mt", []), "poly", Poly.from_json, "mt",
-                            add=False),
-            cT=entry_tables(doc.get("ct", []), "poly", Poly.from_json, "ct",
-                            add=False),
-            window=doc.get("window"),
-        )
+        """The isotopy of a document: the header is read and checked first,
+        then every entry of both families is validated as it is read
+        (entry_tables), the last of repeated entries counting."""
+        P = object.__new__(Pseudoisotopy)
+
+        def family(key):
+            return lambda rules: entry_tables(doc.get(key, []), "poly",
+                                              Poly.from_json, key, rules,
+                                              add=False)
+
+        P._load(json_int(required(doc, "n"), "n"), space_basis(doc),
+                EnergyMonoid.from_json(required(doc, "monoid")),
+                frac(required(doc, "cutoff")), doc.get("unit"),
+                doc.get("window"), family("mt"), family("ct"))
+        return P
 
 
 def isotopy_sums(P: Pseudoisotopy, k_bound):
@@ -230,8 +238,7 @@ def check_pseudoisotopy(P: Pseudoisotopy, m0: AInfAlgebra = None,
     k_bound = max(max_m, max_m + max_c - 1, 0)
 
     # The evaluation point.
-    polys = [p for tables in (P.mT, P.cT) for table in tables.values()
-             for combo in table.values() for p in combo.values()]
+    polys = [*stored_values(P.mT), *stored_values(P.cT)]
     scale = lcm(*(c.denominator for p in polys for c in p.coeffs))
     total = sum(abs(c.numerator) * (scale // c.denominator)
                 for p in polys for c in p.coeffs)

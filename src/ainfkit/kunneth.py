@@ -43,6 +43,7 @@ from ainfkit.ainf import (
     linear_image,
     mc_defect,
     pull_back,
+    required,
 )
 from ainfkit.poly import (
     EchelonSpan,
@@ -119,10 +120,10 @@ class SubalgebraEmbedding:
     @staticmethod
     def from_json(doc, target: AInfAlgebra) -> "SubalgebraEmbedding":
         return SubalgebraEmbedding(
-            AInfAlgebra.from_json(doc["source"]),
+            AInfAlgebra.from_json(required(doc, "source")),
             target,
             {src: {t: frac(c) for t, c in combo.items()}
-             for src, combo in doc["iota"].items()},
+             for src, combo in required(doc, "iota").items()},
         )
 
 

@@ -688,6 +688,27 @@ def test_json_boolean_scalar_is_input_error(command, name, edit, where,
      lambda doc: doc["isotopy"]["monoid"].append(2),
      "isotopy: monoid must be an array of [energy, maslov] generators, "
      "got [['1', 0], ['1', 2], 2]"),
+    ("check-ainf", "derham_t1.json",
+     lambda doc: doc["algebra"].update(space=1.5),
+     "algebra: space must be an object with a basis, got 1.5"),
+    ("check-ainf", "derham_t1.json",
+     lambda doc: doc["algebra"]["space"].update(basis=None),
+     "algebra: basis must be an array of [name, degree] pairs, got None"),
+    ("check-isotopy", "isotopy_extend.json",
+     lambda doc: doc["isotopy"]["space"].update(basis=3),
+     "isotopy: basis must be an array of [name, degree] pairs, got 3"),
+    ("check-ainf", "derham_t1.json",
+     lambda doc: doc["algebra"].pop("space"),
+     "algebra: missing field 'space'"),
+    ("check-ainf", "derham_t1.json",
+     lambda doc: doc["algebra"].pop("monoid"),
+     "algebra: missing field 'monoid'"),
+    ("check-isotopy", "isotopy_extend.json",
+     lambda doc: doc["isotopy"].pop("n"),
+     "isotopy: missing field 'n'"),
+    ("check-subalgebra", "kunneth_derham.json",
+     lambda doc: doc["embeddings"]["A"].pop("source"),
+     "embeddings.A: missing field 'source'"),
 ])
 def test_header_of_the_wrong_shape_is_located_input_error(
         command, name, edit, message, fixture_path, tmp_path, capsys):

@@ -31,8 +31,9 @@ import json
 import time
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
-from itertools import product
+from itertools import chain, compress, groupby, product, repeat
 from math import lcm
+from operator import add, is_, itemgetter, mul
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -50,11 +51,12 @@ from ainfkit.ainf import (
     insertion_plans,
     insertion_sum,
     joined_sums,
+    map_tables,
     relation_violations,
 )
 from ainfkit.cli import main
 from ainfkit.isotopy import Pseudoisotopy, flip_isotopy_constant, \
-    isotopy_constant_ids
+    isotopy_constant_ids, isotopy_sums
 from ainfkit.models import (
     commuting_isotopy_fixture,
     derham_model,
@@ -210,6 +212,113 @@ def tuple_joined_sums(n, terms, names, index, linear=None):
         for key in sorted((key for key, acc in sums.items() if any(acc.values())),
                           key=lambda h: [position[nm] for nm in h]):
             yield key, {o: c for o, c in sums[key].items() if c}
+
+
+# The coded join with one row per stored key, [(output number, scale(c))]
+# its outputs, copied verbatim but for its name and docstring: the join now
+# holds one row per stored entry, built column by column.
+def per_key_joined_sums(n, terms, names, index, linear=None, scale=None):
+    """joined_sums with one row per stored key, its outputs in a list."""
+    f = (lambda c: c) if scale is None else scale
+    if n == 0:  # m_1(m_0) on the empty tuple, with no Koszul sign
+        acc = dict(linear.get((), {})) if linear else {}
+        for plan, _, sign in terms:
+            for _, _, inner_table, outer_table in plan:
+                for mid, c_in in inner_table.get((), {}).items():
+                    add_into(acc, {o: f(c) for o, c in outer_table.get(
+                        (mid,), {}).items()}, sign * f(c_in))
+        if any(acc.values()):
+            yield (), {o: c for o, c in acc.items() if c}
+        return
+    width, scan = len(names), index.setdefault(names, {})
+    if not scan:  # ids numbers the scanned names by their digits
+        scan[None] = (dict(zip(names, range(width))), dict(zip(names, range(width))))
+    digit, ids = scan[None]
+
+    def grouped(table, p, slot=None):
+        """By the number of key[p], the rows whose one name outside the scan,
+        if any, sits at slot; for p None, by output, the rows inside it."""
+        got = scan.get((id(table), p, slot))
+        if got is None:
+            rows = scan.get(id(table))
+            if rows is None:  # the codes digit by digit, over all keys at once
+                keys, k = [*table], len(next(iter(table), ()))
+                codes, strays = [0] * len(keys), [-1] * len(keys)
+                for j in range(k):
+                    col = [*map(digit.get, map(itemgetter(j), keys))]
+                    for i in compress(range(len(keys)), map(is_, col, repeat(None))):
+                        strays[i], col[i] = j if strays[i] < 0 else k, 0
+                        ids.setdefault(keys[i][j], len(ids))
+                    codes = [*map(add, map(mul, codes, repeat(width)), col)]
+                last = width ** (k - 1) if k else 1
+                rows = scan[id(table)] = [(key, code, stray, [
+                    (ids.setdefault(out, len(ids)), f(c)) for out, c in combo.items()],
+                    code % last) for key, code, stray, combo in zip(
+                    keys, codes, strays, table.values()) if stray < k]
+            got = scan[id(table), p, slot] = {}
+            for row in rows:
+                if p is None:
+                    for out, c in row[3] if row[2] < 0 else ():
+                        got.setdefault(out, []).append((row[1], c))
+                elif row[2] < 0 or row[2] == slot:
+                    got.setdefault(ids[row[0][p]], []).append(row)
+        return got
+
+    joins = []  # per insertion term, the groupings it reads
+    for plan, parity, sign in terms:
+        for start, stop, inner_table, outer_table in plan:
+            leads = start == 0 < stop  # else the outer key, from key[1] after m_0
+            tail = width ** (n - stop)  # the codes of the names after the inner key
+            joins.append((sign < 0, parity, start, leads,
+                          grouped(inner_table, 0 if leads else None, 0),
+                          grouped(outer_table, int(start == stop == 0), start),
+                          tail, width ** (stop - start) * tail))
+    leading, powers = {}, [width ** e for e in range(n - 1, -1, -1)]
+    for key, vec in (linear or {}).items():  # added as given
+        digits = [*map(digit.get, key)]
+        if None not in digits:
+            leading.setdefault(digits[0], []).append((sum(map(mul, digits, powers)), [
+                (ids.setdefault(out, len(ids)), c) for out, c in vec.items()]))
+    numbered = [*ids]  # the names by number; a sum's key is code*size+number
+    size = len(numbered)
+    for lead in range(width):
+        sums = {}
+        for code, vec in leading.get(lead, ()):
+            for out, c in vec:
+                sums[code * size + out] = c
+        for flip, parity, start, leads, inner, outer, tail, widen in joins:
+            if leads:
+                for _, code, _, outs, _ in inner.get(lead, ()):
+                    head = code * tail
+                    for mid, c_in in outs:
+                        c_in = -c_in if flip else c_in
+                        for _, _, _, outs_out, rest in outer.get(mid, ()):
+                            at = (head + rest) * size
+                            for out, c_out in outs_out:
+                                cell = at + out
+                                sums[cell] = sums[cell] + c_in * c_out \
+                                    if cell in sums else c_in * c_out
+                continue
+            step, odds = tail * size, {}  # the sign of each prefix met
+            for key, code, _, outs_out, _ in outer.get(lead, ()):
+                mids = inner.get(ids[key[start]])
+                if mids is None:
+                    continue
+                prefix = code // (tail * width)
+                if prefix not in odds:
+                    odds[prefix] = sum(map(parity.__getitem__, key[:start])) & 1 != flip
+                odd, base = odds[prefix], (prefix * widen + code % tail) * size
+                for inner_code, c_in in mids:
+                    c_in = -c_in if odd else c_in
+                    at = base + inner_code * step
+                    for out, c_out in outs_out:
+                        cell = at + out
+                        sums[cell] = sums[cell] + c_in * c_out \
+                            if cell in sums else c_in * c_out
+        live = sorted(cell for cell, c in sums.items() if c)
+        for code, cells in groupby(live, lambda cell: cell // size):
+            yield tuple(names[code // w % width] for w in powers), \
+                {numbered[cell % size]: sums[cell] for cell in cells}
 
 
 def tuple_relation_violations(ops, parity, betas, n_bound, order):
@@ -696,6 +805,77 @@ def test_outer_key_with_a_name_outside_the_window():
         every_sum(alg.ops, parity, 2, order, scaled(alg.ops))
         every_sum(alg.ops, parity, 3, order, scaled(alg.ops))
     assert check_ainf(alg) == oracle_check_ainf(alg)
+
+
+def assert_rows_agree(calls, scale=None):
+    """joined_sums and the per-key join on each (n, terms, names, linear) of
+    calls, each with one index for all of them, as a caller keeps it: the
+    same tuples with the same sums, in the same order, each sum's outputs in
+    the same order.  Returns the sums."""
+    indexes, found = ({}, {}), []
+    for n, terms, names, linear in calls:
+        new, old = ([(xi, [*acc.items()]) for xi, acc in join(
+            n, terms, names, index, linear, scale)] for join, index in zip(
+                (joined_sums, per_key_joined_sums), indexes))
+        assert new == old
+        found.append(new)
+    return found
+
+
+def relation_calls(alg, ops):
+    """Every (n, terms, names, None) of the A-infinity relation scan of ops."""
+    plans = insertion_plans(ops, ops, max(2 * alg.max_arity() - 1, 0))
+    parity = shifted_parities(dict(alg.basis))
+    return [(n, [(plans[beta, n], parity, 1)], scan_order(alg)(n), None)
+            for beta, n in sorted(plans)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(sparse_algebras(st.integers(2, 12)))
+def test_entry_rows_match_the_per_key_rows(alg):
+    """Over the Fraction table, scaled while indexed and not, and with a
+    window that leaves names outside the scan."""
+    assert_rows_agree(relation_calls(alg, alg.ops))
+    assert_rows_agree(relation_calls(alg, alg.ops), scaled(alg.ops))
+
+
+def test_entry_rows_with_several_outputs_per_key(fixture_path):
+    """m_2(x, z) and m_2(z, q) have two outputs each, and z, w and v lie
+    outside the window, so names are numbered as the scan meets them; the
+    isotopy's sums over Q[t] carry a linear table."""
+    basis = [("x", 0), ("y", 0), ("p", 0), ("z", 1), ("q", 1), ("w", 1),
+             ("v", 1), ("r", 2), ("s", 2)]
+    half = Fraction(1, 2)
+    ops = {(1, BETA_ZERO): {("y",): {"z": half, "q": Fraction(2)},
+                           ("p",): {"q": Fraction(3)}},
+           (2, BETA_ZERO): {("x", "z"): {"w": half, "v": Fraction(-1)},
+                           ("z", "q"): {"r": Fraction(2, 3), "s": half},
+                           ("q", "z"): {"r": Fraction(-1)}}}
+    alg = AInfAlgebra(basis, EnergyMonoid([]), ops=ops,
+                      window=["x", "y", "p", "q", "r", "s"])
+    calls = relation_calls(alg, alg.ops)
+    calls += [(n, terms, tuple(reversed(names)), linear)
+              for n, terms, names, linear in calls]
+    found = assert_rows_agree(calls, scaled(alg.ops))
+    assert any(len(acc) > 1 for sums in found for _, acc in sums)
+
+    # Each distinct value object is scaled once: half stands for three
+    # entries of two tables.
+    counted = []
+    n, terms, names, _ = next(call for call in calls if call[0] == 2)
+    list(joined_sums(n, terms, names, {}, scale=lambda c: counted.append(c)
+                     or scaled(alg.ops)(c)))
+    values = [[*map(id, chain.from_iterable(map(dict.values, t.values())))]
+              for t in alg.ops.values()]
+    assert len(counted) == sum(len(set(v)) for v in values) \
+        < sum(map(len, values))
+
+    P = load_spec(fixture_path("commuting_isotopy.json")).isotopy
+    slopes = map_tables(P.mT, lambda p: p.derivative())
+    assert_rows_agree([(k, [(s1, unsigned, -1), (s2, parity, 1)], P.names,
+                        slopes.get((k, beta)))
+                       for (beta, k), ((s1, unsigned), (s2, parity))
+                       in isotopy_sums(P, 3).items()])
 
 
 def test_ainf_defect_rejects_beta_outside_monoid():
