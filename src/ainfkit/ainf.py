@@ -191,6 +191,15 @@ def required(doc, key, where=None):
         raise ValueError(f"missing field {where or key!r}") from None
 
 
+def scalar_field(doc, key, parse):
+    """parse(doc[key]) of a document object, its refusal named by key."""
+    raw = required(doc, key)
+    try:
+        return parse(raw)
+    except (ValueError, TypeError, ZeroDivisionError) as exc:
+        raise ValueError(f"{key}: {exc}") from None
+
+
 def space_basis(doc):
     """The raw basis of a document's space section."""
     space = required(doc, "space")
@@ -536,7 +545,8 @@ class AInfAlgebra:
         alg._load(space_basis(doc),
                   EnergyMonoid.from_json(required(doc, "monoid")),
                   doc.get("mode", "gapped"),
-                  frac(doc["cutoff"]) if "cutoff" in doc else None,
+                  scalar_field(doc, "cutoff", frac) if "cutoff" in doc
+                  else None,
                   doc.get("unit"), doc.get("window"),
                   lambda rules: entry_tables(doc.get("ops", []), "coeff", frac,
                                              "ops", rules))

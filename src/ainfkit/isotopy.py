@@ -61,8 +61,8 @@ from ainfkit.ainf import (AInfAlgebra, add_into, basis_pairs, beta_json,
                           clean_tables, entry_tables, flip_stored,
                           insertion_plans, insertion_sum, joined_sums,
                           map_tables, relation_violations, replaced, required,
-                          space_basis, stored_entries, stored_values,
-                          window_names)
+                          scalar_field, space_basis, stored_entries,
+                          stored_values, window_names)
 from ainfkit.kunneth import kunneth_K_table, pullback_scanner, scan_report
 from ainfkit.poly import Poly
 from ainfkit.scalars import (BETA_ZERO, EnergyMonoid, frac, frac_str, json_int,
@@ -173,7 +173,7 @@ class Pseudoisotopy:
 
         P._load(json_int(required(doc, "n"), "n"), space_basis(doc),
                 EnergyMonoid.from_json(required(doc, "monoid")),
-                frac(required(doc, "cutoff")), doc.get("unit"),
+                scalar_field(doc, "cutoff", frac), doc.get("unit"),
                 doc.get("window"), family("mt"), family("ct"))
         return P
 

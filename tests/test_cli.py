@@ -709,6 +709,12 @@ def test_json_boolean_scalar_is_input_error(command, name, edit, where,
     ("check-subalgebra", "kunneth_derham.json",
      lambda doc: doc["embeddings"]["A"].pop("source"),
      "embeddings.A: missing field 'source'"),
+    ("check-ainf", "derham_t1.json",
+     lambda doc: doc["algebra"].update(cutoff="x"),
+     "algebra: cutoff: Invalid literal for Fraction: 'x'"),
+    ("check-isotopy", "isotopy_extend.json",
+     lambda doc: doc["isotopy"].update(cutoff="1/0"),
+     "isotopy: cutoff: zero denominator in '1/0'"),
 ])
 def test_header_of_the_wrong_shape_is_located_input_error(
         command, name, edit, message, fixture_path, tmp_path, capsys):

@@ -29,7 +29,8 @@ the malformed-document fuzz holds the live load to it.
 The header messages are located now: a missing `space`, `monoid`, `cutoff`
 or `n`, a `space` that is no object and a `basis` that is no array are
 refused by field name where the two-pass load raised a bare KeyError or
-TypeError (`test_header_faults_are_named_by_field`).
+TypeError (`test_header_faults_are_named_by_field`), and a `cutoff` that its
+parser refuses is named too.
 
 The per-entry load before the memoized parser is kept as well
 (`oracle_algebra`, `oracle_isotopy`), for the inputs on which it differs on
