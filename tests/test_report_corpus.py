@@ -16,15 +16,20 @@ ROOT = Path(__file__).resolve().parent.parent
 
 @pytest.fixture
 def corpus(monkeypatch):
+    """The script as a module; sys.path, the bytecode flag and the
+    perfbench modules it imports are put back afterwards."""
     monkeypatch.setattr(sys, "path", list(sys.path))
     monkeypatch.setattr(sys, "dont_write_bytecode", sys.dont_write_bytecode)
-    for name in ("workloads", "oracle"):
+    perfbench = ("workloads", "oracle")
+    for name in perfbench:
         monkeypatch.delitem(sys.modules, name, raising=False)
     spec = importlib.util.spec_from_file_location(
         "report_corpus", ROOT / "scripts" / "report_corpus.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    return module
+    yield module
+    for name in perfbench:
+        sys.modules.pop(name, None)
 
 
 SUBSET = [
