@@ -7,7 +7,7 @@ forms); all checks are zero-tolerance equalities.
 """
 
 from ainfkit.scalars import NovikovElement, EnergyMonoid, monoid_sum
-from ainfkit.signs import koszul_prefix_sign, reorder_sign, gamma_ledger_check
+from ainfkit.signs import koszul_prefix_sign, gamma_ledger_check
 from ainfkit.ainf import AInfAlgebra, AlgElement, eval_op, ainf_defect, check_ainf, check_unit, deform, mc_defect
 from ainfkit.kunneth import SubalgebraEmbedding, check_subalgebra, check_commuting, box_product, check_kunneth_hypothesis
 from ainfkit.floer import scalar_cohomology, hf_dimension, barcode, check_hf_kunneth

@@ -21,10 +21,9 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from fractions import Fraction
-from itertools import (chain, combinations, compress, groupby, islice,
-                       product, repeat)
+from itertools import chain, combinations, groupby, islice, product
 from math import lcm, prod
-from operator import add, gt, is_, itemgetter, mod, mul
+from operator import mul
 
 from ainfkit.scalars import (
     BETA_ZERO,
@@ -33,6 +32,7 @@ from ainfkit.scalars import (
     frac,
     frac_str,
     json_int,
+    located,
 )
 from ainfkit.signs import shifted_parities, sign_pow
 
@@ -189,15 +189,6 @@ def required(doc, key, where=None):
         return doc[key]
     except KeyError:
         raise ValueError(f"missing field {where or key!r}") from None
-
-
-def scalar_field(doc, key, parse):
-    """parse(doc[key]) of a document object, its refusal named by key."""
-    raw = required(doc, key)
-    try:
-        return parse(raw)
-    except (ValueError, TypeError, ZeroDivisionError) as exc:
-        raise ValueError(f"{key}: {exc}") from None
 
 
 def space_basis(doc):
@@ -358,6 +349,14 @@ def stored_entries(tables):
                 yield key[0], key[1], inputs, out, combo[out]
 
 
+def entries_json(tables, field, write):
+    """The document entries of op tables in the canonical order, each value
+    written as write(value) under field."""
+    return [{"k": k, "beta": beta_json(beta), "inputs": list(inputs),
+             "output": out, field: write(value)}
+            for k, beta, inputs, out, value in stored_entries(tables)]
+
+
 class AlgElement:
     """Linear combination of basis names with Novikov coefficients."""
 
@@ -420,19 +419,64 @@ class AlgElement:
         )
 
 
-class AInfAlgebra:
+class OpFamilies:
+    """The header of stored op tables: a basis of (name, degree) pairs, an
+    energy monoid, a cutoff and a unit (None: none) and a window, the names
+    over which relation instances with n >= 2 inputs are enumerated (default:
+    the basis).  AInfAlgebra and Pseudoisotopy add their tables and rules."""
+
+    __slots__ = ("basis", "monoid", "cutoff", "unit", "window", "_degrees",
+                 "_names", "_parity")
+
+    def _header(self, basis, monoid, cutoff, unit, window) -> dict:
+        """Validate and set the header; returns the degrees, which the rules
+        of the tables read."""
+        basis = basis_pairs(basis)
+        names = tuple(nm for nm, _ in basis)
+        degrees = dict(basis)
+        if unit is not None and (unit not in names  # an array is unhashable
+                                 or degrees[unit] != 0):
+            raise ValueError(self.unit_fault(unit, names))
+        for slot, value in zip(OpFamilies.__slots__, (
+                basis, monoid, cutoff, unit, window_names(window, names),
+                degrees, names, shifted_parities(degrees))):
+            object.__setattr__(self, slot, value)
+        return degrees
+
+    @staticmethod
+    def unit_fault(unit, names) -> str:  # for a unit not in names or not of degree 0
+        return (f"unit {unit!r} not in basis" if unit not in names
+                else "unit must have degree 0")
+
+    def __setattr__(self, *a):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    @property
+    def names(self):
+        return self._names
+
+    def degree(self, name) -> int:
+        return self._degrees[name]
+
+    def header_json(self) -> dict:
+        """The header fields of the document form; None is left out."""
+        doc = {"space": {"basis": [[nm, d] for nm, d in self.basis]},
+               "monoid": self.monoid.to_json(), "unit": self.unit,
+               "cutoff": None if self.cutoff is None else frac_str(self.cutoff),
+               "window": None if self.window == self._names else list(self.window)}
+        return {key: value for key, value in doc.items() if value is not None}
+
+
+class AInfAlgebra(OpFamilies):
     """Finite-basis filtered A-infinity algebra with sparse exact operations.
 
     ops: dict {(k, beta): {input-name-tuple: {output-name: Fraction}}}.
-    window: the subset of basis names over which relation instances with
-    n >= 2 inputs are enumerated by check_ainf (defaults to the full basis).
     A truncated multiplication table generally cannot close on its whole
     basis, so the window declares where the table is exact; the relation
     with a single input is always scanned over the full basis.
     """
 
-    __slots__ = ("basis", "monoid", "mode", "cutoff", "unit", "ops", "window",
-                 "_degrees", "_names", "_parity")
+    __slots__ = ("mode", "ops")
 
     def __init__(self, basis, monoid, mode="gapped", cutoff=None, unit=None,
                  ops=None, window=None):
@@ -440,8 +484,8 @@ class AInfAlgebra:
                    lambda rules: clean_tables(ops or {}, rules, Fraction, frac))
 
     def _load(self, basis, monoid, mode, cutoff, unit, window, tables):
-        """Validate and set the header, then the ops as tables(rules) reads
-        them under the header's rules."""
+        """Validate and set the mode and the header, then the ops as
+        tables(rules) reads them under the header's rules."""
         if mode not in ("gapped", "modulo"):
             raise ValueError(f"unknown mode {mode!r}")
         if mode == "modulo":
@@ -450,38 +494,11 @@ class AInfAlgebra:
                 raise ValueError("modulo mode needs a positive cutoff")
         elif cutoff is not None:
             raise ValueError("gapped mode takes no cutoff")
-        basis = basis_pairs(basis)
-        names = [n for n, _ in basis]
-        degrees = dict(basis)
-        if unit is not None:
-            if unit not in names:  # not degrees: an array is unhashable
-                raise ValueError(f"unit {unit!r} not in basis")
-            if degrees[unit] != 0:
-                raise ValueError("unit must have degree 0")
-        window = window_names(window, names)
-        ops = tables((degrees, monoid, cutoff, 2, ""))
-        object.__setattr__(self, "basis", basis)
-        object.__setattr__(self, "monoid", monoid)
+        degrees = self._header(basis, monoid, cutoff, unit, window)
         object.__setattr__(self, "mode", mode)
-        object.__setattr__(self, "cutoff", cutoff)
-        object.__setattr__(self, "unit", unit)
-        object.__setattr__(self, "ops", ops)
-        object.__setattr__(self, "window", window)
-        object.__setattr__(self, "_degrees", degrees)
-        object.__setattr__(self, "_names", tuple(names))
-        object.__setattr__(self, "_parity", shifted_parities(degrees))
-
-    def __setattr__(self, *a):
-        raise AttributeError("AInfAlgebra is immutable")
+        object.__setattr__(self, "ops", tables((degrees, monoid, cutoff, 2, "")))
 
     # -- queries -------------------------------------------------------------
-    @property
-    def names(self):
-        return self._names
-
-    def degree(self, name) -> int:
-        return self._degrees[name]
-
     @property
     def truncation(self):
         return self.cutoff if self.mode == "modulo" else None
@@ -520,22 +537,8 @@ class AInfAlgebra:
 
     # -- serialization ---------------------------------------------------------
     def to_json(self):
-        ops = [{"k": k, "beta": beta_json(beta), "inputs": list(inputs),
-                "output": out, "coeff": frac_str(coeff)}
-               for k, beta, inputs, out, coeff in stored_entries(self.ops)]
-        doc = {
-            "space": {"basis": [[n, d] for n, d in self.basis]},
-            "monoid": self.monoid.to_json(),
-            "mode": self.mode,
-            "ops": ops,
-        }
-        if self.cutoff is not None:
-            doc["cutoff"] = frac_str(self.cutoff)
-        if self.unit is not None:
-            doc["unit"] = self.unit
-        if self.window != self._names:
-            doc["window"] = list(self.window)
-        return doc
+        return {**self.header_json(), "mode": self.mode,
+                "ops": entries_json(self.ops, "coeff", frac_str)}
 
     @staticmethod
     def from_json(doc) -> "AInfAlgebra":
@@ -545,7 +548,7 @@ class AInfAlgebra:
         alg._load(space_basis(doc),
                   EnergyMonoid.from_json(required(doc, "monoid")),
                   doc.get("mode", "gapped"),
-                  scalar_field(doc, "cutoff", frac) if "cutoff" in doc
+                  located("cutoff", frac, doc["cutoff"]) if "cutoff" in doc
                   else None,
                   doc.get("unit"), doc.get("window"),
                   lambda rules: entry_tables(doc.get("ops", []), "coeff", frac,
@@ -704,8 +707,9 @@ def joined_sums(n, terms, names, index, linear=None, scale=None):
     and, built at first use, a row (key, code, position of its one name outside
     the scan or -1, output number, scale(c), code of key[1:]) per stored entry
     whose key has at most one name outside the scan, and the groupings of these
-    rows.  The rows are built column by column, and each distinct value object
-    is scaled once."""
+    rows.  The rows are built in one loop over the stored entries, each
+    distinct value object scaled once; the names outside the scan are numbered
+    first, column by column, and a sum lists its outputs by number."""
     f = (lambda c: c) if scale is None else scale
     if n == 0:  # m_1(m_0) on the empty tuple, with no Koszul sign
         acc = dict(linear.get((), {})) if linear else {}
@@ -729,36 +733,31 @@ def joined_sums(n, terms, names, index, linear=None, scale=None):
         got = scan.get((id(table), p, slot))
         if got is None:
             rows = scan.get(id(table))
-            if rows is None:  # the codes digit by digit, over all keys at once
-                keys, k = [*table], len(next(iter(table), ()))
-                codes, strays = [0] * len(keys), [-1] * len(keys)
-                for j in range(k):
-                    col = [*map(digit.get, map(itemgetter(j), keys))]
-                    for i in compress(range(len(keys)), map(is_, col, repeat(None))):
-                        strays[i], col[i] = j if strays[i] < 0 else k, 0
-                        ids.setdefault(keys[i][j], len(ids))
-                    codes = [*map(add, map(mul, codes, repeat(width)), col)]
-                combos = [*table.values()]
-                if k in strays:  # a key with two names outside has no row
-                    keep = [*map(gt, repeat(k), strays)]
-                    keys, codes, strays, combos = ([*compress(col, keep)] for col
-                                                   in (keys, codes, strays, combos))
-                outs = [*chain.from_iterable(combos)]
-                values = [*chain.from_iterable(map(dict.values, combos))]
-                if len(outs) > len(keys):  # each key's columns once per entry
-                    at = [*chain.from_iterable(map(repeat, range(len(keys)),
-                                                   map(len, combos)))]
-                    keys, codes, strays = ([*map(col.__getitem__, at)]
-                                           for col in (keys, codes, strays))
-                for out in dict.fromkeys(outs):
-                    ids.setdefault(out, len(ids))
-                if scale is not None:  # once per distinct value object
-                    at = [*map(id, values)]
-                    scaled = {i: f(c) for i, c in dict(zip(at, values)).items()}
-                    values = [*map(scaled.__getitem__, at)]
-                rows = scan[id(table)] = [*zip(
-                    keys, codes, strays, map(ids.__getitem__, outs), values,
-                    map(mod, codes, repeat(width ** (k - 1) if k else 1)))]
+            if rows is None:  # one pass over the stored entries
+                k = len(next(iter(table), ()))
+                outside = {*chain.from_iterable(table)}.difference(digit)
+                for j in range(k if outside else 0):  # before the outputs,
+                    for key in table:                 # column by column
+                        if key[j] in outside:
+                            ids.setdefault(key[j], len(ids))
+                rows = scan[id(table)] = []
+                scaled, last = {}, width ** (k - 1) if k else 1
+                for key, combo in table.items():
+                    code, stray = 0, -1
+                    for j, nm in enumerate(key):
+                        at = digit.get(nm)
+                        if at is None:
+                            if stray >= 0:  # a key with two names outside has no row
+                                break
+                            at, stray = 0, j
+                        code = code * width + at
+                    else:
+                        for out, c in combo.items():
+                            v = c if scale is None else scaled.get(id(c))
+                            if v is None:  # once per distinct value object
+                                v = scaled[id(c)] = f(c)
+                            rows.append((key, code, stray,
+                                         ids.setdefault(out, len(ids)), v, code % last))
             got = scan[id(table), p, slot] = {}
             if p is None:
                 for _, code, stray, out, c, _ in rows:
@@ -1056,7 +1055,8 @@ def replaced(obj, **slots):
     """A copy of an immutable slotted object with some slots replaced by
     values known to be valid, skipping the constructor's validation."""
     new = object.__new__(type(obj))
-    for slot in type(obj).__slots__:
+    for slot in chain.from_iterable(getattr(cls, "__slots__", ())
+                                    for cls in type(obj).__mro__):
         object.__setattr__(new, slot,
                            slots[slot] if slot in slots else getattr(obj, slot))
     return new

@@ -57,27 +57,26 @@ from __future__ import annotations
 
 from math import lcm
 
-from ainfkit.ainf import (AInfAlgebra, add_into, basis_pairs, beta_json,
-                          clean_tables, entry_tables, flip_stored,
-                          insertion_plans, insertion_sum, joined_sums,
-                          map_tables, relation_violations, replaced, required,
-                          scalar_field, space_basis, stored_entries,
-                          stored_values, window_names)
+from ainfkit.ainf import (AInfAlgebra, OpFamilies, add_into, beta_json,
+                          clean_tables, entries_json, entry_tables,
+                          flip_stored, insertion_plans, insertion_sum,
+                          joined_sums, map_tables, relation_violations,
+                          replaced, required, space_basis, stored_entries,
+                          stored_values)
 from ainfkit.kunneth import kunneth_K_table, pullback_scanner, scan_report
 from ainfkit.poly import Poly
 from ainfkit.scalars import (BETA_ZERO, EnergyMonoid, frac, frac_str, json_int,
-                              monoid_sum)
-from ainfkit.signs import shifted_parities, sign_pow
+                              located, monoid_sum)
+from ainfkit.signs import sign_pow
 
 # The isotopy_sums entry of a (beta, k) where neither mixed sum has a term.
 NO_SUMS = (([], None), ([], None))
 
 
-class Pseudoisotopy:
+class Pseudoisotopy(OpFamilies):
     """Polynomial operation/correction families modulo a cutoff energy."""
 
-    __slots__ = ("n", "basis", "monoid", "cutoff", "unit", "mT", "cT",
-                 "_degrees", "_names", "_parity", "window")
+    __slots__ = ("n", "mT", "cT")
 
     def __init__(self, n, basis, monoid, cutoff, unit, mT, cT, window=None):
         self._load(int(n), basis, monoid, cutoff, unit, window,
@@ -90,12 +89,7 @@ class Pseudoisotopy:
         cutoff = frac(cutoff)
         if cutoff <= 0:
             raise ValueError("cutoff must be positive")
-        basis = basis_pairs(basis)
-        names = tuple(nm for nm, _ in basis)
-        degrees = dict(basis)
-        if unit is not None and (unit not in names or degrees[unit] != 0):
-            raise ValueError("unit must exist and have degree 0")
-        window = window_names(window, names)
+        degrees = self._header(basis, monoid, cutoff, unit, window)
         mT = m_tables((degrees, monoid, cutoff, 2, "m^t: "))
         for (_, beta), table in mT.items():
             if beta == BETA_ZERO and any(poly.degree() > 0 for combo in
@@ -108,26 +102,12 @@ class Pseudoisotopy:
                                     for inputs in table):
             raise ValueError("c^t: may not take the unit as input")
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "basis", basis)
-        object.__setattr__(self, "monoid", monoid)
-        object.__setattr__(self, "cutoff", cutoff)
-        object.__setattr__(self, "unit", unit)
         object.__setattr__(self, "mT", mT)
         object.__setattr__(self, "cT", cT)
-        object.__setattr__(self, "_degrees", degrees)
-        object.__setattr__(self, "_names", names)
-        object.__setattr__(self, "_parity", shifted_parities(degrees))
-        object.__setattr__(self, "window", window)
 
-    def __setattr__(self, *a):
-        raise AttributeError("Pseudoisotopy is immutable")
-
-    @property
-    def names(self):
-        return self._names
-
-    def degree(self, name) -> int:
-        return self._degrees[name]
+    @staticmethod
+    def unit_fault(unit, names) -> str:
+        return "unit must exist and have degree 0"
 
     def max_arity(self) -> int:
         return max((k for k, _ in list(self.mT) + list(self.cT)), default=0)
@@ -141,23 +121,9 @@ class Pseudoisotopy:
 
     # -- serialization -------------------------------------------------------
     def to_json(self):
-        def fam(tables):
-            return [{"k": k, "beta": beta_json(beta), "inputs": list(inputs),
-                     "output": out, "poly": poly.to_json()}
-                    for k, beta, inputs, out, poly in stored_entries(tables)]
-
-        doc = {
-            "n": self.n,
-            "space": {"basis": [[nm, d] for nm, d in self.basis]},
-            "monoid": self.monoid.to_json(),
-            "cutoff": frac_str(self.cutoff),
-            "unit": self.unit,
-            "mt": fam(self.mT),
-            "ct": fam(self.cT),
-        }
-        if self.window != self._names:
-            doc["window"] = list(self.window)
-        return doc
+        return {"n": self.n, **self.header_json(), "unit": self.unit,
+                "mt": entries_json(self.mT, "poly", Poly.to_json),
+                "ct": entries_json(self.cT, "poly", Poly.to_json)}
 
     @staticmethod
     def from_json(doc) -> "Pseudoisotopy":
@@ -173,7 +139,7 @@ class Pseudoisotopy:
 
         P._load(json_int(required(doc, "n"), "n"), space_basis(doc),
                 EnergyMonoid.from_json(required(doc, "monoid")),
-                scalar_field(doc, "cutoff", frac), doc.get("unit"),
+                located("cutoff", frac, required(doc, "cutoff")), doc.get("unit"),
                 doc.get("window"), family("mt"), family("ct"))
         return P
 
@@ -209,7 +175,7 @@ def evaluation_width(bound: int) -> int:
 
 
 def check_pseudoisotopy(P: Pseudoisotopy, m0: AInfAlgebra = None,
-                        m1: AInfAlgebra = None, _parity_factor=None) -> dict:
+                        m1: AInfAlgebra = None) -> dict:
     """All pseudoisotopy axioms as exact polynomial identities in t.
 
     Both identities are scanned over the integers: each stored p becomes
@@ -230,7 +196,7 @@ def check_pseudoisotopy(P: Pseudoisotopy, m0: AInfAlgebra = None,
     report is the polynomial one.
     """
     violations = []
-    pf = sign_pow(P.n + 1) if _parity_factor is None else _parity_factor
+    pf = sign_pow(P.n + 1)
     betas = P.monoid.enumerate(P.cutoff)
     max_m = max((k for k, _ in P.mT), default=0)
     max_c = max((k for k, _ in P.cT), default=0)
@@ -297,12 +263,11 @@ def check_pseudoisotopy(P: Pseudoisotopy, m0: AInfAlgebra = None,
                            if p},
             })
 
-    # Endpoint comparisons.
+    # Endpoint comparisons, as tables: P.endpoint(t) holds exactly these ops.
     for label, target, t in (("endpoint-0", m0, 0), ("endpoint-1", m1, 1)):
         if target is None:
             continue
-        got = P.endpoint(t)
-        if got.ops != target.ops:
+        if map_tables(P.mT, lambda p: p(t)) != target.ops:
             violations.append({"clause": label,
                                "detail": "evaluated family differs from the "
                                          "given algebra"})
@@ -338,10 +303,10 @@ def extend_one_level(m0: AInfAlgebra, m1: AInfAlgebra, P: Pseudoisotopy):
         raise ValueError(
             "more than one new energy level between the cutoffs; "
             "extend level by level (see extend_to)")
-    if P.endpoint(0).ops != m0.ops:
+    if map_tables(P.mT, lambda p: p(0)) != m0.ops:
         raise ValueError("P at t = 0 does not match m0")
     m1_low = {key: tbl for key, tbl in m1.ops.items() if key[1][0] <= e0}
-    if P.endpoint(1).ops != m1_low:
+    if map_tables(P.mT, lambda p: p(1)) != m1_low:
         raise ValueError("P at t = 1 does not match m1 below the cutoff")
 
     sign_n = sign_pow(P.n)

@@ -53,7 +53,7 @@ from ainfkit.poly import (
     squares_to_zero,
     transpose,
 )
-from ainfkit.scalars import BETA_ZERO, frac, frac_str, monoid_sum
+from ainfkit.scalars import BETA_ZERO, frac, frac_str, located, monoid_sum
 from ainfkit.signs import shifted, sign_pow
 
 
@@ -122,7 +122,8 @@ class SubalgebraEmbedding:
         return SubalgebraEmbedding(
             AInfAlgebra.from_json(required(doc, "source")),
             target,
-            {src: {t: frac(c) for t, c in combo.items()}
+            {src: {t: located(f"iota.{src}.{t}", frac, c)
+                   for t, c in combo.items()}
              for src, combo in required(doc, "iota").items()},
         )
 

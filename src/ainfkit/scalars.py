@@ -42,6 +42,14 @@ def frac(x) -> Fraction:
     raise TypeError(f"cannot coerce {x!r} to an exact rational")
 
 
+def located(field, parse, raw):
+    """parse(raw), a refusal of the parser named by field."""
+    try:
+        return parse(raw)
+    except (ValueError, TypeError, ZeroDivisionError) as exc:
+        raise ValueError(f"{field}: {exc}") from None
+
+
 def json_int(x, what) -> int:
     """x, which a document must give as a JSON integer: a float, a string or
     a boolean is refused rather than truncated or read as a number."""
@@ -309,7 +317,8 @@ class EnergyMonoid:
                 isinstance(g, list) and len(g) == 2 for g in data):
             raise ValueError(f"monoid must be an array of [energy, maslov] "
                              f"generators, got {data!r}")
-        return EnergyMonoid([(frac(e), json_int(mu, "monoid Maslov index"))
+        return EnergyMonoid([(located("monoid", frac, e),
+                              json_int(mu, "monoid Maslov index"))
                              for e, mu in data])
 
 

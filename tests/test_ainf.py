@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 from ainfkit.ainf import (
     AInfAlgebra,
     AlgElement,
+    OpFamilies,
     ainf_defect,
     assemble,
     check_ainf,
@@ -17,8 +18,9 @@ from ainfkit.ainf import (
     flip_constant,
     mc_defect,
     parse_constant_id,
+    replaced,
 )
-from ainfkit.models import derham_model, two_factor_gapped
+from ainfkit.models import derham_model, extension_fixture, two_factor_gapped
 from ainfkit.scalars import BETA_ZERO, EnergyMonoid, NovikovElement
 from elements import basis_element, minus, scale
 from test_deform_plan import oracle_eval_assembled
@@ -115,6 +117,25 @@ def test_flip_roundtrip_and_parse():
     assert flip_constant(flip_constant(alg, cid), cid).ops == alg.ops
     with pytest.raises(ValueError, match="^no stored constant "):
         flip_constant(alg, "m1:0/0:z->x")
+
+
+@pytest.mark.parametrize("fixture", ["m0", "P"])
+def test_replaced_keeps_every_slot_of_the_class_and_its_base(fixture):
+    """On an algebra and an isotopy, with a window that is not the whole
+    basis: a copy holds every slot of OpFamilies and of the class, and the
+    replaced one only changes."""
+    obj = extension_fixture()[fixture]
+    obj = replaced(obj, window=obj.names[:2])
+    own = [*type(obj).__slots__]
+    slots = [*OpFamilies.__slots__, *own]
+    assert own and "window" not in own and len(set(slots)) == len(slots)
+    copy = replaced(obj)
+    assert all(getattr(copy, slot) is getattr(obj, slot) for slot in slots)
+    assert copy.to_json() == obj.to_json()
+    narrowed = replaced(obj, window=obj.names[:1])
+    assert narrowed.window == obj.names[:1]
+    assert all(getattr(narrowed, slot) is getattr(obj, slot)
+               for slot in slots if slot != "window")
 
 
 def test_derham_t1_relations():

@@ -715,6 +715,13 @@ def test_json_boolean_scalar_is_input_error(command, name, edit, where,
     ("check-isotopy", "isotopy_extend.json",
      lambda doc: doc["isotopy"].update(cutoff="1/0"),
      "isotopy: cutoff: zero denominator in '1/0'"),
+    ("check-subalgebra", "kunneth_derham.json",
+     lambda doc: doc["algebra"].update(monoid=[["x", 0]]),
+     "algebra: monoid: Invalid literal for Fraction: 'x'"),
+    ("check-subalgebra", "kunneth_derham.json",
+     lambda doc: doc["embeddings"]["A"]["iota"]["f-1;d"].update(
+         {"f-1_0;d": "y"}),
+     "embeddings.A: iota.f-1;d.f-1_0;d: Invalid literal for Fraction: 'y'"),
 ])
 def test_header_of_the_wrong_shape_is_located_input_error(
         command, name, edit, message, fixture_path, tmp_path, capsys):

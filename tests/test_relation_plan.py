@@ -216,7 +216,7 @@ def tuple_joined_sums(n, terms, names, index, linear=None):
 
 # The coded join with one row per stored key, [(output number, scale(c))]
 # its outputs, copied verbatim but for its name and docstring: the join now
-# holds one row per stored entry, built column by column.
+# holds one row per stored entry, built in one loop over the entries.
 def per_key_joined_sums(n, terms, names, index, linear=None, scale=None):
     """joined_sums with one row per stored key, its outputs in a list."""
     f = (lambda c: c) if scale is None else scale
@@ -876,6 +876,22 @@ def test_entry_rows_with_several_outputs_per_key(fixture_path):
                         slopes.get((k, beta)))
                        for (beta, k), ((s1, unsigned), (s2, parity))
                        in isotopy_sums(P, 3).items()])
+
+
+def test_names_outside_the_scan_are_numbered_before_the_outputs():
+    """m_1 is built first; its key (X,) holds X outside the window after the
+    key (Z,) with the new output Y.  X is numbered before Y, column by column
+    as the per-key join numbers it, so the sum at (a, b) lists X before Y; a
+    loop that numbered names as it met them would list Y first."""
+    basis = [("a", 0), ("b", 0), ("c", 1), ("X", 1), ("Z", 0), ("Y", 1),
+             ("W", 2)]
+    one = Fraction(1)
+    ops = {(1, BETA_ZERO): {("a",): {"c": one}, ("Z",): {"Y": one},
+                           ("X",): {"W": one}},
+           (2, BETA_ZERO): {("c", "b"): {"X": one}, ("a", "b"): {"Z": one}}}
+    alg = AInfAlgebra(basis, EnergyMonoid([]), ops=ops, window=["a", "b", "c"])
+    found = assert_rows_agree(relation_calls(alg, alg.ops))
+    assert (("a", "b"), [("X", one), ("Y", one)]) in found[1]
 
 
 def test_ainf_defect_rejects_beta_outside_monoid():

@@ -8,10 +8,11 @@ from ainfkit.signs import (
     gamma_ledger_check,
     koszul_prefix_sign,
     merge_wedge,
-    reorder_sign,
     shifted,
     sign_pow,
 )
+
+from reorder import reorder_sign
 
 
 def test_shifted_and_sign_pow():

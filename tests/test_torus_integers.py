@@ -21,8 +21,9 @@ from hypothesis import given, settings, strategies as st
 
 from ainfkit import torus
 from ainfkit.scalars import frac, frac_str
-from ainfkit.signs import reorder_sign
 from ainfkit.torus import TorusMap
+
+from reorder import reorder_sign
 
 
 # -- the replaced calculus, kept as the oracle --------------------------------------
