@@ -14,12 +14,12 @@ every n and every input tuple the double sum
 
 must vanish.  Relation instances with n >= 2*maxArity are skipped: every
 term then contains an operation of arity larger than maxArity, hence
-vanishes identically (structural fact, not a checked approximation).
+vanishes identically (structural fact, not a checked approximation).  Only
+a sum of two stored betas carries a term, so the scan enumerates no monoid.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from fractions import Fraction
 from itertools import chain, combinations, groupby, islice, product
 from math import lcm, prod
@@ -506,9 +506,6 @@ class AInfAlgebra(OpFamilies):
     def max_arity(self) -> int:
         return max((k for k, _ in self.ops), default=0)
 
-    def stored_betas(self):
-        return sorted({beta for _, beta in self.ops})
-
     def op_table(self, k, beta):
         return self.ops.get((int(k), beta_norm(beta)), {})
 
@@ -523,10 +520,9 @@ class AInfAlgebra(OpFamilies):
         that admits no split with both factors stored, so its relation
         instance is identically zero.
         """
-        if self.mode == "modulo":
-            return self.monoid.enumerate(self.cutoff)
-        max_e = max((beta[0] for beta in self.stored_betas()), default=Fraction(0))
-        return self.monoid.enumerate(2 * max_e)
+        top = self.cutoff if self.mode == "modulo" else 2 * max(
+            (beta[0] for _, beta in self.ops), default=Fraction(0))
+        return self.monoid.enumerate(top)
 
     def beta_splits(self, beta):
         beta = beta_norm(beta)
@@ -820,38 +816,38 @@ def joined_sums(n, terms, names, index, linear=None, scale=None):
                 {numbered[cell % size]: sums[cell] for cell in cells}
 
 
-def relation_violations(ops, parity, betas, n_bound, order, scale=None):
+def relation_violations(ops, parity, cutoff, n_bound, order, scale=None):
     """The A-infinity relation of an op table, scanned in order: for each
-    beta of the sorted list betas and n <= n_bound, the first tuple of
-    order(n)^n, in product order, on which it fails, as (beta, n, names,
-    {output: coefficient}): the first joined sum of its plan, each c read as
-    scale(c) when a scale is given.  Every plan is built at once from the
-    pairs of stored tables (insertion_plans); a (beta, n) without one is
-    structurally zero, and a plan at a beta not in betas is out of range."""
+    planned beta not above the cutoff (None: no cutoff) and n <= n_bound,
+    the first tuple of order(n)^n, in product order, on which it fails, as
+    (beta, n, names, {output: coefficient}): the scan joins the tables on
+    the slot names (joined_sums), each c read as scale(c) when a scale is
+    given, and the defect is replayed by insertion_sum on the same plan over
+    the table's own values.  Every plan is built at once from the pairs of
+    stored tables (insertion_plans), so a planned beta is a sum of two
+    stored ones and lies in the monoid, and no monoid is enumerated; a
+    (beta, n) without a plan is structurally zero."""
     index = {}
     plans = insertion_plans(ops, ops, n_bound)
     for beta, n in sorted(plans):
-        at = bisect_left(betas, beta)
-        if at == len(betas) or betas[at] != beta:
+        if cutoff is not None and beta[0] > cutoff:
             continue
-        for names, terms in joined_sums(n, [(plans[beta, n], parity, 1)],
-                                        order(n), index, scale=scale):
-            yield beta, n, names, terms
+        plan = plans[beta, n]
+        for names, _ in joined_sums(n, [(plan, parity, 1)], order(n), index,
+                                    scale=scale):
+            yield beta, n, names, insertion_sum(plan, parity, names)
             break
 
 
 def ainf_defect(alg: AInfAlgebra, beta, names) -> AlgElement:
     """The quadratic-relation sum at (beta, input tuple), as an element;
     zero iff the relation holds on this instance."""
-    beta = beta_norm(beta)
+    beta, names = beta_norm(beta), tuple(names)
     if beta not in alg.monoid:
         raise ValueError(f"beta {beta} outside the energy monoid")
-    names = tuple(names)
     plan = insertion_plans(alg.ops, alg.ops, len(names)).get(
         (beta, len(names)), ())
-    trunc = alg.truncation
-    return AlgElement({o: NovikovElement.scalar(c, trunc) for o, c in
-                       insertion_sum(plan, alg._parity, names).items()}, trunc)
+    return AlgElement(insertion_sum(plan, alg._parity, names), alg.truncation)
 
 
 def check_ainf(alg: AInfAlgebra, max_counterexamples=None) -> dict:
@@ -859,22 +855,23 @@ def check_ainf(alg: AInfAlgebra, max_counterexamples=None) -> dict:
     (beta, n), at most max_counterexamples of them.  The scan joins the
     stored table with itself, each c read as the integer D*c (D the lcm of
     the denominators) as joined_sums indexes it; each counterexample's
-    defect is replayed over the rational table by `ainf_defect`."""
+    defect is replayed over the rational table by relation_violations.
+    beta_range lists betas_checked (and refuses a too dense monoid)."""
     max_a = alg.max_arity()
     n_bound = max(2 * max_a - 1, 0)
     betas = alg.beta_range()
     values = [*stored_values(alg.ops)]  # each distinct object read once
     d = lcm(*{c.denominator for c in dict(zip(map(id, values), values)).values()})
     found = relation_violations(
-        alg.ops, alg._parity, betas, n_bound,
+        alg.ops, alg._parity, alg.cutoff, n_bound,
         lambda n: alg.names if n == 1 else alg.window,
         lambda c: c.numerator * (d // c.denominator))
     counterexamples = [{
         "beta": beta_json(beta),
         "n": n,
         "inputs": list(names),
-        "defect": ainf_defect(alg, beta, names).to_json(),
-    } for beta, n, names, _ in islice(found, max_counterexamples)]
+        "defect": AlgElement(defect, alg.truncation).to_json(),
+    } for beta, n, names, defect in islice(found, max_counterexamples)]
     return {
         "check": "ainf",
         "status": "PASS" if not counterexamples else "FAIL",

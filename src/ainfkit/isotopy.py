@@ -48,6 +48,8 @@ as D*p(2^W) (Kronecker substitution) as it indexes the tables, with 2^W
 beyond every root of a tuple's scaled sum, so the integer sum vanishes
 exactly when the polynomial one does (check_pseudoisotopy has the bound
 and the proof).  Failing tuples are replayed over Q[t] for the report.
+No scan enumerates the monoid: each visits the planned (beta, k) up to the
+cutoff, or the betas its tables store.
 
 Product compatibility is kunneth.pullback_scanner over Q[t], set up once per
 check.
@@ -63,7 +65,7 @@ from ainfkit.ainf import (AInfAlgebra, OpFamilies, add_into, beta_json,
                           joined_sums, map_tables, relation_violations,
                           replaced, required, space_basis, stored_entries,
                           stored_values)
-from ainfkit.kunneth import kunneth_K_table, pullback_scanner, scan_report
+from ainfkit.kunneth import kunneth_K_table, pullback_scanner, scan_betas, scan_report
 from ainfkit.poly import Poly
 from ainfkit.scalars import (BETA_ZERO, EnergyMonoid, frac, frac_str, json_int,
                               located, monoid_sum)
@@ -144,6 +146,13 @@ class Pseudoisotopy(OpFamilies):
         return P
 
 
+def endpoint_tables(tables, t):
+    """Q[t] op tables at t = 0 or 1, zeros dropped: p(0) is the constant
+    coefficient of a nonzero stored p, p(1) the sum of its coefficients."""
+    return map_tables(tables, (lambda p: sum(p.coeffs[1:], p.coeffs[0])) if t
+                      else (lambda p: p.coeffs[0]))
+
+
 def isotopy_sums(P: Pseudoisotopy, k_bound):
     """The two mixed sums of the differential equation at every (beta, k)
     with k <= k_bound, as insertion plans, each paired with the parity map of
@@ -192,12 +201,11 @@ def check_pseudoisotopy(P: Pseudoisotopy, m0: AInfAlgebra = None,
     of absolute coefficients.  For x = 2^W > B + 1 and F of degree d with a
     nonzero leading coefficient, |F(x)| >= x^d - B (x^d - 1)/(x - 1) > 0, so
     F(2^W) = 0 exactly when F = 0: the test is exact, not a sample.  Each
-    failing tuple's defect is replayed over Q[t] by insertion_sum, so the
-    report is the polynomial one.
+    failing tuple's defect is replayed over Q[t] on its plan, so the report
+    is the polynomial one.
     """
     violations = []
     pf = sign_pow(P.n + 1)
-    betas = P.monoid.enumerate(P.cutoff)
     max_m = max((k for k, _ in P.mT), default=0)
     max_c = max((k for k, _ in P.cT), default=0)
     n_bound = max(2 * max_m - 1, 0)
@@ -227,15 +235,13 @@ def check_pseudoisotopy(P: Pseudoisotopy, m0: AInfAlgebra = None,
 
     # Quadratic relations of m^t: the A-infinity relation.  Both identities
     # are scanned as check_ainf scans an algebra, each p read as D*p(2^W):
-    # every name at arity 1, the window beyond.  Failures are replayed over
-    # Q[t] on the same plans.
+    # every name at arity 1, the window beyond.  The relation scan replays
+    # its failures over Q[t] on its own plans.
     def scope(n):
         return P.names if n == 1 else P.window
 
-    mt_plans = insertion_plans(P.mT, P.mT, n_bound)
-    for beta, n, names, _ in relation_violations(
-            P.mT, P._parity, betas, n_bound, scope, at_point):
-        defect = insertion_sum(mt_plans[beta, n], P._parity, names)
+    for beta, n, names, defect in relation_violations(
+            P.mT, P._parity, P.cutoff, n_bound, scope, at_point):
         violations.append({
             "clause": "ainf-family", "beta": beta_json(beta),
             "n": n, "inputs": list(names),
@@ -267,7 +273,7 @@ def check_pseudoisotopy(P: Pseudoisotopy, m0: AInfAlgebra = None,
     for label, target, t in (("endpoint-0", m0, 0), ("endpoint-1", m1, 1)):
         if target is None:
             continue
-        if map_tables(P.mT, lambda p: p(t)) != target.ops:
+        if endpoint_tables(P.mT, t) != target.ops:
             violations.append({"clause": label,
                                "detail": "evaluated family differs from the "
                                          "given algebra"})
@@ -303,10 +309,10 @@ def extend_one_level(m0: AInfAlgebra, m1: AInfAlgebra, P: Pseudoisotopy):
         raise ValueError(
             "more than one new energy level between the cutoffs; "
             "extend level by level (see extend_to)")
-    if map_tables(P.mT, lambda p: p(0)) != m0.ops:
+    if endpoint_tables(P.mT, 0) != m0.ops:
         raise ValueError("P at t = 0 does not match m0")
     m1_low = {key: tbl for key, tbl in m1.ops.items() if key[1][0] <= e0}
-    if map_tables(P.mT, lambda p: p(1)) != m1_low:
+    if endpoint_tables(P.mT, 1) != m1_low:
         raise ValueError("P at t = 1 does not match m1 below the cutoff")
 
     sign_n = sign_pow(P.n)
@@ -336,7 +342,7 @@ def extend_one_level(m0: AInfAlgebra, m1: AInfAlgebra, P: Pseudoisotopy):
 
     # The new-level keys lie above e0, so they never meet the old ones.
     m_ext = AInfAlgebra(m0.basis, m0.monoid, "modulo", e1, m0.unit,
-                        {**m0.ops, **map_tables(new_tau_tables, lambda p: p(0))},
+                        {**m0.ops, **endpoint_tables(new_tau_tables, 0)},
                         m0.window)
     p_ext = Pseudoisotopy(P.n, P.basis, P.monoid, e1, P.unit,
                           {**P.mT, **new_tau_tables}, P.cT, P.window)
@@ -398,7 +404,9 @@ def check_commuting_isotopy(PC: Pseudoisotopy, PA: Pseudoisotopy,
     fams = [("m", PC.mT, ((PA.mT, PA.monoid), (PB.mT, PB.monoid)), (1, 1)),
             ("c", PC.cT, ((PA.cT, PA.monoid), (PB.cT, PB.monoid)),
              (sign_pow(PB.n), sign_pow(PA.n)))]
-    for beta in PC.monoid.enumerate(PC.cutoff):
+    # Factor cutoffs are not checked against PC's: a beta above PC's is left out.
+    betas = scan_betas(PC.mT, PC.cT, PA.mT, PA.cT, PB.mT, PB.cT)
+    for beta in [b for b in betas if b[0] <= PC.cutoff]:
         for k in range(PC.max_arity() + 1):
             for row in plain(fams, beta, k):
                 detail = {"k": k, "inputs": [list(t) for t in row.tags]}

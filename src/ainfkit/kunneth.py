@@ -128,11 +128,10 @@ class SubalgebraEmbedding:
         )
 
 
-def _scan_betas(emb: SubalgebraEmbedding):
-    betas = {BETA_ZERO}
-    betas.update(b for _, b in emb.source.ops)
-    betas.update(b for _, b in emb.target.ops)
-    return sorted(betas)
+def scan_betas(*tables):
+    """beta = 0 and every beta that any of the op tables stores, sorted: a
+    product scan has nothing to compare at any other beta."""
+    return sorted({BETA_ZERO}.union(*({b for _, b in ops} for ops in tables)))
 
 
 def scan_report(check, violations) -> dict:
@@ -283,7 +282,7 @@ def check_subalgebra(emb: SubalgebraEmbedding) -> dict:
               "inputs": [t[1] for t in row.tags],
               "lhs": AlgElement(row.lhs, c.truncation).to_json(),
               "rhs": AlgElement(row.rhs, c.truncation).to_json()}
-             for beta in _scan_betas(emb) for k in range(1, k_max + 1)
+             for beta in scan_betas(a.ops, c.ops) for k in range(1, k_max + 1)
              for row in scan(fams, beta, k)[:1])
     return scan_report("subalgebra", list(islice(found, 1)))
 
@@ -329,7 +328,7 @@ def check_commuting(embA: SubalgebraEmbedding, embB: SubalgebraEmbedding) -> dic
     if monoid_sum(a_alg.monoid, b_alg.monoid) != c.monoid:
         raise ValueError("target monoid must be the sum of the factor monoids")
     violations = []
-    betas = sorted(set(_scan_betas(embA)) | set(_scan_betas(embB)))
+    betas = scan_betas(a_alg.ops, b_alg.ops, c.ops)
     k_max = c.max_arity()
     factors = ((a_alg.ops, a_alg.monoid), (b_alg.ops, b_alg.monoid))
     fams = [("m", c.ops, factors, (1, 1))]

@@ -35,10 +35,6 @@ class Poly:
     def const(c) -> "Poly":
         return Poly([frac(c)])
 
-    @staticmethod
-    def monomial(coeff, power: int) -> "Poly":
-        return Poly([Fraction(0)] * power + [frac(coeff)])
-
     ZERO: "Poly"
     ONE: "Poly"
     T: "Poly"
@@ -62,11 +58,10 @@ class Poly:
     def is_monomial(self) -> bool:
         return bool(self.coeffs) and all(c == 0 for c in self.coeffs[:-1])
 
-    def __call__(self, x):
-        x = frac(x) if not isinstance(x, Poly) else x
-        acc = Poly.ZERO if isinstance(x, Poly) else Fraction(0)
+    def __call__(self, x) -> Fraction:
+        x, acc = frac(x), Fraction(0)
         for c in reversed(self.coeffs):
-            acc = acc * x + (Poly.const(c) if isinstance(x, Poly) else c)
+            acc = acc * x + c
         return acc
 
     # -- ring ops ----------------------------------------------------------

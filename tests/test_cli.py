@@ -316,6 +316,22 @@ def test_dense_monoid_enumeration_is_input_error(tmp_path, capsys):
     assert time.monotonic() - start < 20
 
 
+def test_dense_monoid_isotopy_scans_only_its_stored_betas(tmp_path, capsys):
+    """The same monoid under an isotopy that stores only beta = 0 entries:
+    its relation and differential-equation scans visit the planned betas and
+    enumerate no monoid, so the check passes at once."""
+    isotopy = {"n": 0, "cutoff": "1", "monoid": [["1/100000", 0]],
+               "space": {"basis": [["x", 1], ["z", 2]]},
+               "mt": [{"k": 1, "beta": ["0", 0], "inputs": ["x"],
+                       "output": "z", "poly": ["1"]}]}
+    path = _write_doc(tmp_path, "dense_isotopy.json", {"isotopy": isotopy})
+    start = time.monotonic()
+    code, report = run(capsys, "check-isotopy", path)
+    assert time.monotonic() - start < 1
+    assert code == 0 and report == {"check": "pseudoisotopy",
+                                     "status": "PASS", "violations": []}
+
+
 def _isotopy_fixture_with(fixture_path, tmp_path, name, locate):
     """A copy of a fixture whose first m^t entry, in the isotopy that
     locate(document) picks, has the malformed beta ["0"]."""
@@ -733,13 +749,16 @@ def test_header_of_the_wrong_shape_is_located_input_error(
 # -- structural fuzz ---------------------------------------------------------------
 # Replace or drop one value of a bundled fixture and run one command on it:
 # the exit-code contract holds for every input.  Derandomized, so that every
-# run checks the same 200 edits.
+# run checks the same 300 edits.
 
 FUZZ_COMMANDS = {
     "derham_t1.json": ["check-ainf", "check-unit"],
-    "kunneth_minimal.json": ["check-commuting", "check-subalgebra"],
-    "gapped_product.json": ["mc-defect", "box-product"],
+    "barcode_simple.json": ["cohomology", "hf", "barcode"],
+    "kunneth_minimal.json": ["check-commuting", "check-subalgebra",
+                             "check-kunneth"],
+    "gapped_product.json": ["mc-defect", "box-product", "check-hf-kunneth"],
     "isotopy_extend.json": ["check-isotopy", "extend"],
+    "isotopy_chain.json": ["check-isotopy", "extend"],
     "commuting_isotopy.json": ["check-commuting-isotopy"],
 }
 FUZZ_VALUES = [None, [], {}, "x", 1.5, True, -1, 0, "1/0", {"a": 1}, [[1]],
@@ -760,7 +779,7 @@ def fuzz_dir(tmp_path_factory):
     return tmp_path_factory.mktemp("fuzz")
 
 
-@settings(max_examples=200, derandomize=True, deadline=None)
+@settings(max_examples=300, derandomize=True, deadline=None)
 @given(st.data())
 def test_structural_edit_keeps_the_exit_code_contract(fuzz_docs, fuzz_dir,
                                                       data):

@@ -320,3 +320,16 @@ def test_cut_before_the_last_beta(isotopies):
     violations = assert_same_report(both, PA, PB, embA, embB)["violations"]
     assert len(violations) == 41
     assert all(v["beta"] == ["1", 0] for v in violations)
+
+
+def test_factor_entries_above_the_cutoff_are_left_out(isotopies):
+    """Nothing checks a factor's cutoff against PC's: a factor isotopy cut
+    off at 2 may store m^t_{0,(2,0)}, which PC, cut off at 1, cannot match.
+    The scan skips that beta, as the scan over PC's monoid up to its cutoff
+    did."""
+    PC, PA, PB, embA, embB = isotopies
+    assert PC.cutoff == 1
+    mT = {**PA.mT, (0, (Fraction(2), 0)): {(): {"zA": Poly([1])}}}
+    high = Pseudoisotopy(PA.n, PA.basis, PA.monoid, 2, PA.unit, mT, PA.cT,
+                         PA.window)
+    assert assert_same_report(PC, high, PB, embA, embB)["status"] == "PASS"

@@ -1,8 +1,9 @@
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
-from ainfkit.ainf import check_ainf, check_unit, replaced
+from ainfkit.ainf import AInfAlgebra, check_ainf, check_unit, replaced
 from ainfkit.isotopy import (
     Pseudoisotopy,
     check_commuting_isotopy,
@@ -20,6 +21,7 @@ from ainfkit.models import (
     extension_fixture,
 )
 from ainfkit.poly import Poly
+from ainfkit.scalars import EnergyMonoid
 
 
 def test_family_degree_rules_enforced():
@@ -187,3 +189,42 @@ def test_endpoint_drops_the_entries_that_vanish_there():
                                   ("e",): {"x": 2}}
     assert q.endpoint(-1).ops[(1, lvl1)] == {("e",): {"x": 2}}
     assert q.endpoint(-1).ops[(0, lvl1)] == {(): {"z": lam - sig}}
+
+
+def test_endpoint_comparisons_read_the_coefficients_as_the_endpoint_does():
+    """m^t_1(x) = (1 - t) z and m^t_1(w) = t z: one entry vanishes at each
+    end.  Both endpoint comparisons, of check_pseudoisotopy and of
+    extend_one_level, accept a target exactly when its ops are those of
+    P.endpoint(t), on every target with each entry absent, 1 or -1."""
+    half = (Fraction(1, 2), 0)
+    basis = [("x", 1), ("w", 1), ("z", 2)]
+    monoid = EnergyMonoid([half])
+    P = Pseudoisotopy(0, basis, monoid, Fraction(1, 2), None,
+                      {(1, half): {("x",): {"z": Poly([1, -1])},
+                                   ("w",): {"z": Poly([0, 1])}}}, {})
+
+    def algebra(cutoff, x_value, w_value):
+        row = {inputs: {"z": c} for inputs, c in ((("x",), x_value),
+                                                   (("w",), w_value)) if c}
+        return AInfAlgebra(basis, monoid, "modulo", cutoff, None,
+                           {(1, half): row} if row else {})
+
+    assert P.endpoint(0).ops == algebra(Fraction(1, 2), 1, 0).ops
+    assert P.endpoint(1).ops == algebra(Fraction(1, 2), 0, 1).ops
+    values = (0, 1, -1)
+    for x_value, w_value in product(values, values):
+        target = algebra(Fraction(1, 2), x_value, w_value)
+        above = algebra(Fraction(1), x_value, w_value)
+        for clause, t in (("endpoint-0", 0), ("endpoint-1", 1)):
+            matches = target.ops == P.endpoint(t).ops
+            report = check_pseudoisotopy(P, **{f"m{t}": target})
+            assert (clause not in [v["clause"] for v in report["violations"]]) \
+                == matches
+            m0, m1 = (target, algebra(Fraction(1), 0, 1)) if t == 0 else \
+                (P.endpoint(0), above)
+            try:
+                extend_one_level(m0, m1, P)
+            except ValueError as exc:
+                assert not matches and f"P at t = {t}" in str(exc)
+            else:
+                assert matches

@@ -19,7 +19,8 @@ here as differential oracles:
   each call's tables, read at the evaluation point where the call reads them
   there;
 - the joined check over Q[t], as `check_pseudoisotopy` was before it
-  evaluated the families at one integer point.
+  evaluated the families at one integer point, with the relation scan of
+  that time, over the enumerated beta list, from `test_relation_plan`.
 
 The plans of `isotopy_sums`, built for every (beta, k) at once from the
 pairs of stored tables, are checked against the per-(beta, k) planner
@@ -55,8 +56,9 @@ from ainfkit.poly import Poly
 from ainfkit.scalars import BETA_ZERO, EnergyMonoid
 from ainfkit.signs import koszul_prefix_sign, shifted_parities, sign_pow
 from ainfkit.specio import load_spec
-from test_relation_plan import by_identity, insertion_plan, kept_splits, \
-    oracle_plans, oracle_relation_violations, tuple_joined_sums
+from test_relation_plan import by_identity, family_matches_listed_scan, \
+    insertion_plan, kept_splits, listed_relation_violations, oracle_plans, \
+    oracle_relation_violations, tuple_joined_sums
 
 
 # -- the replaced code, kept as the oracle ---------------------------------------
@@ -377,7 +379,8 @@ def planned_extend_one_level(m0, m1, P):
 
 # The joined check over Q[t]: the body of check_pseudoisotopy as it was
 # before it evaluated the families at one integer point, copied verbatim but
-# for its name and `planned_isotopy_sums`, the copy of `isotopy_sums`.
+# for its name, `planned_isotopy_sums`, the copy of `isotopy_sums`, and
+# `listed_relation_violations`, the copy of the relation scan of that time.
 
 def joined_check_pseudoisotopy(P: Pseudoisotopy, m0=None, m1=None,
                                _parity_factor=None) -> dict:
@@ -395,7 +398,7 @@ def joined_check_pseudoisotopy(P: Pseudoisotopy, m0=None, m1=None,
         return P.names if n == 1 else P.window
 
     n_bound = max(2 * max_m - 1, 0)
-    for beta, n, names, defect in relation_violations(
+    for beta, n, names, defect in listed_relation_violations(
             P.mT, P._parity, betas, n_bound, scope):
         violations.append({
             "clause": "ainf-family", "beta": beta_json(beta),
@@ -530,11 +533,13 @@ def test_joined_family_scan_matches_per_tuple_scan(P, data):
         families.append(flip_isotopy_constant(P, data.draw(st.sampled_from(ids))))
     for fam in families:
         n_bound = max(2 * max((k for k, _ in fam.mT), default=0) - 1, 0)
-        args = (fam.mT, shifted_parities(dict(fam.basis)),
-                fam.monoid.enumerate(fam.cutoff), n_bound)
-        assert list(relation_violations(*args, lambda n: fam.names)) == \
+        parity = shifted_parities(dict(fam.basis))
+        assert list(relation_violations(fam.mT, parity, fam.cutoff, n_bound,
+                                        lambda n: fam.names)) == \
             list(oracle_relation_violations(
-                *args, lambda n: product(fam.names, repeat=n)))
+                fam.mT, parity, fam.monoid.enumerate(fam.cutoff), n_bound,
+                lambda n: product(fam.names, repeat=n)))
+        family_matches_listed_scan(fam)
 
 
 @settings(max_examples=60, deadline=None)

@@ -9,10 +9,14 @@ enumeration and membership query from one kept enumeration, which it
 extends; the split query it answered from the same enumeration
 (`kept_splits`) is now the oracle of `AInfAlgebra.beta_splits`. The per-(beta, n) planner `insertion_plan` and the breadth-first
 search over Fraction energies (`FractionMonoid`) stay here as the oracles of
-the planner and of the monoid. Three older scans stay here as differential
+the planner and of the monoid. Four older scans stay here as differential
 oracles, and reports must agree exactly, down to which counterexample comes
 first:
 
+- the scan over the enumerated beta list (`listed_relation_violations`),
+  which found each planned beta in the list and yielded the scaled joined
+  sums; `relation_violations` skips a planned beta only above the cutoff and
+  yields each defect replayed on its plan over the stored values;
 - the join on name tuples over the integer copy `integer_ops` of the
   stored table (`tuple_relation_violations`), which the join on integer
   tuple codes replaced;
@@ -341,6 +345,31 @@ def tuple_relation_violations(ops, parity, betas, n_bound, order):
             break
 
 
+# The scan over a sorted beta list, copied verbatim but for its name: it found
+# each planned beta in the enumerated list with a bisection and yielded the
+# joined sums, scaled.  `relation_violations` now skips a planned beta only
+# above the cutoff and yields each defect replayed on its plan.
+
+def listed_relation_violations(ops, parity, betas, n_bound, order, scale=None):
+    """The A-infinity relation of an op table, scanned in order: for each
+    beta of the sorted list betas and n <= n_bound, the first tuple of
+    order(n)^n, in product order, on which it fails, as (beta, n, names,
+    {output: coefficient}): the first joined sum of its plan, each c read as
+    scale(c) when a scale is given.  Every plan is built at once from the
+    pairs of stored tables (insertion_plans); a (beta, n) without one is
+    structurally zero, and a plan at a beta not in betas is out of range."""
+    index = {}
+    plans = insertion_plans(ops, ops, n_bound)
+    for beta, n in sorted(plans):
+        at = bisect_left(betas, beta)
+        if at == len(betas) or betas[at] != beta:
+            continue
+        for names, terms in joined_sums(n, [(plans[beta, n], parity, 1)],
+                                        order(n), index, scale=scale):
+            yield beta, n, names, terms
+            break
+
+
 def integer_ops(ops) -> dict:
     """The op table D*m, with D the lcm of every coefficient's denominator:
     the same keys, integer coefficients.  A quadratic sum over it is D^2
@@ -644,14 +673,25 @@ def scan_order(alg):
     return lambda n: alg.names if n == 1 else alg.window
 
 
+def common_denominator(ops):
+    return lcm(*(c.denominator for table in ops.values()
+                 for combo in table.values() for c in combo.values()))
+
+
 def scaled(ops):
     """c -> D*c, with D the common denominator of ops, as check_ainf scales."""
-    d = lcm(*(c.denominator for table in ops.values()
-              for combo in table.values() for c in combo.values()))
+    d = common_denominator(ops)
     return lambda c: c.numerator * (d // c.denominator)
 
 
 def scan_args(alg, ops):
+    """The arguments of relation_violations before the scan order."""
+    return (ops, shifted_parities(dict(alg.basis)), alg.cutoff,
+            max(2 * alg.max_arity() - 1, 0))
+
+
+def listed_args(alg, ops):
+    """The arguments of the scans over the beta list before the order."""
     return (ops, shifted_parities(dict(alg.basis)), alg.beta_range(),
             max(2 * alg.max_arity() - 1, 0))
 
@@ -665,25 +705,30 @@ def first_violations(alg, ops, scale=None):
 def both_scans(alg, ops):
     """Every first violation, with its terms, of the joined scan and of the
     per-tuple scan over ops."""
-    args = scan_args(alg, ops)
-    return (list(relation_violations(*args, scan_order(alg))),
+    return (list(relation_violations(*scan_args(alg, ops), scan_order(alg))),
             list(oracle_relation_violations(
-                *args, lambda n: _relation_tuples(alg, n))))
+                *listed_args(alg, ops), lambda n: _relation_tuples(alg, n))))
 
 
 def assert_scans_agree(alg, per_tuple=True):
-    """Every first violation, with its terms, is the same for the coded
-    scan, which scales the stored table while it indexes it, the name-tuple
-    join over the integer copy and, unless per_tuple is off, the per-tuple
-    scan over that copy.  Returns the first violations."""
-    ops = integer_ops(alg.ops)
+    """Every first violation is the same for the coded scan, which scales
+    the stored table while it indexes it, the scan over the beta list with
+    the same scaling, the name-tuple join over the integer copy and, unless
+    per_tuple is off, the per-tuple scan over that copy: the last three
+    yield the integer sums, which are D^2 times the coded scan's replayed
+    defects.  Returns the first violations of the coded scan."""
+    ops, d = integer_ops(alg.ops), common_denominator(alg.ops)
     coded = list(relation_violations(*scan_args(alg, alg.ops), scan_order(alg),
                                      scaled(alg.ops)))
-    assert coded == list(tuple_relation_violations(*scan_args(alg, ops),
-                                                   scan_order(alg)))
+    sums = list(listed_relation_violations(*listed_args(alg, alg.ops),
+                                           scan_order(alg), scaled(alg.ops)))
+    assert [(beta, n, names, {o: d * d * c for o, c in defect.items()})
+            for beta, n, names, defect in coded] == sums
+    assert sums == list(tuple_relation_violations(*listed_args(alg, ops),
+                                                  scan_order(alg)))
     if per_tuple:
-        assert coded == list(oracle_relation_violations(
-            *scan_args(alg, ops), lambda n: _relation_tuples(alg, n)))
+        assert sums == list(oracle_relation_violations(
+            *listed_args(alg, ops), lambda n: _relation_tuples(alg, n)))
     return coded
 
 
@@ -719,6 +764,97 @@ def test_integer_scan_matches_fraction_scan(alg, data):
             first_violations(a, integer_ops(a.ops)) == \
             first_violations(a, a.ops)
         assert check_ainf(a) == oracle_check_ainf(a)
+
+
+# -- the scan bounded by the cutoff against the scan over the beta list ----------
+
+def assert_matches_listed_scan(ops, parity, cutoff, betas, n_bound, order,
+                               scale):
+    """relation_violations, bounded by the cutoff, finds the (beta, n, names)
+    of the scan over the sorted beta list under the same scale, and each of
+    its defects is the per-tuple scan's sum over ops on that tuple."""
+    found = list(relation_violations(ops, parity, cutoff, n_bound, order, scale))
+    listed = list(listed_relation_violations(ops, parity, betas, n_bound, order,
+                                             scale))
+    assert [f[:3] for f in found] == [f[:3] for f in listed]
+    assert found == list(oracle_relation_violations(
+        ops, parity, betas, n_bound, lambda n: product(order(n), repeat=n)))
+    return found
+
+
+def algebra_matches_listed_scan(alg):
+    ops, parity, cutoff, n_bound = scan_args(alg, alg.ops)
+    return assert_matches_listed_scan(ops, parity, cutoff, alg.beta_range(),
+                                      n_bound, scan_order(alg), scaled(ops))
+
+
+def kronecker(tables, width=64):
+    """p -> D*p(2^width), with D the common denominator of the stored
+    coefficients: an integer reading of small t-polynomials under which no
+    sum of a few products vanishes unless its polynomial does."""
+    d = lcm(*(c.denominator for table in tables.values()
+              for combo in table.values() for p in combo.values()
+              for c in p.coeffs))
+    return lambda p: sum(c.numerator * (d // c.denominator) << width * i
+                         for i, c in enumerate(p.coeffs))
+
+
+def family_matches_listed_scan(P):
+    """The relation of m^t, read at the Kronecker point, on the scope of
+    check_pseudoisotopy."""
+    n_bound = max(2 * max((k for k, _ in P.mT), default=0) - 1, 0)
+    return assert_matches_listed_scan(
+        P.mT, shifted_parities(dict(P.basis)), P.cutoff,
+        P.monoid.enumerate(P.cutoff), n_bound,
+        lambda n: P.names if n == 1 else P.window, kronecker(P.mT))
+
+
+@settings(max_examples=60, deadline=None)
+@given(sparse_algebras(st.integers(2, 12)), st.data())
+def test_cutoff_scan_matches_the_listed_scan(alg, data):
+    """Gapped and truncated random algebras, before and after one flip."""
+    algebras = [alg]
+    ids = constant_ids(alg)
+    if ids:
+        algebras.append(flip_constant(alg, data.draw(st.sampled_from(ids))))
+    for a in algebras:
+        algebra_matches_listed_scan(a)
+
+
+BUNDLED = ["barcode_simple", "commuting_isotopy", "derham_t1", "derham_t2",
+           "gapped_product", "isotopy_chain", "isotopy_extend",
+           "kunneth_derham", "kunneth_minimal"]
+
+
+def test_cutoff_scan_matches_the_listed_scan_on_bundled_documents(fixture_path):
+    """Every algebra and every isotopy family of the bundled documents, with
+    a spaced panel of single flips of each algebra and every m^t flip of
+    each family; the flips give the scans failures to find."""
+    found = []
+    for name in BUNDLED:
+        doc = load_spec(fixture_path(f"{name}.json"))
+        algebras = [doc.algebra]
+        algebras += [emb.source for emb in (doc.embeddings().values()
+                                            if doc.has("embeddings") else ())]
+        isotopies = [doc.isotopy] if doc.has("isotopy") else []
+        if doc.has("factor_isotopies"):
+            isotopies += doc.factor_isotopies()
+        if doc.has("extension"):
+            algebras.append(doc.extension_target())
+        for m, P in doc.extension_chain() if doc.has("chain") else ():
+            algebras.append(m)
+            isotopies.append(P)
+        for alg in algebras:
+            ids = constant_ids(alg)
+            for cid in [None] + ids[len(ids) // 8::max(len(ids) // 4, 1)]:
+                found += algebra_matches_listed_scan(
+                    alg if cid is None else flip_constant(alg, cid))
+        for P in isotopies:
+            for cid in [None] + [cid for cid in isotopy_constant_ids(P)
+                                 if cid.startswith("im")]:
+                found += family_matches_listed_scan(
+                    P if cid is None else flip_isotopy_constant(P, cid))
+    assert found
 
 
 def test_integer_ops_scales_by_the_common_denominator():
@@ -1204,7 +1340,8 @@ def test_codes_beyond_64_bits_match_the_old_join():
         a: {"z": Fraction(2)}, ("z",) + a[:5]: {"w": Fraction(3, 5)}}})
     assert len(alg.window) ** 11 > 2 ** 63
     found = assert_scans_agree(alg, per_tuple=False)
-    assert found == [(BETA_ZERO, 11, a + a[:5], {"w": 30})]
+    assert found == [(BETA_ZERO, 11, a + a[:5], {"w": Fraction(6, 5)})]
+    assert common_denominator(alg.ops) ** 2 * found[0][3]["w"] == 30
     report = check_ainf(alg)
     assert report["counterexamples"] == [{
         "beta": ["0", 0], "n": 11, "inputs": list(a + a[:5]),
