@@ -381,6 +381,10 @@ def check_commuting_isotopy(PC: Pseudoisotopy, PA: Pseudoisotopy,
         raise ValueError("dimension parameters must satisfy n_C = n_A + n_B")
     if monoid_sum(PA.monoid, PB.monoid) != PC.monoid:
         raise ValueError("product monoid must be the sum of the factor monoids")
+    for name, P in (("A", PA), ("B", PB)):
+        if P.cutoff != PC.cutoff:
+            raise ValueError(f"factor {name} cutoff {frac_str(P.cutoff)} must equal "
+                             f"the product cutoff {frac_str(PC.cutoff)}")
     if embA.source.basis != PA.basis or embB.source.basis != PB.basis:
         raise ValueError("embedding sources must match the factor isotopies")
     if embA.target.basis != PC.basis:
@@ -404,9 +408,7 @@ def check_commuting_isotopy(PC: Pseudoisotopy, PA: Pseudoisotopy,
     fams = [("m", PC.mT, ((PA.mT, PA.monoid), (PB.mT, PB.monoid)), (1, 1)),
             ("c", PC.cT, ((PA.cT, PA.monoid), (PB.cT, PB.monoid)),
              (sign_pow(PB.n), sign_pow(PA.n)))]
-    # Factor cutoffs are not checked against PC's: a beta above PC's is left out.
-    betas = scan_betas(PC.mT, PC.cT, PA.mT, PA.cT, PB.mT, PB.cT)
-    for beta in [b for b in betas if b[0] <= PC.cutoff]:
+    for beta in scan_betas(PC.mT, PC.cT, PA.mT, PA.cT, PB.mT, PB.cT):
         for k in range(PC.max_arity() + 1):
             for row in plain(fams, beta, k):
                 detail = {"k": k, "inputs": [list(t) for t in row.tags]}

@@ -25,12 +25,17 @@ coordinate list; that normalization is exactly the operator characterized by
 the adjunction  int_M alpha ^ pi^* beta = int_N pi_* alpha ^ beta  with the
 standard (ascending-coordinate) orientation on every torus, and it is the
 one under which all the global identities of the suite hold verbatim.
+
+The suite draws as `random.Random`'s randint, choice and sample do, but from
+`getrandbits` directly.  A bounded cache keeps each coordinate projection
+with its fiber and target positions; pullback along one is a relabelling.
 """
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd
 from operator import add, mul
 
@@ -105,15 +110,15 @@ class QI:
 
     def __eq__(self, other):
         if not isinstance(other, QI):
-            try:
-                other = QI.coerce(other)
-            except TypeError:
+            if type(other) not in (int, Fraction):
                 return NotImplemented
+            other = QI.coerce(other)
         return (self._a == other._a and self._b == other._b
                 and self._d == other._d)
 
     def __hash__(self):
-        return hash((self.re, self.im))
+        # A real QI equals its Fraction, and an integral one its int.
+        return hash(self.re) if not self._b else hash((self.re, self.im))
 
     def __repr__(self):
         return f"QI({self.re}, {self.im})" if self._b else f"QI({self.re})"
@@ -352,22 +357,21 @@ class TorusMap:
     def fiber_coords(self):
         if not self.is_projection():
             raise ValueError("fiber coordinates only defined for projections")
-        kept = set(self.proj_coords)
-        return tuple(c for c in range(1, self.source_dim + 1) if c not in kept)
+        return _projection_data(self.source_dim, self.proj_coords)[1]
 
     def compose(self, other: "TorusMap") -> "TorusMap":
         """self after other (source of self = target of other)."""
         if self.source_dim != other.target_dim:
             raise ValueError("composition dimension mismatch")
+        if self.is_projection() and other.is_projection():
+            return _projection(other.source_dim, tuple(
+                other.proj_coords[c - 1] for c in self.proj_coords))
         rows = tuple(
             tuple(sum(self.rows[i][k] * other.rows[k][j] for k in range(self.source_dim))
                   for j in range(other.source_dim))
             for i in range(self.target_dim)
         )
-        pc = None
-        if self.is_projection() and other.is_projection():
-            pc = tuple(other.proj_coords[c - 1] for c in self.proj_coords)
-        return _map(other.source_dim, self.target_dim, rows, pc)
+        return _map(other.source_dim, self.target_dim, rows)
 
     def __eq__(self, other):
         return (isinstance(other, TorusMap) and self.source_dim == other.source_dim
@@ -390,13 +394,21 @@ def _map(source_dim: int, target_dim: int, rows, proj_coords=None) -> TorusMap:
     return phi
 
 
+@lru_cache(maxsize=1024)
+def _projection_data(source_dim: int, coords: tuple):
+    """(map, fiber, {kept coordinate: target position}, gather) for ascending
+    coords, unchecked; gather[j] indexes coordinate j + 1's frequency in the
+    target frequencies followed by a 0."""
+    src = range(1, source_dim + 1)
+    pos = {c: t for t, c in enumerate(coords, start=1)}
+    fiber = tuple(c for c in src if c not in pos)
+    phi = _map(source_dim, len(coords),
+               tuple(tuple(int(j == c) for j in src) for c in coords), coords)
+    return phi, fiber, pos, tuple(pos.get(c, 0) - 1 for c in src)
+
+
 def _projection(source_dim: int, coords) -> TorusMap:
-    """The coordinate projection onto coords, which must already be
-    ascending source coordinates; unchecked."""
-    coords = tuple(coords)
-    return _map(source_dim, len(coords),
-                tuple(tuple(int(j == c) for j in range(1, source_dim + 1))
-                      for c in coords), coords)
+    return _projection_data(source_dim, tuple(coords))[0]
 
 
 def pullback(phi: TorusMap, alpha: TorusForm) -> TorusForm:
@@ -404,6 +416,12 @@ def pullback(phi: TorusMap, alpha: TorusForm) -> TorusForm:
     if alpha.dim != phi.target_dim:
         raise ValueError("form does not live on the target of the map")
     n = phi.source_dim
+    if phi.proj_coords is not None:
+        # A relabelling: no sign, no two terms meet.
+        gather, rename = _projection_data(n, phi.proj_coords)[3], (0,) + phi.proj_coords
+        return _form(n, {(tuple(map((freq + (0,)).__getitem__, gather)),
+                          tuple(map(rename.__getitem__, I))): c
+                         for (freq, I), c in alpha.terms.items()})
     # Characters pull back through the transpose matrix.
     cols = [tuple(row[j] for row in phi.rows) for j in range(n)]
     out = {}
@@ -445,24 +463,19 @@ def fiber_integrate(pi: TorusMap, alpha: TorusForm) -> TorusForm:
         raise ValueError("fiber integration requires a coordinate projection")
     if alpha.dim != pi.source_dim:
         raise ValueError("form does not live on the source of the projection")
-    fiber = pi.fiber_coords()
-    fiber_set = set(fiber)
-    target_pos = {c: t for t, c in enumerate(pi.proj_coords, start=1)}
+    _, fiber, target_pos, _ = _projection_data(pi.source_dim, pi.proj_coords)
     out = {}
     for (freq, I), c in alpha.terms.items():
-        if any(freq[f - 1] != 0 for f in fiber):
+        if any(freq[f - 1] for f in fiber):
             continue
-        if not fiber_set <= set(I):
+        base_part = tuple(i for i in I if i in target_pos)
+        if len(I) - len(base_part) != len(fiber):
             continue
-        base_part = tuple(i for i in I if i not in fiber_set)
-        # Sign of rearranging dx_I into fiber-first order: I holds every
-        # fiber coordinate, so its fiber part is the ascending fiber.
-        sign = merge_wedge(fiber, base_part)[0]
-        new_freq = tuple(freq[c0 - 1] for c0 in pi.proj_coords)
-        new_idx = tuple(target_pos[i] for i in base_part)
-        k = (new_freq, new_idx)
-        v = c * sign
-        out[k] = out[k] + v if k in out else v
+        # Sign of moving the fiber, which I holds, to the front.  No two
+        # terms meet: the dropped part of each key is the same.
+        out[(tuple(freq[c0 - 1] for c0 in pi.proj_coords),
+             tuple(target_pos[i] for i in base_part))] = \
+            c * merge_wedge(fiber, base_part)[0]
     return _form(pi.target_dim, out)
 
 
@@ -506,19 +519,13 @@ def fiber_product_assemble(pi: TorusMap, g: TorusMap):
         raise ValueError("first map must be a coordinate projection")
     if pi.target_dim != g.target_dim:
         raise ValueError("maps must share a target")
-    fiber = pi.fiber_coords()
-    k, n1 = len(fiber), g.source_dim
-    pdim = k + n1
-    rows = []
-    fiber_slot = {c: t for t, c in enumerate(fiber, start=1)}
-    base_slot = {c: t for t, c in enumerate(pi.proj_coords, start=1)}
-    for c in range(1, pi.source_dim + 1):
-        if c in fiber_slot:
-            rows.append(tuple(1 if j == fiber_slot[c] else 0 for j in range(1, pdim + 1)))
-        else:
-            grow = g.rows[base_slot[c] - 1]
-            rows.append((0,) * k + tuple(grow))
-    p1 = _map(pdim, pi.source_dim, tuple(rows))
+    _, fiber, base_slot, _ = _projection_data(pi.source_dim, pi.proj_coords)
+    k = len(fiber)
+    pdim = k + g.source_dim
+    unit = _projection(pdim, range(1, pdim + 1)).rows
+    p1 = _map(pdim, pi.source_dim, tuple(
+        (0,) * k + g.rows[base_slot[c] - 1] if c in base_slot
+        else unit[fiber.index(c)] for c in range(1, pi.source_dim + 1)))
     p2 = _projection(pdim, range(k + 1, pdim + 1))
     return pdim, p1, p2
 
@@ -534,32 +541,53 @@ def correspondence(f: TorusMap, g: TorusMap, xi: TorusForm) -> TorusForm:
 # Randomized identity suite
 # ---------------------------------------------------------------------------
 
-def _random_coeff(rng) -> QI:
-    """a/p + (b/q) i with a in [-3, 3], b in [-2, 2] and p, q in {1, 2}."""
-    a, p = rng.randint(-3, 3), rng.choice([1, 2])
-    b, q = rng.randint(-2, 2), rng.choice([1, 2])
-    return _qi(a * q, b * p, p * q)
+def _below(bits, n: int) -> int:
+    """`Random._randbelow(n)` from its getrandbits: randint(a, b) is
+    a + _below(bits, b - a + 1) and choice(s) is s[_below(bits, len(s))]."""
+    if n < 1:
+        raise ValueError("empty range")
+    k = n.bit_length()
+    r = bits(k)
+    while r >= n:
+        r = bits(k)
+    return r
+
+
+def _sample(bits, n: int, k: int) -> list:
+    """`Random.sample(range(1, n + 1), k)` for n <= 21, its pool branch."""
+    if not 0 <= k <= n:
+        raise ValueError("sample larger than population or is negative")
+    pool, out = list(range(1, n + 1)), []
+    for i in range(n, n - k, -1):
+        j = _below(bits, i)
+        out.append(pool[j])
+        pool[j] = pool[i - 1]
+    return out
 
 
 def random_form(rng, dim: int, degree=None, max_terms=3) -> TorusForm:
-    """Random form with frequencies in [-2, 2]; homogeneous if degree given."""
+    """Random form with frequencies in [-2, 2], homogeneous if degree given,
+    and coefficients a/p + (b/q) i, a in [-3, 3], b in [-2, 2], p, q in {1, 2}."""
+    bits = rng.getrandbits
     terms = {}
-    for _ in range(rng.randint(1, max_terms)):
-        freq = tuple(rng.randint(-2, 2) for _ in range(dim))
-        deg = degree if degree is not None else rng.randint(0, dim)
-        idx = tuple(sorted(rng.sample(range(1, dim + 1), deg))) if deg else ()
-        terms[(freq, idx)] = _random_coeff(rng)
+    for _ in range(1 + _below(bits, max_terms)):
+        freq = tuple([_below(bits, 5) - 2 for _ in range(dim)])
+        deg = degree if degree is not None else _below(bits, dim + 1)
+        idx = tuple(sorted(_sample(bits, dim, deg)))
+        a, p = _below(bits, 7) - 3, 1 + _below(bits, 2)
+        b, q = _below(bits, 5) - 2, 1 + _below(bits, 2)
+        terms[(freq, idx)] = _qi(a * q, b * p, p * q)
     return _form(dim, terms)
 
 
 def _random_projection(rng, source_dim: int, target_dim: int) -> TorusMap:
-    coords = sorted(rng.sample(range(1, source_dim + 1), target_dim))
-    return _projection(source_dim, coords)
+    return _projection(source_dim, sorted(
+        _sample(rng.getrandbits, source_dim, target_dim)))
 
 
 def _random_linear(rng, source_dim: int, target_dim: int) -> TorusMap:
     return _map(source_dim, target_dim, tuple(
-        tuple(rng.randint(-2, 2) for _ in range(source_dim))
+        tuple([_below(rng.getrandbits, 5) - 2 for _ in range(source_dim)])
         for _ in range(target_dim)))
 
 
@@ -584,26 +612,26 @@ def appendix_suite(seed: int, trials: int) -> dict:
     if trials < 1:
         raise ValueError("trials must be >= 1")
     rng = random.Random(seed)
+    bits = rng.getrandbits
 
     def g_functoriality(trial):
-        m = rng.randint(2, 3)
-        p = rng.randint(1, m - 1)
-        q = rng.randint(0, p)
+        m = 2 + _below(bits, 2)
+        p = 1 + _below(bits, m - 1)
+        q = _below(bits, p + 1)
         f = _random_projection(rng, m, p)
-        inner = _random_projection(rng, p, q)
-        g = inner
+        g = _random_projection(rng, p, q)
         alpha = random_form(rng, m)
         lhs = fiber_pushforward(g.compose(f), alpha)
         rhs = fiber_pushforward(g, fiber_pushforward(f, alpha))
         return lhs == rhs, "(g f)_* vs g_* f_*"
 
     def g_projection_formula(trial):
-        m = rng.randint(2, 3)
-        n = rng.randint(1, m - 1)
+        m = 2 + _below(bits, 2)
+        n = 1 + _below(bits, m - 1)
         pi = _random_projection(rng, m, n)
         k = m - n
         alpha = random_form(rng, m)
-        gamma = random_form(rng, n, degree=rng.randint(0, n))
+        gamma = random_form(rng, n, degree=_below(bits, n + 1))
         lhs1 = fiber_pushforward(pi, form_wedge(alpha, pullback(pi, gamma)))
         rhs1 = form_wedge(fiber_pushforward(pi, alpha), gamma)
         sign = -1 if (gamma.degree() * k) % 2 else 1
@@ -613,10 +641,10 @@ def appendix_suite(seed: int, trials: int) -> dict:
         return lhs1 == rhs1 and lhs2 == rhs2, "projection formula"
 
     def g_base_change(trial):
-        m = rng.randint(2, 3)
-        n = rng.randint(1, m - 1)
+        m = 2 + _below(bits, 2)
+        n = 1 + _below(bits, m - 1)
         pi = _random_projection(rng, m, n)
-        n1 = rng.randint(1, 2)
+        n1 = 1 + _below(bits, 2)
         g = _random_linear(rng, n1, n)
         _, p1, p2 = fiber_product_assemble(pi, g)
         alpha = random_form(rng, m)
@@ -628,13 +656,13 @@ def appendix_suite(seed: int, trials: int) -> dict:
         return lhs == rhs, "base change"
 
     def g_product_sign(trial):
-        n1, k1 = rng.randint(0, 1), rng.randint(1, 2)
-        n2, k2 = rng.randint(0, 1), rng.randint(1, 2)
+        n1, k1 = _below(bits, 2), 1 + _below(bits, 2)
+        n2, k2 = _below(bits, 2), 1 + _below(bits, 2)
         m1, m2 = n1 + k1, n2 + k2
         pi1 = _projection(m1, range(k1 + 1, m1 + 1))
         pi2 = _projection(m2, range(k2 + 1, m2 + 1))
-        rho1 = random_form(rng, m1, degree=rng.randint(0, m1))
-        rho2 = random_form(rng, m2, degree=rng.randint(0, m2))
+        rho1 = random_form(rng, m1, degree=_below(bits, m1 + 1))
+        rho2 = random_form(rng, m2, degree=_below(bits, m2 + 1))
         fibers = tuple(range(1, k1 + 1)) + tuple(range(m1 + 1, m1 + k2 + 1))
         kept = tuple(c for c in range(1, m1 + m2 + 1) if c not in fibers)
         prod = _projection(m1 + m2, kept)
@@ -645,12 +673,12 @@ def appendix_suite(seed: int, trials: int) -> dict:
         return lhs == rhs, "product pushforward sign"
 
     def g_vanishing(trial):
-        n = rng.randint(0, 1)
-        k = rng.randint(1, 3 - n)
-        l = rng.randint(0, k - 1)
+        n = _below(bits, 2)
+        k = 1 + _below(bits, 3 - n)
+        l = _below(bits, k)
         m = n + k
         f = _random_projection(rng, m, n + l)
-        base = sorted(rng.sample(range(1, n + l + 1), n)) if n else []
+        base = sorted(_sample(bits, n + l, n))
         g = _projection(n + l, base)
         pi = g.compose(f)
         alpha = random_form(rng, n + l)
@@ -658,8 +686,8 @@ def appendix_suite(seed: int, trials: int) -> dict:
         return res.is_zero(), "composite-through-smaller vanishing"
 
     def g_stokes(trial):
-        m = rng.randint(2, 3)
-        n = rng.randint(0, m - 1)
+        m = 2 + _below(bits, 2)
+        n = _below(bits, m)
         pi = _random_projection(rng, m, n)
         k = m - n
         alpha = random_form(rng, m)
@@ -669,19 +697,18 @@ def appendix_suite(seed: int, trials: int) -> dict:
         return (lhs + corr).is_zero(), "closed Stokes"
 
     def g_correspondence(trial):
-        nM = 1
-        k1 = 1
+        nM, k1 = 1, 1
         x1 = nM + k1
         pi1 = _random_projection(rng, x1, nM)
         x2 = 2
         pi2 = _random_projection(rng, x2, nM)
-        nN = rng.randint(0, 1)
+        nN = _below(bits, 2)
         g = _random_projection(rng, x2, nN)
         dL, dM1, dM2 = 1, 1, 1
         f = _random_linear(rng, x1, dL)
         phi1 = _random_linear(rng, x2, dM1)
         phi2 = _random_linear(rng, x2, dM2)
-        xi1 = random_form(rng, dM1, degree=rng.randint(0, dM1))
+        xi1 = random_form(rng, dM1, degree=_below(bits, dM1 + 1))
         xi2 = random_form(rng, dL)
         xi3 = random_form(rng, dM2)
         _, p1, p2 = fiber_product_assemble(pi1, pi2)
@@ -709,8 +736,8 @@ def appendix_suite(seed: int, trials: int) -> dict:
         return lhs == rhs, "correspondence composition"
 
     def g_adjunction(trial):
-        m = rng.randint(2, 3)
-        n = rng.randint(0, m - 1)
+        m = 2 + _below(bits, 2)
+        n = _below(bits, m)
         pi = _random_projection(rng, m, n)
         alpha = random_form(rng, m)
         beta = random_form(rng, n)

@@ -10,6 +10,7 @@ reads K from the per-tuple `kunneth_K_table` of `test_commuting_plan`, not
 from the pull-back it checks.
 """
 
+import json
 from fractions import Fraction
 from itertools import product
 from pathlib import Path
@@ -17,6 +18,7 @@ from pathlib import Path
 import pytest
 
 from ainfkit.ainf import add_into, beta_json, linear_image, replaced
+from ainfkit.cli import main as cli_main
 from ainfkit.isotopy import (
     Pseudoisotopy,
     check_commuting_isotopy,
@@ -322,14 +324,31 @@ def test_cut_before_the_last_beta(isotopies):
     assert all(v["beta"] == ["1", 0] for v in violations)
 
 
-def test_factor_entries_above_the_cutoff_are_left_out(isotopies):
-    """Nothing checks a factor's cutoff against PC's: a factor isotopy cut
-    off at 2 may store m^t_{0,(2,0)}, which PC, cut off at 1, cannot match.
-    The scan skips that beta, as the scan over PC's monoid up to its cutoff
-    did."""
+def test_a_factor_cutoff_other_than_the_products_is_refused(
+        isotopies, tmp_path, capsys):
+    """A factor isotopy cut off at 2 may store m^t_{0,(2,0)}, which PC, cut
+    off at 1, cannot match: the check refuses such a factor, naming both
+    cutoffs, where it once left that beta out and passed.  From the
+    command line, the refusal exits 2."""
     PC, PA, PB, embA, embB = isotopies
-    assert PC.cutoff == 1
+    assert PC.cutoff == PA.cutoff == PB.cutoff == 1
     mT = {**PA.mT, (0, (Fraction(2), 0)): {(): {"zA": Poly([1])}}}
     high = Pseudoisotopy(PA.n, PA.basis, PA.monoid, 2, PA.unit, mT, PA.cT,
                          PA.window)
-    assert assert_same_report(PC, high, PB, embA, embB)["status"] == "PASS"
+    with pytest.raises(ValueError, match=r"^factor A cutoff 2 must equal "
+                                         r"the product cutoff 1$"):
+        check_commuting_isotopy(PC, high, PB, embA, embB)
+    low = Pseudoisotopy(PB.n, PB.basis, PB.monoid, Fraction(1, 2), PB.unit,
+                        {k: v for k, v in PB.mT.items() if k[1][0] <= Fraction(1, 2)},
+                        {k: v for k, v in PB.cT.items() if k[1][0] <= Fraction(1, 2)},
+                        PB.window)
+    with pytest.raises(ValueError, match=r"^factor B cutoff 1/2 must equal "
+                                         r"the product cutoff 1$"):
+        check_commuting_isotopy(PC, PA, low, embA, embB)
+    doc = json.loads(FIXTURE.read_text())
+    doc["factor_isotopies"]["A"]["cutoff"] = "2"
+    path = tmp_path / "recut.json"
+    path.write_text(json.dumps(doc))
+    assert cli_main(["check-commuting-isotopy", str(path)]) == 2
+    assert capsys.readouterr().err == (
+        "ainfctl: error: factor A cutoff 2 must equal the product cutoff 1\n")

@@ -485,6 +485,26 @@ def test_qi_is_kept_in_lowest_terms():
     assert repr(torus.QI(Fraction(-1, 2), 3)) == "QI(-1/2, 3)"
 
 
+@settings(max_examples=200, deadline=None)
+@given(coeffs, coeffs)
+def test_equal_values_hash_alike(re, im):
+    """A real QI equals its Fraction and, when integral, its int; so it must
+    hash as they do, or sets and dicts would tell equal keys apart."""
+    x = torus.QI(re, im)
+    assert hash(x) == hash(torus.QI(re * 2, im * 2) * torus.QI(Fraction(1, 2)))
+    if im == 0:
+        assert x == re and hash(x) == hash(re) and x in {re} and re in {x: 0}
+        if re.denominator == 1:
+            n = int(re)
+            assert x == n and hash(x) == hash(n) and x in {n}
+    assert torus.QI(Fraction(3, 2)) in {Fraction(3, 2)}
+    assert hash(torus.QI(1)) == hash(1) and hash(torus.QI(0)) == hash(0)
+    # Only ints and Fractions compare equal: not the strings that `frac`
+    # parses, nor booleans.
+    assert torus.QI(Fraction(1, 2)) != "1/2" and "1" != torus.QI(1)
+    assert torus.QI(1) != True and torus.QI(0) != False
+
+
 def slots(phi):
     return tuple(getattr(phi, slot) for slot in TorusMap.__slots__)
 
