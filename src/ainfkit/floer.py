@@ -83,18 +83,14 @@ def _energy_denominator(alg: AInfAlgebra, b: AlgElement) -> int:
     return lcm(*dens)
 
 
-def deformed_differential_matrix(alg: AInfAlgebra, b: AlgElement):
+def deformed_differential_matrix(alg: AInfAlgebra, b: AlgElement, flat=None):
     """(matrix of m^b_1 over Q[q] as {row: {column: Poly}}, N), q = T^{1/N},
     of a gapped algebra and a genuine bounding cochain (zero curvature
-    remainder).  Raises ValueError unless (m^b_1)^2 = 0 exactly.
+    remainder).  Raises ValueError unless (m^b_1)^2 = 0 exactly.  flat says
+    whether the curvature remainder of b vanishes, for a caller that has
+    validated b and computed that remainder already (None validates and
+    computes it here).
     """
-    return _deformed_matrix(alg, b)
-
-
-def _deformed_matrix(alg: AInfAlgebra, b: AlgElement, flat=None):
-    """deformed_differential_matrix; flat says whether the curvature
-    remainder of b vanishes, for a caller that has validated b and computed
-    that remainder already (None validates and computes it here)."""
     if alg.mode != "gapped":
         raise ValueError("exact cohomology needs a gapped algebra; "
                          "truncated data only determines it up to the cutoff")
@@ -159,7 +155,8 @@ def check_hf_kunneth(embA: SubalgebraEmbedding, embB: SubalgebraEmbedding,
     # remainder; the three dimensions reuse them.
     dim_a, dim_b, dim_c = (
         len(alg.names) - 2 * matrix_rank_fraction_field(
-            _deformed_matrix(alg, b, box[f"remainder_{tag}_zero"])[0])
+            deformed_differential_matrix(
+                alg, b, box[f"remainder_{tag}_zero"])[0])
         for tag, alg, b in (("A", embA.source, b1), ("B", embB.source, b2),
                             ("C", embA.target, box["element"])))
     ok = box["status"] == "PASS" and dim_c == dim_a * dim_b

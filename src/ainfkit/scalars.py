@@ -303,10 +303,9 @@ class EnergyMonoid:
 
     def __contains__(self, beta) -> bool:
         e, mu = frac(beta[0]), int(beta[1])
-        if e < 0:
+        if e < 0 or self._scale % e.denominator:  # off the lattice
             return False
-        top = self._reach(e)
-        return self._scale % e.denominator == 0 and (top, mu) in self._members
+        return (self._reach(e), mu) in self._members
 
     def to_json(self):
         return [[frac_str(e), mu] for e, mu in self.generators]

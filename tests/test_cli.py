@@ -316,6 +316,22 @@ def test_dense_monoid_enumeration_is_input_error(tmp_path, capsys):
     assert time.monotonic() - start < 20
 
 
+def test_off_lattice_beta_is_refused_without_enumeration(tmp_path, capsys):
+    # 1000000/3 is no multiple of 1/2, so it lies outside <(1/2, 0)> however
+    # many elements lie below it; the membership test must say so at once
+    # instead of enumerating up to it and running out of budget.
+    algebra = {"mode": "gapped", "monoid": [["1/2", 0]],
+               "space": {"basis": [["x", 1], ["z", 2]]},
+               "ops": [{"k": 1, "beta": ["1000000/3", 0], "inputs": ["x"],
+                        "output": "z", "coeff": "1"}]}
+    path = _write_doc(tmp_path, "off_lattice.json", {"algebra": algebra})
+    start = time.monotonic()
+    err = _input_error(capsys, "check-ainf", path)
+    assert "beta (Fraction(1000000, 3), 0) outside the energy monoid" in err
+    assert "more than" not in err
+    assert time.monotonic() - start < 1
+
+
 def test_dense_monoid_isotopy_scans_only_its_stored_betas(tmp_path, capsys):
     """The same monoid under an isotopy that stores only beta = 0 entries:
     its relation and differential-equation scans visit the planned betas and
