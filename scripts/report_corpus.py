@@ -10,8 +10,10 @@ and the sha256 of its exit code, stdout and stderr. Before hashing, the
 fixture directory of DIR and the scratch directory of the generated
 documents are replaced by <fixtures> and <work>, so that the same report
 from two checkouts has the same digest. --compare lists the ids whose
-digests differ or that only one file has, and shows the first difference: it
-runs that id again in both recorded checkouts (--show ID prints one run).
+digests differ or that only one file has, counts the ids that differ by
+their first word (the command, "edit" or the workload), and shows the first
+difference: it runs that id again in both recorded checkouts (--show ID
+prints one run).
 
 The list, in this order:
 
@@ -34,6 +36,7 @@ sides.
 """
 
 import argparse
+import collections
 import contextlib
 import copy
 import difflib
@@ -240,6 +243,11 @@ def differences(a, b):
         [i for i in right if i not in left]
 
 
+def per_command(ids):
+    """{first word of the id: how many of ids have it}, sorted by word."""
+    return dict(sorted(collections.Counter(i.split()[0] for i in ids).items()))
+
+
 def first_difference(a, b, run_id):
     """A unified diff of one run in the two recorded checkouts."""
     shown = []
@@ -272,6 +280,9 @@ def compare(path_a, path_b):
         for run_id in ids:
             print(f"  {run_id}")
     if differ:
+        print("differ per command:")
+        for word, count in per_command(differ).items():
+            print(f"  {word}: {count}")
         print(f"first difference: {differ[0]}")
         print(first_difference(a, b, differ[0]))
     return 1 if differ or only_a or only_b else 0

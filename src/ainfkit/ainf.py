@@ -15,7 +15,8 @@ every n and every input tuple the double sum
 must vanish.  Relation instances with n >= 2*maxArity are skipped: every
 term then contains an operation of arity larger than maxArity, hence
 vanishes identically (structural fact, not a checked approximation).  Only
-a sum of two stored betas carries a term, so the scan enumerates no monoid.
+a sum of two stored betas carries a term, so the scan enumerates no monoid
+and the report lists those betas, the rest being structurally zero.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import chain, combinations, groupby, islice, product
 from math import lcm, prod
-from operator import mul
+from operator import itemgetter, mul
 
 from ainfkit.scalars import (
     BETA_ZERO,
@@ -351,10 +352,19 @@ def stored_entries(tables):
 
 def entries_json(tables, field, write):
     """The document entries of op tables in the canonical order, each value
-    written as write(value) under field."""
-    return [{"k": k, "beta": beta_json(beta), "inputs": list(inputs),
+    written as write(value) under field and each table's energy once."""
+    energy = {id(beta): frac_str(beta[0]) for _, beta in tables}
+    return [{"k": k, "beta": [energy[id(beta)], beta[1]], "inputs": list(inputs),
              "output": out, field: write(value)}
             for k, beta, inputs, out, value in stored_entries(tables)]
+
+
+def stored_ids(tables, family):
+    """The id '<family><k>:<E>/<mu>:<inputs>-><output>' of every stored
+    entry of op tables in the canonical order, each table's energy once."""
+    energy = {id(beta): frac_str(beta[0]) for _, beta in tables}
+    return [f"{family}{k}:{energy[id(beta)]}/{beta[1]}:{','.join(inputs)}->{out}"
+            for k, beta, inputs, out, _ in stored_entries(tables)]
 
 
 class AlgElement:
@@ -503,6 +513,12 @@ class AInfAlgebra(OpFamilies):
     def truncation(self):
         return self.cutoff if self.mode == "modulo" else None
 
+    @property
+    def top_energy(self):
+        """The cutoff, or twice the largest stored energy when gapped."""
+        return self.cutoff if self.mode == "modulo" else 2 * max(
+            (beta[0] for _, beta in self.ops), default=Fraction(0))
+
     def max_arity(self) -> int:
         return max((k for k, _ in self.ops), default=0)
 
@@ -513,18 +529,13 @@ class AInfAlgebra(OpFamilies):
         return self.op_table(k, beta).get(tuple(names), {})
 
     def beta_range(self):
-        """All beta at which relations are checked, sorted.
-
-        In modulo mode: the whole monoid up to the cutoff.  In gapped mode:
-        the monoid up to twice the largest stored energy — any beta beyond
-        that admits no split with both factors stored, so its relation
-        instance is identically zero.
-        """
-        top = self.cutoff if self.mode == "modulo" else 2 * max(
-            (beta[0] for _, beta in self.ops), default=Fraction(0))
-        return self.monoid.enumerate(top)
+        """Every monoid element up to top_energy, sorted.  Nothing in
+        ainfkit calls it or beta_splits; both are kept for the benchmark's
+        trace targets and go when it stops tracing them (ROADMAP item 2)."""
+        return self.monoid.enumerate(self.top_energy)
 
     def beta_splits(self, beta):
+        """Every (beta1, beta2) of the monoid summing to beta; uncalled too."""
         beta = beta_norm(beta)
         if beta not in self.monoid:
             raise ValueError(f"beta {beta} outside the energy monoid")
@@ -816,19 +827,17 @@ def joined_sums(n, terms, names, index, linear=None, scale=None):
                 {numbered[cell % size]: sums[cell] for cell in cells}
 
 
-def relation_violations(ops, parity, cutoff, n_bound, order, scale=None):
+def relation_violations(plans, parity, cutoff, order, scale=None):
     """The A-infinity relation of an op table, scanned in order: for each
-    planned beta not above the cutoff (None: no cutoff) and n <= n_bound,
-    the first tuple of order(n)^n, in product order, on which it fails, as
-    (beta, n, names, {output: coefficient}): the scan joins the tables on
-    the slot names (joined_sums), each c read as scale(c) when a scale is
-    given, and the defect is replayed by insertion_sum on the same plan over
-    the table's own values.  Every plan is built at once from the pairs of
-    stored tables (insertion_plans), so a planned beta is a sum of two
-    stored ones and lies in the monoid, and no monoid is enumerated; a
-    (beta, n) without a plan is structurally zero."""
+    (beta, n) of plans = insertion_plans(ops, ops, n_bound), beta not above
+    the cutoff (None: no cutoff), the first tuple of order(n)^n, in product
+    order, on which it fails, as (beta, n, names, {output: coefficient}):
+    the scan joins the tables on the slot names (joined_sums), each c read
+    as scale(c) when a scale is given, and the defect is replayed by
+    insertion_sum on the same plan over the table's own values.  A planned
+    beta is a sum of two stored ones and lies in the monoid, so no monoid
+    is enumerated; a (beta, n) without a plan is structurally zero."""
     index = {}
-    plans = insertion_plans(ops, ops, n_bound)
     for beta, n in sorted(plans):
         if cutoff is not None and beta[0] > cutoff:
             continue
@@ -852,18 +861,23 @@ def ainf_defect(alg: AInfAlgebra, beta, names) -> AlgElement:
 
 def check_ainf(alg: AInfAlgebra, max_counterexamples=None) -> dict:
     """Scan all relation instances; report the first counterexample per
-    (beta, n), at most max_counterexamples of them.  The scan joins the
-    stored table with itself, each c read as the integer D*c (D the lcm of
-    the denominators) as joined_sums indexes it; each counterexample's
-    defect is replayed over the rational table by relation_violations.
-    beta_range lists betas_checked (and refuses a too dense monoid)."""
+    (beta, n), at most max_counterexamples of them, and the scope: the
+    generators, the top energy (the cutoff, or twice the largest stored
+    energy when gapped) and each planned beta up to it with its arities n.
+    Every other beta up to the top has no pair of stored tables, and every
+    n above relation_arity_bound no term: both are structurally zero.  The
+    scan joins the stored table with itself, each c read as the integer D*c
+    (D the lcm of the denominators); relation_violations replays each
+    counterexample's defect over the rational table."""
     max_a = alg.max_arity()
     n_bound = max(2 * max_a - 1, 0)
-    betas = alg.beta_range()
+    top = alg.top_energy
+    plans = insertion_plans(alg.ops, alg.ops, n_bound)
+    planned = groupby(sorted(key for key in plans if key[0][0] <= top), itemgetter(0))
     values = [*stored_values(alg.ops)]  # each distinct object read once
     d = lcm(*{c.denominator for c in dict(zip(map(id, values), values)).values()})
     found = relation_violations(
-        alg.ops, alg._parity, alg.cutoff, n_bound,
+        plans, alg._parity, alg.cutoff,
         lambda n: alg.names if n == 1 else alg.window,
         lambda c: c.numerator * (d // c.denominator))
     counterexamples = [{
@@ -877,7 +891,10 @@ def check_ainf(alg: AInfAlgebra, max_counterexamples=None) -> dict:
         "status": "PASS" if not counterexamples else "FAIL",
         "max_arity": max_a,
         "relation_arity_bound": n_bound,
-        "betas_checked": [beta_json(b) for b in betas],
+        "scope": {"generators": alg.monoid.to_json(),
+                  "top_energy": frac_str(top),
+                  "planned": [{"beta": beta_json(beta), "n": [n for _, n in keys]}
+                              for beta, keys in planned]},
         "counterexamples": counterexamples,
     }
 
@@ -1029,8 +1046,7 @@ def assemble(alg: AInfAlgebra, cutoff) -> AInfAlgebra:
 
 def constant_ids(alg: AInfAlgebra):
     """Deterministic list of every stored structure constant's identifier."""
-    return [f"m{k}:{frac_str(beta[0])}/{beta[1]}:{','.join(inputs)}->{out}"
-            for k, beta, inputs, out, _ in stored_entries(alg.ops)]
+    return stored_ids(alg.ops, "m")
 
 
 def parse_constant_id(cid: str, family: str = "m"):

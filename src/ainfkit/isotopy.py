@@ -63,7 +63,7 @@ from ainfkit.ainf import (AInfAlgebra, OpFamilies, add_into, beta_json,
                           clean_tables, entries_json, entry_tables,
                           flip_stored, insertion_plans, insertion_sum,
                           joined_sums, map_tables, relation_violations,
-                          replaced, required, space_basis, stored_entries,
+                          replaced, required, space_basis, stored_ids,
                           stored_values)
 from ainfkit.kunneth import kunneth_K_table, pullback_scanner, scan_betas, scan_report
 from ainfkit.poly import Poly
@@ -241,7 +241,8 @@ def check_pseudoisotopy(P: Pseudoisotopy, m0: AInfAlgebra = None,
         return P.names if n == 1 else P.window
 
     for beta, n, names, defect in relation_violations(
-            P.mT, P._parity, P.cutoff, n_bound, scope, at_point):
+            insertion_plans(P.mT, P.mT, n_bound), P._parity, P.cutoff, scope,
+            at_point):
         violations.append({
             "clause": "ainf-family", "beta": beta_json(beta),
             "n": n, "inputs": list(names),
@@ -433,9 +434,7 @@ def check_commuting_isotopy(PC: Pseudoisotopy, PA: Pseudoisotopy,
 # -- mutation harness ---------------------------------------------------------------
 
 def isotopy_constant_ids(P: Pseudoisotopy):
-    return [f"{family}{k}:{frac_str(beta[0])}/{beta[1]}:{','.join(inputs)}->{out}"
-            for family, tables in (("im", P.mT), ("ic", P.cT))
-            for k, beta, inputs, out, _ in stored_entries(tables)]
+    return stored_ids(P.mT, "im") + stored_ids(P.cT, "ic")
 
 
 def flip_isotopy_constant(P: Pseudoisotopy, cid: str) -> Pseudoisotopy:

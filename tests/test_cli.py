@@ -304,16 +304,37 @@ def test_zero_denominator_is_input_error(fixture_path, tmp_path, capsys):
 
 def test_dense_monoid_enumeration_is_input_error(tmp_path, capsys):
     # <(1/100000, 0)> has 100001 elements of energy <= 1, more than one
-    # enumeration may produce; the scan must refuse it instead of running on.
+    # enumeration may produce; the membership test of a stored beta of
+    # energy 1 must refuse it instead of running on.
     algebra = {"mode": "modulo", "cutoff": "1", "monoid": [["1/100000", 0]],
                "space": {"basis": [["x", 1], ["z", 2]]},
-               "ops": [{"k": 1, "beta": ["0", 0], "inputs": ["x"],
+               "ops": [{"k": 1, "beta": ["1", 0], "inputs": ["x"],
                         "output": "z", "coeff": "1"}]}
     path = _write_doc(tmp_path, "dense.json", {"algebra": algebra})
     start = time.monotonic()
     err = _input_error(capsys, "check-ainf", path)
     assert "energy monoid has more than 100000 elements of energy <= 1" in err
     assert time.monotonic() - start < 20
+
+
+def test_dense_monoid_algebra_states_its_scope(fixture_path, tmp_path, capsys):
+    """barcode_simple in modulo mode at cutoff 1 over <(1/100000, 0)>, with
+    only its beta = 0 entries: the relation scan plans beta = 0 alone and
+    the report states the scope without enumerating the monoid's 100001
+    elements up to the top energy."""
+    with open(fixture_path("barcode_simple.json"), encoding="utf-8") as fh:
+        document = json.load(fh)
+    algebra = document["algebra"]
+    algebra.update(mode="modulo", cutoff="1", monoid=[["1/100000", 0]],
+                   ops=[op for op in algebra["ops"] if op["beta"] == ["0", 0]])
+    path = _write_doc(tmp_path, "dense.json", document)
+    start = time.monotonic()
+    code, report = run(capsys, "check-ainf", path)
+    assert time.monotonic() - start < 1
+    assert code == 0 and report["status"] == "PASS"
+    assert report["scope"] == {"generators": [["1/100000", 0]],
+                               "top_energy": "1",
+                               "planned": [{"beta": ["0", 0], "n": [3]}]}
 
 
 def test_off_lattice_beta_is_refused_without_enumeration(tmp_path, capsys):

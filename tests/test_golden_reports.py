@@ -75,61 +75,61 @@ GOLDEN = {
 # flips are the six evenly spaced constant ids the benchmark flips.
 CHECK_AINF = {
     ("barcode_simple", ()):
-        (0, "da4c9a5886f59664f24ccbe8038538a931cb5f2f959ebb1c1bb827e75eba22cd"),
+        (0, "3b0ddcd525565963e17b32c9161c68736a61b56a84ed65f00ecadd69a848a4f1"),
     ("commuting_isotopy", ()):
-        (0, "3d47e187f83e3050e5162dbc97563d571c6ad23e31fd164682245e55b0b04df7"),
+        (0, "1aaf50f851d37a61ed5b1c18b1b038c5ddf5359d59f9598037c6a5121a377ab5"),
     ("derham_t1", ()):
-        (0, "f33dd68d5703bbb4f88163a0453493b2e1fc083d46b351a90cdac659c34073d7"),
+        (0, "2a25344224d9fd38b7b3cee33c8c00243f87c1632c72af46d52ff55989edc951"),
     ("derham_t2", ()):
-        (0, "f33dd68d5703bbb4f88163a0453493b2e1fc083d46b351a90cdac659c34073d7"),
+        (0, "2a25344224d9fd38b7b3cee33c8c00243f87c1632c72af46d52ff55989edc951"),
     ("gapped_product", ()):
-        (0, "52444cdc8d098b8bedadb8346dfe91465137be3de569651fcd49f283a7bba9c4"),
+        (0, "057082967762f885c93880a9c8b9728229458acadf641b3d22b616d65539b9b8"),
     ("isotopy_chain", ()):
-        (0, "5e1055a5464ca9865a396ea2685d5711c99f20769835cd0e7515654ba86a8636"),
+        (0, "646c6ad13810e2a36771102552da46f385b65175ea2384bfe472a9fcd531d051"),
     ("isotopy_extend", ()):
-        (0, "5e1055a5464ca9865a396ea2685d5711c99f20769835cd0e7515654ba86a8636"),
+        (0, "646c6ad13810e2a36771102552da46f385b65175ea2384bfe472a9fcd531d051"),
     ("kunneth_derham", ()):
-        (0, "f33dd68d5703bbb4f88163a0453493b2e1fc083d46b351a90cdac659c34073d7"),
+        (0, "2a25344224d9fd38b7b3cee33c8c00243f87c1632c72af46d52ff55989edc951"),
     ("kunneth_minimal", ()):
-        (0, "f33dd68d5703bbb4f88163a0453493b2e1fc083d46b351a90cdac659c34073d7"),
+        (0, "2a25344224d9fd38b7b3cee33c8c00243f87c1632c72af46d52ff55989edc951"),
     ("curved_line_1_4", ()):
-        (0, "ad2768f68df0302290836934f711abf22415676dd144ecdaf6b4865474162280"),
+        (0, "f6de51ebea4ee1acc2ebb8b9d33e1f521e3ba5da3da7a8c6b77cb4f2b979fcca"),
     ("curved_line_3_8", ()):
-        (0, "c751e2ac0ef85d398d501c0439e53479e999f8f8684ab3344601308429c62aea"),
+        (0, "48a4ed74018a20c8895d86a20e9f1428b86d10eb1e6347e2c9ca25df063a3188"),
     ("curved_line_1_2", ()):
-        (0, "f49b5f688f0d858f8c7961a9983972939df9a77bd8d01e59a13c9378847e6991"),
+        (0, "7bd358ba3471068c294dd7c852b2a9d2a1ccfd0fd515c72b92529b08bdf7b210"),
     ("gapped_product", ("--cutoff", "2")):
-        (0, "52444cdc8d098b8bedadb8346dfe91465137be3de569651fcd49f283a7bba9c4"),
+        (0, "057082967762f885c93880a9c8b9728229458acadf641b3d22b616d65539b9b8"),
     ("gapped_product", ("--cutoff", "4")):
-        (0, "9cd558e1b25f0fa12288d134b602ed299e36a80c5289cea265f08a55e835dbd7"),
+        (0, "a5701c8fb5c5cd5b897f0b4d2a848ab1b09df97f7e95a50cc31f7cf7423481b6"),
     ("gapped_product", ("--cutoff", "6")):
-        (0, "7caaf661088f1ba9dce9e3408b2113e8c50639440a19ae22636b281ca4051b0e"),
+        (0, "d26be22f4bd9a0a76bf069404cbded1d7cf97a45b58698ea9c1403ada9c038b6"),
     ("gapped_product", ("--cutoff", "8")):
-        (0, "1548a5d940b1fa12118868fb1e8ea4201a41becd7dbd70ef13addeefd86a0e60"),
+        (0, "21366577eef94da9f03ae3a3b72a758456f9ab0efcdc7f12e21a45322cb3b1cf"),
     ("derham_t2", ("--mutate", "flip:m2:0/0:f-1_-1;d2,f-1_2;d1->f-2_1;d12")):
-        (1, "899609fff37278349ff5809e8bccc0d8c20ca8e4e9d60b4497b2b04647595223"),
+        (1, "f14a56973df5bc8fa60dddf9e47c6b4c5741a475b69b3b98cb162a6f3984959c"),
     ("derham_t2", ("--mutate", "flip:m2:0/0:f-1_1;d2,f2_0;d->f1_1;d2")):
-        (1, "cb2a61183d2a852c033768ad23593e3634d6fda77216e2362d44b9b651a29280"),
+        (1, "c4618a492c1b0642fa3d1a6920e9d7e730460e7d81fa2dd0ee96efe143e737d2"),
     ("derham_t2", ("--mutate", "flip:m2:0/0:f0_-1;d1,f1_0;d2->f1_-1;d12")):
-        (1, "6dbaeb2dcfb9dcb95cb03428b9e63843fec8395552f4e8249b6b63f50e299438"),
+        (1, "ca8122aaa4e2800816fc99520b1b2fa4d383f54242a0ef4cae4babb1786655f4"),
     ("derham_t2", ("--mutate", "flip:m2:0/0:f0_1;d,f0_1;d12->f0_2;d12")):
-        (1, "519a03ced5123bf1d73e7b48c4b0d056ee35932077f3be2bd294de39e995b7aa"),
+        (1, "ad2347a2a31174ddc335ce816486b95e5a174254da5392b58116244d4f78f451"),
     ("derham_t2", ("--mutate", "flip:m2:0/0:f1_0;d,f-1_1;d1->f0_1;d1")):
-        (1, "01987ca07fe588c027f0766856f5ad4578bae8ef2b08e3a46b190abef287bc8c"),
+        (1, "e48ad177a402c7ac1e5d18302c720479266108e705be1082c8d0c307bd1c059c"),
     ("derham_t2", ("--mutate", "flip:m2:0/0:f2_-1;d1,f0_1;d->f2_0;d1")):
-        (1, "64dad1ac48c2520cda04a7815c3388e951cb3ebbcdc7da2d1699d8dd3903f406"),
+        (1, "d3b616e5f1b0fc6b5e42e2a43ed2b8048bed28c25a0b779b1d3f5769574352da"),
     ("kunneth_derham", ("--mutate", "flip:m2:0/0:f-1_-1;d2,f-1_2;d1->f-2_1;d12")):
-        (1, "899609fff37278349ff5809e8bccc0d8c20ca8e4e9d60b4497b2b04647595223"),
+        (1, "f14a56973df5bc8fa60dddf9e47c6b4c5741a475b69b3b98cb162a6f3984959c"),
     ("kunneth_derham", ("--mutate", "flip:m2:0/0:f-1_1;d2,f2_0;d->f1_1;d2")):
-        (1, "cb2a61183d2a852c033768ad23593e3634d6fda77216e2362d44b9b651a29280"),
+        (1, "c4618a492c1b0642fa3d1a6920e9d7e730460e7d81fa2dd0ee96efe143e737d2"),
     ("kunneth_derham", ("--mutate", "flip:m2:0/0:f0_-1;d1,f1_0;d2->f1_-1;d12")):
-        (1, "6dbaeb2dcfb9dcb95cb03428b9e63843fec8395552f4e8249b6b63f50e299438"),
+        (1, "ca8122aaa4e2800816fc99520b1b2fa4d383f54242a0ef4cae4babb1786655f4"),
     ("kunneth_derham", ("--mutate", "flip:m2:0/0:f0_1;d,f0_1;d12->f0_2;d12")):
-        (1, "519a03ced5123bf1d73e7b48c4b0d056ee35932077f3be2bd294de39e995b7aa"),
+        (1, "ad2347a2a31174ddc335ce816486b95e5a174254da5392b58116244d4f78f451"),
     ("kunneth_derham", ("--mutate", "flip:m2:0/0:f1_0;d,f-1_1;d1->f0_1;d1")):
-        (1, "01987ca07fe588c027f0766856f5ad4578bae8ef2b08e3a46b190abef287bc8c"),
+        (1, "e48ad177a402c7ac1e5d18302c720479266108e705be1082c8d0c307bd1c059c"),
     ("kunneth_derham", ("--mutate", "flip:m2:0/0:f2_-1;d1,f0_1;d->f2_0;d1")):
-        (1, "64dad1ac48c2520cda04a7815c3388e951cb3ebbcdc7da2d1699d8dd3903f406"),
+        (1, "d3b616e5f1b0fc6b5e42e2a43ed2b8048bed28c25a0b779b1d3f5769574352da"),
 }
 
 

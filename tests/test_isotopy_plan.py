@@ -534,8 +534,8 @@ def test_joined_family_scan_matches_per_tuple_scan(P, data):
     for fam in families:
         n_bound = max(2 * max((k for k, _ in fam.mT), default=0) - 1, 0)
         parity = shifted_parities(dict(fam.basis))
-        assert list(relation_violations(fam.mT, parity, fam.cutoff, n_bound,
-                                        lambda n: fam.names)) == \
+        assert list(relation_violations(insertion_plans(fam.mT, fam.mT, n_bound),
+                                        parity, fam.cutoff, lambda n: fam.names)) == \
             list(oracle_relation_violations(
                 fam.mT, parity, fam.monoid.enumerate(fam.cutoff), n_bound,
                 lambda n: product(fam.names, repeat=n)))

@@ -404,7 +404,10 @@ class FractionMonoid:
     """The enumeration of `EnergyMonoid` before it ran on integers: a
     breadth-first search over Fraction energies that starts again from zero
     whenever a larger energy is asked for, copied verbatim but for the class
-    around `_reach`, `enumerate` and `__contains__`."""
+    around `_reach`, `enumerate` and `__contains__`, and for the lattice test
+    `__contains__` has since gained: an energy that is no multiple of 1/L,
+    L the lcm of the generator denominators, is no sum of generators, and is
+    answered False before any enumeration could be refused."""
 
     def __init__(self, generators):
         self.generators = EnergyMonoid(generators).generators
@@ -445,7 +448,8 @@ class FractionMonoid:
 
     def __contains__(self, beta) -> bool:
         e, mu = scalars.frac(beta[0]), int(beta[1])
-        if e < 0:
+        if e < 0 or (e * lcm(*(g.denominator for g, _ in self.generators))
+                     ).denominator != 1:
             return False
         self._reach(e)
         return (e, mu) in self._members
@@ -530,6 +534,11 @@ def oracle_check_ainf(alg, max_counterexamples=None):
     else:
         top = 2 * max((b[0] for _, b in alg.ops), default=Fraction(0))
     betas = oracle_enumerate(alg.monoid.generators, top)
+    # The scope: every enumerated beta with a split into two stored tables,
+    # with the arities n of those pairs.
+    planned = [{"beta": beta_json(beta), "n": ns} for beta in betas
+               if (ns := [n for n in range(n_bound + 1)
+                          if oracle_terms(alg, oracle_splits(alg, beta), n)])]
     counterexamples = []
     for beta in betas:
         splits = oracle_splits(alg, beta)
@@ -564,7 +573,9 @@ def oracle_check_ainf(alg, max_counterexamples=None):
         "status": "PASS" if not counterexamples else "FAIL",
         "max_arity": max_a,
         "relation_arity_bound": n_bound,
-        "betas_checked": [beta_json(b) for b in betas],
+        "scope": {"generators": [[scalars.frac_str(e), mu]
+                                 for e, mu in alg.monoid.generators],
+                  "top_energy": scalars.frac_str(top), "planned": planned},
         "counterexamples": counterexamples,
     }
 
@@ -686,8 +697,8 @@ def scaled(ops):
 
 def scan_args(alg, ops):
     """The arguments of relation_violations before the scan order."""
-    return (ops, shifted_parities(dict(alg.basis)), alg.cutoff,
-            max(2 * alg.max_arity() - 1, 0))
+    return (insertion_plans(ops, ops, max(2 * alg.max_arity() - 1, 0)),
+            shifted_parities(dict(alg.basis)), alg.cutoff)
 
 
 def listed_args(alg, ops):
@@ -773,7 +784,8 @@ def assert_matches_listed_scan(ops, parity, cutoff, betas, n_bound, order,
     """relation_violations, bounded by the cutoff, finds the (beta, n, names)
     of the scan over the sorted beta list under the same scale, and each of
     its defects is the per-tuple scan's sum over ops on that tuple."""
-    found = list(relation_violations(ops, parity, cutoff, n_bound, order, scale))
+    found = list(relation_violations(insertion_plans(ops, ops, n_bound), parity,
+                                     cutoff, order, scale))
     listed = list(listed_relation_violations(ops, parity, betas, n_bound, order,
                                              scale))
     assert [f[:3] for f in found] == [f[:3] for f in listed]
@@ -783,9 +795,9 @@ def assert_matches_listed_scan(ops, parity, cutoff, betas, n_bound, order,
 
 
 def algebra_matches_listed_scan(alg):
-    ops, parity, cutoff, n_bound = scan_args(alg, alg.ops)
-    return assert_matches_listed_scan(ops, parity, cutoff, alg.beta_range(),
-                                      n_bound, scan_order(alg), scaled(ops))
+    ops, parity, betas, n_bound = listed_args(alg, alg.ops)
+    return assert_matches_listed_scan(ops, parity, alg.cutoff, betas, n_bound,
+                                      scan_order(alg), scaled(ops))
 
 
 def kronecker(tables, width=64):
@@ -1235,6 +1247,31 @@ def test_insertion_plans_match_per_beta_plans(alg, n_bound):
                for beta, _ in plans)
 
 
+@settings(max_examples=100, deadline=None)
+@given(sparse_algebras())
+def test_scope_plans_exactly_the_betas_with_a_stored_pair(alg):
+    """The scope of check_ainf against the old enumeration: every monoid
+    element up to the top energy (beta_range) with a split (beta_splits)
+    into stored tables m_{j,beta1} and m_{k,beta2}, k >= 1, lists the
+    arities j + k - 1 <= relation_arity_bound of those pairs, and no other
+    beta is listed."""
+    report = check_ainf(alg)
+    n_bound = report["relation_arity_bound"]
+    planned = []
+    for beta in alg.beta_range():
+        ns = sorted({j + k - 1 for b1, b2 in alg.beta_splits(beta)
+                     for j, inner in alg.ops if inner == b1
+                     for k, outer in alg.ops if outer == b2
+                     if k and j + k - 1 <= n_bound})
+        if ns:
+            planned.append({"beta": beta_json(beta), "n": ns})
+    top = alg.cutoff if alg.mode == "modulo" else 2 * max(
+        (beta[0] for _, beta in alg.ops), default=Fraction(0))
+    assert report["scope"] == {"generators": alg.monoid.to_json(),
+                               "top_energy": scalars.frac_str(top),
+                               "planned": planned}
+
+
 def test_pair_sums_above_the_cutoff_are_planned_and_dropped():
     """m_1 and m_0 at energy 1/2 and cutoff 3/4: m_1 m_1 and m_1 m_0 sum to
     energy 1, outside the checked range, where the pairs are planned but not
@@ -1306,7 +1343,9 @@ def test_high_arity_constant_scans_only_its_terms():
     report = check_ainf(alg)
     assert time.perf_counter() - started < 1.0
     assert report == {"check": "ainf", "status": "PASS", "max_arity": 6,
-                      "relation_arity_bound": 11, "betas_checked": [["0", 0]],
+                      "relation_arity_bound": 11,
+                      "scope": {"generators": [], "top_energy": "0",
+                                "planned": [{"beta": ["0", 0], "n": [11]}]},
                       "counterexamples": []}
 
 
