@@ -16,7 +16,8 @@ must vanish.  Relation instances with n >= 2*maxArity are skipped: every
 term then contains an operation of arity larger than maxArity, hence
 vanishes identically (structural fact, not a checked approximation).  Only
 a sum of two stored betas carries a term, so the scan enumerates no monoid
-and the report lists those betas, the rest being structurally zero.
+and the report lists those betas, the rest being structurally zero.  A
+defect is the scan's own sum over the integers D*c, divided by D^2.
 """
 
 from __future__ import annotations
@@ -675,48 +676,27 @@ def insertion_plans(inner_ops, outer_ops, n_bound: int) -> dict:
     return plans
 
 
-def insertion_sum(plan, parity, names) -> dict:
-    """The sum of a plan's insertion terms on one input tuple: {output:
-    coefficient}, zero coefficients dropped.  The term at slot i carries the
-    sign (-1)^{p(a_1) + ... + p(a_{i-1})} with p = parity; the shifted-degree
-    parities give the Koszul sign, an all-zero map gives no sign."""
-    acc = {}
-    for start, stop, inner_table, outer_table in plan:
-        inner = inner_table.get(names[start:stop])
-        if not inner:
-            continue
-        prefix, suffix = names[:start], names[stop:]
-        odd = 0
-        for nm in prefix:
-            odd ^= parity[nm]
-        for mid, c_in in inner.items():
-            outer = outer_table.get(prefix + (mid,) + suffix)
-            if not outer:
-                continue
-            c_in = -c_in if odd else c_in
-            for out, c_out in outer.items():
-                acc[out] = acc[out] + c_in * c_out if out in acc else c_in * c_out
-    return {out: c for out, c in acc.items() if c}
-
-
 def joined_sums(n, terms, names, index, linear=None, scale=None):
-    """Quadratic sums on the tuples xi of names^n: the sum over the (plan,
-    parity, sign) of terms of sign (+1 or -1) times insertion_sum(plan, parity,
-    xi), plus linear[xi] if a linear table is given, each c of the plans'
-    tables read as scale(c) if a scale is given.  Yields, for each leading name
-    in scan order, every tuple with a nonzero sum in product order, as (xi,
-    {output: coefficient}), zeros dropped.  The tables are joined on the name
-    at the insertion slot, so only tuples with a term are formed; a tuple's
-    code has its names' positions in names as base-|names| digits, so product
-    order is integer order, and a (tuple, output) sum is one key of a flat
-    dict.  index, kept by the caller for its calls on the same tables and scale
-    (one check, one extension), holds per scan order a number for each name met
-    and, built at first use, a row (key, code, position of its one name outside
-    the scan or -1, output number, scale(c), code of key[1:]) per stored entry
-    whose key has at most one name outside the scan, and the groupings of these
-    rows.  The rows are built in one loop over the stored entries, each
-    distinct value object scaled once; the names outside the scan are numbered
-    first, column by column, and a sum lists its outputs by number."""
+    """Quadratic sums on the tuples xi of names^n: over the (plan, parity, sign)
+    of terms and the terms (i - 1, i - 1 + j, inner, outer) of each plan, sign
+    (+1 or -1) times (-1)^{p(xi_1) + ... + p(xi_{i-1})} (p = parity) times
+    inner[xi_i..xi_{i+j-1}][mid] * outer[xi_1..xi_{i-1}, mid, xi_{i+j}..xi_n],
+    summed over mid, plus linear[xi] if a linear table is given, each c of the
+    plans' tables read as scale(c) if a scale is given.  Yields, for each
+    leading name in scan order, every tuple with a nonzero sum in product
+    order, as (xi, {output: coefficient}), zeros dropped.  The tables are
+    joined on the name at the insertion slot, so only tuples with a term are
+    formed; a tuple's code has its names' positions in names as base-|names|
+    digits, so product order is integer order, and a (tuple, output) sum is one
+    key of a flat dict.  index, kept by the caller for its calls on the same
+    tables and scale (one check, one extension), holds per scan order a number
+    for each name met and, built at first use, a row (key, code, position of
+    its one name outside the scan or -1, output number, scale(c), code of
+    key[1:]) per stored entry whose key has at most one name outside the scan,
+    and the groupings of these rows.  The rows are built in one loop over the
+    stored entries, each distinct value object scaled once; the names outside
+    the scan are numbered first, column by column, and a sum lists its outputs
+    by number."""
     f = (lambda c: c) if scale is None else scale
     if n == 0:  # m_1(m_0) on the empty tuple, with no Koszul sign
         acc = dict(linear.get((), {})) if linear else {}
@@ -827,36 +807,45 @@ def joined_sums(n, terms, names, index, linear=None, scale=None):
                 {numbered[cell % size]: sums[cell] for cell in cells}
 
 
-def relation_violations(plans, parity, cutoff, order, scale=None):
+def relation_violations(plans, parity, cutoff, order, scale):
     """The A-infinity relation of an op table, scanned in order: for each
     (beta, n) of plans = insertion_plans(ops, ops, n_bound), beta not above
     the cutoff (None: no cutoff), the first tuple of order(n)^n, in product
-    order, on which it fails, as (beta, n, names, {output: coefficient}):
-    the scan joins the tables on the slot names (joined_sums), each c read
-    as scale(c) when a scale is given, and the defect is replayed by
-    insertion_sum on the same plan over the table's own values.  A planned
-    beta is a sum of two stored ones and lies in the monoid, so no monoid
-    is enumerated; a (beta, n) without a plan is structurally zero."""
+    order, on which it fails, as (beta, n, names, {output: sum}): the scan
+    joins the tables on the slot names (joined_sums), each c read as the
+    integer scale(c), and yields the failing tuple's sums as the join
+    computed them.  A planned beta is a sum of two stored ones and lies in
+    the monoid, so no monoid is enumerated; a (beta, n) without a plan is
+    structurally zero."""
     index = {}
     for beta, n in sorted(plans):
         if cutoff is not None and beta[0] > cutoff:
             continue
-        plan = plans[beta, n]
-        for names, _ in joined_sums(n, [(plan, parity, 1)], order(n), index,
-                                    scale=scale):
-            yield beta, n, names, insertion_sum(plan, parity, names)
+        for found in joined_sums(n, [(plans[beta, n], parity, 1)], order(n),
+                                 index, scale=scale):
+            yield beta, n, *found
             break
 
 
 def ainf_defect(alg: AInfAlgebra, beta, names) -> AlgElement:
     """The quadratic-relation sum at (beta, input tuple), as an element;
-    zero iff the relation holds on this instance."""
+    zero iff the relation holds on this instance: the join over the tuple's
+    distinct names of its own entries, at each slot the inner key and the
+    outer keys its outputs make."""
     beta, names = beta_norm(beta), tuple(names)
     if beta not in alg.monoid:
         raise ValueError(f"beta {beta} outside the energy monoid")
-    plan = insertion_plans(alg.ops, alg.ops, len(names)).get(
-        (beta, len(names)), ())
-    return AlgElement(insertion_sum(plan, alg._parity, names), alg.truncation)
+    plan = []
+    for start, stop, inner_table, outer_table in insertion_plans(
+            alg.ops, alg.ops, len(names)).get((beta, len(names)), ()):
+        inner = inner_table.get(names[start:stop])
+        if inner:
+            keys = [names[:start] + (mid,) + names[stop:] for mid in inner]
+            plan.append((start, stop, {names[start:stop]: inner},
+                         {key: outer_table[key] for key in keys if key in outer_table}))
+    sums = dict(joined_sums(len(names), [(plan, alg._parity, 1)],
+                            tuple(dict.fromkeys(names)), {}))
+    return AlgElement(sums.get(names), alg.truncation)
 
 
 def check_ainf(alg: AInfAlgebra, max_counterexamples=None) -> dict:
@@ -867,8 +856,8 @@ def check_ainf(alg: AInfAlgebra, max_counterexamples=None) -> dict:
     Every other beta up to the top has no pair of stored tables, and every
     n above relation_arity_bound no term: both are structurally zero.  The
     scan joins the stored table with itself, each c read as the integer D*c
-    (D the lcm of the denominators); relation_violations replays each
-    counterexample's defect over the rational table."""
+    (D the lcm of the denominators), so a counterexample's sums are D^2
+    times its defect, which is written as sum / D^2."""
     max_a = alg.max_arity()
     n_bound = max(2 * max_a - 1, 0)
     top = alg.top_energy
@@ -884,8 +873,9 @@ def check_ainf(alg: AInfAlgebra, max_counterexamples=None) -> dict:
         "beta": beta_json(beta),
         "n": n,
         "inputs": list(names),
-        "defect": AlgElement(defect, alg.truncation).to_json(),
-    } for beta, n, names, defect in islice(found, max_counterexamples)]
+        "defect": AlgElement({o: Fraction(s, d * d) for o, s in sums.items()},
+                             alg.truncation).to_json(),
+    } for beta, n, names, sums in islice(found, max_counterexamples)]
     return {
         "check": "ainf",
         "status": "PASS" if not counterexamples else "FAIL",

@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
-from fractions import Fraction
 
 from ainfkit.ainf import (
     assemble,
@@ -40,22 +39,6 @@ from ainfkit.kunneth import (
 from ainfkit.scalars import frac, frac_str
 from ainfkit.specio import SpecError, dump_document, load_spec
 from ainfkit.torus import appendix_suite
-
-
-def _jsonify(obj):
-    """Best-effort conversion of report payloads to plain JSON values."""
-    if obj is None or isinstance(obj, (bool, int, str)):
-        return obj
-    if isinstance(obj, Fraction):
-        return frac_str(obj)
-    if isinstance(obj, dict):
-        return {str(k): _jsonify(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonify(v) for v in obj]
-    to_json = getattr(obj, "to_json", None)
-    if callable(to_json):
-        return _jsonify(to_json())
-    return repr(obj)
 
 
 def _apply_mutation(doc, spec):
@@ -113,8 +96,10 @@ def _factor_pair(doc):
 
 
 def _cmd_box_product(doc, args):
-    emb_a, emb_b, b1, b2 = _factor_pair(doc)
-    return box_product(emb_a, emb_b, b1, b2)
+    report = box_product(*_factor_pair(doc))
+    for key in ("element", "P_A", "P_B", "P_C"):
+        report[key] = report[key].to_json()
+    return report
 
 
 def _cmd_cohomology(doc, args):
@@ -274,7 +259,7 @@ def main(argv=None) -> int:
     except (SpecError, ValueError, KeyError, OSError) as exc:
         print(f"ainfctl: error: {exc}", file=sys.stderr)
         return 2
-    payload = dump_document(_jsonify(report))
+    payload = dump_document(report)
     sys.stdout.write(payload)
     if getattr(args, "report", None):
         with open(args.report, "w", encoding="utf-8") as fh:

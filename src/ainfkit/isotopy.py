@@ -38,18 +38,19 @@ sign), built for every (beta, k) at once, from the pairs of stored tables,
 by isotopy_sums: once per check and once per extension.  The differential
 equation joins them with signs -1 and +1 and the table (-1)^{n+1} d/dt
 m^t, also at a (beta, k) with that table but no plan; the extension joins
-them with signs (-1)^n and (-1)^{n+1} over Q[t] and integrates each sum.
-Both identities hold on the scope of check_ainf, every name at arity 1 and
-the window beyond.
+them with signs (-1)^n and (-1)^{n+1} and integrates each sum.  Both
+identities hold on the scope of check_ainf, every name at arity 1 and the
+window beyond.
 
-check_pseudoisotopy runs both identities on integers, as check_ainf runs
-the A-infinity relation on the integers D*c: the join reads each stored p
-as D*p(2^W) (Kronecker substitution) as it indexes the tables, with 2^W
-beyond every root of a tuple's scaled sum, so the integer sum vanishes
-exactly when the polynomial one does (check_pseudoisotopy has the bound
-and the proof).  Failing tuples are replayed over Q[t] for the report.
-No scan enumerates the monoid: each visits the planned (beta, k) up to the
-cutoff, or the betas its tables store.
+Every join runs on integers, as check_ainf runs the A-infinity relation on
+the integers D*c: it reads each stored p as D*p(2^W) (Kronecker
+substitution) as it indexes the tables (kronecker_reading).  2^(W-1)
+exceeds every coefficient of a tuple's sum D^2*S(t), so the balanced
+base-2^W digits of the integer sum D^2*S(2^W) are those coefficients: a
+sum is zero exactly when its polynomial is, and each nonzero one is
+decoded, not summed again, for the check's report and for the extension's
+integral.  No scan enumerates the monoid: each visits the planned (beta,
+k) up to the cutoff, or the betas its tables store.
 
 Product compatibility is kunneth.pullback_scanner over Q[t], set up once per
 check.
@@ -57,14 +58,14 @@ check.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from math import lcm
 
 from ainfkit.ainf import (AInfAlgebra, OpFamilies, add_into, beta_json,
                           clean_tables, entries_json, entry_tables,
-                          flip_stored, insertion_plans, insertion_sum,
-                          joined_sums, map_tables, relation_violations,
-                          replaced, required, space_basis, stored_ids,
-                          stored_values)
+                          flip_stored, insertion_plans, joined_sums,
+                          map_tables, relation_violations, replaced, required,
+                          space_basis, stored_ids, stored_values)
 from ainfkit.kunneth import kunneth_K_table, pullback_scanner, scan_betas, scan_report
 from ainfkit.poly import Poly
 from ainfkit.scalars import (BETA_ZERO, EnergyMonoid, frac, frac_str, json_int,
@@ -164,8 +165,8 @@ def isotopy_sums(P: Pseudoisotopy, k_bound):
     Returns {(beta, k): ((S1 plan, parity), (S2 plan, parity))}, sorted, over
     every (beta, k) where either plan has a term; the other plan may be
     empty.  With a sign each, they are terms of ainf.joined_sums, which sums
-    them on every tuple that has a term: over Q[t], or over the integers
-    when check_pseudoisotopy reads each p at its point.  Lookups at levels
+    them on every tuple that has a term, over the integers when each p is
+    read at its point (kronecker_reading).  Lookups at levels
     absent from the stored families contribute zero, which is exactly the
     convention under which the extension formula is well defined.
     """
@@ -177,32 +178,70 @@ def isotopy_sums(P: Pseudoisotopy, k_bound):
 
 
 def evaluation_width(bound: int) -> int:
-    """The least W with 2^W > bound + 1: at x = 2^W no nonzero integer
-    polynomial whose coefficients are at most bound in absolute value
-    vanishes."""
-    return (bound + 1).bit_length()
+    """The least W with 2^(W-1) > bound: the balanced base-2^W digits of
+    F(2^W) are the coefficients of every integer polynomial F whose
+    coefficients are at most bound in absolute value."""
+    return bound.bit_length() + 1
+
+
+def balanced_digits(s: int, width: int) -> list:
+    """The digits of s in base 2^width, lowest first, each in
+    [-2^(width-1), 2^(width-1)); they end for width >= 2."""
+    half, mask, digits = 1 << width - 1, (1 << width) - 1, []
+    while s:
+        digits.append((s + half & mask) - half)
+        s = (s - digits[-1]) >> width
+    return digits
+
+
+def slots(tables, n):
+    """The most terms a plan at arity n has with inner tables from tables."""
+    return sum(n - j + 1 for j, _ in tables if j <= n)
+
+
+def kronecker_reading(P: Pseudoisotopy, terms, slope=0):
+    """P's families read as integers, for sums of at most terms plan terms
+    plus a linear table slope*D^2*p'(2^W): (D, at_point, decode), with D the
+    common denominator of m^t and c^t, at_point(p) = D*p(2^W) and decode(s)
+    the polynomial S with s = D^2*S(2^W).
+
+    F = D^2*S has integer coefficients of absolute value at most B =
+    terms*T^2 + D*slope*delta*T, T the sum of the absolute coefficients of
+    every D*p and delta the largest t-degree: a plan term sums products of
+    two D*p, one over distinct stored p, and a product's coefficients are at
+    most the product of the factors' sums of absolute coefficients.  W =
+    evaluation_width(B) makes 2^(W-1) > B, so the balanced digits of F(2^W)
+    are F's coefficients: decoding is exact, F(2^W) = 0 exactly when F = 0,
+    and W >= 2 wherever a sum is nonzero.
+    """
+    polys = [*stored_values(P.mT), *stored_values(P.cT)]
+    scale = lcm(*(c.denominator for p in polys for c in p.coeffs))
+    total = sum(abs(c.numerator) * (scale // c.denominator)
+                for p in polys for c in p.coeffs)
+    top = max((p.degree() for p in polys), default=0)
+    width = evaluation_width(terms * total ** 2 + scale * slope * top * total)
+
+    def at_point(p):
+        return sum(c.numerator * (scale // c.denominator) << width * i
+                   for i, c in enumerate(p.coeffs))
+
+    def decode(s):
+        return Poly([Fraction(c, scale * scale) for c in balanced_digits(s, width)])
+
+    return scale, at_point, decode
 
 
 def check_pseudoisotopy(P: Pseudoisotopy, m0: AInfAlgebra = None,
                         m1: AInfAlgebra = None) -> dict:
     """All pseudoisotopy axioms as exact polynomial identities in t.
 
-    Both identities are scanned over the integers: each stored p becomes
-    D*p(2^W), with D the lcm of the coefficient denominators of m^t and
-    c^t, and the table D^2*pf*p'(2^W) is the linear one of the differential
-    equation.  A tuple's integer sum is then F(2^W), where F = D^2 times
-    its Q[t] defect has integer coefficients of absolute value at most
-    B = L*S^2 + D*|pf|*delta*S: S is the sum of the absolute coefficients of
-    every D*p, delta the largest t-degree and L a bound on the number of
-    terms of a plan, sum of n - j + 1 over the stored (j, beta) with j <= n,
-    both plans of the differential equation together.  Each plan term sums
-    products of two D*p, one of them over distinct stored p, and a product
-    of two polynomials has coefficients at most the product of their sums
-    of absolute coefficients.  For x = 2^W > B + 1 and F of degree d with a
-    nonzero leading coefficient, |F(x)| >= x^d - B (x^d - 1)/(x - 1) > 0, so
-    F(2^W) = 0 exactly when F = 0: the test is exact, not a sample.  Each
-    failing tuple's defect is replayed over Q[t] on its plan, so the report
-    is the polynomial one.
+    Both identities are scanned over the integers of kronecker_reading:
+    each stored p becomes D*p(2^W), and the table D^2*pf*p'(2^W) is the
+    linear one of the differential equation.  A plan has at most
+    slots(m^t, n_bound) terms in the relation of m^t, and slots(m^t, k) +
+    slots(c^t, k) in the differential equation, so the larger of the two
+    bounds the terms of every sum.  Each failing tuple's defect is its
+    integer sum, decoded.
     """
     violations = []
     pf = sign_pow(P.n + 1)
@@ -210,23 +249,11 @@ def check_pseudoisotopy(P: Pseudoisotopy, m0: AInfAlgebra = None,
     max_c = max((k for k, _ in P.cT), default=0)
     n_bound = max(2 * max_m - 1, 0)
     k_bound = max(max_m, max_m + max_c - 1, 0)
+    scale, at_point, decode = kronecker_reading(P, max(
+        slots(P.mT, n_bound), slots(P.mT, k_bound) + slots(P.cT, k_bound)), abs(pf))
 
-    # The evaluation point.
-    polys = [*stored_values(P.mT), *stored_values(P.cT)]
-    scale = lcm(*(c.denominator for p in polys for c in p.coeffs))
-    total = sum(abs(c.numerator) * (scale // c.denominator)
-                for p in polys for c in p.coeffs)
-
-    def slots(tables, n):
-        return sum(n - j + 1 for j, _ in tables if j <= n)
-
-    terms = max(slots(P.mT, n_bound), slots(P.mT, k_bound) + slots(P.cT, k_bound))
-    top = max((p.degree() for p in polys), default=0)
-    width = evaluation_width(terms * total ** 2 + scale * abs(pf) * top * total)
-
-    def at_point(p):
-        return sum(c.numerator * (scale // c.denominator) << width * i
-                   for i, c in enumerate(p.coeffs))
+    def defect(sums):
+        return {o: decode(s).to_json() for o, s in sorted(sums.items())}
 
     # The linear table of the differential equation: D^2*pf*p'(2^W) for each
     # p of m^t that moves; a constant p reads 0 and is dropped.
@@ -235,18 +262,16 @@ def check_pseudoisotopy(P: Pseudoisotopy, m0: AInfAlgebra = None,
 
     # Quadratic relations of m^t: the A-infinity relation.  Both identities
     # are scanned as check_ainf scans an algebra, each p read as D*p(2^W):
-    # every name at arity 1, the window beyond.  The relation scan replays
-    # its failures over Q[t] on its own plans.
+    # every name at arity 1, the window beyond.
     def scope(n):
         return P.names if n == 1 else P.window
 
-    for beta, n, names, defect in relation_violations(
+    for beta, n, names, sums in relation_violations(
             insertion_plans(P.mT, P.mT, n_bound), P._parity, P.cutoff, scope,
             at_point):
         violations.append({
             "clause": "ainf-family", "beta": beta_json(beta),
-            "n": n, "inputs": list(names),
-            "defect": {o: p.to_json() for o, p in sorted(defect.items())},
+            "n": n, "inputs": list(names), "defect": defect(sums),
         })
 
     # The differential equation: pf d/dt m^t - S1 + S2 = 0, at every (beta, k)
@@ -257,17 +282,13 @@ def check_pseudoisotopy(P: Pseudoisotopy, m0: AInfAlgebra = None,
         if beta[0] > P.cutoff:
             continue
         (s1, unsigned), (s2, parity) = sums.get((beta, k), NO_SUMS)
-        for names, _ in joined_sums(k, [(s1, unsigned, -1), (s2, parity, 1)], scope(k),
-                                    index, slopes.get((beta, k)), at_point):
-            acc = {out: p.derivative() * pf
-                   for out, p in P.mT.get((k, beta), {}).get(names, {}).items()}
-            add_into(acc, insertion_sum(s1, unsigned, names), -1)
-            add_into(acc, insertion_sum(s2, parity, names), 1)
+        for names, found in joined_sums(k, [(s1, unsigned, -1), (s2, parity, 1)],
+                                        scope(k), index, slopes.get((beta, k)),
+                                        at_point):
             violations.append({
                 "clause": "differential-equation",
                 "beta": beta_json(beta), "k": k, "inputs": list(names),
-                "defect": {o: p.to_json() for o, p in sorted(acc.items())
-                           if p},
+                "defect": defect(found),
             })
 
     # Endpoint comparisons, as tables: P.endpoint(t) holds exactly these ops.
@@ -325,14 +346,16 @@ def extend_one_level(m0: AInfAlgebra, m1: AInfAlgebra, P: Pseudoisotopy):
     new_tau_tables = {}
     index = {}
     sums = isotopy_sums(P, k_bound)
+    _, at_point, decode = kronecker_reading(
+        P, slots(P.mT, k_bound) + slots(P.cT, k_bound))
     for beta in new_betas:
         for k in range(k_bound + 1):
             (s1, unsigned), (s2, parity) = sums.get((beta, k), NO_SUMS)
-            tau = {names: {out: poly.integral_from_to_one()
-                           for out, poly in vec.items()}
+            tau = {names: {out: decode(s).integral_from_to_one()
+                           for out, s in vec.items()}
                    for names, vec in joined_sums(
                        k, [(s1, unsigned, sign_n), (s2, parity, -sign_n)],
-                       m1.names, index)}
+                       m1.names, index, scale=at_point)}
             # A nonzero integral from tau to 1 is not constant, so adding
             # the constant m1 term cancels nothing.
             for names, combo in m1.op_table(k, beta).items():

@@ -795,8 +795,8 @@ FUZZ_COMMANDS = {
                              "check-kunneth"],
     "gapped_product.json": ["mc-defect", "box-product", "check-hf-kunneth"],
     "isotopy_extend.json": ["check-isotopy", "extend"],
-    "isotopy_chain.json": ["check-isotopy", "extend"],
-    "commuting_isotopy.json": ["check-commuting-isotopy"],
+    "isotopy_chain.json": ["extend"],
+    "commuting_isotopy.json": ["check-commuting-isotopy", "check-isotopy"],
 }
 FUZZ_VALUES = [None, [], {}, "x", 1.5, True, -1, 0, "1/0", {"a": 1}, [[1]],
                "-3", 10 ** 6]

@@ -4,20 +4,21 @@ code they replaced.
 `check_pseudoisotopy` and `extend_one_level` sum every quadratic sum with
 `ainf.joined_sums`, the join over the stored tables: the A-infinity relation
 of m^t (through `ainf.relation_violations`) and the two insertion plans of
-`isotopy_sums`. The extension sums over Q[t]; the check sums integers, each
-stored polynomial p read as D*p(2^W) at a point beyond every root of a
-scaled defect, and replays its failures over Q[t]. Five older versions stay
+`isotopy_sums`. Both sum integers, each stored polynomial p read as D*p(2^W)
+(`kronecker_reading`), with 2^(W-1) above every coefficient of a scaled sum,
+and decode each nonzero sum from its balanced base-2^W digits: the check for
+its report, the extension before it integrates. Five older versions stay
 here as differential oracles:
 
 - the per-tuple sums, which re-enumerate the beta-splits and the Koszul
   signs on every tuple, as the isotopy code did before it shared the kernel;
 - the planned per-tuple loops, which ran every tuple of the scope through
   `insertion_sum`, as the differential equation and the extension did before
-  they became joins;
+  they became joins, and as the check replayed each failure before it
+  decoded the joined sums;
 - the planned per-tuple relation scan of `test_relation_plan`;
 - the join on name tuples of `test_relation_plan`, checked call by call on
-  each call's tables, read at the evaluation point where the call reads them
-  there;
+  each call's tables, read at the evaluation point as the call reads them;
 - the joined check over Q[t], as `check_pseudoisotopy` was before it
   evaluated the families at one integer point, with the relation scan of
   that time, over the enumerated beta list, from `test_relation_plan`.
@@ -39,7 +40,7 @@ from unittest.mock import patch
 from hypothesis import given, settings, strategies as st
 
 from ainfkit.ainf import AInfAlgebra, add_into, beta_json, insertion_plans, \
-    insertion_sum, joined_sums, relation_violations
+    joined_sums, relation_violations
 from ainfkit import ainf, isotopy
 from ainfkit.isotopy import (
     NO_SUMS,
@@ -57,8 +58,8 @@ from ainfkit.scalars import BETA_ZERO, EnergyMonoid
 from ainfkit.signs import koszul_prefix_sign, shifted_parities, sign_pow
 from ainfkit.specio import load_spec
 from test_relation_plan import by_identity, family_matches_listed_scan, \
-    insertion_plan, kept_splits, listed_relation_violations, oracle_plans, \
-    oracle_relation_violations, tuple_joined_sums
+    insertion_plan, insertion_sum, kept_splits, listed_relation_violations, \
+    oracle_plans, oracle_relation_violations, tuple_joined_sums
 
 
 # -- the replaced code, kept as the oracle ---------------------------------------
@@ -526,7 +527,8 @@ def test_planned_isotopy_check_matches_per_tuple_check(P, data):
 @given(sparse_families(), st.data())
 def test_joined_family_scan_matches_per_tuple_scan(P, data):
     """The ainf-family clause on random Q[t] tables: the same first
-    violations with the same polynomial terms, before and after one flip."""
+    violations, with each sum at the Kronecker point decoded to the
+    polynomial terms, before and after one flip."""
     families = [P]
     ids = isotopy_constant_ids(P)
     if ids:
@@ -534,8 +536,12 @@ def test_joined_family_scan_matches_per_tuple_scan(P, data):
     for fam in families:
         n_bound = max(2 * max((k for k, _ in fam.mT), default=0) - 1, 0)
         parity = shifted_parities(dict(fam.basis))
-        assert list(relation_violations(insertion_plans(fam.mT, fam.mT, n_bound),
-                                        parity, fam.cutoff, lambda n: fam.names)) == \
+        _, at_point, decode = isotopy.kronecker_reading(
+            fam, isotopy.slots(fam.mT, n_bound))
+        assert [(beta, n, names, {o: decode(s) for o, s in sums.items()})
+                for beta, n, names, sums in relation_violations(
+                    insertion_plans(fam.mT, fam.mT, n_bound), parity,
+                    fam.cutoff, lambda n: fam.names, at_point)] == \
             list(oracle_relation_violations(
                 fam.mT, parity, fam.monoid.enumerate(fam.cutoff), n_bound,
                 lambda n: product(fam.names, repeat=n)))
@@ -672,37 +678,66 @@ def checked_with_widths(P):
                     for call in spy.call_args_list]
 
 
-def vanishing_at_two(n):
-    """m_{1,0}(x) = y, m^t_{0,(1,0)} = (t - 2) x and m^t_{1,(1,0)}(x) =
-    (t^2/2 - 2t) y: the m^t relation at ((1, 0), ()) is (t - 2) y, and the
-    differential equation is (-1)^{n+1} x at k = 0 and (-1)^{n+1} (t - 2) y
-    at k = 1.  Two of the three defects vanish at t = 2."""
+def vanishing_at_four(n):
+    """m_{1,0}(x) = y, m^t_{0,(1,0)} = (t - 4) x and m^t_{1,(1,0)}(x) =
+    (t^2/2 - 4t) y: the m^t relation at ((1, 0), ()) is (t - 4) y, and the
+    differential equation is (-1)^{n+1} x at k = 0 and (-1)^{n+1} (t - 4) y
+    at k = 1.  Two of the three defects vanish at t = 4."""
     beta = (Fraction(1), 0)
     mT = {(1, BETA_ZERO): {("x",): {"y": Poly([1])}},
-          (0, beta): {(): {"x": Poly([-2, 1])}},
-          (1, beta): {("x",): {"y": Poly([0, -2, Fraction(1, 2)])}}}
+          (0, beta): {(): {"x": Poly([-4, 1])}},
+          (1, beta): {("x",): {"y": Poly([0, -4, Fraction(1, 2)])}}}
     return Pseudoisotopy(n, [("x", 2), ("y", 3)], EnergyMonoid([(1, 0)]), 1,
                          None, mT, {})
 
 
 def test_a_narrower_point_passes_defects_that_vanish_there(monkeypatch):
     for n in (0, 1):
-        P = vanishing_at_two(n)
+        P = vanishing_at_four(n)
         pf = str(sign_pow(n + 1))
         report, widths = checked_with_widths(P)
         assert report == oracle_check_pseudoisotopy(P)
         assert [(v["clause"], v["defect"]) for v in report["violations"]] == [
-            ("ainf-family", {"y": ["-2", "1"]}),
+            ("ainf-family", {"y": ["-4", "1"]}),
             ("differential-equation", {"x": [pf]}),
-            ("differential-equation", {"y": [str(-2 * int(pf)), pf]})]
-        assert widths[0] > 1
-        # At 2^1 the scaled defects (t - 2) y and 4 (t - 2) y read zero, so
-        # only the constant one is left.
-        monkeypatch.setattr(isotopy, "evaluation_width", lambda bound: 1)
-        assert [(v["clause"], v["defect"]) for v in
+            ("differential-equation", {"y": [str(-4 * int(pf)), pf]})]
+        assert widths[0] > 2
+        # At 2^2 the scaled defects 4 (t - 4) y read zero, so only the
+        # constant one is left; its digits at so narrow a point are not its
+        # coefficients, so only where it fails is compared.
+        monkeypatch.setattr(isotopy, "evaluation_width", lambda bound: 2)
+        assert [(v["clause"], v["k"]) for v in
                 check_pseudoisotopy(P)["violations"]] == \
-            [("differential-equation", {"x": [pf]})]
+            [("differential-equation", 0)]
         monkeypatch.undo()
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(st.integers(1, 40), st.integers(1, 2 ** 80)), st.data())
+def test_balanced_digits_decode_every_polynomial_within_the_bound(bound, data):
+    """An integer polynomial F with |coefficients| <= B, negative ones and
+    one of exactly +-B among them, is the balanced base-2^W digits of
+    F(2^W) at W = evaluation_width(B)."""
+    coeffs = data.draw(st.lists(st.integers(-bound, bound), min_size=1,
+                                max_size=6))
+    coeffs[data.draw(st.integers(0, len(coeffs) - 1))] = \
+        data.draw(st.sampled_from([bound, -bound]))
+    width = isotopy.evaluation_width(bound)
+    value = sum(c << width * i for i, c in enumerate(coeffs))
+    while not coeffs[-1]:
+        coeffs.pop()
+    assert isotopy.balanced_digits(value, width) == coeffs
+
+
+def test_a_coefficient_at_the_bound_needs_the_extra_bit():
+    """At B = 4 the width (B + 1).bit_length() = 3 has 2^W > B + 1, enough to
+    tell a zero sum, but its balanced digits stop at 2^(W-1) = 4: F = 4
+    reads as -4 + 8, that is -4 + t.  One bit more decodes F."""
+    assert (4 + 1).bit_length() == 3
+    assert isotopy.balanced_digits(4, 3) == [-4, 1]
+    assert isotopy.evaluation_width(4) == 4
+    assert isotopy.balanced_digits(4, 4) == [4]
+    assert isotopy.balanced_digits(-4 + (4 << 4) - (3 << 8), 4) == [-4, 4, -3]
 
 
 def product_root_at_sixteen():

@@ -16,18 +16,20 @@ first:
 - the scan over the enumerated beta list (`listed_relation_violations`),
   which found each planned beta in the list and yielded the scaled joined
   sums; `relation_violations` skips a planned beta only above the cutoff and
-  yields each defect replayed on its plan over the stored values;
+  yields the same sums;
 - the join on name tuples over the integer copy `integer_ops` of the
   stored table (`tuple_relation_violations`), which the join on integer
   tuple codes replaced;
 - the planned per-tuple scan, which ran every tuple of window^n through
-  `insertion_sum` (`oracle_relation_violations`);
+  `insertion_sum`, the sum of a plan on one tuple, which also replayed each
+  failing tuple for the report (`oracle_relation_violations`);
 - the per-tuple scan before that, which builds the beta-splits from a fresh
   enumeration and the stored terms once per (beta, n), and the Koszul signs
   and the defect element on every tuple (`oracle_check_ainf`).
 
 The scan itself reads the stored Fraction table and scales each constant to
-an integer as it indexes the table; the same scan without the scaling is its
+an integer as it indexes the table, and a failing tuple's integer sums,
+divided by D^2, are its defects; the same scan without the scaling is its
 oracle.
 """
 
@@ -53,14 +55,13 @@ from ainfkit.ainf import (
     constant_ids,
     flip_constant,
     insertion_plans,
-    insertion_sum,
     joined_sums,
     map_tables,
     relation_violations,
 )
 from ainfkit.cli import main
 from ainfkit.isotopy import Pseudoisotopy, flip_isotopy_constant, \
-    isotopy_constant_ids, isotopy_sums
+    isotopy_constant_ids, isotopy_sums, kronecker_reading, slots
 from ainfkit.models import (
     commuting_isotopy_fixture,
     derham_model,
@@ -96,6 +97,33 @@ def insertion_plan(inner_ops, outer_ops, beta, n: int):
             plan.extend((start, start + j, inner_table, outer_table)
                         for start in range(n - j + 1))
     return plan
+
+
+# The sum of a plan on one tuple, copied verbatim: it replayed each failing
+# tuple over the stored values; the scans now report the joined sums.
+
+def insertion_sum(plan, parity, names) -> dict:
+    """The sum of a plan's insertion terms on one input tuple: {output:
+    coefficient}, zero coefficients dropped.  The term at slot i carries the
+    sign (-1)^{p(a_1) + ... + p(a_{i-1})} with p = parity; the shifted-degree
+    parities give the Koszul sign, an all-zero map gives no sign."""
+    acc = {}
+    for start, stop, inner_table, outer_table in plan:
+        inner = inner_table.get(names[start:stop])
+        if not inner:
+            continue
+        prefix, suffix = names[:start], names[stop:]
+        odd = 0
+        for nm in prefix:
+            odd ^= parity[nm]
+        for mid, c_in in inner.items():
+            outer = outer_table.get(prefix + (mid,) + suffix)
+            if not outer:
+                continue
+            c_in = -c_in if odd else c_in
+            for out, c_out in outer.items():
+                acc[out] = acc[out] + c_in * c_out if out in acc else c_in * c_out
+    return {out: c for out, c in acc.items() if c}
 
 
 # The planned per-tuple scan, copied verbatim but for its name.
@@ -348,7 +376,7 @@ def tuple_relation_violations(ops, parity, betas, n_bound, order):
 # The scan over a sorted beta list, copied verbatim but for its name: it found
 # each planned beta in the enumerated list with a bisection and yielded the
 # joined sums, scaled.  `relation_violations` now skips a planned beta only
-# above the cutoff and yields each defect replayed on its plan.
+# above the cutoff.
 
 def listed_relation_violations(ops, parity, betas, n_bound, order, scale=None):
     """The A-infinity relation of an op table, scanned in order: for each
@@ -680,6 +708,53 @@ def test_ainf_defect_matches_per_tuple_defect(alg, data):
     assert ainf_defect(alg, beta, names) == oracle_defect(alg, beta, names)
 
 
+@settings(max_examples=150, deadline=None)
+@given(sparse_algebras(), st.data())
+def test_ainf_defect_matches_the_insertion_sum_oracle(alg, data):
+    """ainf_defect joins over the tuple's distinct names; on a planned beta,
+    at n = 0 and on tuples with a term of the plan or drawn from one or two
+    names, where names repeat, it is the sum of the plan on the tuple."""
+    plans = insertion_plans(alg.ops, alg.ops, 4)
+    beta, n = data.draw(st.sampled_from(sorted(plans))) if plans \
+        else (BETA_ZERO, data.draw(st.integers(0, 4)))
+    plan = plans.get((beta, n), [])
+    with_a_term = [outer_key[:start] + inner_key + outer_key[start + 1:]
+                   for start, _, inner, outer in plan
+                   for inner_key, combo in inner.items()
+                   for outer_key in outer if outer_key[start] in combo]
+    if with_a_term and data.draw(st.booleans()):
+        names = data.draw(st.sampled_from(with_a_term))
+    else:
+        pool = data.draw(st.sampled_from([alg.names, alg.names[:1],
+                                          alg.names[:2]]))
+        names = tuple(data.draw(st.lists(st.sampled_from(pool), min_size=n,
+                                         max_size=n)))
+    assert ainf_defect(alg, beta, names) == AlgElement(
+        insertion_sum(plan, alg._parity, names), alg.truncation)
+
+
+def test_ainf_defect_on_a_repeated_name():
+    """The relation at (x, x, x, x, x), where the signed terms of four m_3
+    constants leave a nonzero sum, and m_1(m_0) at n = 0."""
+    basis = [("x", 0), ("z", -1), ("w", -2)]
+    ops = {(3, BETA_ZERO): {("x", "x", "x"): {"z": Fraction(2)},
+                            ("z", "x", "x"): {"w": Fraction(3)},
+                            ("x", "z", "x"): {"w": Fraction(-3)},
+                            ("x", "x", "z"): {"w": Fraction(1, 2)}}}
+    alg = AInfAlgebra(basis, EnergyMonoid([]), ops=ops)
+    xs = ("x",) * 5
+    plan = insertion_plans(ops, ops, 5)[BETA_ZERO, 5]
+    defect = insertion_sum(plan, alg._parity, xs)
+    assert defect and ainf_defect(alg, BETA_ZERO, xs) == AlgElement(defect)
+    beta = (Fraction(1), 0)
+    ops = {(0, beta): {(): {"x": Fraction(2)}},
+           (1, BETA_ZERO): {("x",): {"y": Fraction(-1, 3)}}}
+    curved = AInfAlgebra([("x", 2), ("y", 3)], EnergyMonoid([beta]), ops=ops)
+    assert ainf_defect(curved, beta, ()) == AlgElement({"y": Fraction(-2, 3)}) \
+        == AlgElement(insertion_sum(insertion_plans(ops, ops, 0)[beta, 0],
+                                    curved._parity, ()))
+
+
 def scan_order(alg):
     return lambda n: alg.names if n == 1 else alg.window
 
@@ -716,30 +791,34 @@ def first_violations(alg, ops, scale=None):
 def both_scans(alg, ops):
     """Every first violation, with its terms, of the joined scan and of the
     per-tuple scan over ops."""
-    return (list(relation_violations(*scan_args(alg, ops), scan_order(alg))),
+    return (list(relation_violations(*scan_args(alg, ops), scan_order(alg),
+                                     None)),
             list(oracle_relation_violations(
                 *listed_args(alg, ops), lambda n: _relation_tuples(alg, n))))
 
 
 def assert_scans_agree(alg, per_tuple=True):
-    """Every first violation is the same for the coded scan, which scales
-    the stored table while it indexes it, the scan over the beta list with
-    the same scaling, the name-tuple join over the integer copy and, unless
-    per_tuple is off, the per-tuple scan over that copy: the last three
-    yield the integer sums, which are D^2 times the coded scan's replayed
-    defects.  Returns the first violations of the coded scan."""
+    """Every first violation, with its sums, is the same for the coded scan,
+    which scales the stored table while it indexes it, the scan over the
+    beta list with the same scaling, the name-tuple join over the integer
+    copy and, unless per_tuple is off, the per-tuple scan over that copy:
+    all four yield the integer sums, D^2 times the defects, and each sum
+    divided by D^2, as check_ainf writes it, is the per-tuple scan's defect
+    over the Fraction table.  Returns the first violations of the coded
+    scan."""
     ops, d = integer_ops(alg.ops), common_denominator(alg.ops)
     coded = list(relation_violations(*scan_args(alg, alg.ops), scan_order(alg),
                                      scaled(alg.ops)))
-    sums = list(listed_relation_violations(*listed_args(alg, alg.ops),
-                                           scan_order(alg), scaled(alg.ops)))
-    assert [(beta, n, names, {o: d * d * c for o, c in defect.items()})
-            for beta, n, names, defect in coded] == sums
-    assert sums == list(tuple_relation_violations(*listed_args(alg, ops),
-                                                  scan_order(alg)))
+    assert coded == list(listed_relation_violations(
+        *listed_args(alg, alg.ops), scan_order(alg), scaled(alg.ops)))
+    assert coded == list(tuple_relation_violations(*listed_args(alg, ops),
+                                                   scan_order(alg)))
     if per_tuple:
-        assert sums == list(oracle_relation_violations(
+        assert coded == list(oracle_relation_violations(
             *listed_args(alg, ops), lambda n: _relation_tuples(alg, n)))
+        assert [(beta, n, names, {o: Fraction(c, d * d) for o, c in sums.items()})
+                for beta, n, names, sums in coded] == list(oracle_relation_violations(
+                    *listed_args(alg, alg.ops), lambda n: _relation_tuples(alg, n)))
     return coded
 
 
@@ -780,45 +859,38 @@ def test_integer_scan_matches_fraction_scan(alg, data):
 # -- the scan bounded by the cutoff against the scan over the beta list ----------
 
 def assert_matches_listed_scan(ops, parity, cutoff, betas, n_bound, order,
-                               scale):
-    """relation_violations, bounded by the cutoff, finds the (beta, n, names)
-    of the scan over the sorted beta list under the same scale, and each of
-    its defects is the per-tuple scan's sum over ops on that tuple."""
+                               scale, decode):
+    """relation_violations, bounded by the cutoff, finds the violations of
+    the scan over the sorted beta list under the same scale, with the same
+    sums, and each of its sums, decoded, is the per-tuple scan's sum over ops
+    on that tuple."""
     found = list(relation_violations(insertion_plans(ops, ops, n_bound), parity,
                                      cutoff, order, scale))
-    listed = list(listed_relation_violations(ops, parity, betas, n_bound, order,
-                                             scale))
-    assert [f[:3] for f in found] == [f[:3] for f in listed]
-    assert found == list(oracle_relation_violations(
-        ops, parity, betas, n_bound, lambda n: product(order(n), repeat=n)))
+    assert found == list(listed_relation_violations(ops, parity, betas, n_bound,
+                                                    order, scale))
+    assert [(beta, n, names, {o: decode(c) for o, c in sums.items()})
+            for beta, n, names, sums in found] == list(oracle_relation_violations(
+                ops, parity, betas, n_bound, lambda n: product(order(n), repeat=n)))
     return found
 
 
 def algebra_matches_listed_scan(alg):
     ops, parity, betas, n_bound = listed_args(alg, alg.ops)
+    d = common_denominator(ops)
     return assert_matches_listed_scan(ops, parity, alg.cutoff, betas, n_bound,
-                                      scan_order(alg), scaled(ops))
-
-
-def kronecker(tables, width=64):
-    """p -> D*p(2^width), with D the common denominator of the stored
-    coefficients: an integer reading of small t-polynomials under which no
-    sum of a few products vanishes unless its polynomial does."""
-    d = lcm(*(c.denominator for table in tables.values()
-              for combo in table.values() for p in combo.values()
-              for c in p.coeffs))
-    return lambda p: sum(c.numerator * (d // c.denominator) << width * i
-                         for i, c in enumerate(p.coeffs))
+                                      scan_order(alg), scaled(ops),
+                                      lambda c: Fraction(c, d * d))
 
 
 def family_matches_listed_scan(P):
     """The relation of m^t, read at the Kronecker point, on the scope of
-    check_pseudoisotopy."""
+    check_pseudoisotopy, each sum decoded to its polynomial."""
     n_bound = max(2 * max((k for k, _ in P.mT), default=0) - 1, 0)
+    _, at_point, decode = kronecker_reading(P, slots(P.mT, n_bound))
     return assert_matches_listed_scan(
         P.mT, shifted_parities(dict(P.basis)), P.cutoff,
         P.monoid.enumerate(P.cutoff), n_bound,
-        lambda n: P.names if n == 1 else P.window, kronecker(P.mT))
+        lambda n: P.names if n == 1 else P.window, at_point, decode)
 
 
 @settings(max_examples=60, deadline=None)
@@ -1379,8 +1451,7 @@ def test_codes_beyond_64_bits_match_the_old_join():
         a: {"z": Fraction(2)}, ("z",) + a[:5]: {"w": Fraction(3, 5)}}})
     assert len(alg.window) ** 11 > 2 ** 63
     found = assert_scans_agree(alg, per_tuple=False)
-    assert found == [(BETA_ZERO, 11, a + a[:5], {"w": Fraction(6, 5)})]
-    assert common_denominator(alg.ops) ** 2 * found[0][3]["w"] == 30
+    assert found == [(BETA_ZERO, 11, a + a[:5], {"w": 30})]  # D^2 * 6/5, D = 5
     report = check_ainf(alg)
     assert report["counterexamples"] == [{
         "beta": ["0", 0], "n": 11, "inputs": list(a + a[:5]),
